@@ -70,6 +70,8 @@
 #   make fuzz-smoke — every fuzz target for a short budget, seeded from the
 #                     checked-in corpora under */testdata/fuzz
 #   make bench      — engine micro-benchmarks (0 allocs/op on reuse paths)
+#   make bench-ruler — vet and short-test the bench/ module (its own go.mod,
+#                     so ./... never compiles it) against the current internals
 #   make bench-save — record the benchmark trajectories (events/sec,
 #                     ns/event, allocs/packet) into BENCH_topo.json (dumbbell
 #                     and a 3-hop parking lot), BENCH_fct.json (open-loop
@@ -81,9 +83,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci lint vet build test allocs audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke bench bench-save bench-gate
+.PHONY: ci lint vet build test allocs audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke bench bench-ruler bench-save bench-gate
 
-ci: lint build test allocs bench-gate audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke
+ci: lint build test allocs bench-ruler bench-gate audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke
 
 lint: vet
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
@@ -100,7 +102,7 @@ test:
 
 allocs:
 	$(GO) test -run 'TestAllocGuard' -v .
-	$(GO) test -run xxx -bench 'BenchmarkEngineHandlerChained|BenchmarkTimerReset' -benchmem ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkEngineHandlerChained|BenchmarkTimerReset|BenchmarkLineDelivery' -benchmem ./internal/sim/
 
 audit:
 	$(GO) test -race -v -run 'TestAudit|TestViolation|TestMetamorphic|TestDropAccountingAllAQMs|TestCheckpointLastWriteWins' ./internal/audit/ ./internal/sim/ ./internal/netem/ ./internal/experiment/
@@ -148,7 +150,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFlowSpecParse -fuzztime $(FUZZTIME) ./internal/flows/
 
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkTimer' -benchmem ./internal/sim/
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkTimer|BenchmarkLine' -benchmem ./internal/sim/
+
+bench-ruler:
+	cd bench && $(GO) vet . && $(GO) test -short .
 
 bench-save:
 	BENCH_SAVE=1 $(GO) test -run 'TestBenchTopoTrajectory|TestBenchFCTTrajectory|TestBenchObsTrajectory' -v .

@@ -50,10 +50,12 @@ type Port struct {
 
 	// Handler adapters for the two per-packet events (serialization done,
 	// propagation delivery). Stable addresses inside the Port let the
-	// engine's pooled-event path run without a closure or Event allocation
-	// per packet.
+	// engine dispatch them without a closure or Event allocation per
+	// packet. Deliveries wait on the port's delay line, which holds one
+	// heap slot however many packets are in propagation.
 	txDoneH  portTxDone
 	deliverH portDeliver
+	wire     sim.Line
 
 	// Fault injection (the paper's "network anomalies" future work):
 	// lossRate drops transmitted packets uniformly at random; ge overlays a
@@ -135,6 +137,7 @@ func NewPort(eng *sim.Engine, name string, rate units.Bandwidth, delay time.Dura
 	po := &Port{Name: name, eng: eng, rate: rate, delay: delay, queue: queue, dst: dst}
 	po.txDoneH.po = po
 	po.deliverH.po = po
+	po.wire.Init(eng, &po.deliverH)
 	if a := eng.Auditor(); a != nil {
 		po.aud = a
 		po.audSelfChecker, _ = queue.(aqm.SelfChecker)
@@ -563,7 +566,7 @@ func (h *portTxDone) OnEvent(arg any) {
 		}
 		po.lastDeliverAt = at
 		if at > now {
-			po.eng.ScheduleHandlerAt(at, &po.deliverH, p)
+			po.wire.PushAt(at, p)
 		} else {
 			if po.aud != nil {
 				po.audInFlight--

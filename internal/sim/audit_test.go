@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"strings"
 	"testing"
 	"time"
@@ -87,7 +86,7 @@ func TestAuditorCatchesPoolDoubleFree(t *testing.T) {
 func TestAuditorCatchesReleaseOfQueuedEvent(t *testing.T) {
 	e, _ := auditedEngine()
 	e.ScheduleHandlerAt(Duration(time.Second), &countHandler{}, nil)
-	v := expectViolation(t, func() { e.release(e.queue[0]) })
+	v := expectViolation(t, func() { e.release(e.queue[0].ev) })
 	if v.Rule != "pool-release-queued" {
 		t.Fatalf("rule = %s, want pool-release-queued", v.Rule)
 	}
@@ -148,18 +147,24 @@ func TestQuiescenceAcceptsFutureEvents(t *testing.T) {
 }
 
 // TestAuditedHeapIntegrityAfterChurn cross-checks that heavy cancel/reset
-// churn under the auditor leaves a structurally valid heap (indices match
-// positions, parent ≤ child ordering).
+// and delay-line churn under the auditor leaves a structurally valid 4-ary
+// heap (indices match positions, parent ≤ child ordering) whose line slots
+// carry their head entry's key.
 func TestAuditedHeapIntegrityAfterChurn(t *testing.T) {
 	e, a := auditedEngine()
 	rng := NewRNG(99)
 	var timers [8]Timer
+	var lines [3]Line
+	var last [3]Time
 	h := HandlerFunc(func(any) {})
 	for i := range timers {
 		timers[i].Init(e, h, i)
 	}
+	for i := range lines {
+		lines[i].Init(e, h)
+	}
 	for i := 0; i < 2000; i++ {
-		switch rng.Intn(4) {
+		switch rng.Intn(6) {
 		case 0:
 			e.ScheduleHandler(time.Duration(rng.Intn(1000))*time.Microsecond, h, nil)
 		case 1:
@@ -168,20 +173,44 @@ func TestAuditedHeapIntegrityAfterChurn(t *testing.T) {
 			timers[rng.Intn(len(timers))].Reset(time.Duration(rng.Intn(500)) * time.Microsecond)
 		case 3:
 			timers[rng.Intn(len(timers))].Stop()
+		case 4: // monotone: a FIFO link
+			j := rng.Intn(len(lines))
+			last[j] = max(e.Now(), last[j]) + Time(rng.Intn(300_000))
+			lines[j].PushAt(last[j], nil)
+		case 5: // out of order: a reordering link with jitter
+			lines[rng.Intn(len(lines))].PushAt(e.Now()+Time(rng.Intn(1_000_000)), nil)
 		}
 		if i%97 == 0 {
 			e.RunFor(200 * time.Microsecond)
 		}
 	}
-	for i, ev := range e.queue {
-		if ev.idx != i {
+	queued := 0
+	for i := range lines {
+		l := &lines[i]
+		if (l.n > 0) != (l.ev.idx >= 0) {
+			t.Fatalf("line %d holds %d entries but heap slot %d", i, l.n, l.ev.idx)
+		}
+		if l.n > 0 {
+			queued += l.n
+			if hd, s := l.ring[l.head], e.queue[l.ev.idx]; hd.at != s.at || hd.seq != s.seq {
+				t.Fatalf("line %d slot keyed (%v,%d), head entry (%v,%d)", i, s.at, s.seq, hd.at, hd.seq)
+			}
+		}
+	}
+	if queued == 0 {
+		t.Fatal("churn left no line entries queued; the check above proved nothing")
+	}
+	for i := range e.queue {
+		if ev := e.queue[i].ev; ev.idx != i {
 			t.Fatalf("heap[%d] carries idx %d", i, ev.idx)
 		}
-		if parent := (i - 1) / 2; i > 0 && e.queue.Less(i, parent) {
+		if parent := (i - 1) / 4; i > 0 && e.queue[i].before(&e.queue[parent]) {
 			t.Fatalf("heap order violated at %d", i)
 		}
 	}
 	e.Run()
+	if e.Pending() != 0 || e.behind != 0 {
+		t.Fatalf("drained engine reports Pending=%d behind=%d", e.Pending(), e.behind)
+	}
 	a.Finish()
-	_ = heap.Interface(&e.queue) // the heap package contract is what the loop above re-derives
 }

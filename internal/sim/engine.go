@@ -1,7 +1,7 @@
 // Package sim implements the discrete-event simulation engine every other
-// subsystem runs on: a nanosecond-resolution virtual clock, a binary-heap
-// event queue with stable FIFO ordering for simultaneous events, and a
-// deterministic random number generator.
+// subsystem runs on: a nanosecond-resolution virtual clock, a 4-ary min-heap
+// event queue with stable FIFO ordering for simultaneous events, per-link
+// FIFO delay lines, and a deterministic random number generator.
 //
 // One Engine is owned by exactly one goroutine; parallelism in the harness
 // comes from running many independent engines concurrently, never from
@@ -9,7 +9,7 @@
 //
 // # Event ownership and pooling
 //
-// The engine offers three scheduling surfaces with different ownership
+// The engine offers four scheduling surfaces with different ownership
 // rules, chosen so the steady-state forwarding path performs zero heap
 // allocations per event:
 //
@@ -22,21 +22,39 @@
 //     owned by the engine, drawn from a per-engine free list, and returned
 //     to it as soon as the event fires. No handle is exposed, so these
 //     events cannot be cancelled; they are the right tool for fire-and-
-//     forget per-packet work (serialization done, propagation delivery).
+//     forget per-packet work (serialization done).
 //
 //   - Timer: a caller-owned, reusable timer for recurring deadlines (RTO,
 //     pacing release, delayed ACK, samplers). Its event storage is embedded
-//     in the Timer itself, so Reset/Stop never allocate: Reset reschedules
-//     in place via heap.Fix when the timer is already queued. A Timer must
-//     not be copied after Init (the heap holds a pointer into it).
+//     in the Timer itself, so Reset/Stop never allocate: Reset re-keys the
+//     heap slot in place when the timer is already queued. A Timer must not
+//     be copied after Init (the heap holds a pointer into it).
+//
+//   - Line: a caller-owned FIFO delay line for deliveries that leave in the
+//     order they were pushed (propagation on a link). Entries sit in a ring
+//     inside the Line; only the head occupies a heap slot, so a link with
+//     thousands of packets in flight costs the heap one entry. A Line must
+//     not be copied after Init.
 //
 // Cancelling (Event.Cancel, Timer.Stop) removes the entry from the heap
 // eagerly, so long runs that repeatedly rearm timers do not accumulate
 // dead entries.
+//
+// # Dispatch order
+//
+// Every scheduling call reserves the next sequence number, and events run
+// in (deadline, sequence) order; sequence numbers are unique, so that order
+// is total. A Line entry records the (deadline, sequence) it reserved at
+// PushAt, keeps its entries sorted by that key, and keys its heap slot by
+// the head entry's stored key. When the head fires, the slot is re-keyed to
+// the next entry's stored key. At every pop the heap therefore holds the
+// minimum of each line plus every other event, and the minimum of those
+// minima is the minimum over all queued entries — the same event a heap
+// holding one slot per delivery would pop. Which surface scheduled an event
+// never changes when it runs.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -76,15 +94,15 @@ type HandlerFunc func(arg any)
 func (f HandlerFunc) OnEvent(arg any) { f(arg) }
 
 // Event is a scheduled callback. It fires either a closure (Schedule) or a
-// Handler (ScheduleHandler/Timer) at its deadline.
+// Handler (ScheduleHandler/Timer/Line) at its deadline.
 type Event struct {
 	at  Time
-	seq uint64 // tie-break: FIFO among same-time events
-	idx int    // heap index, -1 when not queued
+	idx int // heap slot, -1 when not queued
 
-	fn  func() // closure dispatch (nil for handler events)
-	h   Handler
-	arg any
+	fn   func() // closure dispatch (nil for handler events)
+	h    Handler
+	arg  any
+	line *Line // non-nil for a Line's head slot: dispatch advances the line
 
 	eng    *Engine // owner, for eager heap removal on Cancel
 	pooled bool    // engine-owned: recycled into the free list after firing
@@ -97,7 +115,7 @@ func (e *Event) Cancel() {
 	if e == nil || e.idx < 0 {
 		return
 	}
-	heap.Remove(&e.eng.queue, e.idx)
+	e.eng.queue.remove(e.idx)
 }
 
 // Pending reports whether the event is still queued.
@@ -115,39 +133,110 @@ func (e *Event) fire() {
 	e.h.OnEvent(e.arg)
 }
 
-type eventHeap []*Event
+// entry is one heap slot. The sort key lives in the slot itself, so sifting
+// compares contiguous values and never dereferences an Event.
+type entry struct {
+	at  Time
+	seq uint64 // tie-break: FIFO among same-time events
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventQueue is a 4-ary min-heap on (at, seq); each queued Event records
+// its slot in idx. Four children per node halve the depth of a binary heap,
+// and sift-down — the hot direction, run on every pop — compares siblings
+// that sit next to each other in memory.
+type eventQueue []entry
+
+func (q *eventQueue) push(at Time, seq uint64, ev *Event) {
+	*q = append(*q, entry{at: at, seq: seq, ev: ev})
+	q.up(len(*q) - 1)
+}
+
+// pop removes the root.
+func (q *eventQueue) pop() {
+	h := *q
+	n := len(h) - 1
+	h[0].ev.idx = -1
+	h[0] = h[n]
+	h[n] = entry{}
+	*q = h[:n]
+	if n > 0 {
+		q.down(0)
 	}
-	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+
+// remove deletes slot i.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	n := len(h) - 1
+	h[i].ev.idx = -1
+	h[i] = h[n]
+	h[n] = entry{}
+	*q = h[:n]
+	if i < n {
+		q.fix(i)
+	}
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
+
+// fix restores heap order after slot i's key changed.
+func (q eventQueue) fix(i int) {
+	if !q.down(i) {
+		q.up(i)
+	}
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+
+func (q eventQueue) up(i int) {
+	x := q[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.idx = i
+		i = p
+	}
+	q[i] = x
+	x.ev.idx = i
+}
+
+// down sifts slot i toward the leaves and reports whether it moved.
+func (q eventQueue) down(i int) bool {
+	n := len(q)
+	x := q[i]
+	i0 := i
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&x) {
+			break
+		}
+		q[i] = q[m]
+		q[i].ev.idx = i
+		i = m
+	}
+	q[i] = x
+	x.ev.idx = i
+	return i > i0
 }
 
 // Engine is a single-threaded discrete-event simulator.
 type Engine struct {
 	now     Time
-	queue   eventHeap
+	queue   eventQueue
+	behind  int // Line entries queued behind their line's head (not in the heap)
 	seq     uint64
 	stopped bool
 	rng     *RNG
@@ -195,8 +284,9 @@ func (e *Engine) RNG() *RNG { return e.rng }
 // Executed returns the number of events run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending returns the number of queued events, including Line entries
+// waiting behind their line's head.
+func (e *Engine) Pending() int { return len(e.queue) + e.behind }
 
 // FreeEvents returns the size of the pooled-event free list (telemetry and
 // pool-reuse tests).
@@ -217,7 +307,7 @@ func (e *Engine) SetAuditor(a *audit.Auditor) {
 	a.OnFinish("sim", "quiescence", func() error {
 		if len(e.queue) > 0 && e.queue[0].at < e.now {
 			return fmt.Errorf("event due at %v still queued after run ended at %v (%d pending)",
-				e.queue[0].at, e.now, len(e.queue))
+				e.queue[0].at, e.now, e.Pending())
 		}
 		return nil
 	})
@@ -270,8 +360,8 @@ func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
 		at = e.now
 	}
 	e.seq++
-	ev := &Event{at: at, seq: e.seq, fn: fn, idx: -1, eng: e}
-	heap.Push(&e.queue, ev)
+	ev := &Event{at: at, fn: fn, idx: -1, eng: e}
+	e.queue.push(at, e.seq, ev)
 	return ev
 }
 
@@ -306,11 +396,10 @@ func (e *Engine) ScheduleHandlerAt(at Time, h Handler, arg any) {
 	}
 	e.seq++
 	ev.at = at
-	ev.seq = e.seq
 	ev.h = h
 	ev.arg = arg
 	ev.pooled = true
-	heap.Push(&e.queue, ev)
+	e.queue.push(at, e.seq, ev)
 }
 
 // release zeroes a pooled event and returns it to the free list.
@@ -384,17 +473,22 @@ func (e *Engine) RunUntil(end Time) {
 		if e.budgeted && e.checkBudget() {
 			return // overrun: leave the clock where the watchdog fired
 		}
-		next := e.queue[0]
-		if next.at > end {
+		head := &e.queue[0]
+		if head.at > end {
 			break
 		}
-		if e.aud != nil && next.at < e.now {
+		if e.aud != nil && head.at < e.now {
 			e.aud.Failf("sim", "time-monotone",
-				"heap head due at %v is earlier than the clock %v", next.at, e.now)
+				"heap head due at %v is earlier than the clock %v", head.at, e.now)
 		}
-		heap.Pop(&e.queue)
-		e.now = next.at
+		e.now = head.at
 		e.executed++
+		next := head.ev
+		if next.line != nil {
+			next.h.OnEvent(next.line.shift())
+			continue
+		}
+		e.queue.pop()
 		next.fire()
 		if next.pooled {
 			e.release(next)
@@ -436,8 +530,8 @@ func (t *Timer) Reset(delay time.Duration) {
 }
 
 // ResetAt is Reset with an absolute deadline. Times in the past are clamped
-// to now. When the timer is already queued it is rescheduled in place via
-// heap.Fix — no allocation, no dead entry left behind.
+// to now. When the timer is already queued its heap slot is re-keyed in
+// place — no allocation, no dead entry left behind.
 func (t *Timer) ResetAt(at Time) {
 	eng := t.ev.eng
 	if at < eng.now {
@@ -445,12 +539,12 @@ func (t *Timer) ResetAt(at Time) {
 	}
 	eng.seq++
 	t.ev.at = at
-	t.ev.seq = eng.seq
-	if t.ev.idx >= 0 {
-		heap.Fix(&eng.queue, t.ev.idx)
+	if i := t.ev.idx; i >= 0 {
+		eng.queue[i].at, eng.queue[i].seq = at, eng.seq
+		eng.queue.fix(i)
 		return
 	}
-	heap.Push(&eng.queue, &t.ev)
+	eng.queue.push(at, eng.seq, &t.ev)
 }
 
 // Stop removes the timer from the queue if pending (eagerly — no dead entry
@@ -458,7 +552,7 @@ func (t *Timer) ResetAt(at Time) {
 // timer.
 func (t *Timer) Stop() {
 	if t.ev.idx >= 0 {
-		heap.Remove(&t.ev.eng.queue, t.ev.idx)
+		t.ev.eng.queue.remove(t.ev.idx)
 	}
 }
 
@@ -467,3 +561,99 @@ func (t *Timer) Pending() bool { return t.ev.idx >= 0 }
 
 // At returns the timer's current (or last) deadline.
 func (t *Timer) At() Time { return t.ev.at }
+
+// Line is a caller-owned FIFO delay line dispatching every entry to one
+// Handler — the propagation half of a link. Entries wait in a ring inside
+// the Line, sorted by the (deadline, sequence) key each reserved at PushAt;
+// only the head holds a heap slot. The zero value is unusable; call Init
+// once, then PushAt freely — it allocates only while the ring grows to the
+// line's high-water mark. A Line must not be copied after Init.
+type Line struct {
+	ev   Event       // heap slot keyed by the head entry; queued iff n > 0
+	ring []lineEntry // power-of-two length
+	head int
+	n    int
+}
+
+type lineEntry struct {
+	at  Time
+	seq uint64
+	arg any
+}
+
+// Init binds the line to an engine and its dispatch target: every entry
+// fires as h.OnEvent(arg). Init must be called exactly once, before any
+// PushAt.
+func (l *Line) Init(eng *Engine, h Handler) {
+	l.ev = Event{eng: eng, idx: -1, h: h, line: l}
+}
+
+// PushAt queues h.OnEvent(arg) at absolute time at; times in the past are
+// clamped to now. It reserves the next sequence number exactly as
+// ScheduleHandlerAt does, so the entry runs at the same point in the global
+// order as a separately scheduled event would. Deadlines normally arrive
+// non-decreasing (append at the tail); an earlier one is inserted in place,
+// after every entry due at or before it.
+func (l *Line) PushAt(at Time, arg any) {
+	eng := l.ev.eng
+	if at < eng.now {
+		at = eng.now
+	}
+	eng.seq++
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	mask := len(l.ring) - 1
+	i := l.n
+	for ; i > 0; i-- {
+		prev := &l.ring[(l.head+i-1)&mask]
+		if prev.at <= at {
+			break
+		}
+		l.ring[(l.head+i)&mask] = *prev
+	}
+	l.ring[(l.head+i)&mask] = lineEntry{at: at, seq: eng.seq, arg: arg}
+	l.n++
+	switch {
+	case l.n == 1:
+		eng.queue.push(at, eng.seq, &l.ev)
+	case i == 0: // overtook the head: move the heap slot earlier
+		eng.behind++
+		s := l.ev.idx
+		eng.queue[s].at, eng.queue[s].seq = at, eng.seq
+		eng.queue.up(s)
+	default:
+		eng.behind++
+	}
+}
+
+// shift is called when the line's slot is at the heap root: it removes the
+// head entry, re-keys the slot to the next entry's stored (at, seq) — or
+// pops it when the line empties — and returns the removed entry's arg. The
+// heap is consistent again before the handler runs, so the handler may push
+// onto this line.
+func (l *Line) shift() any {
+	eng := l.ev.eng
+	hd := &l.ring[l.head]
+	arg := hd.arg
+	*hd = lineEntry{}
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	if l.n == 0 {
+		eng.queue.pop()
+		return arg
+	}
+	eng.behind--
+	nx := &l.ring[l.head]
+	eng.queue[0].at, eng.queue[0].seq = nx.at, nx.seq
+	eng.queue.down(0)
+	return arg
+}
+
+// grow doubles the full ring, unrolling it to start at index 0.
+func (l *Line) grow() {
+	ring := make([]lineEntry, max(16, 2*len(l.ring)))
+	n := copy(ring, l.ring[l.head:])
+	copy(ring[n:], l.ring[:l.head])
+	l.ring, l.head = ring, 0
+}

@@ -383,7 +383,7 @@ func TestPooledEventZeroedOnReuse(t *testing.T) {
 		}
 		e.Run()
 		for _, ev := range e.free {
-			if ev.at != 0 || ev.seq != 0 || ev.fn != nil || ev.h != nil ||
+			if ev.at != 0 || ev.line != nil || ev.fn != nil || ev.h != nil ||
 				ev.arg != nil || ev.pooled || ev.idx != -1 || ev.eng != e {
 				return false
 			}
@@ -543,9 +543,30 @@ func BenchmarkEngineHandlerChained(b *testing.B) {
 	e.Run()
 }
 
+func BenchmarkLineDelivery(b *testing.B) {
+	// The propagation pattern: a link keeps a window of deliveries in flight
+	// on its delay line and every delivery pushes the next one. Must report
+	// 0 allocs/op once the ring has grown to the window.
+	e := NewEngine(1)
+	var l Line
+	n := 0
+	l.Init(e, HandlerFunc(func(any) {
+		n++
+		if n < b.N {
+			l.PushAt(e.Now()+Duration(time.Millisecond), nil)
+		}
+	}))
+	for i := 0; i < 64; i++ {
+		l.PushAt(Duration(time.Duration(i)*time.Microsecond), nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
 func BenchmarkTimerReset(b *testing.B) {
-	// RTO-style rearming: Reset while pending reschedules in place via
-	// heap.Fix. Must report 0 allocs/op.
+	// RTO-style rearming: Reset while pending re-keys its heap slot in
+	// place. Must report 0 allocs/op.
 	e := NewEngine(1)
 	var tm Timer
 	tm.Init(e, HandlerFunc(func(any) {}), nil)

@@ -1,0 +1,257 @@
+package sim
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/audit"
+)
+
+// The differential order test drives the engine and a trivial reference
+// model — every queued event in a plain slice, scanned for the smallest
+// (deadline, sequence) — with the same seeded operation stream, and requires
+// the same dispatch sequence and the same Pending count after every step.
+
+// Event ids encode the surface that scheduled them in the low three bits,
+// so both sides derive the same nested reaction from an id alone.
+const (
+	kindClosure = 0
+	kindHandler = 1
+	kindLine0   = 2                  // kindLine0+k is line k
+	kindTimer   = kindLine0 + nLines // id = 8*k + kindTimer is timer k
+	nLines      = 3
+	nTimers     = 3
+	childBase   = 1 << 40 // id space of events scheduled from inside callbacks
+)
+
+// orderSide is one implementation under comparison.
+type orderSide interface {
+	scheduleAt(at Time, id int)
+	handlerAt(at Time, id int)
+	pushAt(line int, at Time, id int)
+	resetTimer(k int, at Time)
+	stopTimer(k int)
+	cancel(id int)
+	runUntil(end Time)
+	now() Time
+	pending() int
+	dispatched() []int
+}
+
+// child is what a dispatched event schedules from inside its callback: every
+// third non-timer event schedules one more, alternating between a pooled
+// handler event and a push onto a line, 0–20 µs ahead (0 exercises
+// same-time FIFO among events created during dispatch).
+func child(id, n int) (cid int, d Time, ok bool) {
+	if id%8 == kindTimer || (id/8)%3 != 0 {
+		return 0, 0, false
+	}
+	kind := kindHandler
+	if (id/8)%2 == 1 {
+		kind = kindLine0 + (id/8)%nLines
+	}
+	return childBase + 8*n + kind, Time(id%3) * 10_000, true
+}
+
+// scheduleByKind routes an id to the surface its kind names.
+func scheduleByKind(s orderSide, at Time, id int) {
+	switch k := id % 8; {
+	case k == kindHandler:
+		s.handlerAt(at, id)
+	case k >= kindLine0 && k < kindLine0+nLines:
+		s.pushAt(k-kindLine0, at, id)
+	default:
+		panic(fmt.Sprintf("no surface for id %d", id))
+	}
+}
+
+// engineSide is the system under test.
+type engineSide struct {
+	e      *Engine
+	timers [nTimers]Timer
+	lines  [nLines]Line
+	evs    map[int]*Event
+	got    []int
+	next   int
+}
+
+func newEngineSide(a *audit.Auditor) *engineSide {
+	s := &engineSide{e: NewEngine(1), evs: map[int]*Event{}}
+	s.e.SetAuditor(a)
+	for k := range s.timers {
+		s.timers[k].Init(s.e, s, 8*k+kindTimer)
+	}
+	for k := range s.lines {
+		s.lines[k].Init(s.e, s)
+	}
+	return s
+}
+
+func (s *engineSide) OnEvent(arg any) {
+	id := arg.(int)
+	s.got = append(s.got, id)
+	if cid, d, ok := child(id, s.next); ok {
+		s.next++
+		scheduleByKind(s, s.e.Now()+d, cid)
+	}
+}
+
+func (s *engineSide) scheduleAt(at Time, id int) {
+	s.evs[id] = s.e.ScheduleAt(at, func() { s.OnEvent(id) })
+}
+func (s *engineSide) handlerAt(at Time, id int)        { s.e.ScheduleHandlerAt(at, s, id) }
+func (s *engineSide) pushAt(line int, at Time, id int) { s.lines[line].PushAt(at, id) }
+func (s *engineSide) resetTimer(k int, at Time)        { s.timers[k].ResetAt(at) }
+func (s *engineSide) stopTimer(k int)                  { s.timers[k].Stop() }
+func (s *engineSide) cancel(id int)                    { s.evs[id].Cancel() }
+func (s *engineSide) runUntil(end Time)                { s.e.RunUntil(end) }
+func (s *engineSide) now() Time                        { return s.e.Now() }
+func (s *engineSide) pending() int                     { return s.e.Pending() }
+func (s *engineSide) dispatched() []int                { return s.got }
+
+// refSide is the reference model: an unordered slice and a linear scan.
+type refSide struct {
+	clock Time
+	seq   uint64
+	q     []refEvent
+	got   []int
+	next  int
+}
+
+type refEvent struct {
+	at  Time
+	seq uint64
+	id  int
+}
+
+func (r *refSide) add(at Time, id int) {
+	r.seq++
+	r.q = append(r.q, refEvent{at: max(at, r.clock), seq: r.seq, id: id})
+}
+
+func (r *refSide) drop(id int) {
+	r.q = slices.DeleteFunc(r.q, func(ev refEvent) bool { return ev.id == id })
+}
+
+func (r *refSide) scheduleAt(at Time, id int)    { r.add(at, id) }
+func (r *refSide) handlerAt(at Time, id int)     { r.add(at, id) }
+func (r *refSide) pushAt(_ int, at Time, id int) { r.add(at, id) }
+func (r *refSide) resetTimer(k int, at Time)     { r.drop(8*k + kindTimer); r.add(at, 8*k+kindTimer) }
+func (r *refSide) stopTimer(k int)               { r.drop(8*k + kindTimer) }
+func (r *refSide) cancel(id int)                 { r.drop(id) }
+func (r *refSide) now() Time                     { return r.clock }
+func (r *refSide) pending() int                  { return len(r.q) }
+func (r *refSide) dispatched() []int             { return r.got }
+func (r *refSide) runUntil(end Time) {
+	for {
+		m := -1
+		for i, ev := range r.q {
+			if ev.at <= end && (m < 0 || ev.at < r.q[m].at || (ev.at == r.q[m].at && ev.seq < r.q[m].seq)) {
+				m = i
+			}
+		}
+		if m < 0 {
+			break
+		}
+		ev := r.q[m]
+		r.q = slices.Delete(r.q, m, m+1)
+		r.clock = ev.at
+		r.got = append(r.got, ev.id)
+		if cid, d, ok := child(ev.id, r.next); ok {
+			r.next++
+			scheduleByKind(r, r.clock+d, cid)
+		}
+	}
+	r.clock = max(r.clock, end)
+}
+
+func TestDifferentialDispatchOrder(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			a := audit.New("sim-order-test")
+			eng := newEngineSide(a)
+			sides := []orderSide{eng, &refSide{}}
+			rng := NewRNG(seed)
+			var closures []int
+			var last [nLines]Time // latest monotone deadline per line
+			id := 0
+			newID := func(kind int) int { id++; return 8*id + kind }
+			// Deadlines on a 10 µs grid so that ties are common.
+			ahead := func(n int) Time { return Time(rng.Intn(n)) * 10_000 }
+
+			for step := 0; step < 4000; step++ {
+				now := eng.now()
+				var op func(s orderSide)
+				switch rng.Intn(9) {
+				case 0:
+					at, id := now+ahead(100)-50_000, newID(kindClosure) // may be in the past
+					closures = append(closures, id)
+					op = func(s orderSide) { s.scheduleAt(at, id) }
+				case 1:
+					at, id := now+ahead(100), newID(kindHandler)
+					op = func(s orderSide) { s.handlerAt(at, id) }
+				case 2:
+					k, at := rng.Intn(nTimers), now+ahead(60)
+					op = func(s orderSide) { s.resetTimer(k, at) }
+				case 3:
+					k := rng.Intn(nTimers)
+					op = func(s orderSide) { s.stopTimer(k) }
+				case 4:
+					if len(closures) == 0 {
+						continue
+					}
+					id := closures[rng.Intn(len(closures))]
+					op = func(s orderSide) { s.cancel(id) }
+				case 5, 6: // monotone: a FIFO link
+					k := rng.Intn(nLines)
+					last[k] = max(last[k], now) + ahead(8)
+					at, id := last[k], newID(kindLine0+k)
+					op = func(s orderSide) { s.pushAt(k, at, id) }
+				case 7: // out of order: a reordering link with jitter
+					k := rng.Intn(nLines)
+					at, id := now+ahead(80), newID(kindLine0+k)
+					op = func(s orderSide) { s.pushAt(k, at, id) }
+				case 8:
+					end := now + ahead(40)
+					op = func(s orderSide) { s.runUntil(end) }
+				}
+				for _, s := range sides {
+					op(s)
+				}
+				compareSides(t, step, sides[0], sides[1])
+			}
+			end := eng.now() + Duration(1e9)
+			for _, s := range sides {
+				s.runUntil(end)
+			}
+			compareSides(t, -1, sides[0], sides[1])
+			if n := eng.pending(); n != 0 {
+				t.Fatalf("%d events still pending after the drain", n)
+			}
+			if len(eng.got) < 2000 {
+				t.Fatalf("only %d dispatches; the stream exercised too little", len(eng.got))
+			}
+			a.Finish()
+		})
+	}
+}
+
+func compareSides(t *testing.T, step int, got, want orderSide) {
+	t.Helper()
+	g, w := got.dispatched(), want.dispatched()
+	if !slices.Equal(g, w) {
+		i := 0
+		for i < len(g) && i < len(w) && g[i] == w[i] {
+			i++
+		}
+		t.Fatalf("step %d: dispatch sequences diverge at position %d: engine %v, reference %v",
+			step, i, g[i:min(i+5, len(g))], w[i:min(i+5, len(w))])
+	}
+	if got.pending() != want.pending() {
+		t.Fatalf("step %d: Pending = %d, reference holds %d", step, got.pending(), want.pending())
+	}
+	if got.now() != want.now() {
+		t.Fatalf("step %d: clock %v, reference %v", step, got.now(), want.now())
+	}
+}

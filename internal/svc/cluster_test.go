@@ -331,6 +331,13 @@ func TestClusterGracefulReleaseNeverExpires(t *testing.T) {
 		ClusterOptions{LeaseTTL: time.Minute, LeaseBatch: 8}, Options{})
 	coord := s.cluster
 
+	// Submit before the worker starts: a first lease poll that finds no work
+	// is told to retry after a heartbeat (TTL/5 = 12 s), longer than waitFor.
+	st, err := client.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	var sims atomic.Uint64
 	gate := make(chan struct{})
 	drain := startWorker(t, WorkerOptions{Coordinator: url, Parallel: 1,
@@ -339,11 +346,6 @@ func TestClusterGracefulReleaseNeverExpires(t *testing.T) {
 			<-gate // hold the first simulation so the drain happens mid-lease
 			return fakeRun(cfg)
 		}})
-
-	st, err := client.Submit(tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
 	waitFor(t, "first simulation", func() bool { return sims.Load() >= 1 })
 
 	// Drain the worker mid-lease: the in-flight config finishes and
