@@ -249,6 +249,11 @@ func TestAllocGuardOpenLoop(t *testing.T) {
 	if last.FCT == nil || last.FCT.Completed == 0 {
 		t.Fatalf("open-loop workload inactive during alloc guard: %+v", last.FCT)
 	}
+	// The arrival schedule is part of the determinism contract: a different
+	// churn count means the seed-derived arrival streams changed.
+	if last.FCT.Opened != 23 {
+		t.Fatalf("open-loop workload opened %d flows, want exactly 23", last.FCT.Opened)
+	}
 
 	// Elephant goodput plus the completed mice payload, both forwarded
 	// through the bottleneck.
@@ -289,8 +294,10 @@ func TestAllocGuardFairnessSampling(t *testing.T) {
 		}
 		last = res
 	})
-	if last.Fairness == nil || last.Fairness.Windows < 100 {
-		t.Fatalf("fairness observatory inactive during alloc guard: %+v", last.Fairness)
+	// 2 s at a 10 ms cadence: any other window count means the sampler's
+	// timing or the run's horizon changed.
+	if last.Fairness == nil || last.Fairness.Windows != 200 {
+		t.Fatalf("fairness observatory sampled %+v, want exactly 200 windows", last.Fairness)
 	}
 
 	goodputBytes := (last.SenderBps[0] + last.SenderBps[1]) * cfg.Duration.Seconds() / 8

@@ -18,10 +18,10 @@ import (
 	"repro/internal/aqm"
 	"repro/internal/audit"
 	"repro/internal/cca"
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/faults"
 	"repro/internal/flows"
+	"repro/internal/telemetry"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
@@ -113,9 +113,12 @@ func main() {
 		cfg.FairnessWindow = *fairWindow
 	}
 
-	opts := core.RunOptions{TraceDir: *traceDir}
+	var obs []experiment.Observer
 	if !*quiet {
-		opts.IntervalWriter = os.Stdout
+		obs = append(obs, experiment.IntervalReport(os.Stdout))
+	}
+	if *traceDir != "" {
+		obs = append(obs, experiment.FlowLogs(*traceDir))
 	}
 	var telemFile *os.File
 	if *telemOut != "" {
@@ -126,13 +129,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		opts.TelemetryOut = telemFile
 	}
-	res, err := runDetailed(cfg, opts)
+	res, err := run(cfg, obs)
 	if err != nil {
 		fatal(err)
 	}
 	if telemFile != nil {
+		if err := telemetry.EncodeNDJSON(telemFile, res.Trace); err != nil {
+			fatal(fmt.Errorf("telemetry: %w", err))
+		}
 		if err := telemFile.Close(); err != nil {
 			fatal(err)
 		}
@@ -228,10 +233,10 @@ func main() {
 	fmt.Printf("events          %10d in %v wall\n", res.Events, res.Wall.Round(time.Millisecond))
 }
 
-// runDetailed wraps core.RunDetailed, converting an invariant-auditor
-// violation (raised as a panic so the sweep runner can journal it) into a
-// clean fatal error with the full structured report for interactive use.
-func runDetailed(cfg experiment.Config, opts core.RunOptions) (res experiment.Result, err error) {
+// run wraps experiment.Run, converting an invariant-auditor violation
+// (raised as a panic so the sweep runner can journal it) into a clean fatal
+// error with the full structured report for interactive use.
+func run(cfg experiment.Config, obs []experiment.Observer) (res experiment.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			v, ok := r.(*audit.Violation)
@@ -241,7 +246,7 @@ func runDetailed(cfg experiment.Config, opts core.RunOptions) (res experiment.Re
 			err = v
 		}
 	}()
-	return core.RunDetailed(cfg, opts)
+	return experiment.Run(cfg, obs...)
 }
 
 func fatal(err error) {

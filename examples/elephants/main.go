@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/aqm"
 	"repro/internal/cca"
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -36,11 +35,13 @@ func main() {
 		FlowsPerSender: plan.FlowsPerNode(),
 		Duration:       6 * time.Second,
 	}
-	opts := core.RunOptions{IntervalWriter: os.Stdout}
+	obs := []experiment.Observer{experiment.IntervalReport(os.Stdout)}
+	traceDir := ""
 	if len(os.Args) > 1 {
-		opts.TraceDir = os.Args[1]
+		traceDir = os.Args[1]
+		obs = append(obs, experiment.FlowLogs(traceDir))
 	}
-	res, err := core.RunDetailed(cfg, opts)
+	res, err := experiment.Run(cfg, obs...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func main() {
 		res.Flows/2, res.SenderMbps(1))
 	fmt.Printf("  fairness %.3f, utilization %.3f, retransmissions %d\n",
 		res.Jain, res.Utilization, res.TotalRetransmits)
-	if opts.TraceDir != "" {
-		fmt.Printf("  per-flow iperf3-style logs written to %s\n", opts.TraceDir)
+	if traceDir != "" {
+		fmt.Printf("  per-flow iperf3-style logs written to %s\n", traceDir)
 	}
 }

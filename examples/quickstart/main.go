@@ -11,12 +11,17 @@ import (
 
 	"repro/internal/aqm"
 	"repro/internal/cca"
-	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/units"
 )
 
 func main() {
-	res, err := core.Compare(cca.BBRv1, cca.Cubic, 1*units.GigabitPerSec, aqm.KindFIFO, 2)
+	res, err := experiment.Run(experiment.Config{
+		Pairing:    experiment.Pairing{CCA1: cca.BBRv1, CCA2: cca.Cubic},
+		AQM:        aqm.KindFIFO,
+		QueueBDP:   2,
+		Bottleneck: 1 * units.GigabitPerSec,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

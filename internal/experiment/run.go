@@ -130,7 +130,9 @@ func (r Result) SenderMbps(i int) float64 { return r.SenderBps[i] / 1e6 }
 
 // Run executes one experiment and returns its result. Each call owns a
 // private engine; Run is safe to invoke from many goroutines at once.
-func Run(cfg Config) (Result, error) {
+// Observers watch the run without changing its result (see Observer); Run
+// adds the fairness observatory itself when Config.Fairness is set.
+func Run(cfg Config, obs ...Observer) (Result, error) {
 	cfg = cfg.Normalize()
 	start := time.Now()
 
@@ -183,9 +185,8 @@ func Run(cfg Config) (Result, error) {
 					return Result{}, fmt.Errorf("experiment %s: %w", cfg.ID(), err)
 				}
 				f := net.AddFlow(ci, tcp.Config{ECN: cfg.ECN, DelayedAck: cfg.DelayedAck}, cc)
-				delay := workload.StartJitter(eng.RNG(), cfg.StartSpread)
-				conn := f.Conn
-				eng.Schedule(delay, conn.Start)
+				f.Start = workload.StartJitter(eng.RNG(), cfg.StartSpread)
+				eng.Schedule(f.Start, f.Conn.Start)
 			}
 		}
 	}
@@ -201,7 +202,14 @@ func Run(cfg Config) (Result, error) {
 		}
 		fr.Start()
 	}
-	fsam := AttachFairness(eng, net, cfg)
+	if cfg.Fairness {
+		// The full slice expression makes append copy rather than write
+		// into spare capacity of the caller's slice.
+		obs = append(obs[:len(obs):len(obs)], &fairness{})
+	}
+	for _, o := range obs {
+		o.Attach(eng, net, cfg)
+	}
 
 	eng.RunFor(cfg.Duration)
 	if werr := eng.Overrun(); werr != nil {
@@ -265,34 +273,18 @@ func Run(cfg Config) (Result, error) {
 	if fr != nil {
 		res.FCT = FCTFromRunner(fr)
 	}
-	if fsam != nil {
-		res.Fairness = fsam.Report(metrics.DefaultDetector())
-		// The sampler's timer ticks executed on the engine; subtract them
-		// so the event-count fingerprint matches an observatory-off run.
-		res.Events -= fsam.Ticks()
+	if len(obs) == 0 {
+		return res, nil
 	}
-	return res, nil
-}
-
-// AttachFairness arms the fairness observatory on a built network when the
-// configuration asks for it, tracking every long-running flow (open-loop
-// ephemeral flows are churn, not elephants — they are not in net.Flows()
-// and stay out of the fairness series). Returns nil when Config.Fairness
-// is off: the disabled path installs no timer and no per-packet work at
-// all, so it is provably free, like tracing. Call after all flows attach
-// and before the engine runs.
-func AttachFairness(eng *sim.Engine, net *topo.Network, cfg Config) *metrics.FairnessSampler {
-	if !cfg.Fairness {
-		return nil
+	// The pointer handed to the observers escapes to the heap; finishing on
+	// a copy keeps that allocation off runs without observers.
+	out := res
+	for _, o := range obs {
+		if err := o.Finish(&out); err != nil {
+			return out, fmt.Errorf("experiment %s: %w", cfg.ID(), err)
+		}
 	}
-	fsam := metrics.NewFairnessSampler(eng, cfg.FairnessWindow, cfg.Duration, cfg.Bottleneck)
-	for _, f := range net.Flows() {
-		conn, rcv := f.Conn, f.Rcv
-		fsam.TrackFlow(uint32(f.ID), f.CCName, f.Sender, rcv.Goodput,
-			func() uint64 { return conn.Stats().Retransmits })
-	}
-	fsam.Start()
-	return fsam
+	return out, nil
 }
 
 // BuildNet instantiates the config's topology (Config.Topology, or the

@@ -158,12 +158,14 @@ type fairProbe struct {
 	share   []float64
 }
 
-// FairnessSampler drives the observatory: a persistent sim.Timer fires at a
-// fixed window cadence, reading each tracked flow's cumulative goodput and
-// retransmit counters and appending windowed shares to preallocated rings.
-// All series are sized for the run horizon up front, so steady-state
-// sampling performs no allocation — the observatory rides inside the
-// ≤1 alloc/forwarded-packet budget.
+// FairnessSampler drives the observatory: a persistent observer sim.Timer
+// fires at a fixed window cadence, reading each tracked flow's cumulative
+// goodput and retransmit counters and appending windowed shares to
+// preallocated rings. The engine keeps the ticks out of its event count,
+// so an armed run reports the same Events as a plain one. All series are
+// sized for the run horizon up front, so steady-state sampling performs no
+// allocation — the observatory rides inside the ≤1 alloc/forwarded-packet
+// budget.
 type FairnessSampler struct {
 	eng        *sim.Engine
 	window     time.Duration
@@ -173,7 +175,6 @@ type FairnessSampler struct {
 	jain       []float64
 	retx       []float64
 	scratch    []float64 // per-flow window deltas, reused every tick
-	ticks      uint64
 	stopped    bool
 	timer      sim.Timer
 }
@@ -198,18 +199,12 @@ func NewFairnessSampler(eng *sim.Engine, window, horizon time.Duration, bottlene
 		jain:       make([]float64, 0, capacity),
 		retx:       make([]float64, 0, capacity),
 	}
-	fs.timer.Init(eng, fs, nil)
+	fs.timer.InitObserver(eng, fs)
 	return fs
 }
 
 // Window returns the effective sampling cadence.
 func (fs *FairnessSampler) Window() time.Duration { return fs.window }
-
-// Ticks returns the number of sampler timer events the engine executed.
-// The runner subtracts this from the result's event count so the
-// serialized science — including the determinism fingerprint — is
-// byte-identical with the observatory on or off.
-func (fs *FairnessSampler) Ticks() uint64 { return fs.ticks }
 
 // TrackFlow registers one flow's cumulative goodput and retransmit readers.
 // Must be called before Start.
@@ -242,7 +237,6 @@ func (fs *FairnessSampler) Stop() {
 // OnEvent implements sim.Handler: close one window and rearm. The hot loop
 // touches only preallocated storage.
 func (fs *FairnessSampler) OnEvent(any) {
-	fs.ticks++
 	if fs.stopped {
 		return
 	}

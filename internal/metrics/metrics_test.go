@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -205,113 +204,5 @@ func TestMeanFinite(t *testing.T) {
 	}
 	if MeanFinite([]float64{math.Inf(1)}) != 0 {
 		t.Error("all-inf should be 0")
-	}
-}
-
-func TestSamplerRates(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var counter int64
-	// Grow the counter by 1 MB per simulated 100 ms.
-	var feed func()
-	feed = func() {
-		counter += 1_000_000
-		eng.Schedule(100*time.Millisecond, feed)
-	}
-	eng.Schedule(100*time.Millisecond, feed)
-
-	sa := NewSampler(eng, time.Second)
-	series := sa.Track("counter", func() int64 { return counter })
-	sa.Start()
-	eng.RunFor(10 * time.Second)
-
-	if len(series.Samples) < 9 {
-		t.Fatalf("samples = %d", len(series.Samples))
-	}
-	// 10 MB/s = 80 Mbps per interval.
-	for _, s := range series.Samples[1:] {
-		if s.Rate < 79*units.MegabitPerSec || s.Rate > 81*units.MegabitPerSec {
-			t.Fatalf("sample rate = %v, want 80Mbps", s.Rate)
-		}
-	}
-	mean := series.MeanRate()
-	if mean < 70*units.MegabitPerSec || mean > 81*units.MegabitPerSec {
-		t.Fatalf("mean = %v", mean)
-	}
-}
-
-func TestSamplerStop(t *testing.T) {
-	eng := sim.NewEngine(1)
-	sa := NewSampler(eng, time.Second)
-	s := sa.Track("x", func() int64 { return 0 })
-	sa.Start()
-	eng.RunFor(3 * time.Second)
-	sa.Stop()
-	n := len(s.Samples)
-	eng.RunFor(5 * time.Second)
-	if len(s.Samples) != n {
-		t.Fatal("sampler kept running after Stop")
-	}
-}
-
-func TestSamplerTrackQueue(t *testing.T) {
-	eng := sim.NewEngine(1)
-	// Occupancy ramps up 1500 bytes / 1 pkt per simulated 100 ms, peaks,
-	// then drains — the gauge must capture the instantaneous values and
-	// Peak must find the crest.
-	var qBytes int64
-	var qPkts int
-	var feed func()
-	feed = func() {
-		if eng.Now() < sim.Duration(5*time.Second) {
-			qBytes += 1500
-			qPkts++
-		} else {
-			qBytes -= 1500
-			qPkts--
-		}
-		eng.Schedule(100*time.Millisecond, feed)
-	}
-	eng.Schedule(100*time.Millisecond, feed)
-
-	sa := NewSampler(eng, 500*time.Millisecond)
-	series := sa.TrackQueue("bneck", func() (int64, int) { return qBytes, qPkts })
-	sa.Start()
-	eng.RunFor(10 * time.Second)
-
-	if len(series.Samples) < 18 {
-		t.Fatalf("samples = %d", len(series.Samples))
-	}
-	pb, pp := series.Peak()
-	// Crest at t=5s: 50 increments of 1500B/1pkt.
-	if pb < 70_000 || pb > 75_000 {
-		t.Fatalf("peak bytes = %d, want ~75000", pb)
-	}
-	if pp < 47 || pp > 50 {
-		t.Fatalf("peak pkts = %d, want ~50", pp)
-	}
-	// Gauge semantics: bytes and pkts move together in this scenario.
-	for _, s := range series.Samples {
-		if s.Bytes != int64(s.Pkts)*1500 {
-			t.Fatalf("inconsistent gauge sample: %+v", s)
-		}
-	}
-	// The drain must be visible: the last sample sits well below the peak.
-	last := series.Samples[len(series.Samples)-1]
-	if last.Bytes >= pb {
-		t.Fatalf("drain not captured: last=%d peak=%d", last.Bytes, pb)
-	}
-}
-
-func TestQueueSeriesPeakEmpty(t *testing.T) {
-	var s QueueSeries
-	if b, p := s.Peak(); b != 0 || p != 0 {
-		t.Error("empty queue series peak should be 0,0")
-	}
-}
-
-func TestSeriesMeanRateEmpty(t *testing.T) {
-	var s Series
-	if s.MeanRate() != 0 {
-		t.Error("empty series mean should be 0")
 	}
 }

@@ -28,7 +28,10 @@
 //     pacing release, delayed ACK, samplers). Its event storage is embedded
 //     in the Timer itself, so Reset/Stop never allocate: Reset re-keys the
 //     heap slot in place when the timer is already queued. A Timer must not
-//     be copied after Init (the heap holds a pointer into it).
+//     be copied after Init (the heap holds a pointer into it). A timer set
+//     up with InitObserver is observation, not science: its expiries are
+//     counted apart, so Executed and the event watchdog read the same with
+//     or without observers attached.
 //
 //   - Line: a caller-owned FIFO delay line for deliveries that leave in the
 //     order they were pushed (propagation on a link). Entries sit in a ring
@@ -252,8 +255,10 @@ type Engine struct {
 	wallStart time.Time
 	overrun   error
 
-	// Stats.
+	// Stats. observed counts the executed events that were observer-timer
+	// expiries (see Timer.InitObserver).
 	executed uint64
+	observed uint64
 
 	// aud, when non-nil, validates scheduler invariants (time monotonicity,
 	// event-pool hygiene, end-of-run quiescence). Every hot-path check is
@@ -281,8 +286,9 @@ func (e *Engine) Now() Time { return e.now }
 // RNG returns the engine's deterministic random source.
 func (e *Engine) RNG() *RNG { return e.rng }
 
-// Executed returns the number of events run so far.
-func (e *Engine) Executed() uint64 { return e.executed }
+// Executed returns the number of events run so far, not counting
+// observer-timer expiries.
+func (e *Engine) Executed() uint64 { return e.executed - e.observed }
 
 // Pending returns the number of queued events, including Line entries
 // waiting behind their line's head.
@@ -422,7 +428,8 @@ func (e *Engine) release(ev *Event) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // SetBudget arms the engine watchdog: the run loop aborts once it has
-// executed maxEvents events (0 = unlimited) or once maxWall of real time
+// executed maxEvents events as counted by Executed (0 = unlimited), so
+// observer ticks never consume the budget, or once maxWall of real time
 // has elapsed since SetBudget was called (0 = unlimited). The event budget
 // is exact and deterministic; the wall budget is checked every 2^16 events
 // and is a machine-dependent safety net for runaway configurations. After
@@ -444,7 +451,7 @@ func (e *Engine) checkBudget() bool {
 	if e.overrun != nil {
 		return true
 	}
-	if e.maxEvents > 0 && e.executed >= e.maxEvents {
+	if e.maxEvents > 0 && e.Executed() >= e.maxEvents {
 		e.overrun = fmt.Errorf("sim: watchdog: event budget exceeded (%d events)", e.maxEvents)
 		return true
 	}
@@ -516,6 +523,25 @@ type Timer struct {
 // owner's timers). Init must be called exactly once, before any Reset.
 func (t *Timer) Init(eng *Engine, h Handler, arg any) {
 	t.ev = Event{eng: eng, idx: -1, h: h, arg: arg}
+}
+
+// InitObserver is Init for an observation-only timer (samplers, interval
+// reports) whose expiries call h.OnEvent(nil): every expiry still runs in
+// (deadline, sequence) order like any other event, but is excluded from
+// Executed and from the event watchdog.
+func (t *Timer) InitObserver(eng *Engine, h Handler) {
+	t.Init(eng, &observer{eng: eng, h: h}, nil)
+}
+
+// observer counts an observer timer's expiries before dispatching them.
+type observer struct {
+	eng *Engine
+	h   Handler
+}
+
+func (o *observer) OnEvent(arg any) {
+	o.eng.observed++
+	o.h.OnEvent(arg)
 }
 
 // Reset (re)schedules the timer to fire after delay, replacing any pending

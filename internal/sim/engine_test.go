@@ -645,3 +645,53 @@ func TestBudgetClearedByReset(t *testing.T) {
 		t.Fatal("unbudgeted run tripped the watchdog")
 	}
 }
+
+// ticker re-arms its observer timer every 100 µs.
+type ticker struct {
+	tm    Timer
+	fired int
+}
+
+func (k *ticker) OnEvent(any) {
+	k.fired++
+	k.tm.Reset(100 * time.Microsecond)
+}
+
+// TestObserverTimerExcludedFromCount: observer-timer expiries run, but
+// neither Executed nor the event watchdog counts them, so a budgeted run
+// stops at the same science event, at the same clock, with or without an
+// observer ticking ten times per science event.
+func TestObserverTimerExcludedFromCount(t *testing.T) {
+	run := func(observe bool) (fired int, now Time, k *ticker) {
+		eng := NewEngine(1)
+		eng.SetBudget(100, 0)
+		var rearm func()
+		rearm = func() {
+			fired++
+			eng.Schedule(time.Millisecond, rearm)
+		}
+		eng.Schedule(time.Millisecond, rearm)
+		k = &ticker{}
+		if observe {
+			k.tm.InitObserver(eng, k)
+			k.tm.Reset(100 * time.Microsecond)
+		}
+		eng.Run()
+		if eng.Overrun() == nil {
+			t.Fatalf("observe=%v: watchdog did not trip", observe)
+		}
+		if eng.Executed() != 100 {
+			t.Fatalf("observe=%v: Executed() = %d, want 100", observe, eng.Executed())
+		}
+		return fired, eng.Now(), k
+	}
+	plainFired, plainNow, _ := run(false)
+	obsFired, obsNow, k := run(true)
+	if plainFired != 100 || obsFired != 100 || obsNow != plainNow {
+		t.Fatalf("observer changed the outcome: fired %d/%d, clock %v/%v",
+			plainFired, obsFired, plainNow, obsNow)
+	}
+	if k.fired < 900 {
+		t.Fatalf("observer fired %d times over 100 ms, want ~1000", k.fired)
+	}
+}

@@ -105,6 +105,9 @@ type Flow struct {
 	Conn   *tcp.Conn
 	Rcv    *tcp.Receiver
 	CCName string
+	// Start is the offset at which the run starts the sender, recorded by
+	// whoever schedules Conn.Start (zero for open-loop flows).
+	Start time.Duration
 }
 
 // Dumbbell is the classic two-sender topology, kept as a named wrapper
