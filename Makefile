@@ -13,6 +13,8 @@
 #                     auditor and the telemetry tracer cost nothing when
 #                     disabled (TestAllocGuardTracingDisabled pins the same
 #                     ≤1 alloc/packet budget with the trace knobs present).
+#                     Also the exact-count rails in rails_test.go (events,
+#                     segments, fairness windows, opened flows per scenario).
 #   make audit      — targeted invariant-auditor suites: conservation across
 #                     all AQMs, seeded-bug detection, violation-to-result
 #                     plumbing, metamorphic relations
@@ -72,20 +74,13 @@
 #   make bench      — engine micro-benchmarks (0 allocs/op on reuse paths)
 #   make bench-ruler — vet and short-test the bench/ module (its own go.mod,
 #                     so ./... never compiles it) against the current internals
-#   make bench-save — record the benchmark trajectories (events/sec,
-#                     ns/event, allocs/packet) into BENCH_topo.json (dumbbell
-#                     and a 3-hop parking lot), BENCH_fct.json (open-loop
-#                     mice churn, competition and solo) and BENCH_obs.json
-#                     (fairness observatory off vs armed); run on a quiet host
-#   make bench-gate — replay the trajectory and fail on regression: allocs
-#                     strictly, speed within a 5× host-variance tolerance
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci lint vet build test allocs audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke bench bench-ruler bench-save bench-gate
+.PHONY: ci lint vet build test allocs audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke bench bench-ruler
 
-ci: lint build test allocs bench-ruler bench-gate audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke
+ci: lint build test allocs bench-ruler audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke
 
 lint: vet
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
@@ -101,7 +96,7 @@ test:
 	$(GO) test -race ./...
 
 allocs:
-	$(GO) test -run 'TestAllocGuard' -v .
+	$(GO) test -run 'TestAllocGuard|TestBench' -v .
 	$(GO) test -run xxx -bench 'BenchmarkEngineHandlerChained|BenchmarkTimerReset|BenchmarkLineDelivery' -benchmem ./internal/sim/
 
 audit:
@@ -154,9 +149,3 @@ bench:
 
 bench-ruler:
 	cd bench && $(GO) vet . && $(GO) test -short .
-
-bench-save:
-	BENCH_SAVE=1 $(GO) test -run 'TestBenchTopoTrajectory|TestBenchFCTTrajectory|TestBenchObsTrajectory' -v .
-
-bench-gate:
-	$(GO) test -run 'TestBenchTopoTrajectory|TestBenchFCTTrajectory|TestBenchObsTrajectory' -v .

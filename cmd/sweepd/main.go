@@ -1,17 +1,18 @@
 // Command sweepd serves the measurement grid as a long-running service:
 // clients POST experiment.GridSpec sweeps and stream results over HTTP,
-// while a sharded worker pool simulates each configuration at most once and
-// a content-addressed cache (persisted via the JSONL checkpoint journal)
-// answers repeats without re-simulating. A served sweep is byte-identical
-// to a direct cmd/sweep run of the same spec.
+// while a coordinator schedules each configuration at most once onto
+// -shards in-process workers and a content-addressed cache (persisted via
+// the JSONL checkpoint journal) answers repeats without re-simulating. A
+// served sweep is byte-identical to a direct cmd/sweep run of the same spec.
 //
 //	sweepd -journal sweeps.ckpt.jsonl                # listen on :8422
 //	sweepd -addr 127.0.0.1:0 -addr-file /tmp/addr    # ephemeral port, for scripts
 //	sweep -remote http://localhost:8422 -bws 1Gbps   # submit via the CLI client
 //
-// Cluster mode splits the daemon in two: one coordinator owns the API,
-// the cache, and the lease state machine, and any number of workers pull
-// leased batches of configurations, simulate them, and upload results.
+// Cluster mode runs the same coordinator without in-process workers: it
+// owns the API, the cache, and the lease state machine, and any number of
+// joined workers pull leased batches of configurations, simulate them, and
+// upload results.
 // Workers heartbeat; a worker that dies mid-lease has its unfinished
 // configurations re-queued after the lease TTL, already-uploaded results
 // are never re-simulated, and idle workers steal the tail of a
@@ -38,9 +39,9 @@
 //	                             spec; ?config=<key> narrows to one)
 //	GET  /metrics                Prometheus text format (histograms of
 //	                             per-config wall time, event rate, and
-//	                             fairness convergence time, plus
-//	                             sweepd_cluster_* lease counters with
-//	                             -coordinator)
+//	                             fairness convergence time, plus the
+//	                             sweepd_cluster_* lease counters; the same
+//	                             names with or without -coordinator)
 //	GET  /debug/pprof/           Go profiler (only with -pprof)
 //
 // Cluster API (coordinator only; used by sweepd -join, not by clients):
@@ -94,7 +95,7 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:8422", "listen address (use :0 for an ephemeral port)")
 		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using -addr :0)")
 		journal  = flag.String("journal", "", "JSONL checkpoint journal persisting the result cache (empty = in-memory only)")
-		shards   = flag.Int("shards", 0, "worker-pool shards, or parallel simulations with -join (0 = GOMAXPROCS)")
+		shards   = flag.Int("shards", 0, "parallel simulations: in-process workers, or per worker with -join (0 = GOMAXPROCS; ignored with -coordinator)")
 		auditRun = flag.Bool("audit", false, "arm the runtime invariant auditor on every simulated configuration")
 		traceRun = flag.Bool("trace", false, "record flight-recorder telemetry for every simulated configuration (serves /v1/sweeps/{id}/trace)")
 		fairRun  = flag.Bool("fairness", false, "arm the fairness observatory on every simulated configuration (serves /v1/sweeps/{id}/fairness)")
@@ -169,7 +170,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	mode := "pool"
+	mode := "single-node"
 	if *coordinator {
 		mode = "coordinator"
 	}
@@ -186,7 +187,9 @@ func main() {
 		}
 	}
 
-	httpSrv := &http.Server{Handler: server.Handler()}
+	// Request bodies are capped by the handler; headers get a deadline so a
+	// client that never finishes them cannot hold a connection open.
+	httpSrv := &http.Server{Handler: server.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 

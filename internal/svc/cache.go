@@ -1,15 +1,17 @@
 // Package svc is the sweep-as-a-service layer: a long-running daemon core
 // that accepts experiment.GridSpec sweeps over HTTP, schedules their
-// configurations on a sharded worker pool with per-config singleflight
-// deduplication, and serves results from a content-addressed cache keyed by
-// experiment.Config.Key() — the full science identity covering pairing,
-// AQM, queue, bandwidth, seed, fault profile, duration, paper scale, and
-// every other field that changes a run's bytes (only the observation-only
-// audit bit and the watchdog budgets are excluded). The cache persists
-// through the existing JSONL checkpoint journal, so a restarted daemon
-// resumes with a warm cache and a served sweep is byte-identical to a
-// direct cmd/sweep run of the same spec. cmd/sweepd wraps this package in
-// an HTTP listener; cmd/sweep -remote is its thin client.
+// configurations through one coordinator with per-config singleflight
+// deduplication (in-process workers on a single node, workers joined over
+// HTTP in a cluster), and serves results from a content-addressed cache
+// keyed by experiment.Config.Key() — the full science identity covering
+// pairing, AQM, queue, bandwidth, seed, fault profile, duration, paper
+// scale, and every other field that changes a run's bytes (only the
+// observation-only audit bit and the watchdog budgets are excluded). The
+// cache persists through the existing JSONL checkpoint journal, so a
+// restarted daemon resumes with a warm cache and a served sweep is
+// byte-identical to a direct cmd/sweep run of the same spec. cmd/sweepd
+// wraps this package in an HTTP listener; cmd/sweep -remote is its thin
+// client.
 package svc
 
 import (
@@ -101,10 +103,10 @@ func (c *Cache) Get(key string) (experiment.Result, bool) {
 	return res, ok
 }
 
-// peek is the pool's second-chance lookup: the same read as Get, but a
-// miss is not counted (the submitter already counted the miss that routed
-// the config to the pool). A hit still counts — the result is genuinely
-// served from cache.
+// peek is the coordinator's second-chance lookup: the same read as Get,
+// but a miss is not counted (the submitter already counted the miss that
+// routed the config to the coordinator). A hit still counts — the result is
+// genuinely served from cache.
 func (c *Cache) peek(key string) (experiment.Result, bool) {
 	c.mu.Lock()
 	res, ok := c.mem[key]

@@ -61,8 +61,18 @@ func (c *Client) retry() retryPolicy {
 	return rp
 }
 
+// statusError is a non-2xx response: its status code and the server's
+// message. Callers match codes with errors.As, never by searching the text,
+// which also carries URLs and worker IDs.
+type statusError struct {
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string { return e.msg }
+
 // decodeOrError parses a JSON body into v, turning non-2xx responses into
-// errors carrying the server's message.
+// *statusError values carrying the server's message.
 func decodeOrError(resp *http.Response, v any) error {
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
@@ -73,10 +83,11 @@ func decodeOrError(resp *http.Response, v any) error {
 		var e struct {
 			Error string `json:"error"`
 		}
+		msg := string(bytes.TrimSpace(body))
 		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			return fmt.Errorf("svc: %s: %s", resp.Status, e.Error)
+			msg = e.Error
 		}
-		return fmt.Errorf("svc: %s: %s", resp.Status, bytes.TrimSpace(body))
+		return &statusError{code: resp.StatusCode, msg: fmt.Sprintf("svc: %s: %s", resp.Status, msg)}
 	}
 	if v == nil {
 		return nil

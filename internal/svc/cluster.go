@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -11,9 +12,10 @@ import (
 	"repro/internal/experiment"
 )
 
-// ClusterOptions configure coordinator mode: instead of simulating on a
-// local pool, the daemon hands leased batches of configurations to workers
-// that registered over HTTP, and survives their failures.
+// ClusterOptions configure the coordinator. In coordinator mode it hands
+// leased batches of configurations to workers that registered over HTTP,
+// and survives their failures; a single node runs it with the defaults and
+// in-process workers.
 type ClusterOptions struct {
 	// LeaseTTL is the failure-detection horizon: a lease not renewed (by a
 	// heartbeat or an upload) within this window is taken back, and a
@@ -68,21 +70,28 @@ type clusterCounters struct {
 	configsLeased      uint64 // configurations granted across all leases
 	configsRequeued    uint64 // configurations moved leased→pending (expiry, death, release)
 	configsStolen      uint64 // configurations moved between live leases
-	results            uint64 // unique accepted uploads
+	results            uint64 // unique accepted results: the configurations simulated
 	duplicateResults   uint64 // idempotent re-uploads (retries, stolen double-runs)
 	configsQuarantined uint64 // configurations that exhausted their retry budget
 	quarantineServed   uint64 // enqueues answered straight from the quarantine record
+	configsCoalesced   uint64 // enqueues that joined an existing task
+	simEvents          uint64 // simulator events across accepted results
+	simWallNS          int64  // simulation wall time across accepted results
+	peakQueueBytes     int64  // largest Result.PeakQueueBytes accepted
+	fairEpisodes       uint64 // starvation episodes across accepted results
 }
 
-// Coordinator is the cluster brain sweepd runs with -coordinator: it owns
-// the task table, the worker registry, and the lease state machine, and it
-// feeds results into the same content-addressed cache and job machinery the
-// single-process pool does — so a cluster sweep is byte-identical to a solo
-// one. Crash tolerance is lease-based: every grant carries a deadline,
-// heartbeats and uploads renew it, and a reaper re-queues whatever dead or
-// silent workers were holding. Uploads are idempotent by Config.Key(), so
-// retries and stolen double-executions cost a counter bump, never a wrong
-// or duplicated result.
+// Coordinator is sweepd's one scheduler: it owns the task table, the
+// worker registry, and the lease state machine, and feeds results into the
+// content-addressed cache and job machinery. Its workers are either remote
+// (sweepd -join, over HTTP) or, on a single node, in-process goroutines
+// that call acquire and upload directly — so a cluster sweep is
+// byte-identical to a solo one. Crash tolerance is lease-based: every grant
+// to a remote worker carries a deadline, heartbeats and uploads renew it,
+// and a reaper re-queues whatever dead or silent workers were holding.
+// Uploads are idempotent by Config.Key(), so retries and stolen
+// double-executions cost a counter bump, never a wrong or duplicated
+// result.
 type Coordinator struct {
 	opts  ClusterOptions
 	cache *Cache
@@ -96,6 +105,16 @@ type Coordinator struct {
 	nextID  uint64 // worker and lease ID sequence
 	closed  bool
 	c       clusterCounters
+
+	// wake (on mu) rouses idle in-process workers: Enqueue, requeue and
+	// Close signal it. locals counts the running in-process workers.
+	wake   *sync.Cond
+	locals sync.WaitGroup
+
+	// Per-config distributions of accepted results, for /metrics.
+	wallHist histogram // wall seconds per simulated config
+	rateHist histogram // simulator events/sec per simulated config
+	convHist histogram // fairness convergence time (sim seconds) per converged config
 
 	// quarantine holds the poison configs: keys that exhausted their retry
 	// budget, with the errored Result every current and future waiter gets.
@@ -123,9 +142,62 @@ func NewCoordinator(opts ClusterOptions, cache *Cache) *Coordinator {
 		now:        time.Now,
 		reapStop:   make(chan struct{}),
 		reapDone:   make(chan struct{}),
+		wallHist:   newHistogram(0.001, 0.01, 0.1, 0.5, 1, 5, 15, 60, 300),
+		rateHist:   newHistogram(1e4, 1e5, 5e5, 1e6, 5e6, 1e7, 5e7, 1e8),
+		convHist:   newHistogram(0.1, 0.5, 1, 2, 5, 10, 30, 60, 120),
 	}
+	c.wake = sync.NewCond(&c.mu)
 	go c.reapLoop()
 	return c
+}
+
+// testHookBeforeSim, when non-nil, runs in an in-process worker immediately
+// before a simulation — the injection point for cancellation, ordering and
+// shutdown tests.
+var testHookBeforeSim func(key string)
+
+// startLocal starts n in-process workers (0 = GOMAXPROCS). They are not on
+// the hash ring, and Reap never expires them or their leases: they cannot
+// die apart from the coordinator, and a simulation longer than the lease
+// TTL is not a failure.
+func (c *Coordinator) startLocal(n int) {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := 0; i < n; i++ {
+		w := c.addWorkerLocked("", true)
+		c.locals.Add(1)
+		go c.runLocal(w.id)
+	}
+}
+
+// runLocal is one in-process worker. It takes one configuration per grant,
+// so a cancelled job's queued configs are never started and a single
+// worker finishes in grid order; it sleeps on wake while nothing is
+// pending; and its results take the same accept path as remote uploads.
+// Once the coordinator closes it finishes its current simulation and exits.
+func (c *Coordinator) runLocal(id string) {
+	defer c.locals.Done()
+	for {
+		c.mu.Lock()
+		var lr leaseResponse
+		for !c.closed && len(lr.Configs) == 0 {
+			if lr, _ = c.acquireLocked(id, 1); len(lr.Configs) == 0 {
+				c.wake.Wait()
+			}
+		}
+		c.mu.Unlock()
+		if len(lr.Configs) == 0 {
+			return
+		}
+		cfg := lr.Configs[0]
+		if testHookBeforeSim != nil {
+			testHookBeforeSim(cfg.Key())
+		}
+		c.upload(id, experiment.RunOne(cfg))
+	}
 }
 
 // reapLoop periodically sweeps for dead workers and expired leases. The
@@ -149,13 +221,14 @@ func (c *Coordinator) reapLoop() {
 // whose heartbeats stopped, moving their unfinished configurations back to
 // pending — unless a configuration has now burned through its retry
 // budget, in which case it is quarantined and its waiters get the errored
-// Result. It is called from the background loop and directly by tests.
+// Result. In-process workers and their leases are exempt. It is called from
+// the background loop and directly by tests.
 func (c *Coordinator) Reap() {
 	c.mu.Lock()
 	now := c.now()
 	var quarantined []*clusterTask
 	for id, w := range c.workers {
-		if now.Sub(w.lastSeen) > c.opts.LeaseTTL {
+		if !w.local && now.Sub(w.lastSeen) > c.opts.LeaseTTL {
 			for _, l := range w.leases {
 				quarantined = append(quarantined, c.requeueLeaseLocked(l, "worker died")...)
 			}
@@ -165,7 +238,7 @@ func (c *Coordinator) Reap() {
 		}
 	}
 	for _, l := range c.leases {
-		if now.After(l.deadline) {
+		if !l.local && now.After(l.deadline) {
 			quarantined = append(quarantined, c.requeueLeaseLocked(l, "lease expired")...)
 			c.c.leasesExpired++
 		}
@@ -205,6 +278,7 @@ func (c *Coordinator) requeueLeaseLocked(l *lease, cause string) (quarantined []
 			}
 			c.pending = append(c.pending, t)
 			c.c.configsRequeued++
+			c.wake.Signal()
 		}
 	}
 	l.remaining = map[string]*clusterTask{}
@@ -268,15 +342,23 @@ func (c *Coordinator) deliverQuarantined(tasks []*clusterTask) {
 	}
 }
 
+// waiter is one job's claim on a task: when the config completes, the
+// coordinator delivers the result into slot idx of that job.
+type waiter struct {
+	job *Job
+	idx int
+}
+
 // Enqueue schedules a configuration for the job's slot idx, coalescing onto
-// an existing task for the same science key. Like Pool.Do, it re-checks the
-// cache under the coordinator lock before opening a new task, so a result
-// uploaded between the server's cache miss and this call is served, not
+// an existing task for the same science key. It re-checks the cache under
+// the coordinator lock before opening a new task, so a result accepted
+// between the server's cache miss and this call is served, not
 // re-simulated.
 func (c *Coordinator) Enqueue(key string, cfg experiment.Config, j *Job, idx int) {
 	c.mu.Lock()
 	if t, ok := c.tasks[key]; ok {
 		t.waiters = append(t.waiters, waiter{j, idx})
+		c.c.configsCoalesced++
 		c.mu.Unlock()
 		return
 	}
@@ -307,6 +389,7 @@ func (c *Coordinator) Enqueue(key string, cfg experiment.Config, j *Job, idx int
 	t := &clusterTask{key: key, cfg: cfg, state: taskPending, waiters: []waiter{{j, idx}}}
 	c.tasks[key] = t
 	c.pending = append(c.pending, t)
+	c.wake.Signal()
 	c.mu.Unlock()
 }
 
@@ -341,20 +424,29 @@ func (c *Coordinator) ReleaseJob(j *Job, keys []string) {
 func (c *Coordinator) register(name string) registerResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return registerResponse{
+		WorkerID:    c.addWorkerLocked(name, false).id,
+		HeartbeatNS: int64(c.opts.Heartbeat),
+		LeaseTTLNS:  int64(c.opts.LeaseTTL),
+		LeaseBatch:  c.opts.LeaseBatch,
+	}
+}
+
+// addWorkerLocked admits a worker under a fresh ID. Remote workers join the
+// hash ring; in-process ones (local) do not.
+func (c *Coordinator) addWorkerLocked(name string, local bool) *clusterWorker {
 	c.nextID++
 	id := fmt.Sprintf("w%d", c.nextID)
 	if name == "" {
 		name = id
 	}
-	c.workers[id] = &clusterWorker{id: id, name: name, lastSeen: c.now(), leases: make(map[string]*lease)}
-	c.ring.add(id)
-	c.c.workersJoined++
-	return registerResponse{
-		WorkerID:    id,
-		HeartbeatNS: int64(c.opts.Heartbeat),
-		LeaseTTLNS:  int64(c.opts.LeaseTTL),
-		LeaseBatch:  c.opts.LeaseBatch,
+	w := &clusterWorker{id: id, name: name, local: local, lastSeen: c.now(), leases: make(map[string]*lease)}
+	c.workers[id] = w
+	if !local {
+		c.ring.add(id)
 	}
+	c.c.workersJoined++
+	return w
 }
 
 // heartbeat renews a worker's liveness and every lease it holds. Unknown
@@ -385,6 +477,10 @@ func (c *Coordinator) heartbeat(workerID string) bool {
 func (c *Coordinator) acquire(workerID string, max int) (leaseResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.acquireLocked(workerID, max)
+}
+
+func (c *Coordinator) acquireLocked(workerID string, max int) (leaseResponse, bool) {
 	w, ok := c.workers[workerID]
 	if !ok {
 		return leaseResponse{}, false
@@ -397,22 +493,10 @@ func (c *Coordinator) acquire(workerID string, max int) (leaseResponse, bool) {
 
 	var grant []*clusterTask
 	stolen := false
-	// Pass 1: this worker's shard. Pass 2: anything pending.
-	for pass := 0; pass < 2 && len(grant) < max; pass++ {
-		kept := c.pending[:0]
-		for _, t := range c.pending {
-			if t.state != taskPending { // lazily dropped (done, cancelled, or re-granted)
-				continue
-			}
-			if len(grant) < max && (pass == 1 || c.ring.owner(t.key) == workerID) {
-				grant = append(grant, t)
-				t.state = taskLeased // claimed; attached to the lease below
-				continue
-			}
-			kept = append(kept, t)
-		}
-		c.pending = kept
+	if !w.local { // in-process workers have no ring points, hence no shard
+		grant = c.take(grant, max, workerID)
 	}
+	grant = c.take(grant, max, "")
 	if len(grant) == 0 {
 		// Queue is dry: steal the tail of the straggler holding the most
 		// unfinished work, if there is enough of it to share.
@@ -443,6 +527,7 @@ func (c *Coordinator) acquire(workerID string, max int) (leaseResponse, bool) {
 	l := &lease{
 		id:        fmt.Sprintf("%s-l%d", workerID, c.nextID),
 		worker:    workerID,
+		local:     w.local,
 		deadline:  now.Add(c.opts.LeaseTTL),
 		remaining: make(map[string]*clusterTask, len(grant)),
 	}
@@ -459,6 +544,37 @@ func (c *Coordinator) acquire(workerID string, max int) (leaseResponse, bool) {
 	c.c.leasesGranted++
 	c.c.configsLeased += uint64(len(grant))
 	return resp, true
+}
+
+// take claims pending tasks for grant until it holds max, scanning
+// c.pending from the head and stopping as soon as the grant is full, so a
+// grant costs what it takes plus the entries it passes. owner, when set,
+// restricts the claim to keys the hash ring assigns that worker. Entries no
+// longer pending (done, cancelled, or re-granted) are dropped as the scan
+// passes them; skipped entries and the unscanned tail keep their order.
+func (c *Coordinator) take(grant []*clusterTask, max int, owner string) []*clusterTask {
+	kept, i := 0, 0 // c.pending[:kept] holds the skipped entries
+	for ; i < len(c.pending) && len(grant) < max; i++ {
+		t := c.pending[i]
+		c.pending[i] = nil
+		switch {
+		case t.state != taskPending:
+		case owner == "" || c.ring.owner(t.key) == owner:
+			t.state = taskLeased // claimed; attached to the lease by the caller
+			grant = append(grant, t)
+		default:
+			c.pending[kept] = t
+			kept++
+		}
+	}
+	if kept == 0 {
+		c.pending = c.pending[i:]
+		return grant
+	}
+	n := len(c.pending)
+	c.pending = append(c.pending[:kept], c.pending[i:]...)
+	clear(c.pending[len(c.pending):n]) // stale copies past the new end
+	return grant
 }
 
 // upload accepts one result. The first upload for a science key completes
@@ -496,12 +612,11 @@ func (c *Coordinator) upload(workerID string, res experiment.Result) (duplicate 
 	delete(c.tasks, key)
 	ws := t.waiters
 	t.waiters = nil
-	c.c.results++
+	c.observeLocked(res)
 	if err := c.cache.Put(res); err != nil {
-		// Journal failures must not corrupt science (same policy as the
-		// pool): the result still reaches its waiters, the cache entry
-		// stays memory-only.
-		logger().Error("cluster journal append failed",
+		// Journal failures must not corrupt science: the result still
+		// reaches its waiters, the cache entry stays memory-only.
+		logger().Error("journal append failed",
 			"err", err,
 			"worker_id", workerID,
 			"config_id", res.Config.ID(),
@@ -512,6 +627,28 @@ func (c *Coordinator) upload(workerID string, res experiment.Result) (duplicate 
 		w.job.deliver(w.idx, res, false)
 	}
 	return false
+}
+
+// observeLocked folds one accepted result into the /metrics counters and
+// per-config distributions.
+func (c *Coordinator) observeLocked(res experiment.Result) {
+	c.c.results++
+	c.c.simEvents += res.Events
+	c.c.simWallNS += int64(res.Wall)
+	wall := res.Wall.Seconds()
+	rate := 0.0
+	if wall > 0 {
+		rate = float64(res.Events) / wall
+	}
+	c.wallHist.observe(wall)
+	c.rateHist.observe(rate)
+	c.c.peakQueueBytes = max(c.c.peakQueueBytes, res.PeakQueueBytes)
+	if fr := res.Fairness; fr != nil {
+		if fr.Converged {
+			c.convHist.observe(fr.ConvergenceTime.Seconds())
+		}
+		c.c.fairEpisodes += uint64(len(fr.Episodes))
+	}
 }
 
 // release hands a draining worker's unfinished lease work back immediately
@@ -542,14 +679,19 @@ func (c *Coordinator) release(workerID, leaseID string, bye bool) (requeued int)
 	return int(c.c.configsRequeued - before)
 }
 
-// Close stops the reaper and fails every outstanding task so its jobs
-// complete (errored) instead of waiting for workers that will never be
-// answered.
+// Close stops the reaper, lets the in-process workers finish their current
+// simulations (whose results reach the cache and journal), and then fails
+// every outstanding task so its jobs complete (errored) instead of waiting
+// for workers that will never be answered.
 func (c *Coordinator) Close() {
 	close(c.reapStop)
 	<-c.reapDone
 	c.mu.Lock()
 	c.closed = true
+	c.wake.Broadcast()
+	c.mu.Unlock()
+	c.locals.Wait()
+	c.mu.Lock()
 	tasks := make([]*clusterTask, 0, len(c.tasks))
 	for _, t := range c.tasks {
 		tasks = append(tasks, t)
@@ -567,17 +709,20 @@ func (c *Coordinator) Close() {
 	}
 }
 
-// clusterSnapshot gathers the coordinator gauges and counters for /metrics.
+// clusterSnapshot gathers the coordinator gauges, counters and
+// distributions for /metrics.
 type clusterSnapshot struct {
 	workers, leasesActive, pendingConfigs, leasedConfigs, quarantined int
 	c                                                                 clusterCounters
+	wallHist, rateHist, convHist                                      histogram
 }
 
 func (c *Coordinator) snapshot() clusterSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := clusterSnapshot{workers: len(c.workers), leasesActive: len(c.leases),
-		quarantined: len(c.quarantine), c: c.c}
+		quarantined: len(c.quarantine), c: c.c,
+		wallHist: c.wallHist.clone(), rateHist: c.rateHist.clone(), convHist: c.convHist.clone()}
 	for _, t := range c.pending {
 		if t.state == taskPending {
 			s.pendingConfigs++
@@ -636,12 +781,13 @@ type releaseResponse struct {
 	Requeued int `json:"requeued"`
 }
 
-// Cluster HTTP handlers, mounted by Server.Handler in coordinator mode.
+// Cluster HTTP handlers, mounted by Server.Handler in coordinator mode
+// (which caps every POST body at maxBodyBytes).
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad register body: %v", err)
+		bodyError(w, "register body", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, c.register(req.Name))
@@ -658,7 +804,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad lease body: %v", err)
+		bodyError(w, "lease body", err)
 		return
 	}
 	resp, ok := c.acquire(r.PathValue("id"), req.Max)
@@ -672,7 +818,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var req uploadRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad upload body: %v", err)
+		bodyError(w, "upload body", err)
 		return
 	}
 	dup := c.upload(r.PathValue("id"), req.Result)
@@ -682,7 +828,7 @@ func (c *Coordinator) handleUpload(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req releaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad release body: %v", err)
+		bodyError(w, "release body", err)
 		return
 	}
 	n := c.release(r.PathValue("id"), req.LeaseID, req.Bye)

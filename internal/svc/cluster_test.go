@@ -140,7 +140,7 @@ func TestClusterMatchesLocalSweep(t *testing.T) {
 func TestClusterWorkerDeathRequeues(t *testing.T) {
 	s, client, url := newClusterServer(t,
 		ClusterOptions{LeaseTTL: time.Minute, LeaseBatch: 8}, Options{})
-	coord := s.cluster
+	coord := s.coord
 
 	// The doomed worker grabs a lease by hand (no heartbeat loop) and
 	// uploads exactly one result before "dying".
@@ -196,7 +196,7 @@ func TestClusterPartitionHealReregisters(t *testing.T) {
 	s, client, url := newClusterServer(t,
 		ClusterOptions{LeaseTTL: 300 * time.Millisecond, Heartbeat: 50 * time.Millisecond, LeaseBatch: 2},
 		Options{})
-	coord := s.cluster
+	coord := s.coord
 
 	var partitioned atomic.Bool
 	base := http.DefaultTransport
@@ -266,7 +266,7 @@ func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { retu
 func TestClusterStealsFromStraggler(t *testing.T) {
 	s, client, _ := newClusterServer(t,
 		ClusterOptions{LeaseTTL: time.Minute, LeaseBatch: 16}, Options{})
-	coord := s.cluster
+	coord := s.coord
 
 	spec := tinySpec()
 	spec.Seeds = 4 // 2 pairings x 4 seeds = 8 configs
@@ -329,7 +329,7 @@ func TestClusterStealsFromStraggler(t *testing.T) {
 func TestClusterGracefulReleaseNeverExpires(t *testing.T) {
 	s, client, url := newClusterServer(t,
 		ClusterOptions{LeaseTTL: time.Minute, LeaseBatch: 8}, Options{})
-	coord := s.cluster
+	coord := s.coord
 
 	// Submit before the worker starts: a first lease poll that finds no work
 	// is told to retry after a heartbeat (TTL/5 = 12 s), longer than waitFor.
@@ -383,7 +383,7 @@ func TestClusterGracefulReleaseNeverExpires(t *testing.T) {
 // makes RPC retries after lost ACKs safe, exercised directly.
 func TestClusterUploadIdempotent(t *testing.T) {
 	s, client, _ := newClusterServer(t, ClusterOptions{LeaseTTL: time.Minute}, Options{})
-	coord := s.cluster
+	coord := s.coord
 	reg := coord.register("w")
 	st, err := client.Submit(tinySpec())
 	if err != nil {
@@ -419,8 +419,8 @@ var (
 )
 
 // TestClusterMetricsGolden pins the coordinator-mode /metrics surface: the
-// cluster gauges and counters, with the pool section absent (workers
-// simulate; the coordinator has no pool).
+// simulation counters and distributions (fed by uploads) and the cluster
+// gauges and counters.
 func TestClusterMetricsGolden(t *testing.T) {
 	_, client, _ := newClusterServer(t, ClusterOptions{}, Options{})
 	body, err := client.Metrics()
@@ -432,6 +432,97 @@ func TestClusterMetricsGolden(t *testing.T) {
 	checkGolden(t, "cluster_metrics.golden.txt", got)
 }
 
+// TestMetricsSameNamesBothModes: a single node and a coordinator run the
+// same scheduler, so /metrics exposes the same metric names in both.
+func TestMetricsSameNamesBothModes(t *testing.T) {
+	_, single := newTestServer(t, Options{Shards: 1})
+	_, cluster, _ := newClusterServer(t, ClusterOptions{}, Options{})
+	typeLine := regexp.MustCompile(`(?m)^# TYPE (\S+) `)
+	names := func(c *Client) string {
+		body, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, m := range typeLine.FindAllSubmatch(body, -1) {
+			out = append(out, string(m[1]))
+		}
+		return strings.Join(out, "\n")
+	}
+	if a, b := names(single), names(cluster); a != b {
+		t.Fatalf("metric names differ.\n--- single node ---\n%s\n--- coordinator ---\n%s", a, b)
+	}
+}
+
+// TestAcquireTakesOnlyWhatItGrants: successive grants come off the head of
+// the pending queue in FIFO order and stop once full, the ungranted tail
+// keeps its order, and entries cancelled or completed while queued are
+// dropped when a scan passes them.
+func TestAcquireTakesOnlyWhatItGrants(t *testing.T) {
+	cache, err := OpenCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(ClusterOptions{LeaseTTL: time.Minute, LeaseBatch: 8}, cache)
+	defer c.Close()
+	spec := tinySpec()
+	spec.Seeds = 4 // 8 configs
+	cfgs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := newJob("fifo", experiment.GridSpec{}, cfgs)
+	for i := range cfgs {
+		c.Enqueue(j.keys[i], cfgs[i], j, i)
+	}
+	c.mu.Lock()
+	id := c.addWorkerLocked("", true).id // no ring points: pure FIFO
+	c.mu.Unlock()
+
+	grant := func(max int) []string {
+		lr, ok := c.acquire(id, max)
+		if !ok {
+			t.Fatal("worker unknown")
+		}
+		var keys []string
+		for _, cfg := range lr.Configs {
+			keys = append(keys, cfg.Key())
+		}
+		return keys
+	}
+	pending := func() []string {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		var keys []string
+		for _, task := range c.pending {
+			keys = append(keys, task.key)
+		}
+		return keys
+	}
+	check := func(what string, got, want []string) {
+		t.Helper()
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("%s = %v, want %v", what, got, want)
+		}
+	}
+
+	check("first grant", grant(2), j.keys[0:2])
+	check("tail after first grant", pending(), j.keys[2:])
+
+	// Cancel configs 2 and 6 and complete config 4 while all three are
+	// still queued: their entries stay until a scan reaches them.
+	c.ReleaseJob(j, []string{j.keys[2], j.keys[6]})
+	c.upload("elsewhere", fakeRun(cfgs[4]))
+	check("tail with stale entries", pending(), j.keys[2:])
+
+	// The second grant drops 2 and 4 on its way to 3 and 5, then stops:
+	// stale 6 lies past the full grant and stays queued, in order.
+	check("second grant", grant(2), []string{j.keys[3], j.keys[5]})
+	check("tail after second grant", pending(), j.keys[6:])
+	check("draining grant", grant(8), j.keys[7:])
+	check("empty queue", pending(), nil)
+}
+
 // TestClusterPoisonConfigQuarantine walks one configuration through the
 // full quarantine lifecycle: graceful releases cost nothing, three lease
 // failures (worker death) exhaust the default retry budget, the config is
@@ -441,7 +532,7 @@ func TestClusterMetricsGolden(t *testing.T) {
 func TestClusterPoisonConfigQuarantine(t *testing.T) {
 	s, client, _ := newClusterServer(t,
 		ClusterOptions{LeaseTTL: time.Minute, LeaseBatch: 8}, Options{})
-	coord := s.cluster
+	coord := s.coord
 
 	st, err := client.Submit(tinySpec())
 	if err != nil {
@@ -559,7 +650,7 @@ func TestClusterPoisonConfigQuarantine(t *testing.T) {
 func TestClusterQuarantineServedAndRequeue(t *testing.T) {
 	s, client, _ := newClusterServer(t,
 		ClusterOptions{LeaseTTL: time.Minute, LeaseBatch: 8, RetryBudget: 1}, Options{})
-	coord := s.cluster
+	coord := s.coord
 
 	st, err := client.Submit(tinySpec())
 	if err != nil {

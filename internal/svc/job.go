@@ -35,7 +35,7 @@ type Event struct {
 
 // Job is one submitted sweep: a canonical GridSpec, its expanded
 // configurations in canonical grid order, and the results as they fill in
-// from cache hits and pool completions. The job ID is the spec's content
+// from cache hits and worker results. The job ID is the spec's content
 // address (GridSpec.Key), which is what makes identical submissions
 // coalesce.
 type Job struct {
@@ -45,7 +45,7 @@ type Job struct {
 	mu       sync.Mutex
 	cfgs     []experiment.Config
 	ids      []string // cfgs[i].Normalize().ID(): human-readable labels (events, errors)
-	keys     []string // cfgs[i].Key(): science identity (cache and pool addressing)
+	keys     []string // cfgs[i].Key(): science identity (cache and task addressing)
 	results  []experiment.Result
 	filled   []bool
 	done     int
@@ -82,7 +82,7 @@ func newJob(id string, spec experiment.GridSpec, cfgs []experiment.Config) *Job 
 }
 
 // deliver fills slot idx with a completed result (from the cache when
-// cached is true, from a pool simulation otherwise), emits the progress
+// cached is true, from a worker's simulation otherwise), emits the progress
 // event, and finishes the job when every slot is full.
 func (j *Job) deliver(idx int, res experiment.Result, cached bool) {
 	j.mu.Lock()
@@ -127,7 +127,7 @@ func (j *Job) deliver(idx int, res experiment.Result, cached bool) {
 	for _, ch := range subs {
 		select {
 		case ch <- ev: // subscriber channels are sized for the whole job
-		default: // a wedged subscriber loses events rather than wedging the pool
+		default: // a wedged subscriber loses events rather than wedging a worker
 		}
 	}
 	if complete {
@@ -162,8 +162,8 @@ func (j *Job) Unsubscribe(ch chan Event) (remaining int, inFlight bool) {
 }
 
 // Cancel marks an in-flight job cancelled and returns the science keys of
-// its unfilled slots so the caller can release them from the pool. A done
-// or already-cancelled job returns nil.
+// its unfilled slots so the caller can release them from the coordinator.
+// A done or already-cancelled job returns nil.
 func (j *Job) Cancel() []string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -192,7 +192,7 @@ type Status struct {
 	Done  int                 `json:"done"`
 	// Cached counts configurations served from the content-addressed cache
 	// instead of a simulation (usually at submit time, occasionally via the
-	// pool's second-chance lookup when a flight lands mid-submit).
+	// coordinator's second-chance lookup when a result lands mid-submit).
 	Cached int `json:"cached"`
 	// Simulated counts configurations this job actually ran (or joined in
 	// flight): Done - Cached.

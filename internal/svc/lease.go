@@ -25,9 +25,8 @@ const (
 )
 
 // clusterTask is one configuration awaiting a worker, shared by every job
-// that requested it (the cluster-level half of the two-level singleflight:
-// jobs coalesce onto one task exactly as pool waiters coalesce onto one
-// flight).
+// that requested it (per-config singleflight: jobs wanting the same science
+// key coalesce onto one task as waiters).
 type clusterTask struct {
 	key     string // Config.Key(): the science identity
 	cfg     experiment.Config
@@ -49,6 +48,7 @@ type clusterTask struct {
 type lease struct {
 	id        string
 	worker    string
+	local     bool // held by an in-process worker: never expires
 	deadline  time.Time
 	keys      []string // grant order (superset of remaining; stolen/done keys stay listed)
 	remaining map[string]*clusterTask
@@ -68,10 +68,12 @@ func (l *lease) tail(n int) []*clusterTask {
 }
 
 // clusterWorker is one registered worker: liveness timestamp and the leases
-// it currently holds.
+// it currently holds. A local worker is an in-process goroutine; it is not
+// on the hash ring and is never reaped.
 type clusterWorker struct {
 	id       string
 	name     string
+	local    bool
 	lastSeen time.Time
 	leases   map[string]*lease
 }

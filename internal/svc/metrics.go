@@ -15,7 +15,7 @@ import (
 var buildVersion = "dev"
 
 // histogram is a fixed-bucket Prometheus-style histogram. It is plain data;
-// the owner serializes access (the pool holds it under histMu).
+// the owner serializes access (the coordinator holds it under its lock).
 type histogram struct {
 	bounds []float64 // upper bounds, ascending; +Inf is implicit
 	counts []uint64  // len(bounds)+1, last bucket is +Inf
@@ -52,9 +52,6 @@ type metricsSnapshot struct {
 	jobsCoalesced                                    uint64
 	cacheHits, cacheMisses                           uint64
 	cacheEntries                                     int
-	configsCoalesced                                 uint64
-	sims, simEvents                                  uint64
-	simWall                                          time.Duration
 	heapInuse                                        uint64
 
 	journalDegraded bool
@@ -82,12 +79,6 @@ func (s *Server) snapshot() metricsSnapshot {
 	m.cacheHits = s.cache.Hits()
 	m.cacheMisses = s.cache.Misses()
 	m.cacheEntries = s.cache.Len()
-	if s.pool != nil { // coordinator mode has no local pool; workers simulate
-		m.configsCoalesced = s.pool.Coalesced()
-		m.sims = s.pool.Sims()
-		m.simEvents = s.pool.SimEvents()
-		m.simWall = time.Duration(s.pool.SimWallNS())
-	}
 	m.journalDegraded, m.journalOverflow, m.journalErrs, _ = s.cache.Degraded()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -99,6 +90,7 @@ func (s *Server) snapshot() metricsSnapshot {
 // text exposition format (version 0.0.4).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.snapshot()
+	cs := s.coord.snapshot()
 	var b strings.Builder
 	emit := func(name, kind, help string, value float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %s\n",
@@ -134,91 +126,82 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Results held only in the in-memory overflow, awaiting a healed journal.", float64(m.journalOverflow))
 	emit("sweepd_journal_errors_total", "counter",
 		"Journal append failures (disk full, I/O errors) absorbed by the overflow.", float64(m.journalErrs))
-	if s.pool != nil {
-		emit("sweepd_configs_coalesced_total", "counter",
-			"Configuration requests that joined an in-flight simulation.", float64(m.configsCoalesced))
-		emit("sweepd_sims_total", "counter",
-			"Configurations actually simulated by the pool.", float64(m.sims))
-		emit("sweepd_sim_events_total", "counter",
-			"Cumulative simulator events across all simulations.", float64(m.simEvents))
-		rate := 0.0
-		if m.simWall > 0 {
-			rate = float64(m.simEvents) / m.simWall.Seconds()
-		}
-		emit("sweepd_sim_events_per_second", "gauge",
-			"Aggregate simulator speed: events per wall-clock second of simulation.", rate)
+	emit("sweepd_configs_coalesced_total", "counter",
+		"Configuration requests that joined a queued or running task.", float64(cs.c.configsCoalesced))
+	emit("sweepd_sims_total", "counter",
+		"Configurations simulated: unique results accepted from in-process or joined workers.", float64(cs.c.results))
+	emit("sweepd_sim_events_total", "counter",
+		"Cumulative simulator events across all simulations.", float64(cs.c.simEvents))
+	rate := 0.0
+	if cs.c.simWallNS > 0 {
+		rate = float64(cs.c.simEvents) / time.Duration(cs.c.simWallNS).Seconds()
 	}
+	emit("sweepd_sim_events_per_second", "gauge",
+		"Aggregate simulator speed: events per wall-clock second of simulation.", rate)
 	emit("sweepd_heap_inuse_bytes", "gauge",
 		"Bytes in in-use heap spans (runtime.MemStats.HeapInuse).", float64(m.heapInuse))
 
-	if s.pool != nil {
-		emitHist := func(name, help string, h histogram) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-			cum := uint64(0)
-			for i, bound := range h.bounds {
-				cum += h.counts[i]
-				fmt.Fprintf(&b, "%s_bucket{le=\"%s\"} %d\n",
-					name, strconv.FormatFloat(bound, 'g', -1, 64), cum)
-			}
-			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", name, h.count)
-			fmt.Fprintf(&b, "%s_sum %s\n", name, strconv.FormatFloat(h.sum, 'g', -1, 64))
-			fmt.Fprintf(&b, "%s_count %d\n", name, h.count)
+	emitHist := func(name, help string, h histogram) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+		cum := uint64(0)
+		for i, bound := range h.bounds {
+			cum += h.counts[i]
+			fmt.Fprintf(&b, "%s_bucket{le=\"%s\"} %d\n",
+				name, strconv.FormatFloat(bound, 'g', -1, 64), cum)
 		}
-		wallHist, rateHist, peakQ := s.pool.Histograms()
-		emitHist("sweepd_sim_wall_seconds",
-			"Wall-clock duration of each simulated configuration.", wallHist)
-		emitHist("sweepd_sim_config_events_per_second",
-			"Simulator event rate of each simulated configuration.", rateHist)
-		emit("sweepd_sim_peak_queue_bytes", "gauge",
-			"Largest bottleneck-queue occupancy (bytes) any simulated configuration reached.", float64(peakQ))
-		convHist, episodes := s.pool.FairnessStats()
-		emitHist("sweepd_fairness_convergence_seconds",
-			"Sim-time until the windowed Jain index first sustained the convergence threshold, per converged fairness-armed configuration.", convHist)
-		emit("sweepd_fairness_episodes_total", "counter",
-			"Starvation episodes detected across all fairness-armed configurations.", float64(episodes))
+		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", name, h.count)
+		fmt.Fprintf(&b, "%s_sum %s\n", name, strconv.FormatFloat(h.sum, 'g', -1, 64))
+		fmt.Fprintf(&b, "%s_count %d\n", name, h.count)
 	}
+	emitHist("sweepd_sim_wall_seconds",
+		"Wall-clock duration of each simulated configuration.", cs.wallHist)
+	emitHist("sweepd_sim_config_events_per_second",
+		"Simulator event rate of each simulated configuration.", cs.rateHist)
+	emit("sweepd_sim_peak_queue_bytes", "gauge",
+		"Largest bottleneck-queue occupancy (bytes) any simulated configuration reached.", float64(cs.c.peakQueueBytes))
+	emitHist("sweepd_fairness_convergence_seconds",
+		"Sim-time until the windowed Jain index first sustained the convergence threshold, per converged fairness-armed configuration.", cs.convHist)
+	emit("sweepd_fairness_episodes_total", "counter",
+		"Starvation episodes detected across all fairness-armed configurations.", float64(cs.c.fairEpisodes))
 
-	if s.cluster != nil {
-		cs := s.cluster.snapshot()
-		emit("sweepd_cluster_workers", "gauge",
-			"Workers currently registered with the coordinator.", float64(cs.workers))
-		emit("sweepd_cluster_leases_active", "gauge",
-			"Leases currently outstanding across all workers.", float64(cs.leasesActive))
-		emit("sweepd_cluster_pending_configs", "gauge",
-			"Configurations waiting to be leased.", float64(cs.pendingConfigs))
-		emit("sweepd_cluster_leased_configs", "gauge",
-			"Configurations leased to workers and not yet uploaded.", float64(cs.leasedConfigs))
-		emit("sweepd_cluster_workers_joined_total", "counter",
-			"Worker registrations, including re-registrations after a partition.", float64(cs.c.workersJoined))
-		emit("sweepd_cluster_workers_dead_total", "counter",
-			"Workers reaped for missing heartbeats past the lease TTL.", float64(cs.c.workersDead))
-		emit("sweepd_cluster_heartbeats_total", "counter",
-			"Heartbeats accepted from registered workers.", float64(cs.c.heartbeats))
-		emit("sweepd_cluster_leases_granted_total", "counter",
-			"Leases granted to workers.", float64(cs.c.leasesGranted))
-		emit("sweepd_cluster_leases_expired_total", "counter",
-			"Leases taken back because their deadline passed unrenewed.", float64(cs.c.leasesExpired))
-		emit("sweepd_cluster_leases_released_total", "counter",
-			"Leases handed back voluntarily by draining workers.", float64(cs.c.leasesReleased))
-		emit("sweepd_cluster_leases_stolen_total", "counter",
-			"Steal events: an idle worker took the tail of a straggler's lease.", float64(cs.c.leasesStolen))
-		emit("sweepd_cluster_configs_leased_total", "counter",
-			"Configurations granted across all leases.", float64(cs.c.configsLeased))
-		emit("sweepd_cluster_configs_requeued_total", "counter",
-			"Configurations moved back to pending by expiry, worker death, or release.", float64(cs.c.configsRequeued))
-		emit("sweepd_cluster_configs_stolen_total", "counter",
-			"Configurations moved between live leases by work stealing.", float64(cs.c.configsStolen))
-		emit("sweepd_cluster_results_total", "counter",
-			"Unique results accepted from workers.", float64(cs.c.results))
-		emit("sweepd_cluster_duplicate_results_total", "counter",
-			"Idempotent re-uploads: RPC retries and stolen double-executions.", float64(cs.c.duplicateResults))
-		emit("sweepd_cluster_quarantined", "gauge",
-			"Configurations currently quarantined after exhausting their lease retry budget.", float64(cs.quarantined))
-		emit("sweepd_cluster_configs_quarantined_total", "counter",
-			"Configurations quarantined as poison after exhausting their lease retry budget.", float64(cs.c.configsQuarantined))
-		emit("sweepd_cluster_quarantine_served_total", "counter",
-			"Enqueues answered directly from a quarantine record.", float64(cs.c.quarantineServed))
-	}
+	emit("sweepd_cluster_workers", "gauge",
+		"Workers currently registered with the coordinator.", float64(cs.workers))
+	emit("sweepd_cluster_leases_active", "gauge",
+		"Leases currently outstanding across all workers.", float64(cs.leasesActive))
+	emit("sweepd_cluster_pending_configs", "gauge",
+		"Configurations waiting to be leased.", float64(cs.pendingConfigs))
+	emit("sweepd_cluster_leased_configs", "gauge",
+		"Configurations leased to workers and not yet uploaded.", float64(cs.leasedConfigs))
+	emit("sweepd_cluster_workers_joined_total", "counter",
+		"Worker registrations, including re-registrations after a partition.", float64(cs.c.workersJoined))
+	emit("sweepd_cluster_workers_dead_total", "counter",
+		"Workers reaped for missing heartbeats past the lease TTL.", float64(cs.c.workersDead))
+	emit("sweepd_cluster_heartbeats_total", "counter",
+		"Heartbeats accepted from registered workers.", float64(cs.c.heartbeats))
+	emit("sweepd_cluster_leases_granted_total", "counter",
+		"Leases granted to workers.", float64(cs.c.leasesGranted))
+	emit("sweepd_cluster_leases_expired_total", "counter",
+		"Leases taken back because their deadline passed unrenewed.", float64(cs.c.leasesExpired))
+	emit("sweepd_cluster_leases_released_total", "counter",
+		"Leases handed back voluntarily by draining workers.", float64(cs.c.leasesReleased))
+	emit("sweepd_cluster_leases_stolen_total", "counter",
+		"Steal events: an idle worker took the tail of a straggler's lease.", float64(cs.c.leasesStolen))
+	emit("sweepd_cluster_configs_leased_total", "counter",
+		"Configurations granted across all leases.", float64(cs.c.configsLeased))
+	emit("sweepd_cluster_configs_requeued_total", "counter",
+		"Configurations moved back to pending by expiry, worker death, or release.", float64(cs.c.configsRequeued))
+	emit("sweepd_cluster_configs_stolen_total", "counter",
+		"Configurations moved between live leases by work stealing.", float64(cs.c.configsStolen))
+	emit("sweepd_cluster_results_total", "counter",
+		"Unique results accepted from workers.", float64(cs.c.results))
+	emit("sweepd_cluster_duplicate_results_total", "counter",
+		"Idempotent re-uploads: RPC retries and stolen double-executions.", float64(cs.c.duplicateResults))
+	emit("sweepd_cluster_quarantined", "gauge",
+		"Configurations currently quarantined after exhausting their lease retry budget.", float64(cs.quarantined))
+	emit("sweepd_cluster_configs_quarantined_total", "counter",
+		"Configurations quarantined as poison after exhausting their lease retry budget.", float64(cs.c.configsQuarantined))
+	emit("sweepd_cluster_quarantine_served_total", "counter",
+		"Enqueues answered directly from a quarantine record.", float64(cs.c.quarantineServed))
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write([]byte(b.String()))

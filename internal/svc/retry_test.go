@@ -2,8 +2,13 @@ package svc
 
 import (
 	"context"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -125,6 +130,47 @@ func TestRetryFailpointMatchesOpName(t *testing.T) {
 	err := rp.do(context.Background(), "upload", func(ctx context.Context) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "upload down") {
 		t.Fatalf("upload err = %v, want the injected failure", err)
+	}
+}
+
+// TestTransportErrorBacksOffNotReregisters: a refused connection is a
+// transport error, not the coordinator's "unknown worker" 404 — even when
+// its URL carries "404" (here the worker ID w404). The worker must back off
+// and retry the lease under its registration instead of re-registering,
+// which would strand its old leases until they expire against their
+// configs' retry budget.
+func TestTransportErrorBacksOffNotReregisters(t *testing.T) {
+	var registers, leases atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
+		registers.Add(1)
+		writeJSON(w, http.StatusOK, registerResponse{WorkerID: "w404",
+			HeartbeatNS: int64(time.Hour), LeaseTTLNS: int64(time.Minute)})
+	})
+	mux.HandleFunc("POST /v1/workers/{id}/release", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, releaseResponse{})
+	})
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
+	hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if strings.HasSuffix(r.URL.Path, "/lease") {
+			leases.Add(1)
+			return nil, &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}
+		}
+		return http.DefaultTransport.RoundTrip(r)
+	})}
+
+	drain := startWorker(t, WorkerOptions{Coordinator: hs.URL, HTTP: hc, Run: fakeRun})
+	waitFor(t, "lease retries", func() bool { return leases.Load() >= 6 })
+	drain()
+	if n := registers.Load(); n != 1 {
+		t.Fatalf("worker registered %d times across refused lease calls, want 1", n)
+	}
+
+	// A genuine 404 from the coordinator still means "re-register".
+	err := postJSON(context.Background(), hs.Client(), hs.URL+"/v1/workers/w404/heartbeat", struct{}{}, nil)
+	if !isNotFound(err) {
+		t.Fatalf("404 response not recognised: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package svc
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -18,7 +19,8 @@ type Options struct {
 	// Journal is the JSONL checkpoint path persisting the result cache
 	// ("" = memory only).
 	Journal string
-	// Shards is the worker-pool width (0 = GOMAXPROCS).
+	// Shards is how many in-process workers simulate on a single node (0 =
+	// GOMAXPROCS). Coordinator mode starts none: joined workers simulate.
 	Shards int
 	// Audit arms the runtime invariant auditor on every configuration the
 	// daemon simulates, regardless of the submitted spec. Audit is excluded
@@ -42,20 +44,23 @@ type Options struct {
 	// profiler exposes heap contents and should not face untrusted clients).
 	Pprof bool
 	// Cluster switches the daemon into coordinator mode: instead of
-	// simulating on a local pool, cache misses become cluster tasks leased
-	// to workers that joined over HTTP (sweepd -join). The submit/stream/
-	// results API is unchanged; only where the simulations run differs.
+	// in-process workers, workers that joined over HTTP (sweepd -join)
+	// lease the cache misses. The submit/stream/results API is unchanged;
+	// only where the simulations run differs.
 	Cluster *ClusterOptions
 }
 
+// maxBodyBytes caps every POST body the service reads, answering 413 past
+// it. It is twice the journal's 16 MiB record cap, so any result the
+// journal can hold also fits in a worker upload.
+const maxBodyBytes = 32 << 20
+
 // Server is the sweep service: job registry, content-addressed cache, and
-// either a sharded local pool or a cluster coordinator behind an
-// http.Handler. Exactly one of pool and cluster is non-nil.
+// the coordinator that schedules cache misses, behind an http.Handler.
 type Server struct {
-	opts    Options
-	cache   *Cache
-	pool    *Pool
-	cluster *Coordinator
+	opts  Options
+	cache *Cache
+	coord *Coordinator
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -64,8 +69,9 @@ type Server struct {
 	jobsCoalesced atomic.Uint64 // POSTs answered by an existing job
 }
 
-// New opens the cache (warm from the journal, if any) and starts either the
-// local pool or, in coordinator mode, the cluster lease machinery.
+// New opens the cache (warm from the journal, if any) and starts the
+// coordinator, with Options.Shards in-process workers unless it runs in
+// coordinator mode.
 func New(opts Options) (*Server, error) {
 	cache, err := OpenCache(opts.Journal)
 	if err != nil {
@@ -73,53 +79,22 @@ func New(opts Options) (*Server, error) {
 	}
 	s := &Server{opts: opts, cache: cache, jobs: make(map[string]*Job)}
 	if opts.Cluster != nil {
-		s.cluster = NewCoordinator(*opts.Cluster, cache)
-		return s, nil
+		s.coord = NewCoordinator(*opts.Cluster, cache)
+	} else {
+		s.coord = NewCoordinator(ClusterOptions{}, cache)
+		s.coord.startLocal(opts.Shards)
 	}
-	s.pool = NewPool(opts.Shards, experiment.RunOne, func(res experiment.Result) {
-		// Journal failures must not corrupt science: the result still
-		// reaches its waiters, the cache just stays cold for that config.
-		if err := s.cache.Put(res); err != nil {
-			logger().Error("journal append failed",
-				"err", err,
-				"config_id", res.Config.ID(),
-				"config_key", res.Config.Key())
-		}
-	}, cache.peek)
 	return s, nil
 }
 
-// schedule routes one cache miss to wherever simulations run: the local
-// pool, or the cluster task table.
-func (s *Server) schedule(key string, cfg experiment.Config, j *Job, idx int) {
-	if s.cluster != nil {
-		s.cluster.Enqueue(key, cfg, j, idx)
-		return
-	}
-	s.pool.Do(key, cfg, j, idx)
-}
-
-// releaseWork withdraws a cancelled job's interest in the given keys.
-func (s *Server) releaseWork(j *Job, keys []string) {
-	if s.cluster != nil {
-		s.cluster.ReleaseJob(j, keys)
-		return
-	}
-	s.pool.Release(j, keys)
-}
-
 // Close gracefully shuts the service down: running configurations drain
-// (and reach the journal), queued ones are abandoned, and the journal is
+// (and reach the journal), queued ones are failed, and the journal is
 // compacted and closed.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	if s.cluster != nil {
-		s.cluster.Close()
-	} else {
-		s.pool.Close()
-	}
+	s.coord.Close()
 	cerr := s.cache.Compact()
 	if err := s.cache.Close(); err != nil {
 		return err
@@ -127,7 +102,8 @@ func (s *Server) Close() error {
 	return cerr
 }
 
-// Handler returns the service's HTTP API.
+// Handler returns the service's HTTP API. Every POST body is capped at
+// maxBodyBytes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
@@ -147,12 +123,12 @@ func (s *Server) Handler() http.Handler {
 		}
 		w.Write([]byte("ok\n"))
 	})
-	if s.cluster != nil {
-		mux.HandleFunc("POST /v1/workers", s.cluster.handleRegister)
-		mux.HandleFunc("POST /v1/workers/{id}/heartbeat", s.cluster.handleHeartbeat)
-		mux.HandleFunc("POST /v1/workers/{id}/lease", s.cluster.handleLease)
-		mux.HandleFunc("POST /v1/workers/{id}/results", s.cluster.handleUpload)
-		mux.HandleFunc("POST /v1/workers/{id}/release", s.cluster.handleRelease)
+	if s.opts.Cluster != nil {
+		mux.HandleFunc("POST /v1/workers", s.coord.handleRegister)
+		mux.HandleFunc("POST /v1/workers/{id}/heartbeat", s.coord.handleHeartbeat)
+		mux.HandleFunc("POST /v1/workers/{id}/lease", s.coord.handleLease)
+		mux.HandleFunc("POST /v1/workers/{id}/results", s.coord.handleUpload)
+		mux.HandleFunc("POST /v1/workers/{id}/release", s.coord.handleRelease)
 	}
 	if s.opts.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -161,7 +137,12 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		}
+		mux.ServeHTTP(w, r)
+	})
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -170,17 +151,28 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// bodyError answers a request body that failed to decode: 413 when it ran
+// past maxBodyBytes, 400 otherwise.
+func bodyError(w http.ResponseWriter, what string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, tooBig.Limit)
+		return
+	}
+	httpError(w, http.StatusBadRequest, "bad %s: %v", what, err)
+}
+
 // handleSubmit accepts a GridSpec, content-addresses it, and either
 // coalesces onto the existing job for that key or expands and schedules a
 // new one. Every configuration is first looked up in the cache; misses go
-// to the sharded pool (joining any in-flight simulation of the same
+// to the coordinator (joining any queued or running task for the same
 // config).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec experiment.GridSpec
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
+		bodyError(w, "spec", err)
 		return
 	}
 	canonical, err := spec.Canonical()
@@ -252,7 +244,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if res, ok := s.cache.Get(j.keys[i]); ok {
 			j.deliver(i, res, true)
 		} else {
-			s.schedule(j.keys[i], cfgs[i], j, i)
+			s.coord.Enqueue(j.keys[i], cfgs[i], j, i)
 		}
 	}
 	writeStatus(w, http.StatusAccepted, j.Status())
@@ -328,7 +320,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 		case <-r.Context().Done():
 			if remaining, inFlight := j.Unsubscribe(ch); remaining == 0 && inFlight {
-				s.releaseWork(j, j.Cancel())
+				s.coord.ReleaseJob(j, j.Cancel())
 			}
 			return
 		}

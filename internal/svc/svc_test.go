@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -176,7 +178,7 @@ func TestCacheHitPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, client, st.ID)
-	if got := s.pool.Sims(); got != 2 {
+	if got := simsTotal(t, client); got != 2 {
 		t.Fatalf("first job simulated %d configs, want 2", got)
 	}
 
@@ -191,7 +193,7 @@ func TestCacheHitPath(t *testing.T) {
 	if st2.State != StateDone {
 		t.Fatalf("coalesced job state %s, want done", st2.State)
 	}
-	if got := s.pool.Sims(); got != 2 {
+	if got := simsTotal(t, client); got != 2 {
 		t.Fatalf("coalesced POST triggered simulations: %d", got)
 	}
 	if s.jobsCoalesced.Load() != 1 {
@@ -213,7 +215,7 @@ func TestCacheHitPath(t *testing.T) {
 	if st3.Cached != 2 || st3.Simulated != 0 {
 		t.Fatalf("cache-path job: %+v, want 2 cached / 0 simulated", st3)
 	}
-	if got := s.pool.Sims(); got != 2 {
+	if got := simsTotal(t, client); got != 2 {
 		t.Fatalf("cache-path job re-simulated: sims = %d", got)
 	}
 
@@ -272,13 +274,13 @@ func TestCacheHitPath(t *testing.T) {
 // simulated on its own. (Regression: the cache was once keyed by
 // Config.ID, which omits the overrides.)
 func TestOverridesArePartOfCacheIdentity(t *testing.T) {
-	s, client := newTestServer(t, Options{Shards: 1})
+	_, client := newTestServer(t, Options{Shards: 1})
 	st, err := client.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, client, st.ID)
-	if got := s.pool.Sims(); got != 2 {
+	if got := simsTotal(t, client); got != 2 {
 		t.Fatalf("first job simulated %d configs, want 2", got)
 	}
 
@@ -295,7 +297,7 @@ func TestOverridesArePartOfCacheIdentity(t *testing.T) {
 	if st2.Cached != 0 || st2.Simulated != 2 {
 		t.Fatalf("2s job served 1s results from cache: %+v, want 0 cached / 2 simulated", st2)
 	}
-	if got := s.pool.Sims(); got != 4 {
+	if got := simsTotal(t, client); got != 4 {
 		t.Fatalf("2s job did not re-simulate: sims = %d, want 4", got)
 	}
 
@@ -318,50 +320,116 @@ func TestOverridesArePartOfCacheIdentity(t *testing.T) {
 	}
 }
 
-// TestPoolCloseFailsQueuedWork: configurations accepted but never started
-// must come back errored at shutdown, so their jobs complete and a polling
-// client sees the failure instead of hanging on work that will never run.
-func TestPoolCloseFailsQueuedWork(t *testing.T) {
-	started, proceed := gateSims(t)
-	p := NewPool(1, func(cfg experiment.Config) experiment.Result {
-		return experiment.Result{Config: cfg.Normalize(), Jain: 1}
-	}, nil, nil)
-	spec := tinySpec()
-	spec.Seeds = 2 // 4 configs
-	canonical, err := spec.Canonical()
+// simsTotal reads sweepd_sims_total from the server's /metrics.
+func simsTotal(t *testing.T, c *Client) int {
+	t.Helper()
+	body, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := regexp.MustCompile(`(?m)^sweepd_sims_total (\d+)$`).FindSubmatch(body)
+	if m == nil {
+		t.Fatalf("/metrics has no sweepd_sims_total:\n%s", body)
+	}
+	n, err := strconv.Atoi(string(m[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestPoolCloseFailsQueuedWork: at shutdown the configuration already
+// running drains into the cache and journal, and configurations accepted
+// but never started come back errored, so their jobs complete and a polling
+// client sees the failure instead of hanging on work that will never run.
+func TestPoolCloseFailsQueuedWork(t *testing.T) {
+	started, proceed := gateSims(t)
+	journal := filepath.Join(t.TempDir(), "close.ckpt.jsonl")
+	s, err := New(Options{Shards: 1, Journal: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	client := &Client{Base: hs.URL, HTTP: hs.Client()}
+	spec := tinySpec()
+	spec.Seeds = 2 // 4 configs
+	st, err := client.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // config 0 is on the worker; 1..3 are queued
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	waitFor(t, "coordinator close", func() bool {
+		s.coord.mu.Lock()
+		defer s.coord.mu.Unlock()
+		return s.coord.closed
+	})
+	close(proceed) // release the running simulation so Close can drain
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	s.mu.Unlock()
+	if st := j.Status(); st.State != StateDone || st.Done != 4 || st.Errored != 3 {
+		t.Fatalf("after close: %+v, want done with 1 clean / 3 errored", st)
+	}
+	cache, err := OpenCache(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	if cache.Len() != 1 {
+		t.Fatalf("journal holds %d results after close, want the 1 that was running", cache.Len())
+	}
+
+	// Enqueue on a closed coordinator must fail the slot immediately.
 	cfgs, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJob("job", canonical, cfgs)
-	for i := range cfgs {
-		p.Do(j.keys[i], cfgs[i], j, i)
-	}
-	<-started // config 0 is on the worker; 1..3 are queued
-
-	closed := make(chan struct{})
-	go func() { p.Close(); close(closed) }()
-	waitFor(t, "shard close", func() bool {
-		p.shards[0].mu.Lock()
-		defer p.shards[0].mu.Unlock()
-		return p.shards[0].closed
-	})
-	close(proceed) // release the running simulation so Close can drain
-	<-closed
-
-	st := j.Status()
-	if st.State != StateDone || st.Done != 4 || st.Errored != 3 {
-		t.Fatalf("after pool close: %+v, want done with 1 clean / 3 errored", st)
-	}
-
-	// Do on an already-closed pool must fail the slot immediately.
-	j2 := newJob("job2", canonical, cfgs)
-	p.Do(j2.keys[0], cfgs[0], j2, 0)
+	j2 := newJob("job2", experiment.GridSpec{}, cfgs)
+	s.coord.Enqueue(j2.keys[1], cfgs[1], j2, 1)
 	if st := j2.Status(); st.Done != 1 || st.Errored != 1 {
-		t.Fatalf("Do on closed pool: %+v, want an immediate errored delivery", st)
+		t.Fatalf("Enqueue after close: %+v, want an immediate errored delivery", st)
+	}
+}
+
+// TestLocalWorkerOutlivesLeaseTTL: an in-process worker whose simulation
+// runs past the lease TTL is neither reaped nor requeued — it cannot die
+// apart from the coordinator — and the config simulates exactly once.
+func TestLocalWorkerOutlivesLeaseTTL(t *testing.T) {
+	started, proceed := gateSims(t)
+	s, client := newTestServer(t, Options{Shards: 1})
+	st, err := client.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	coord := s.coord
+	coord.setNow(func() time.Time { return time.Now().Add(time.Hour) })
+	coord.Reap()
+	coord.setNow(time.Now)
+	c := coord.counters()
+	close(proceed) // before any Fatal: shutdown waits for the gated simulation
+	if c.workersDead != 0 || c.leasesExpired != 0 || c.configsRequeued != 0 {
+		t.Fatalf("reap past the TTL: %d dead / %d expired / %d requeued, want 0/0/0",
+			c.workersDead, c.leasesExpired, c.configsRequeued)
+	}
+
+	if st = waitDone(t, client, st.ID); st.Simulated != 2 || st.Errored != 0 {
+		t.Fatalf("final status: %+v", st)
+	}
+	if got := simsTotal(t, client); got != 2 {
+		t.Fatalf("sims = %d, want 2 (each config exactly once)", got)
+	}
+	if n := len(started); n != 1 {
+		t.Fatalf("%d further simulation starts, want 1", n)
 	}
 }
 
@@ -417,15 +485,16 @@ func TestEventsStreamOrdering(t *testing.T) {
 	}
 }
 
-// gateSims installs a pool test hook that reports each simulation start on
-// the returned channel and blocks it until the test sends on proceed.
+// gateSims installs an in-process worker test hook that reports each
+// simulation start on the returned channel and blocks it until the test
+// sends on proceed.
 func gateSims(t *testing.T) (started chan string, proceed chan struct{}) {
 	t.Helper()
 	started = make(chan string, 16)
 	proceed = make(chan struct{})
 	prev := testHookBeforeSim
-	testHookBeforeSim = func(id string) {
-		started <- id
+	testHookBeforeSim = func(key string) {
+		started <- key
 		<-proceed
 	}
 	t.Cleanup(func() { testHookBeforeSim = prev })
@@ -470,12 +539,12 @@ func TestDisconnectCancelsRemainingWork(t *testing.T) {
 	waitFor(t, "cancellation", func() bool { return j.State() == StateCancelled })
 
 	close(proceed) // let the running simulation (and any stragglers) finish
-	waitFor(t, "pool drain", func() bool {
-		s.pool.mu.Lock()
-		defer s.pool.mu.Unlock()
-		return len(s.pool.inflight) == 0
+	waitFor(t, "task table drain", func() bool {
+		s.coord.mu.Lock()
+		defer s.coord.mu.Unlock()
+		return len(s.coord.tasks) == 0
 	})
-	if got := s.pool.Sims(); got != 1 {
+	if got := simsTotal(t, client); got != 1 {
 		t.Errorf("cancelled job simulated %d configs, want 1 (only the one already running)", got)
 	}
 	if s.cache.Len() != 1 {
@@ -555,4 +624,36 @@ func TestSubmitValidation(t *testing.T) {
 	if err := client.Stream(context.Background(), "deadbeef", nil); err == nil {
 		t.Error("unknown job stream should error")
 	}
+}
+
+// TestSubmitTooLarge: a spec body past maxBodyBytes is refused with 413 and
+// a JSON error, without the server buffering the rest of it.
+func TestSubmitTooLarge(t *testing.T) {
+	_, client := newTestServer(t, Options{Shards: 1})
+	body := io.MultiReader(strings.NewReader(`{"bandwidths":"`),
+		io.LimitReader(repeatByte('a'), maxBodyBytes), strings.NewReader(`"}`))
+	resp, err := client.http().Post(client.url("/v1/sweeps"), "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec → %d, want 413", resp.StatusCode)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || !strings.Contains(e.Error, "exceeds") {
+		t.Fatalf("413 body is not a JSON error: %q (%v)", e.Error, err)
+	}
+}
+
+// repeatByte is an endless reader of one byte value.
+type repeatByte byte
+
+func (r repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(r)
+	}
+	return len(p), nil
 }

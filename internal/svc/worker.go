@@ -2,6 +2,7 @@ package svc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -48,11 +49,11 @@ type WorkerOptions struct {
 
 // Worker is the execution half of the cluster split: it registers with the
 // coordinator, heartbeats, pulls leased batches of configurations, runs
-// them through the same hardened experiment.RunOne path the single-process
-// pool uses, and uploads each result as it lands. Every RPC goes through
-// the shared retry helper (jittered exponential backoff under per-attempt
-// deadlines), uploads are idempotent (keyed by Config.Key() coordinator-
-// side), and a context cancellation drains gracefully: in-flight
+// them through the same hardened experiment.RunOne path a single node's
+// in-process workers use, and uploads each result as it lands. Every RPC
+// goes through the shared retry helper (jittered exponential backoff under
+// per-attempt deadlines), uploads are idempotent (keyed by Config.Key()
+// coordinator-side), and a context cancellation drains gracefully: in-flight
 // simulations finish and upload, unstarted lease work is released back to
 // the coordinator so it reschedules immediately instead of waiting out the
 // lease TTL.
@@ -166,9 +167,10 @@ func (w *Worker) workerID() string {
 
 // isNotFound matches the coordinator's "unknown worker" responses, which
 // mean this worker was reaped (partition, coordinator restart) and must
-// re-register rather than retry.
+// re-register rather than retry. Transport errors never match.
 func isNotFound(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "404")
+	var se *statusError
+	return errors.As(err, &se) && se.code == http.StatusNotFound
 }
 
 // Run drives the worker until ctx is cancelled: register, heartbeat in the
