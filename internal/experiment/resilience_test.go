@@ -27,9 +27,9 @@ func TestFlapRecoveryAllCCAs(t *testing.T) {
 			bw := 100 * units.MegabitPerSec
 			rtt := 62 * time.Millisecond
 			eng := sim.NewEngine(1)
-			d, err := topo.NewDumbbell(eng, topo.Config{
-				BottleneckBW: bw,
-				RTT:          rtt,
+			d, err := topo.Build(eng, topo.DumbbellSpec(), topo.Params{
+				Bottleneck: bw,
+				RTT:        rtt,
 				Queue: aqm.Config{
 					Kind:     aqm.KindFIFO,
 					Capacity: units.QueueBytes(bw, rtt, 2, 8960),
@@ -58,7 +58,7 @@ func TestFlapRecoveryAllCCAs(t *testing.T) {
 			if got := f.Conn.Stats().RTOs; got <= rtosBefore {
 				t.Fatalf("no RTO during a 200 ms outage (before %d, after %d)", rtosBefore, got)
 			}
-			if d.Bottleneck.DownDrops() == 0 {
+			if d.Monitor().DownDrops() == 0 {
 				t.Fatal("flap destroyed no packets — outage never reached the bottleneck")
 			}
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -39,28 +40,22 @@ type RunAllOptions struct {
 // panic-hardening tests.
 var testHookBeforeRun func(Config)
 
-// runSafe executes one configuration, converting a panic anywhere under
-// Run into an ordinary error so one poisoned configuration cannot take
-// down the worker pool (and with it a multi-hour sweep).
-func runSafe(cfg Config) (res Result, err error) {
+// RunOne executes a single configuration with the sweep runner's hardening:
+// a panic anywhere under Run, or any error Run returns, comes back as an
+// errored Result carrying the normalized config for identification, never
+// a crash. RunAllOpts and sweepd's workers both run configurations through
+// it, so CLI and daemon sweeps get exactly the same recovery, watchdog, and
+// audit semantics.
+func RunOne(cfg Config) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
+			res = Result{Config: cfg.Normalize(), Error: fmt.Sprintf("panic: %v", r)}
 		}
 	}()
 	if testHookBeforeRun != nil {
 		testHookBeforeRun(cfg)
 	}
-	return Run(cfg)
-}
-
-// RunOne executes a single configuration with the sweep runner's hardening:
-// a panic anywhere under Run comes back as an errored Result carrying the
-// normalized config for identification, never a crash. It is the unit of
-// work sweepd's sharded pool schedules, so daemon-run configurations get
-// exactly the same recovery, watchdog, and audit semantics as a CLI sweep.
-func RunOne(cfg Config) Result {
-	res, err := runSafe(cfg)
+	res, err := Run(cfg)
 	if err != nil {
 		res.Config = cfg.Normalize()
 		res.Error = err.Error()
@@ -116,23 +111,16 @@ func RunAllOpts(cfgs []Config, o RunAllOptions) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				res, err := runSafe(cfgs[i])
-				if err != nil {
-					res.Config = cfgs[i].Normalize()
-					res.Error = err.Error()
-				}
+				res := RunOne(cfgs[i])
 				results[i] = res
-				errs[i] = err
 				mu.Lock()
-				if err == nil && o.Checkpoint != nil {
-					if cerr := o.Checkpoint.Append(res); cerr != nil && errs[i] == nil {
-						errs[i] = cerr
-					}
+				if res.Errored() {
+					errs[i] = errors.New(res.Error)
+					errored++
+				} else if o.Checkpoint != nil {
+					errs[i] = o.Checkpoint.Append(res)
 				}
 				done++
-				if err != nil {
-					errored++
-				}
 				if o.OnProgress != nil {
 					o.OnProgress(Progress{Done: done, Total: len(cfgs), Skipped: skipped,
 						Errored: errored, Last: res, LastID: res.Config.ID()})

@@ -28,7 +28,7 @@ type Params struct {
 	// PathLoss arms uniform loss on links marked ConfigLoss.
 	PathLoss float64
 	// Faults is armed on the monitor link after construction, exactly where
-	// the legacy dumbbell applied Config.Faults.
+	// the hand-wired dumbbell applied its fault profile.
 	Faults *faults.Profile
 }
 
@@ -203,8 +203,8 @@ func Build(eng *sim.Engine, spec Spec, par Params) (*Network, error) {
 	n.monitor = n.ports[n.portIdx[spec.monitorLink()]]
 
 	// Per-link fault timelines, then the grid profile on the monitor link —
-	// the same position in construction order where the legacy dumbbell
-	// applied Config.Faults.
+	// the same position in construction order where the hand-wired dumbbell
+	// applied its fault profile.
 	for i, l := range spec.Links {
 		faults.Apply(eng, n.ports[i], l.Faults)
 	}
@@ -248,9 +248,9 @@ func (n *Network) linkDelay(l LinkSpec) time.Duration {
 
 // linkQueue resolves a link's queue discipline. Bottleneck-role links
 // without an override carry the grid AQM under test (with the calibration
-// NewDumbbell historically applied); edge links get the deep injection
-// FIFO; core links return nil and let netem substitute its effectively
-// unbounded default.
+// the hand-wired dumbbell historically applied); edge links get the deep
+// injection FIFO; core links return nil and let netem substitute its
+// effectively unbounded default.
 func (n *Network) linkQueue(l LinkSpec, rate units.Bandwidth) (aqm.Queue, error) {
 	if l.Queue == nil {
 		switch l.Role {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/aqm"
 	"repro/internal/audit"
 	"repro/internal/cca"
 	"repro/internal/sim"
@@ -12,22 +11,12 @@ import (
 	"repro/internal/units"
 )
 
-func auditedDumbbell(t *testing.T) (*sim.Engine, *audit.Auditor, *Dumbbell) {
+func auditedDumbbell(t *testing.T) (*sim.Engine, *audit.Auditor, *Network) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	aud := audit.New(t.Name())
 	eng.SetAuditor(aud)
-	d, err := NewDumbbell(eng, Config{
-		BottleneckBW: 100 * units.MegabitPerSec,
-		Queue: aqm.Config{
-			Kind:     aqm.KindFIFO,
-			Capacity: units.QueueBytes(100*units.MegabitPerSec, 62*time.Millisecond, 2, 8960),
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, aud, d
+	return eng, aud, dumbbell(t, eng, Params{Bottleneck: 100 * units.MegabitPerSec, Queue: fifo2BDP})
 }
 
 // finish settles the auditor, converting a violation panic into a test
@@ -101,11 +90,11 @@ func TestEphemeralFlowLifecycleSettles(t *testing.T) {
 	if got := len(d.Flows()); got != 1 {
 		t.Fatalf("Flows() lists %d flows, want just the elephant", got)
 	}
-	if got := len(d.SenderFlows(0)); got != 1 {
-		t.Fatalf("SenderFlows(0) lists %d flows, want 1", got)
+	if got := len(d.ClassFlows(0)); got != 1 {
+		t.Fatalf("ClassFlows(0) lists %d flows, want 1", got)
 	}
-	if got := len(d.SenderFlows(1)); got != 0 {
-		t.Fatalf("SenderFlows(1) lists %d flows, want 0", got)
+	if got := len(d.ClassFlows(1)); got != 0 {
+		t.Fatalf("ClassFlows(1) lists %d flows, want 0", got)
 	}
 }
 
@@ -143,7 +132,7 @@ func TestLeakedSegmentTripsConservation(t *testing.T) {
 	eng.Schedule(time.Second, func() {
 		// Sabotage: every demux on the flow's routes forgets its auditor, so
 		// the strays that drain after the release vanish unaccounted.
-		cl := d.Network.classes[e.Sender]
+		cl := d.classes[e.Sender]
 		for _, h := range cl.fwdHops {
 			h.d.aud = nil
 		}

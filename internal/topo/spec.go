@@ -451,7 +451,7 @@ func nodeList(names ...string) []NodeSpec {
 // server nodes past r2, and an uncongested reverse core for ACKs. Link
 // order mirrors the historical wiring order exactly — port construction
 // order determines telemetry ring order and per-port RNG derivation, so
-// this spec builds byte-identical results to the pre-spec NewDumbbell.
+// this spec builds byte-identical results to the pre-spec dumbbell.
 func DumbbellSpec() Spec {
 	return Spec{
 		Name:  "dumbbell",

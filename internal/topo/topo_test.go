@@ -12,21 +12,38 @@ import (
 	"repro/internal/units"
 )
 
-func TestConfigDefaults(t *testing.T) {
-	cfg := Config{BottleneckBW: units.GigabitPerSec}
-	if err := cfg.defaults(); err != nil {
+// dumbbell builds the paper preset on eng with par (zero fields select the
+// Params defaults).
+func dumbbell(t *testing.T, eng *sim.Engine, par Params) *Network {
+	t.Helper()
+	n, err := Build(eng, DumbbellSpec(), par)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.EdgeBW != 25*units.GigabitPerSec || cfg.CoreBW != 100*units.GigabitPerSec {
-		t.Errorf("edge/core defaults: %v %v", cfg.EdgeBW, cfg.CoreBW)
+	return n
+}
+
+// fifo2BDP is a 2×BDP FIFO at 100 Mbps over the 62 ms paper RTT.
+var fifo2BDP = aqm.Config{
+	Kind:     aqm.KindFIFO,
+	Capacity: units.QueueBytes(100*units.MegabitPerSec, 62*time.Millisecond, 2, 8960),
+}
+
+func TestConfigDefaults(t *testing.T) {
+	par := Params{Bottleneck: units.GigabitPerSec}
+	if err := par.defaults(); err != nil {
+		t.Fatal(err)
 	}
-	if cfg.RTT != 62*time.Millisecond {
-		t.Errorf("RTT default: %v", cfg.RTT)
+	if par.EdgeBW != 25*units.GigabitPerSec || par.CoreBW != 100*units.GigabitPerSec {
+		t.Errorf("edge/core defaults: %v %v", par.EdgeBW, par.CoreBW)
 	}
-	if cfg.Queue.Capacity <= 0 {
+	if par.RTT != 62*time.Millisecond {
+		t.Errorf("RTT default: %v", par.RTT)
+	}
+	if par.Queue.Capacity <= 0 {
 		t.Error("queue capacity not defaulted")
 	}
-	var bad Config
+	var bad Params
 	if err := bad.defaults(); err == nil {
 		t.Error("zero bottleneck should error")
 	}
@@ -34,10 +51,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestDumbbellRTT(t *testing.T) {
 	eng := sim.NewEngine(1)
-	d, err := NewDumbbell(eng, Config{BottleneckBW: units.GigabitPerSec})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := dumbbell(t, eng, Params{Bottleneck: units.GigabitPerSec})
 	f := d.AddFlow(0, tcp.Config{}, cca.MustNew(cca.Cubic))
 	f.Conn.Start()
 	eng.RunFor(3 * time.Second)
@@ -49,22 +63,12 @@ func TestDumbbellRTT(t *testing.T) {
 
 func TestDumbbellSingleFlowUtilization(t *testing.T) {
 	eng := sim.NewEngine(1)
-	cfg := Config{
-		BottleneckBW: 100 * units.MegabitPerSec,
-		Queue: aqm.Config{
-			Kind:     aqm.KindFIFO,
-			Capacity: units.QueueBytes(100*units.MegabitPerSec, 62*time.Millisecond, 2, 8960),
-		},
-	}
-	d, err := NewDumbbell(eng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := dumbbell(t, eng, Params{Bottleneck: 100 * units.MegabitPerSec, Queue: fifo2BDP})
 	f := d.AddFlow(0, tcp.Config{}, cca.MustNew(cca.Cubic))
 	f.Conn.Start()
 	dur := 30 * time.Second
 	eng.RunFor(dur)
-	rate := float64(d.SenderGoodput(0)) * 8 / dur.Seconds()
+	rate := float64(d.ClassGoodput(0)) * 8 / dur.Seconds()
 	if rate < 0.85*100e6 {
 		t.Fatalf("utilization %.2f Mbps", rate/1e6)
 	}
@@ -72,25 +76,15 @@ func TestDumbbellSingleFlowUtilization(t *testing.T) {
 
 func TestTwoSendersShareBottleneck(t *testing.T) {
 	eng := sim.NewEngine(1)
-	cfg := Config{
-		BottleneckBW: 100 * units.MegabitPerSec,
-		Queue: aqm.Config{
-			Kind:     aqm.KindFIFO,
-			Capacity: units.QueueBytes(100*units.MegabitPerSec, 62*time.Millisecond, 2, 8960),
-		},
-	}
-	d, err := NewDumbbell(eng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := dumbbell(t, eng, Params{Bottleneck: 100 * units.MegabitPerSec, Queue: fifo2BDP})
 	f0 := d.AddFlow(0, tcp.Config{}, cca.MustNew(cca.Cubic))
 	f1 := d.AddFlow(1, tcp.Config{}, cca.MustNew(cca.Cubic))
 	f0.Conn.Start()
 	f1.Conn.Start()
 	dur := 60 * time.Second
 	eng.RunFor(dur)
-	g0 := float64(d.SenderGoodput(0))
-	g1 := float64(d.SenderGoodput(1))
+	g0 := float64(d.ClassGoodput(0))
+	g1 := float64(d.ClassGoodput(1))
 	total := (g0 + g1) * 8 / dur.Seconds()
 	if total < 0.85*100e6 {
 		t.Fatalf("combined utilization only %.1f Mbps", total/1e6)
@@ -110,14 +104,14 @@ func TestDemuxUnknownFlowReleased(t *testing.T) {
 
 func TestSenderAccessors(t *testing.T) {
 	eng := sim.NewEngine(1)
-	d, _ := NewDumbbell(eng, Config{BottleneckBW: units.GigabitPerSec})
+	d := dumbbell(t, eng, Params{Bottleneck: units.GigabitPerSec})
 	d.AddFlow(0, tcp.Config{}, cca.MustNew(cca.Reno))
 	d.AddFlow(0, tcp.Config{}, cca.MustNew(cca.Reno))
 	d.AddFlow(1, tcp.Config{}, cca.MustNew(cca.Cubic))
 	if len(d.Flows()) != 3 {
 		t.Fatalf("flows = %d", len(d.Flows()))
 	}
-	if len(d.SenderFlows(0)) != 2 || len(d.SenderFlows(1)) != 1 {
+	if len(d.ClassFlows(0)) != 2 || len(d.ClassFlows(1)) != 1 {
 		t.Fatal("sender grouping wrong")
 	}
 	ids := map[packet.FlowID]bool{}
@@ -131,10 +125,10 @@ func TestSenderAccessors(t *testing.T) {
 
 func TestAddFlowPanicsOnBadSender(t *testing.T) {
 	eng := sim.NewEngine(1)
-	d, _ := NewDumbbell(eng, Config{BottleneckBW: units.GigabitPerSec})
+	d := dumbbell(t, eng, Params{Bottleneck: units.GigabitPerSec})
 	defer func() {
 		if recover() == nil {
-			t.Error("want panic for sender=2")
+			t.Error("want panic for class 2 on the two-class dumbbell")
 		}
 	}()
 	d.AddFlow(2, tcp.Config{}, cca.MustNew(cca.Reno))
@@ -143,14 +137,14 @@ func TestAddFlowPanicsOnBadSender(t *testing.T) {
 func TestBottleneckCarriesConfiguredAQM(t *testing.T) {
 	eng := sim.NewEngine(1)
 	for _, kind := range aqm.Kinds() {
-		d, err := NewDumbbell(eng, Config{
-			BottleneckBW: units.GigabitPerSec,
-			Queue:        aqm.Config{Kind: kind, Capacity: 1 << 20},
+		d, err := Build(eng, DumbbellSpec(), Params{
+			Bottleneck: units.GigabitPerSec,
+			Queue:      aqm.Config{Kind: kind, Capacity: 1 << 20},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if got := d.Bottleneck.Queue().Name(); got != string(kind) {
+		if got := d.Monitor().Queue().Name(); got != string(kind) {
 			t.Errorf("bottleneck queue = %s, want %s", got, kind)
 		}
 	}
