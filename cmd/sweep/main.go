@@ -136,7 +136,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer ck.Close()
 		if n := ck.Len(); n > 0 {
 			fmt.Fprintf(os.Stderr, "sweep: resuming, %d results already journaled in %s\n", n, *checkpoint)
 		}
@@ -155,10 +154,17 @@ func main() {
 	if errored > 0 {
 		fmt.Fprintf(os.Stderr, "sweep: %d of %d configurations errored (kept going)\n", errored, len(cfgs))
 	}
-	if ck != nil && errored == 0 {
+	if ck != nil {
 		// Successful completion: fold the append-only journal down to one
 		// line per live config so it stops growing across resumes.
-		if err := ck.Compact(); err != nil {
+		if errored == 0 {
+			if err := ck.Compact(); err != nil {
+				fatal(err)
+			}
+		}
+		// Close retries any result whose append failed; one the journal
+		// still cannot take fails the sweep rather than vanish from it.
+		if err := ck.Close(); err != nil {
 			fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/aqm"
 	"repro/internal/cca"
+	"repro/internal/failpoint"
 )
 
 func hardeningConfigs(n int) []Config {
@@ -165,6 +166,43 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	if ck2.Len() != 4 {
 		t.Fatalf("checkpoint after resume has %d results, want 4", ck2.Len())
+	}
+}
+
+// TestCheckpointHealsFailedAppend: a journal write that fails mid-sweep
+// must not lose the result. It stays indexed, the next append journals it,
+// and the reopened journal holds every result. (Regression: the failed
+// result never reached the index, so neither a retry nor the closing
+// Compact could write it, and a keep-going sweep exited 0 without it.)
+func TestCheckpointHealsFailedAppend(t *testing.T) {
+	defer failpoint.DisableAll()
+	cfgs := hardeningConfigs(3)
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	ck, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := failpoint.Enable("checkpoint.append.write=err(injected: no space left on device)@times=1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunAllOpts(cfgs, RunAllOptions{Workers: 2, KeepGoing: true, Checkpoint: ck}); err != nil {
+		t.Fatal(err)
+	}
+	if pending, errs, _ := ck.Degraded(); pending != 0 || errs != 1 {
+		t.Fatalf("after the sweep: %d results queued, %d journal errors, want 0 and 1", pending, errs)
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, cfg := range cfgs {
+		if _, ok := re.Lookup(cfg.Key()); !ok {
+			t.Fatalf("result %s lost to the failed append", cfg.Normalize().ID())
+		}
 	}
 }
 

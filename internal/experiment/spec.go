@@ -103,17 +103,14 @@ type parsed struct {
 	flowSpec *flows.Spec
 }
 
+// maxGridConfigs caps a spec's grid (the cross product before Configs
+// truncation) at about 32× the paper's 4,050-config five-seed grid, so a
+// tiny spec with a huge seed count is refused before anything is allocated.
+const maxGridConfigs = 1 << 17
+
 func (s GridSpec) parse() (parsed, error) {
 	var p parsed
-	seeds := s.Seeds
-	if seeds < 1 {
-		seeds = 1
-	}
-	seedList := make([]uint64, seeds)
-	for i := range seedList {
-		seedList[i] = uint64(i + 1)
-	}
-	p.opts = PaperGrid(seedList...)
+	p.opts = PaperGrid()
 	p.opts.PaperScale = s.PaperScale
 
 	if s.Bandwidths != "" {
@@ -163,6 +160,18 @@ func (s GridSpec) parse() (parsed, error) {
 			}
 			p.opts.Pairings = append(p.opts.Pairings, Pairing{CCA1: c1, CCA2: c2})
 		}
+	}
+	seeds := max(s.Seeds, 1)
+	size := seeds // grows to the cross product; checked before each step
+	for _, k := range []int{len(p.opts.Pairings), len(p.opts.AQMs), len(p.opts.QueueMults), len(p.opts.Bandwidths)} {
+		if size > maxGridConfigs/max(k, 1) {
+			return p, fmt.Errorf("experiment: spec grid exceeds %d configurations", maxGridConfigs)
+		}
+		size *= k
+	}
+	p.opts.Seeds = make([]uint64, seeds)
+	for i := range p.opts.Seeds {
+		p.opts.Seeds[i] = uint64(i + 1)
 	}
 	if s.Duration != "" {
 		d, err := time.ParseDuration(s.Duration)

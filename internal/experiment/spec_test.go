@@ -3,6 +3,7 @@ package experiment
 import (
 	"encoding/json"
 	"flag"
+	"math"
 	"strings"
 	"testing"
 
@@ -40,6 +41,15 @@ func TestGridSpecValidate(t *testing.T) {
 		{"bad max wall", GridSpec{MaxWall: "soon"}, "duration"},
 		{"negative configs", GridSpec{Configs: -1}, "negative"},
 		{"bad fault spec", GridSpec{Faults: "ge:pgb=notanumber"}, "faults"},
+
+		{"paper grid at five seeds", GridSpec{Seeds: 5}, ""},
+		{"one cell at the grid cap", GridSpec{Bandwidths: "100Mbps", Queues: "2", AQMs: "fifo",
+			Pairings: "cubic:cubic", Seeds: maxGridConfigs}, ""},
+		{"one cell past the grid cap", GridSpec{Bandwidths: "100Mbps", Queues: "2", AQMs: "fifo",
+			Pairings: "cubic:cubic", Seeds: maxGridConfigs + 1}, "exceeds"},
+		{"paper grid past the grid cap", GridSpec{Seeds: 1 << 16}, "exceeds"},
+		{"seed count that overflows the grid size", GridSpec{Seeds: math.MaxInt}, "exceeds"},
+		{"huge seed count over an empty list", GridSpec{Pairings: ",", Seeds: math.MaxInt}, "exceeds"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

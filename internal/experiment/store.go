@@ -77,13 +77,22 @@ func LoadFile(path string) (*ResultSet, error) {
 // field that changes a run's bytes) is already journaled. Only clean
 // results are appended — errored configurations (panic, watchdog) re-run
 // on resume. Append is safe for concurrent use by the worker pool.
+//
+// The index is also the store sweepd serves from, so a failing disk never
+// loses science: a result whose write or fsync fails stays indexed and
+// queued in pending, every later Append, Sync, Compact and Close retries
+// the queue first, and the journal heals as soon as the disk does. Compact
+// and Close refuse to declare durability while the queue is non-empty.
 type Checkpoint struct {
-	path string
+	path string // "" = memory-only: nothing is read or written
 
-	mu   sync.Mutex
-	f    *os.File
-	err  error // sticky: set when the journal handle is unusable (failed Compact reopen)
-	done map[string]Result
+	mu      sync.Mutex
+	f       *os.File
+	err     error // sticky: set when the journal handle is unusable (failed Compact reopen)
+	done    map[string]Result
+	pending map[string]struct{} // indexed keys not yet journaled
+	errs    uint64              // failed journal writes since open
+	lastErr string
 
 	// Load-time integrity accounting: what the resilient reader saw, and
 	// up to maxDamagedBytes of the raw damaged lines for fsck quarantine.
@@ -120,8 +129,12 @@ const (
 // bits, whole corrupt regions — is skipped and counted per record, never
 // fatal: every record whose integrity still proves out is recovered, on
 // both sides of the damage, and losing a record costs one re-run, never
-// the sweep. Stats reports what the load saw.
+// the sweep. Stats reports what the load saw. An empty path opens a
+// memory-only store: no file, and results do not survive the process.
 func OpenCheckpoint(path string) (*Checkpoint, error) {
+	if path == "" {
+		return &Checkpoint{done: make(map[string]Result)}, nil
+	}
 	if err := failpoint.Inject("checkpoint.open"); err != nil {
 		return nil, fmt.Errorf("experiment: open checkpoint %s: %w", path, err)
 	}
@@ -134,7 +147,7 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: open checkpoint %s: %w", path, err)
 	}
-	c := &Checkpoint{path: path, f: f, done: make(map[string]Result),
+	c := &Checkpoint{path: path, f: f, done: make(map[string]Result), pending: make(map[string]struct{}),
 		syncEvery: defaultSyncEvery, syncInterval: defaultSyncInterval, lastSync: time.Now()}
 	damagedBytes := 0
 	err = readJournal(f, &c.stats, func(key string, res Result) {
@@ -204,13 +217,21 @@ func (c *Checkpoint) Lookup(key string) (Result, bool) {
 	return res, ok
 }
 
-// Append journals one completed result as a CRC-framed v2 record. Errored
-// results are ignored (they must re-run on resume). Each record is written
-// atomically with respect to other Append calls; a failed write is
-// retryable — the next append terminates any partial record first, so a
+// Append indexes one completed result and journals it as a CRC-framed v2
+// record. Errored results are ignored (they must re-run on resume). Each
+// record is written atomically with respect to other Append calls. When
+// the write or its fsync fails, the result stays indexed and queued, and
+// Append returns the error; the queue is retried first on every later
+// call, and a partial record is terminated before the next one, so a
 // recovering disk never fuses two records.
 func (c *Checkpoint) Append(res Result) error {
 	if res.Errored() {
+		return nil
+	}
+	if c.path == "" {
+		c.mu.Lock()
+		c.done[res.Config.Key()] = res
+		c.mu.Unlock()
 		return nil
 	}
 	data, key, err := encodeFrame(res)
@@ -219,6 +240,51 @@ func (c *Checkpoint) Append(res Result) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.done[key] = res
+	err = c.retryLocked()
+	if err == nil {
+		err = c.writeLocked(data)
+	}
+	if err != nil {
+		c.pending[key] = struct{}{}
+		return c.failLocked(err)
+	}
+	return nil
+}
+
+// retryLocked journals the queued results; each leaves the queue once its
+// record is written and synced under the policy.
+func (c *Checkpoint) retryLocked() error {
+	for key := range c.pending {
+		data, _, err := encodeFrame(c.done[key])
+		if err == nil {
+			err = c.writeLocked(data)
+		}
+		if err != nil {
+			return err
+		}
+		delete(c.pending, key)
+	}
+	return nil
+}
+
+// failLocked counts a failed journal write for Degraded and returns it.
+func (c *Checkpoint) failLocked(err error) error {
+	c.errs++
+	c.lastErr = err.Error()
+	return err
+}
+
+// Degraded reports how many indexed results are not yet journaled, how
+// many journal writes have failed since open, and the last failure.
+func (c *Checkpoint) Degraded() (pending int, errs uint64, lastErr string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending), c.errs, c.lastErr
+}
+
+// writeLocked appends one encoded record and applies the sync policy.
+func (c *Checkpoint) writeLocked(data []byte) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -244,7 +310,6 @@ func (c *Checkpoint) Append(res Result) error {
 		}
 		return fmt.Errorf("experiment: checkpoint append: %w", err)
 	}
-	c.done[key] = res
 	c.unsynced++
 	if c.unsynced >= c.syncEvery || time.Since(c.lastSync) >= c.syncInterval {
 		if err := c.syncLocked(); err != nil {
@@ -277,13 +342,16 @@ func (c *Checkpoint) Syncs() uint64 {
 	return c.syncs
 }
 
-// Sync forces the journal to stable storage immediately, regardless of how
-// few appends are pending.
+// Sync journals any queued results and forces the journal to stable
+// storage immediately, regardless of how few appends are unsynced.
 func (c *Checkpoint) Sync() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
 		return c.err
+	}
+	if err := c.retryLocked(); err != nil {
+		return c.failLocked(err)
 	}
 	return c.syncLocked()
 }
@@ -335,12 +403,20 @@ func (c *Checkpoint) resultsLocked() []Result {
 // (duplicate lines, torn fragments, superseded results); callers compact on
 // successful sweep completion. The journal stays open and appendable after
 // a compaction, and a compacted journal resumes identically to the
-// original.
+// original. Queued results are journaled first; while any remain, Compact
+// fails rather than declare the journal whole. A memory-only store has
+// nothing to compact.
 func (c *Checkpoint) Compact() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.path == "" {
+		return nil
+	}
 	if c.err != nil {
 		return c.err
+	}
+	if err := c.retryLocked(); err != nil {
+		return c.degradedLocked(err)
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(c.path), filepath.Base(c.path)+".compact-*")
 	if err != nil {
@@ -407,19 +483,34 @@ func (c *Checkpoint) Compact() error {
 	return nil
 }
 
-// Close syncs any appends still pending under the batch policy and closes
-// the journal file — a cleanly shut-down journal is always durable.
+// Close journals any queued results, syncs any appends still unsynced
+// under the batch policy, and closes the journal file — a cleanly shut-down
+// journal is always durable, and one that could not take every result
+// says so.
 func (c *Checkpoint) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.f == nil {
 		return c.err
 	}
+	var err error
+	if rerr := c.retryLocked(); rerr != nil {
+		err = c.degradedLocked(rerr)
+	}
 	if c.unsynced > 0 {
-		if err := c.syncLocked(); err != nil {
-			c.f.Close()
-			return fmt.Errorf("experiment: checkpoint close sync: %w", err)
+		if serr := c.syncLocked(); serr != nil && err == nil {
+			err = fmt.Errorf("experiment: checkpoint close sync: %w", serr)
 		}
 	}
-	return c.f.Close()
+	if cerr := c.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// degradedLocked counts a failed retry of the queue and reports how many
+// results it leaves unjournaled.
+func (c *Checkpoint) degradedLocked(err error) error {
+	c.failLocked(err)
+	return fmt.Errorf("experiment: checkpoint %s degraded, %d results not journaled: %w", c.path, len(c.pending), err)
 }

@@ -182,6 +182,42 @@ func TestCheckpointBrokenHandleFailsFast(t *testing.T) {
 	}
 }
 
+// TestCheckpointMemoryOnly: an empty path is the memory-only store. It
+// creates no file, and Append, Lookup, Sync, Compact and Close all work on
+// the index alone.
+func TestCheckpointMemoryOnly(t *testing.T) {
+	dir := t.TempDir()
+	t.Chdir(dir)
+	ck, err := OpenCheckpoint("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := hardeningConfigs(2)
+	for _, cfg := range cfgs {
+		if err := ck.Append(Result{Config: cfg.Normalize(), Jain: 1, Flows: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.Append(Result{Config: cfgs[0].Normalize(), Error: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := ck.Lookup(cfgs[0].Key()); !ok || res.Errored() || ck.Len() != 2 {
+		t.Fatalf("memory-only index: %d results, config 0 = %+v (%v)", ck.Len(), res, ok)
+	}
+	if err := ck.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("memory-only store touched the disk: %v %v", entries, err)
+	}
+}
+
 // TestCheckpointResultsSorted: Results must come back ordered by config ID
 // regardless of append order, so compaction and cache loads are
 // deterministic.

@@ -101,7 +101,6 @@ type Coordinator struct {
 	tasks   map[string]*clusterTask
 	pending []*clusterTask // FIFO, lazily compacted (entries may have left taskPending)
 	leases  map[string]*lease
-	ring    hashRing
 	nextID  uint64 // worker and lease ID sequence
 	closed  bool
 	c       clusterCounters
@@ -156,10 +155,10 @@ func NewCoordinator(opts ClusterOptions, cache *Cache) *Coordinator {
 // shutdown tests.
 var testHookBeforeSim func(key string)
 
-// startLocal starts n in-process workers (0 = GOMAXPROCS). They are not on
-// the hash ring, and Reap never expires them or their leases: they cannot
-// die apart from the coordinator, and a simulation longer than the lease
-// TTL is not a failure.
+// startLocal starts n in-process workers (0 = GOMAXPROCS). Reap never
+// expires them or their leases: they cannot die apart from the
+// coordinator, and a simulation longer than the lease TTL is not a
+// failure.
 func (c *Coordinator) startLocal(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -233,7 +232,6 @@ func (c *Coordinator) Reap() {
 				quarantined = append(quarantined, c.requeueLeaseLocked(l, "worker died")...)
 			}
 			delete(c.workers, id)
-			c.ring.remove(id)
 			c.c.workersDead++
 		}
 	}
@@ -432,8 +430,7 @@ func (c *Coordinator) register(name string) registerResponse {
 	}
 }
 
-// addWorkerLocked admits a worker under a fresh ID. Remote workers join the
-// hash ring; in-process ones (local) do not.
+// addWorkerLocked admits a worker under a fresh ID.
 func (c *Coordinator) addWorkerLocked(name string, local bool) *clusterWorker {
 	c.nextID++
 	id := fmt.Sprintf("w%d", c.nextID)
@@ -442,9 +439,6 @@ func (c *Coordinator) addWorkerLocked(name string, local bool) *clusterWorker {
 	}
 	w := &clusterWorker{id: id, name: name, local: local, lastSeen: c.now(), leases: make(map[string]*lease)}
 	c.workers[id] = w
-	if !local {
-		c.ring.add(id)
-	}
 	c.c.workersJoined++
 	return w
 }
@@ -469,11 +463,9 @@ func (c *Coordinator) heartbeat(workerID string) bool {
 }
 
 // acquire grants a worker a lease over up to max pending configurations,
-// preferring the shard the consistent-hash ring assigns it, falling back to
-// any pending work (an idle worker beats shard affinity), and finally
-// stealing the tail of the largest outstanding lease when the queue is
-// empty — so one straggling worker cannot pin the sweep's completion to its
-// own pace.
+// taken from the head of the FIFO pending queue, or, when the queue is
+// empty, stolen from the tail of the largest outstanding lease — so one
+// straggling worker cannot pin the sweep's completion to its own pace.
 func (c *Coordinator) acquire(workerID string, max int) (leaseResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -491,12 +483,8 @@ func (c *Coordinator) acquireLocked(workerID string, max int) (leaseResponse, bo
 		max = c.opts.LeaseBatch
 	}
 
-	var grant []*clusterTask
+	grant := c.take(max)
 	stolen := false
-	if !w.local { // in-process workers have no ring points, hence no shard
-		grant = c.take(grant, max, workerID)
-	}
-	grant = c.take(grant, max, "")
 	if len(grant) == 0 {
 		// Queue is dry: steal the tail of the straggler holding the most
 		// unfinished work, if there is enough of it to share.
@@ -546,34 +534,23 @@ func (c *Coordinator) acquireLocked(workerID string, max int) (leaseResponse, bo
 	return resp, true
 }
 
-// take claims pending tasks for grant until it holds max, scanning
-// c.pending from the head and stopping as soon as the grant is full, so a
-// grant costs what it takes plus the entries it passes. owner, when set,
-// restricts the claim to keys the hash ring assigns that worker. Entries no
-// longer pending (done, cancelled, or re-granted) are dropped as the scan
-// passes them; skipped entries and the unscanned tail keep their order.
-func (c *Coordinator) take(grant []*clusterTask, max int, owner string) []*clusterTask {
-	kept, i := 0, 0 // c.pending[:kept] holds the skipped entries
+// take claims up to max pending tasks, scanning c.pending from the head
+// and stopping as soon as the grant is full, so a grant costs what it
+// takes plus the entries it passes. Entries no longer pending (done,
+// cancelled, or re-granted) are dropped as the scan passes them; the
+// unscanned tail keeps its order.
+func (c *Coordinator) take(max int) []*clusterTask {
+	var grant []*clusterTask
+	i := 0
 	for ; i < len(c.pending) && len(grant) < max; i++ {
 		t := c.pending[i]
 		c.pending[i] = nil
-		switch {
-		case t.state != taskPending:
-		case owner == "" || c.ring.owner(t.key) == owner:
+		if t.state == taskPending {
 			t.state = taskLeased // claimed; attached to the lease by the caller
 			grant = append(grant, t)
-		default:
-			c.pending[kept] = t
-			kept++
 		}
 	}
-	if kept == 0 {
-		c.pending = c.pending[i:]
-		return grant
-	}
-	n := len(c.pending)
-	c.pending = append(c.pending[:kept], c.pending[i:]...)
-	clear(c.pending[len(c.pending):n]) // stale copies past the new end
+	c.pending = c.pending[i:]
 	return grant
 }
 
@@ -613,15 +590,7 @@ func (c *Coordinator) upload(workerID string, res experiment.Result) (duplicate 
 	ws := t.waiters
 	t.waiters = nil
 	c.observeLocked(res)
-	if err := c.cache.Put(res); err != nil {
-		// Journal failures must not corrupt science: the result still
-		// reaches its waiters, the cache entry stays memory-only.
-		logger().Error("journal append failed",
-			"err", err,
-			"worker_id", workerID,
-			"config_id", res.Config.ID(),
-			"config_key", res.Config.Key())
-	}
+	c.cache.Put(res) // never fails: a result the journal cannot take yet stays served from memory
 	c.mu.Unlock()
 	for _, w := range ws {
 		w.job.deliver(w.idx, res, false)
@@ -674,7 +643,6 @@ func (c *Coordinator) release(workerID, leaseID string, bye bool) (requeued int)
 			c.c.leasesReleased++
 		}
 		delete(c.workers, workerID)
-		c.ring.remove(workerID)
 	}
 	return int(c.c.configsRequeued - before)
 }

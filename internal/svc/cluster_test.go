@@ -457,7 +457,9 @@ func TestMetricsSameNamesBothModes(t *testing.T) {
 // TestAcquireTakesOnlyWhatItGrants: successive grants come off the head of
 // the pending queue in FIFO order and stop once full, the ungranted tail
 // keeps its order, and entries cancelled or completed while queued are
-// dropped when a scan passes them.
+// dropped when a scan passes them. Workers registered over the wire get the
+// same head-of-queue grants as in-process ones: no worker is preferred for
+// any key.
 func TestAcquireTakesOnlyWhatItGrants(t *testing.T) {
 	cache, err := OpenCache("")
 	if err != nil {
@@ -476,10 +478,10 @@ func TestAcquireTakesOnlyWhatItGrants(t *testing.T) {
 		c.Enqueue(j.keys[i], cfgs[i], j, i)
 	}
 	c.mu.Lock()
-	id := c.addWorkerLocked("", true).id // no ring points: pure FIFO
+	id := c.addWorkerLocked("", true).id
 	c.mu.Unlock()
 
-	grant := func(max int) []string {
+	grant := func(id string, max int) []string {
 		lr, ok := c.acquire(id, max)
 		if !ok {
 			t.Fatal("worker unknown")
@@ -506,7 +508,7 @@ func TestAcquireTakesOnlyWhatItGrants(t *testing.T) {
 		}
 	}
 
-	check("first grant", grant(2), j.keys[0:2])
+	check("first grant", grant(id, 2), j.keys[0:2])
 	check("tail after first grant", pending(), j.keys[2:])
 
 	// Cancel configs 2 and 6 and complete config 4 while all three are
@@ -517,10 +519,23 @@ func TestAcquireTakesOnlyWhatItGrants(t *testing.T) {
 
 	// The second grant drops 2 and 4 on its way to 3 and 5, then stops:
 	// stale 6 lies past the full grant and stays queued, in order.
-	check("second grant", grant(2), []string{j.keys[3], j.keys[5]})
+	check("second grant", grant(id, 2), []string{j.keys[3], j.keys[5]})
 	check("tail after second grant", pending(), j.keys[6:])
-	check("draining grant", grant(8), j.keys[7:])
+	check("draining grant", grant(id, 8), j.keys[7:])
 	check("empty queue", pending(), nil)
+
+	spec.Duration = "2s" // a fresh set of keys
+	if cfgs, err = spec.Expand(); err != nil {
+		t.Fatal(err)
+	}
+	j2 := newJob("fifo-remote", experiment.GridSpec{}, cfgs)
+	for i := range cfgs {
+		c.Enqueue(j2.keys[i], cfgs[i], j2, i)
+	}
+	for i, name := range []string{"a", "b", "c", "d"} {
+		remote := c.register(name).WorkerID
+		check("grant to remote worker "+name, grant(remote, 2), j2.keys[2*i:2*i+2])
+	}
 }
 
 // TestClusterPoisonConfigQuarantine walks one configuration through the

@@ -1,9 +1,6 @@
 package svc
 
 import (
-	"fmt"
-	"hash/fnv"
-	"sort"
 	"time"
 
 	"repro/internal/experiment"
@@ -68,68 +65,12 @@ func (l *lease) tail(n int) []*clusterTask {
 }
 
 // clusterWorker is one registered worker: liveness timestamp and the leases
-// it currently holds. A local worker is an in-process goroutine; it is not
-// on the hash ring and is never reaped.
+// it currently holds. A local worker is an in-process goroutine and is
+// never reaped.
 type clusterWorker struct {
 	id       string
 	name     string
 	local    bool
 	lastSeen time.Time
 	leases   map[string]*lease
-}
-
-// hashRing maps configuration keys onto workers by consistent hashing:
-// every worker projects ringPointsPerWorker virtual points onto a 64-bit
-// ring, and a key belongs to the worker owning the first point at or after
-// the key's hash. Worker churn moves only the keys adjacent to the joining
-// or leaving worker's points, so a mostly-stable cluster keeps a mostly-
-// stable shard map — which keeps lease batches aligned with any worker-
-// local caches across re-leases.
-const ringPointsPerWorker = 64
-
-type ringPoint struct {
-	hash   uint64
-	worker string
-}
-
-type hashRing struct {
-	points []ringPoint
-}
-
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
-
-// add projects a worker's virtual points onto the ring.
-func (r *hashRing) add(workerID string) {
-	for i := 0; i < ringPointsPerWorker; i++ {
-		r.points = append(r.points, ringPoint{hash64(fmt.Sprintf("%s#%d", workerID, i)), workerID})
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-}
-
-// remove deletes a worker's points.
-func (r *hashRing) remove(workerID string) {
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.worker != workerID {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// owner returns the worker a key belongs to, or "" on an empty ring.
-func (r *hashRing) owner(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	h := hash64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0 // wrap: the ring is circular
-	}
-	return r.points[i].worker
 }

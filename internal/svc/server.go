@@ -269,6 +269,24 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) *Job {
 	return j
 }
 
+// completedJob returns the request's job and its results once the sweep
+// has completed, answering 404 for an unknown job and 409 for one still in
+// flight (and returning a nil job) otherwise.
+func (s *Server) completedJob(w http.ResponseWriter, r *http.Request) (*Job, []experiment.Result) {
+	j := s.job(w, r)
+	if j == nil {
+		return nil, nil
+	}
+	results, ok := j.Results()
+	if !ok {
+		st := j.Status()
+		httpError(w, http.StatusConflict, "sweep not complete: state=%s done=%d/%d",
+			st.State, st.Done, st.Total)
+		return nil, nil
+	}
+	return j, results
+}
+
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j := s.job(w, r); j != nil {
 		writeStatus(w, http.StatusOK, j.Status())
@@ -332,15 +350,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // byte-identical to what cmd/sweep -out writes for the same spec (modulo
 // the wall_ns timing fields, which measure the machine, not the science).
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	j := s.job(w, r)
+	j, results := s.completedJob(w, r)
 	if j == nil {
-		return
-	}
-	results, ok := j.Results()
-	if !ok {
-		st := j.Status()
-		httpError(w, http.StatusConflict, "sweep not complete: state=%s done=%d/%d",
-			st.State, st.Done, st.Total)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -355,15 +366,8 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 // memory only), so those configurations are silently absent; a stream with
 // nothing to say is a 404 pointing at the -trace flag.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.job(w, r)
+	j, results := s.completedJob(w, r)
 	if j == nil {
-		return
-	}
-	results, ok := j.Results()
-	if !ok {
-		st := j.Status()
-		httpError(w, http.StatusConflict, "sweep not complete: state=%s done=%d/%d",
-			st.State, st.Done, st.Total)
 		return
 	}
 	want := r.URL.Query().Get("config")
@@ -407,15 +411,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // 404 pointing at the -fairness flag. cmd/sweep -fairness-out writes the
 // same byte shape for offline diffing.
 func (s *Server) handleFairness(w http.ResponseWriter, r *http.Request) {
-	j := s.job(w, r)
+	j, results := s.completedJob(w, r)
 	if j == nil {
-		return
-	}
-	results, ok := j.Results()
-	if !ok {
-		st := j.Status()
-		httpError(w, http.StatusConflict, "sweep not complete: state=%s done=%d/%d",
-			st.State, st.Done, st.Total)
 		return
 	}
 	want := r.URL.Query().Get("config")
@@ -453,15 +450,8 @@ func (s *Server) handleFairness(w http.ResponseWriter, r *http.Request) {
 // (paper.Report): claim checklist, Table 3 comparison, and optionally the
 // figure panels (?figures=0 to omit).
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	j := s.job(w, r)
+	j, results := s.completedJob(w, r)
 	if j == nil {
-		return
-	}
-	results, ok := j.Results()
-	if !ok {
-		st := j.Status()
-		httpError(w, http.StatusConflict, "sweep not complete: state=%s done=%d/%d",
-			st.State, st.Done, st.Total)
 		return
 	}
 	md := paper.Report(experiment.Summarize(results), paper.ReportOptions{

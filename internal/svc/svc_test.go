@@ -648,6 +648,33 @@ func TestSubmitTooLarge(t *testing.T) {
 	}
 }
 
+// TestSubmitGridTooLarge: a tiny spec whose grid would exceed the size cap
+// (here through its seed count) is refused with 400 before anything is
+// expanded, and the daemon keeps serving.
+func TestSubmitGridTooLarge(t *testing.T) {
+	_, client := newTestServer(t, Options{Shards: 1})
+	resp, err := client.http().Post(client.url("/v1/sweeps"), "application/json",
+		strings.NewReader(`{"seeds":9223372036854775807}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "exceeds") {
+		t.Fatalf("oversized grid → %d %q, want 400 naming the cap", resp.StatusCode, e.Error)
+	}
+	st, err := client.Submit(tinySpec())
+	if err != nil {
+		t.Fatalf("submit after the refusal: %v", err)
+	}
+	if st.Total != 2 {
+		t.Fatalf("submit after the refusal: %d configurations, want 2", st.Total)
+	}
+}
+
 // repeatByte is an endless reader of one byte value.
 type repeatByte byte
 
