@@ -73,15 +73,6 @@ type Stats struct {
 	DroppedBytes units.ByteSize
 }
 
-// DropRate returns drops / offered packets, in [0,1].
-func (s Stats) DropRate() float64 {
-	offered := s.Enqueued + s.Dropped
-	if offered == 0 {
-		return 0
-	}
-	return float64(s.Dropped) / float64(offered)
-}
-
 // Kind names a queue discipline for configuration and reporting.
 type Kind string
 

@@ -90,7 +90,7 @@ type Result struct {
 
 	// Trace is the telemetry dump when Config.Trace was set, nil otherwise.
 	// It is deliberately excluded from the result JSON — traces have their
-	// own NDJSON/binary encodings and their own files — so result bytes are
+	// own NDJSON encoding and their own files — so result bytes are
 	// identical with tracing on or off.
 	Trace *telemetry.Dump `json:"-"`
 }

@@ -231,6 +231,10 @@ func (s GridSpec) Expand() ([]Config, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.expand(p), nil
+}
+
+func (s GridSpec) expand(p parsed) []Config {
 	cfgs := Grid(p.opts)
 	if s.Configs > 0 && s.Configs < len(cfgs) {
 		cfgs = cfgs[:s.Configs]
@@ -267,7 +271,7 @@ func (s GridSpec) Expand() ([]Config, error) {
 		}
 		cfgs = append(cfgs, solos...)
 	}
-	return cfgs, nil
+	return cfgs
 }
 
 // Canonical returns the spec with every list normalized (whitespace
@@ -279,6 +283,10 @@ func (s GridSpec) Canonical() (GridSpec, error) {
 	if err != nil {
 		return s, err
 	}
+	return s.canonical(p)
+}
+
+func (s GridSpec) canonical(p parsed) (GridSpec, error) {
 	if s.Bandwidths != "" {
 		var bws []string
 		for _, bw := range p.opts.Bandwidths {
@@ -316,45 +324,30 @@ func (s GridSpec) Canonical() (GridSpec, error) {
 	if s.MaxWall != "" {
 		s.MaxWall = p.maxWall.String()
 	}
-	if s.Faults != "" {
-		// Normalize any fault spelling (preset, JSON, @file) to the
-		// profile's compact ID-free JSON? The profile ID is stable and
-		// short; use the canonical JSON so @file specs hash by content,
-		// not by path.
-		if p.profile != nil && !p.profile.Empty() {
-			data, err := json.Marshal(p.profile.Normalize())
-			if err != nil {
-				return s, fmt.Errorf("experiment: spec faults: %w", err)
-			}
-			s.Faults = string(data)
-		} else {
-			s.Faults = ""
+	// Parse returns normalized, non-empty specs, so any spelling of a
+	// fault profile or workload (preset, JSON, @file) canonicalizes to its
+	// content JSON: @file specs hash by content, not by path, and
+	// equivalent spellings coalesce onto one sweepd job and cache entry.
+	// The canonical dumbbell canonicalizes away entirely, so "-topo
+	// dumbbell" submissions share keys, caches and journals with legacy
+	// sweeps.
+	s.Faults, s.Topo, s.Flows = "", "", ""
+	if p.profile != nil {
+		data, err := json.Marshal(p.profile)
+		if err != nil {
+			return s, fmt.Errorf("experiment: spec faults: %w", err)
 		}
+		s.Faults = string(data)
 	}
-	if s.Topo != "" {
-		// Same rule for topologies: any spelling (preset, JSON, @file)
-		// canonicalizes to the spec's content JSON, and the canonical
-		// dumbbell canonicalizes away entirely — so "-topo dumbbell"
-		// submissions share keys, caches and journals with legacy sweeps.
-		if p.topology != nil && !topo.IsDumbbell(p.topology) {
-			s.Topo = string(p.topology.Canonical())
-		} else {
-			s.Topo = ""
-		}
+	if p.topology != nil && !topo.IsDumbbell(p.topology) {
+		s.Topo = string(p.topology.Canonical())
 	}
-	if s.Flows != "" {
-		// Same rule for workloads: presets, inline JSON and @file specs all
-		// canonicalize to the normalized spec's content JSON, so equivalent
-		// spellings coalesce onto one sweepd job and one cache entry.
-		if p.flowSpec != nil && !p.flowSpec.Empty() {
-			data, err := json.Marshal(p.flowSpec.Normalize())
-			if err != nil {
-				return s, fmt.Errorf("experiment: spec flows: %w", err)
-			}
-			s.Flows = string(data)
-		} else {
-			s.Flows = ""
+	if p.flowSpec != nil {
+		data, err := json.Marshal(p.flowSpec)
+		if err != nil {
+			return s, fmt.Errorf("experiment: spec flows: %w", err)
 		}
+		s.Flows = string(data)
 	}
 	return s, nil
 }
@@ -363,7 +356,15 @@ func (s GridSpec) Canonical() (GridSpec, error) {
 // JSON encoding. Two specs that expand to the same grid under the same
 // overrides share a Key; sweepd coalesces concurrent submissions by it.
 func (s GridSpec) Key() (string, error) {
-	c, err := s.Canonical()
+	p, err := s.parse()
+	if err != nil {
+		return "", err
+	}
+	return s.key(p)
+}
+
+func (s GridSpec) key(p parsed) (string, error) {
+	c, err := s.canonical(p)
 	if err != nil {
 		return "", err
 	}
@@ -380,31 +381,25 @@ func (s GridSpec) Key() (string, error) {
 // makes a served result set byte-identical to a CLI sweep of the same
 // spec.
 func (s GridSpec) Note() string {
-	seeds := s.Seeds
-	if seeds < 1 {
-		seeds = 1
-	}
+	p, err := s.parse()
 	n := 0
-	if cfgs, err := s.Expand(); err == nil {
-		n = len(cfgs)
+	if err == nil {
+		n = len(s.expand(p))
 	}
-	note := fmt.Sprintf("grid sweep: %d configs, seeds=%d, paperScale=%v", n, seeds, s.PaperScale)
-	if profile, err := faults.Parse(s.Faults); err == nil {
-		if id := profile.ID(); id != "" {
-			note += ", faults=" + id
-		}
+	note := fmt.Sprintf("grid sweep: %d configs, seeds=%d, paperScale=%v", n, max(s.Seeds, 1), s.PaperScale)
+	if err != nil {
+		return note
 	}
-	if topology, err := topo.Parse(s.Topo); err == nil {
-		if topology != nil && !topo.IsDumbbell(topology) {
-			note += ", topo=" + topology.ID()
-		}
+	if id := p.profile.ID(); id != "" {
+		note += ", faults=" + id
 	}
-	if flowSpec, err := flows.Parse(s.Flows); err == nil {
-		if id := flowSpec.ID(); id != "" {
-			note += ", flows=" + id
-		}
+	if p.topology != nil && !topo.IsDumbbell(p.topology) {
+		note += ", topo=" + p.topology.ID()
 	}
-	if key, err := s.Key(); err == nil {
+	if id := p.flowSpec.ID(); id != "" {
+		note += ", flows=" + id
+	}
+	if key, err := s.key(p); err == nil {
 		note += ", spec=" + key
 	}
 	return note

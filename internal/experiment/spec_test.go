@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -183,5 +185,73 @@ func TestGridSpecNoteDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a.Note(), "faults=") || !strings.Contains(a.Note(), "spec=") {
 		t.Fatalf("note missing provenance fields: %s", a.Note())
+	}
+}
+
+// TestGridSpecKeyNotePinned pins the content address and provenance note
+// of preset, inline-JSON, @file and dumbbell spellings of each spec value.
+// Both are part of result identity (journals, caches and served result
+// sets are keyed by them), so a change to how specs are parsed must leave
+// every value here unchanged.
+func TestGridSpecKeyNotePinned(t *testing.T) {
+	const (
+		faultsJSON = `{"flaps":[{"at_ns":1000000000,"down_ns":200000000}]}`
+		topoJSON   = `{"nodes":[{"name":"a"},{"name":"b"}],"links":[{"name":"l","from":"a","to":"b"}],"senders":[{"name":"s","path":["l"],"return":["l"]}]}`
+		flowsJSON  = `{"populations":[{"name":"web","mean_arrival_ns":100000000,"size_p5_bytes":2000,"size_p95_bytes":50000,"cca":"reno"}]}`
+	)
+	dir := t.TempDir()
+	file := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return "@" + path
+	}
+	cases := []struct {
+		faults, topo, flows string
+		seeds               int
+		key, note           string
+	}{
+		{"", "", "", 0, "8e3f64ba48a8b204",
+			"grid sweep: 1 configs, seeds=1, paperScale=false, spec=8e3f64ba48a8b204"},
+		{"ge:pgb=0.01,bad=1+flap:at=10s,down=500ms", "", "", 0, "bf5a6a33ad608839",
+			"grid sweep: 1 configs, seeds=1, paperScale=false, faults=ge0.01-0.1-0-1+flap10s-500ms, spec=bf5a6a33ad608839"},
+		{faultsJSON, "", "", 0, "0ea2d434abd9c9e3",
+			"grid sweep: 1 configs, seeds=1, paperScale=false, faults=flap1s-200ms, spec=0ea2d434abd9c9e3"},
+		{file("faults.json", faultsJSON), "", "", 0, "0ea2d434abd9c9e3",
+			"grid sweep: 1 configs, seeds=1, paperScale=false, faults=flap1s-200ms, spec=0ea2d434abd9c9e3"},
+		{"", "parking-lot-3", "", 0, "e9aa917db12d2e9a",
+			"grid sweep: 1 configs, seeds=1, paperScale=false, topo=parking-lot-3, spec=e9aa917db12d2e9a"},
+		{"", "reverse-path:factor=0.005", "", 0, "5abd984119742f14",
+			"grid sweep: 1 configs, seeds=1, paperScale=false, topo=reverse-path-x0.005, spec=5abd984119742f14"},
+		{"", topoJSON, "", 0, "32487e6f89ad6525",
+			"grid sweep: 1 configs, seeds=1, paperScale=false, topo=graph-1fd731d1, spec=32487e6f89ad6525"},
+		{"", file("topo.json", topoJSON), "", 0, "32487e6f89ad6525",
+			"grid sweep: 1 configs, seeds=1, paperScale=false, topo=graph-1fd731d1, spec=32487e6f89ad6525"},
+		{"", "dumbbell", "", 0, "8e3f64ba48a8b204",
+			"grid sweep: 1 configs, seeds=1, paperScale=false, spec=8e3f64ba48a8b204"},
+		{"", "", "mice:arrival=100ms,p95=1MB+elephants:cca=bbr1", 0, "a0847dc7b2bbf8e9",
+			"grid sweep: 2 configs, seeds=1, paperScale=false, flows=mice-100ms-64.00KB-1.00MB-cubic+elephants-2s-8.00MB-64.00MB-bbr1, spec=a0847dc7b2bbf8e9"},
+		{"", "", flowsJSON, 0, "6e0439ca47b7aefd",
+			"grid sweep: 2 configs, seeds=1, paperScale=false, flows=web-100ms-2.00KB-50.00KB-reno, spec=6e0439ca47b7aefd"},
+		{"", "", file("flows.json", flowsJSON), 0, "6e0439ca47b7aefd",
+			"grid sweep: 2 configs, seeds=1, paperScale=false, flows=web-100ms-2.00KB-50.00KB-reno, spec=6e0439ca47b7aefd"},
+		{"flap", "cross-traffic:cca=bbr1", "mixed", 2, "53bd4648e8c201c7",
+			"grid sweep: 4 configs, seeds=2, paperScale=false, faults=flap5s-200ms, topo=cross-traffic-bbr1, flows=mice-200ms-64.00KB-2.00MB-cubic+elephants-2s-8.00MB-64.00MB-cubic, spec=53bd4648e8c201c7"},
+	}
+	for _, c := range cases {
+		s := GridSpec{Bandwidths: "100Mbps", Queues: "2", AQMs: "fifo", Pairings: "bbr1:cubic",
+			Duration: "3s", Seeds: c.seeds, Faults: c.faults, Topo: c.topo, Flows: c.flows}
+		key, err := s.Key()
+		if err != nil {
+			t.Errorf("%+v: %v", s, err)
+			continue
+		}
+		if key != c.key {
+			t.Errorf("Key(faults=%q topo=%q flows=%q) = %s, want %s", c.faults, c.topo, c.flows, key, c.key)
+		}
+		if note := s.Note(); note != c.note {
+			t.Errorf("Note(faults=%q topo=%q flows=%q):\n got %s\nwant %s", c.faults, c.topo, c.flows, note, c.note)
+		}
 	}
 }

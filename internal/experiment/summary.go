@@ -112,28 +112,6 @@ func (s *Summary) Lookup(p Pairing, a aqm.Kind, q float64, bw units.Bandwidth) *
 	return s.cells[CellKey{p, a, q, bw}]
 }
 
-// Cells returns all cells in a deterministic order.
-func (s *Summary) Cells() []*Cell {
-	out := make([]*Cell, 0, len(s.cells))
-	for _, c := range s.cells {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		if a.Pairing != b.Pairing {
-			return a.Pairing.String() < b.Pairing.String()
-		}
-		if a.AQM != b.AQM {
-			return a.AQM < b.AQM
-		}
-		if a.QueueBDP != b.QueueBDP {
-			return a.QueueBDP < b.QueueBDP
-		}
-		return a.Bottleneck < b.Bottleneck
-	})
-	return out
-}
-
 // QueueMults returns the distinct buffer multipliers present, ascending.
 func (s *Summary) QueueMults() []float64 {
 	seen := map[float64]bool{}

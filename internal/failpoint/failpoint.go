@@ -196,17 +196,6 @@ func DisableAll() {
 	mu.Unlock()
 }
 
-// List returns the armed point names, for diagnostics.
-func List() []string {
-	mu.Lock()
-	defer mu.Unlock()
-	out := make([]string, 0, len(points))
-	for name := range points {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Eval reports whether the named point fires on this hit, returning the
 // failure to inject or nil. Disarmed cost: one atomic load, no allocation.
 func Eval(name string) *Failure {

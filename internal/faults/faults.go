@@ -13,14 +13,12 @@
 package faults
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/clause"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -219,164 +217,59 @@ func Apply(eng *sim.Engine, po *netem.Port, p *Profile) {
 	}
 }
 
-// Parse builds a profile from a CLI spec. Three forms are accepted:
+// Parse builds a profile from a CLI spec in the clause grammar ("@file",
+// inline JSON, or a "+"-separated preset list). Presets and their keys
+// (defaults in parentheses):
 //
-//   - "@path" — read a JSON Profile from a file
+//	flap     at (5s), down (200ms)
+//	ge       pgb (0.005), pbg (0.1), good (0), bad (0.5)
+//	bwstep   at (5s), factor (0.5) or rate (e.g. 50Mbps)
+//	rttstep  at (5s), factor (2) or delay (e.g. 31ms)
 //
-//   - "{...}" — an inline JSON Profile
-//
-//   - preset list — "+"-separated presets, each "name" or
-//     "name:key=value,key=value". Presets and their keys (defaults in
-//     parentheses):
-//
-//     flap     at (5s), down (200ms)
-//     ge       pgb (0.005), pbg (0.1), good (0), bad (0.5)
-//     bwstep   at (5s), factor (0.5) or rate (e.g. 50Mbps)
-//     rttstep  at (5s), factor (2) or delay (e.g. 31ms)
-//
-// e.g. "flap" or "ge:pgb=0.01,bad=1+flap:at=10s,down=500ms". An empty
-// spec returns (nil, nil).
+// e.g. "flap" or "ge:pgb=0.01,bad=1+flap:at=10s,down=500ms". The result
+// is normalized; a profile that injects nothing is an error.
 func Parse(spec string) (*Profile, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	if strings.HasPrefix(spec, "@") {
-		data, err := os.ReadFile(spec[1:])
-		if err != nil {
-			return nil, fmt.Errorf("faults: read profile: %w", err)
-		}
-		return parseJSON(data)
-	}
-	if strings.HasPrefix(spec, "{") {
-		return parseJSON([]byte(spec))
-	}
-	var p Profile
-	for _, clause := range strings.Split(spec, "+") {
-		if err := applyPreset(&p, strings.TrimSpace(clause)); err != nil {
-			return nil, err
-		}
+	p, err := clause.Parse("faults", spec, apply)
+	if p == nil || err != nil {
+		return nil, err
 	}
 	n := p.Normalize()
 	if n.Empty() {
-		return nil, fmt.Errorf("faults: profile %q injects nothing", spec)
+		return nil, fmt.Errorf("faults: profile %q injects nothing", strings.TrimSpace(spec))
 	}
 	return &n, nil
 }
 
-func parseJSON(data []byte) (*Profile, error) {
-	var p Profile
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("faults: parse profile JSON: %w", err)
-	}
-	n := p.Normalize()
-	return &n, nil
-}
-
-// applyPreset parses one "name[:k=v,...]" clause into p.
-func applyPreset(p *Profile, clause string) error {
-	if clause == "" {
-		return fmt.Errorf("faults: empty preset clause")
-	}
-	name, argstr, _ := strings.Cut(clause, ":")
-	args := map[string]string{}
-	if argstr != "" {
-		for _, kv := range strings.Split(argstr, ",") {
-			k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-			if !ok {
-				return fmt.Errorf("faults: bad preset argument %q (want key=value)", kv)
-			}
-			args[strings.TrimSpace(k)] = strings.TrimSpace(v)
-		}
-	}
-	getDur := func(key string, def time.Duration) (time.Duration, error) {
-		v, ok := args[key]
-		if !ok {
-			return def, nil
-		}
-		delete(args, key)
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return 0, fmt.Errorf("faults: %s: bad %s: %w", name, key, err)
-		}
-		return d, nil
-	}
-	getFloat := func(key string, def float64) (float64, error) {
-		v, ok := args[key]
-		if !ok {
-			return def, nil
-		}
-		delete(args, key)
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, fmt.Errorf("faults: %s: bad %s: %w", name, key, err)
-		}
-		return f, nil
-	}
-
+// apply adds one preset clause to p.
+func apply(p *Profile, name string, a *clause.Args) error {
 	switch name {
 	case "flap":
-		at, err := getDur("at", 5*time.Second)
-		if err != nil {
-			return err
-		}
-		down, err := getDur("down", 200*time.Millisecond)
-		if err != nil {
-			return err
-		}
-		p.Flaps = append(p.Flaps, Flap{At: at, Down: down})
+		p.Flaps = append(p.Flaps, Flap{At: a.Dur("at", 5*time.Second), Down: a.Dur("down", 200*time.Millisecond)})
 	case "ge":
-		ge := &GilbertElliott{}
-		var err error
-		if ge.PGoodBad, err = getFloat("pgb", 0.005); err != nil {
-			return err
+		p.GE = &GilbertElliott{
+			PGoodBad: a.Float("pgb", 0.005),
+			PBadGood: a.Float("pbg", 0.1),
+			LossGood: a.Float("good", 0),
+			LossBad:  a.Float("bad", 0.5),
 		}
-		if ge.PBadGood, err = getFloat("pbg", 0.1); err != nil {
-			return err
-		}
-		if ge.LossGood, err = getFloat("good", 0); err != nil {
-			return err
-		}
-		if ge.LossBad, err = getFloat("bad", 0.5); err != nil {
-			return err
-		}
-		p.GE = ge
 	case "bwstep":
-		at, err := getDur("at", 5*time.Second)
-		if err != nil {
-			return err
-		}
-		step := BWStep{At: at}
-		if v, ok := args["rate"]; ok {
-			delete(args, "rate")
-			rate, err := units.ParseBandwidth(v)
-			if err != nil {
-				return fmt.Errorf("faults: bwstep: bad rate: %w", err)
-			}
-			step.Rate = rate
-		} else if step.Factor, err = getFloat("factor", 0.5); err != nil {
-			return err
+		step := BWStep{At: a.Dur("at", 5*time.Second)}
+		if a.Has("rate") {
+			step.Rate = clause.Get(a, "rate", 0, units.ParseBandwidth)
+		} else {
+			step.Factor = a.Float("factor", 0.5)
 		}
 		p.BWSteps = append(p.BWSteps, step)
 	case "rttstep":
-		at, err := getDur("at", 5*time.Second)
-		if err != nil {
-			return err
-		}
-		step := RTTStep{At: at}
-		if _, ok := args["delay"]; ok {
-			if step.Delay, err = getDur("delay", 0); err != nil {
-				return err
-			}
-		} else if step.Factor, err = getFloat("factor", 2); err != nil {
-			return err
+		step := RTTStep{At: a.Dur("at", 5*time.Second)}
+		if a.Has("delay") {
+			step.Delay = a.Dur("delay", 0)
+		} else {
+			step.Factor = a.Float("factor", 2)
 		}
 		p.RTTSteps = append(p.RTTSteps, step)
 	default:
-		return fmt.Errorf("faults: unknown preset %q (want flap, ge, bwstep or rttstep)", name)
-	}
-	for k := range args {
-		return fmt.Errorf("faults: %s: unknown key %q", name, k)
+		return fmt.Errorf("unknown preset %q (want flap, ge, bwstep or rttstep)", name)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package faults
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -227,5 +228,29 @@ func TestApplyGEDeterministicPerSeed(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical loss sequences")
+	}
+}
+
+// TestParseRefusesSilentInputs: a misspelled JSON field, trailing data
+// after the JSON value, a JSON profile that injects nothing, and a
+// repeated preset key are refused rather than silently dropped or
+// overwritten.
+func TestParseRefusesSilentInputs(t *testing.T) {
+	cases := []struct{ spec, want string }{
+		{`{"flap":[{"at_ns":1000000000,"down_ns":200000000}]}`, `unknown field "flap"`},
+		{`{"flaps":[{"at_ns":1000000000,"down_ns":200000000}]} {}`, "trailing data"},
+		{`{"flaps":[{"at_ns":1000000000,"down_ns":200000000}]}x`, "trailing data"},
+		{`{}`, "injects nothing"},
+		{`{"flaps":[{"at_ns":1000000000}]}`, "injects nothing"},
+		{"flap:at=1s,at=9s", `flap: repeated key "at"`},
+		{"ge:bad=1,pgb=0.1,bad=0.5", `ge: repeated key "bad"`},
+		{"bwstep:rate=50Mbps,rate=10Mbps", `bwstep: repeated key "rate"`},
+		{"rttstep:delay=31ms , delay=1ms", `rttstep: repeated key "delay"`},
+	}
+	for _, c := range cases {
+		p, err := Parse(c.spec)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q) = %+v, %v; want error containing %q", c.spec, p, err, c.want)
+		}
 	}
 }

@@ -16,15 +16,14 @@
 package flows
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/cca"
+	"repro/internal/clause"
 	"repro/internal/units"
 )
 
@@ -180,62 +179,26 @@ func preset(name string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// Parse builds a workload spec from a CLI string. Three forms are
-// accepted, mirroring faults.Parse:
+// Parse builds a workload spec from a CLI string in the clause grammar
+// ("@file", inline JSON, or a "+"-separated preset list). Presets (one
+// population each, except mixed which adds both):
 //
-//   - "@path" — read a JSON Spec from a file
+//	mice       arrival (200ms), p5 (64KB), p95 (2MB), cca (cubic)
+//	elephants  arrival (2s), p5 (8MB), p95 (64MB), cca (cubic)
+//	mixed      both of the above (no keys)
 //
-//   - "{...}" — an inline JSON Spec
-//
-//   - preset list — "+"-separated presets, each "name" or
-//     "name:key=value,key=value". Presets (one population each, except
-//     mixed which adds both):
-//
-//     mice       arrival (200ms), p5 (64KB), p95 (2MB), cca (cubic)
-//     elephants  arrival (2s), p5 (8MB), p95 (64MB), cca (cubic)
-//     mixed      both of the above (no keys)
-//
-//     Shared keys: arrival (duration), p5/p95 (sizes like 64KB, 2MB),
-//     cca, start (duration), max (arrival cap).
-//
-// e.g. "mice" or "mice:arrival=100ms,p95=1MB+elephants:cca=bbr1". An
-// empty spec returns (nil, nil). The result is normalized and validated.
+// Shared keys: arrival (duration), p5/p95 (sizes like 64KB, 2MB), cca,
+// start (duration), max (arrival cap). e.g. "mice" or
+// "mice:arrival=100ms,p95=1MB+elephants:cca=bbr1". The result is
+// normalized and validated; a spec that generates no flows is an error.
 func Parse(spec string) (*Spec, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
+	s, err := clause.Parse("flows", spec, apply)
+	if s == nil || err != nil {
+		return nil, err
 	}
-	if strings.HasPrefix(spec, "@") {
-		data, err := os.ReadFile(spec[1:])
-		if err != nil {
-			return nil, fmt.Errorf("flows: read spec: %w", err)
-		}
-		return parseJSON(data)
-	}
-	if strings.HasPrefix(spec, "{") {
-		return parseJSON([]byte(spec))
-	}
-	var s Spec
-	for _, clause := range strings.Split(spec, "+") {
-		if err := applyPreset(&s, strings.TrimSpace(clause)); err != nil {
-			return nil, err
-		}
-	}
-	return finish(s, spec)
-}
-
-func parseJSON(data []byte) (*Spec, error) {
-	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("flows: parse spec JSON: %w", err)
-	}
-	return finish(s, string(data))
-}
-
-func finish(s Spec, src string) (*Spec, error) {
 	n := s.Normalize()
 	if n.Empty() {
-		return nil, fmt.Errorf("flows: spec %q generates no flows", src)
+		return nil, fmt.Errorf("flows: spec %q generates no flows", strings.TrimSpace(spec))
 	}
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -243,51 +206,26 @@ func finish(s Spec, src string) (*Spec, error) {
 	return &n, nil
 }
 
-// applyPreset parses one "name[:k=v,...]" clause into s.
-func applyPreset(s *Spec, clause string) error {
-	if clause == "" {
-		return fmt.Errorf("flows: empty preset clause")
-	}
-	name, argstr, _ := strings.Cut(clause, ":")
+// apply adds one preset clause's populations to s.
+func apply(s *Spec, name string, a *clause.Args) error {
 	base, ok := preset(name)
 	if !ok {
-		return fmt.Errorf("flows: unknown preset %q (want mice, elephants or mixed)", name)
+		return fmt.Errorf("unknown preset %q (want mice, elephants or mixed)", name)
 	}
-	if argstr == "" {
+	if len(base.Populations) != 1 {
+		if a.Len() > 0 {
+			return fmt.Errorf("preset %q takes no arguments (customize mice/elephants individually)", name)
+		}
 		s.Populations = append(s.Populations, base.Populations...)
 		return nil
 	}
-	if len(base.Populations) != 1 {
-		return fmt.Errorf("flows: preset %q takes no arguments (customize mice/elephants individually)", name)
-	}
 	p := base.Populations[0]
-	for _, kv := range strings.Split(argstr, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return fmt.Errorf("flows: bad preset argument %q (want key=value)", kv)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		var err error
-		switch k {
-		case "arrival":
-			p.MeanArrival, err = time.ParseDuration(v)
-		case "p5":
-			p.SizeP5, err = parseSize(v)
-		case "p95":
-			p.SizeP95, err = parseSize(v)
-		case "cca":
-			p.CCA, err = cca.Parse(v)
-		case "start":
-			p.Start, err = time.ParseDuration(v)
-		case "max":
-			p.MaxFlows, err = strconv.Atoi(v)
-		default:
-			return fmt.Errorf("flows: %s: unknown key %q", name, k)
-		}
-		if err != nil {
-			return fmt.Errorf("flows: %s: bad %s: %w", name, k, err)
-		}
-	}
+	p.MeanArrival = a.Dur("arrival", p.MeanArrival)
+	p.SizeP5 = clause.Get(a, "p5", p.SizeP5, parseSize)
+	p.SizeP95 = clause.Get(a, "p95", p.SizeP95, parseSize)
+	p.CCA = clause.Get(a, "cca", p.CCA, cca.Parse)
+	p.Start = a.Dur("start", p.Start)
+	p.MaxFlows = a.Int("max", p.MaxFlows)
 	s.Populations = append(s.Populations, p)
 	return nil
 }

@@ -318,3 +318,23 @@ func TestSizeClass(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRefusesSilentInputs: a misspelled JSON field (which would
+// otherwise keep its default), trailing data after the JSON value and a
+// repeated preset key are refused rather than silently dropped or
+// overwritten.
+func TestParseRefusesSilentInputs(t *testing.T) {
+	cases := []struct{ spec, want string }{
+		{`{"populations":[{"name":"web","mean_arrival":100000000}]}`, `unknown field "mean_arrival"`},
+		{`{"population":[{"name":"web"}]}`, `unknown field "population"`},
+		{`{"populations":[{"name":"web"}]} []`, "trailing data"},
+		{"mice:arrival=100ms,arrival=1s", `mice: repeated key "arrival"`},
+		{"mice+elephants:cca=bbr1,cca=reno", `elephants: repeated key "cca"`},
+	}
+	for _, c := range cases {
+		s, err := Parse(c.spec)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q) = %+v, %v; want error containing %q", c.spec, s, err, c.want)
+		}
+	}
+}

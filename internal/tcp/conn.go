@@ -238,9 +238,6 @@ func (c *Conn) SetCwnd(w int64) {
 	c.cwnd = w
 }
 
-// SSThresh returns the slow-start threshold in bytes.
-func (c *Conn) SSThresh() int64 { return c.ssthresh }
-
 // SetSSThresh sets the slow-start threshold, clamped to two segments.
 func (c *Conn) SetSSThresh(v int64) {
 	if v < 2*c.MSS() {

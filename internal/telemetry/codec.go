@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -236,168 +235,4 @@ func (t *Tracer) TailNDJSON(n int) string {
 	// Encoding to a strings.Builder cannot fail.
 	_ = EncodeNDJSON(&sb, t.dump(n))
 	return sb.String()
-}
-
-// Binary wire format: magic, then the same structure as NDJSON with
-// uvarint-framed counts and strings and fixed 30-byte little-endian event
-// records. Roughly 6× denser than NDJSON for steady-state traces.
-const binaryMagic = "TFTR1\n"
-
-// EncodeBinary writes the dump in the compact binary format.
-func EncodeBinary(w io.Writer, d *Dump) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	putString := func(s string) error {
-		if err := putUvarint(uint64(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	if err := putUvarint(uint64(len(d.States))); err != nil {
-		return err
-	}
-	for _, s := range d.States {
-		if err := putString(s); err != nil {
-			return err
-		}
-	}
-	if err := putUvarint(uint64(len(d.Rings))); err != nil {
-		return err
-	}
-	for i := range d.Rings {
-		r := &d.Rings[i]
-		for _, s := range []string{r.Name, r.Kind, r.Label} {
-			if err := putString(s); err != nil {
-				return err
-			}
-		}
-		for _, v := range []uint64{uint64(r.Cap), uint64(r.SampleN), r.Total, r.Dropped, uint64(len(r.Events))} {
-			if err := putUvarint(v); err != nil {
-				return err
-			}
-		}
-		var rec [30]byte
-		for _, ev := range r.Events {
-			binary.LittleEndian.PutUint64(rec[0:], uint64(ev.At))
-			binary.LittleEndian.PutUint64(rec[8:], uint64(ev.A))
-			binary.LittleEndian.PutUint64(rec[16:], uint64(ev.B))
-			binary.LittleEndian.PutUint32(rec[24:], ev.Flow)
-			rec[28] = byte(ev.Kind)
-			rec[29] = byte(ev.Aux)
-			if _, err := bw.Write(rec[:]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ParseBinary reads a dump back from the compact binary format.
-func ParseBinary(r io.Reader) (*Dump, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != binaryMagic {
-		return nil, fmt.Errorf("telemetry: bad binary magic")
-	}
-	const maxFrame = 16 << 20 // defensive cap on any single count or string
-	getUvarint := func() (uint64, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, err
-		}
-		if v > maxFrame {
-			return 0, fmt.Errorf("telemetry: frame too large (%d)", v)
-		}
-		return v, nil
-	}
-	getString := func() (string, error) {
-		n, err := getUvarint()
-		if err != nil {
-			return "", err
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	d := &Dump{V: 1}
-	nStates, err := getUvarint()
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: states count: %v", err)
-	}
-	d.States = make([]string, 0, min(nStates, 1024))
-	for i := uint64(0); i < nStates; i++ {
-		s, err := getString()
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: state %d: %v", i, err)
-		}
-		d.States = append(d.States, s)
-	}
-	nRings, err := getUvarint()
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: rings count: %v", err)
-	}
-	for i := uint64(0); i < nRings; i++ {
-		var rd RingDump
-		if rd.Name, err = getString(); err != nil {
-			return nil, fmt.Errorf("telemetry: ring %d name: %v", i, err)
-		}
-		if rd.Kind, err = getString(); err != nil {
-			return nil, fmt.Errorf("telemetry: ring %d kind: %v", i, err)
-		}
-		if rd.Label, err = getString(); err != nil {
-			return nil, fmt.Errorf("telemetry: ring %d label: %v", i, err)
-		}
-		var capN, sampleN, nEv uint64
-		if capN, err = getUvarint(); err == nil {
-			if sampleN, err = getUvarint(); err == nil {
-				if rd.Total, err = getUvarint(); err == nil {
-					if rd.Dropped, err = getUvarint(); err == nil {
-						nEv, err = getUvarint()
-					}
-				}
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: ring %d counters: %v", i, err)
-		}
-		rd.Cap, rd.SampleN = int(capN), int(sampleN)
-		if nEv > rd.Total || rd.Dropped > rd.Total {
-			return nil, fmt.Errorf("telemetry: ring %q has inconsistent counters", rd.Name)
-		}
-		rd.Events = make([]Event, 0, min(nEv, 1<<16))
-		var rec [30]byte
-		for j := uint64(0); j < nEv; j++ {
-			if _, err := io.ReadFull(br, rec[:]); err != nil {
-				return nil, fmt.Errorf("telemetry: ring %q event %d: %v", rd.Name, j, err)
-			}
-			ev := Event{
-				At:   int64(binary.LittleEndian.Uint64(rec[0:])),
-				A:    int64(binary.LittleEndian.Uint64(rec[8:])),
-				B:    int64(binary.LittleEndian.Uint64(rec[16:])),
-				Flow: binary.LittleEndian.Uint32(rec[24:]),
-				Kind: Kind(rec[28]),
-				Aux:  Aux(rec[29]),
-			}
-			if ev.Kind == KindNone || ev.Kind >= kindCount || ev.Aux >= auxCount {
-				return nil, fmt.Errorf("telemetry: ring %q event %d: invalid kind/aux", rd.Name, j)
-			}
-			rd.Events = append(rd.Events, ev)
-		}
-		d.Rings = append(d.Rings, rd)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("telemetry: trailing bytes after dump")
-	}
-	return d, nil
 }

@@ -15,7 +15,7 @@
 //     rings × capacity × 32 bytes, chosen up front.
 //  3. Diagnosable after the fact. Rings carry enough (total count, dropped
 //     count, sampling factor) to interpret a partial window, and the whole
-//     tracer serializes to NDJSON or a compact binary form (codec.go) for
+//     tracer serializes to NDJSON (codec.go) for
 //     cmd/timeline and the sweepd trace endpoint. When the invariant
 //     auditor raises a Violation, the last FlightTail events of every ring
 //     are dumped alongside the structured report.
@@ -477,7 +477,7 @@ type RingDump struct {
 	SampleN int     `json:"sample_n"`
 	Total   uint64  `json:"total"`
 	Dropped uint64  `json:"dropped"`
-	Events  []Event `json:"-"` // serialized as individual NDJSON lines / binary records
+	Events  []Event `json:"-"` // serialized as individual NDJSON lines
 }
 
 // Dump snapshots every ring, flows first (by attach order, which is flow-ID

@@ -161,26 +161,6 @@ func TestNDJSONGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	_, d := buildDump(t)
-	var buf bytes.Buffer
-	if err := EncodeBinary(&buf, d); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := ParseBinary(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if !reflect.DeepEqual(got, d) {
-		t.Fatalf("binary round trip not identity:\nwant %+v\ngot  %+v", d, got)
-	}
-	var nd bytes.Buffer
-	EncodeNDJSON(&nd, d)
-	if buf.Len() >= nd.Len() {
-		t.Errorf("binary (%d bytes) not denser than NDJSON (%d bytes)", buf.Len(), nd.Len())
-	}
-}
-
 func TestParseNDJSONRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
 		"empty":          "",

@@ -491,9 +491,3 @@ func (n *Network) ReportPorts() []int {
 	}
 	return out
 }
-
-// ApplyFaults arms a fault profile on the monitor link. Build applies
-// Params.Faults itself; this is for profiles decided after construction.
-func (n *Network) ApplyFaults(p *faults.Profile) {
-	faults.Apply(n.Eng, n.monitor, p)
-}

@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/aqm"
+	"repro/internal/clause"
 	"repro/internal/faults"
 	"repro/internal/units"
 )
@@ -617,41 +617,21 @@ func CrossTrafficSpec(cc string) Spec {
 	return s
 }
 
-// Parse builds a spec from a CLI value. Four forms are accepted:
+// Parse builds a spec from a CLI value in the clause grammar ("@file",
+// inline JSON, or one preset clause). Presets and their keys (defaults in
+// parentheses):
 //
-//   - "" — nil spec (the legacy dumbbell path)
+//	dumbbell
+//	parking-lot    hops (3); "parking-lot-N" is shorthand for hops=N
+//	reverse-path   factor (0.01), buf (65536 bytes)
+//	cross-traffic  cca (cubic)
 //
-//   - "@path" — read a JSON Spec from a file
-//
-//   - "{...}" — an inline JSON Spec
-//
-//   - a preset clause — "name" or "name:key=value,...". Presets and their
-//     keys (defaults in parentheses):
-//
-//     dumbbell
-//     parking-lot    hops (3); "parking-lot-N" is shorthand for hops=N
-//     reverse-path   factor (0.01), buf (65536 bytes)
-//     cross-traffic  cca (cubic)
-//
-// Parsed specs are normalized and validated; "dumbbell" returns a non-nil
-// spec that experiment.Config.Normalize folds away.
+// An empty value is a nil spec (the legacy dumbbell path). Parsed specs
+// are normalized and validated; "dumbbell" returns a non-nil spec that
+// experiment.Config.Normalize folds away.
 func Parse(spec string) (*Spec, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	if strings.HasPrefix(spec, "@") {
-		data, err := os.ReadFile(spec[1:])
-		if err != nil {
-			return nil, fmt.Errorf("topo: read spec: %w", err)
-		}
-		return parseJSON(data)
-	}
-	if strings.HasPrefix(spec, "{") {
-		return parseJSON([]byte(spec))
-	}
-	s, err := parsePreset(spec)
-	if err != nil {
+	s, err := clause.Parse("topo", spec, apply)
+	if s == nil || err != nil {
 		return nil, err
 	}
 	n := s.Normalize()
@@ -661,105 +641,44 @@ func Parse(spec string) (*Spec, error) {
 	return &n, nil
 }
 
-func parseJSON(data []byte) (*Spec, error) {
-	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("topo: parse spec JSON: %w", err)
+// apply resolves the one preset clause a topology may have.
+func apply(s *Spec, name string, a *clause.Args) error {
+	if len(s.Nodes) > 0 {
+		return fmt.Errorf("one preset per topology, got a second clause %q", name)
 	}
-	n := s.Normalize()
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	return &n, nil
-}
-
-// parsePreset resolves one "name[:k=v,...]" clause.
-func parsePreset(clause string) (Spec, error) {
-	name, argstr, _ := strings.Cut(clause, ":")
-	name = strings.TrimSpace(name)
-	args := map[string]string{}
-	if argstr != "" {
-		for _, kv := range strings.Split(argstr, ",") {
-			k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-			if !ok {
-				return Spec{}, fmt.Errorf("topo: bad preset argument %q (want key=value)", kv)
-			}
-			args[strings.TrimSpace(k)] = strings.TrimSpace(v)
-		}
-	}
-	getInt := func(key string, def int) (int, error) {
-		v, ok := args[key]
-		if !ok {
-			return def, nil
-		}
-		delete(args, key)
-		i, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, fmt.Errorf("topo: %s: bad %s: %w", name, key, err)
-		}
-		return i, nil
-	}
-	getFloat := func(key string, def float64) (float64, error) {
-		v, ok := args[key]
-		if !ok {
-			return def, nil
-		}
-		delete(args, key)
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, fmt.Errorf("topo: %s: bad %s: %w", name, key, err)
-		}
-		return f, nil
-	}
-
-	var s Spec
 	switch {
 	case name == "dumbbell":
-		s = DumbbellSpec()
+		*s = DumbbellSpec()
 	case name == "parking-lot" || strings.HasPrefix(name, "parking-lot-"):
 		def := 3
 		if suffix, ok := strings.CutPrefix(name, "parking-lot-"); ok {
 			n, err := strconv.Atoi(suffix)
 			if err != nil {
-				return Spec{}, fmt.Errorf("topo: bad parking-lot hop count %q", suffix)
+				return fmt.Errorf("bad parking-lot hop count %q", suffix)
 			}
 			def = n
 		}
-		hops, err := getInt("hops", def)
-		if err != nil {
-			return Spec{}, err
-		}
+		hops := a.Int("hops", def)
 		if hops < 1 || hops > 16 {
-			return Spec{}, fmt.Errorf("topo: parking-lot: hops must be 1..16, got %d", hops)
+			return fmt.Errorf("parking-lot: hops must be 1..16, got %d", hops)
 		}
-		s = ParkingLotSpec(hops)
+		*s = ParkingLotSpec(hops)
 	case name == "reverse-path":
-		factor, err := getFloat("factor", 0.01)
-		if err != nil {
-			return Spec{}, err
-		}
+		factor := a.Float("factor", 0.01)
 		if !finite(factor) || factor <= 0 || factor > 1 {
-			return Spec{}, fmt.Errorf("topo: reverse-path: factor must be in (0,1]")
+			return fmt.Errorf("reverse-path: factor must be in (0,1]")
 		}
-		buf, err := getInt("buf", 64*1024)
-		if err != nil {
-			return Spec{}, err
-		}
+		buf := a.Int("buf", 64*1024)
 		if buf <= 0 {
-			return Spec{}, fmt.Errorf("topo: reverse-path: buf must be positive")
+			return fmt.Errorf("reverse-path: buf must be positive")
 		}
-		s = ReversePathSpec(factor, units.ByteSize(buf))
+		*s = ReversePathSpec(factor, units.ByteSize(buf))
 	case name == "cross-traffic":
-		cc := args["cca"]
-		delete(args, "cca")
-		s = CrossTrafficSpec(cc)
+		*s = CrossTrafficSpec(a.String("cca", ""))
 	default:
-		return Spec{}, fmt.Errorf(
-			"topo: unknown preset %q (want dumbbell, parking-lot[-N], reverse-path or cross-traffic)",
+		return fmt.Errorf(
+			"unknown preset %q (want dumbbell, parking-lot[-N], reverse-path or cross-traffic)",
 			name)
 	}
-	for k := range args {
-		return Spec{}, fmt.Errorf("topo: %s: unknown key %q", name, k)
-	}
-	return s, nil
+	return nil
 }

@@ -240,3 +240,28 @@ func TestParseJSONRoundTrip(t *testing.T) {
 		t.Errorf("identity lost in JSON round trip: %s vs %s", rt.Key(), pl.Key())
 	}
 }
+
+// TestParseRefusesSilentInputs: a misspelled JSON field, trailing data
+// after the JSON value, a repeated preset key and a second preset clause
+// are refused rather than silently dropped or overwritten.
+func TestParseRefusesSilentInputs(t *testing.T) {
+	const graph = `"nodes":[{"name":"a"},{"name":"b"}],"links":[{"name":"l","from":"a","to":"b"}],"senders":[{"name":"s","path":["l"],"return":["l"]}]`
+	cases := []struct{ spec, want string }{
+		{`{` + graph + `,"monitr":"l"}`, `unknown field "monitr"`},
+		{`{` + graph + `}}`, "trailing data"},
+		{"parking-lot:hops=2,hops=5", `parking-lot: repeated key "hops"`},
+		{"reverse-path:factor=0.5,buf=1,factor=0.1", `reverse-path: repeated key "factor"`},
+		{"cross-traffic:cca=bbr1,cca=reno", `cross-traffic: repeated key "cca"`},
+		{"dumbbell+parking-lot", `one preset per topology, got a second clause "parking-lot"`},
+		{"dumbbell+", "empty preset clause"},
+	}
+	if _, err := Parse(`{` + graph + `}`); err != nil {
+		t.Fatalf("base graph rejected: %v", err)
+	}
+	for _, c := range cases {
+		s, err := Parse(c.spec)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q) = %+v, %v; want error containing %q", c.spec, s, err, c.want)
+		}
+	}
+}
