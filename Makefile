@@ -33,8 +33,9 @@ allocs: ## zero-alloc event-core gates and the exact-count rails (non-race build
 audit: ## invariant-auditor suites: conservation, seeded bugs, metamorphic relations
 	$(GO) test -race -v -run 'TestAudit|TestViolation|TestMetamorphic|TestDropAccountingAllAQMs|TestCheckpointLastWriteWins' ./internal/audit/ ./internal/sim/ ./internal/netem/ ./internal/experiment/
 
-resilience: ## fault-injection suites: flap recovery, bursty loss, replay, runner hardening, journal heal
-	$(GO) test -race -v -run 'TestFlapRecoveryAllCCAs|TestGELossInversionBBRvLossBased|TestFaultedRunDeterminism|TestFaultProfileInResultIdentity|TestRunAllSurvivesPanic|TestRunAllWatchdogAbort|TestCheckpointResume|TestCheckpointHealsFailedAppend' ./internal/experiment/
+resilience: ## fault-injection suites: flap recovery, bursty loss, replay, runner hardening, journal heal and compaction
+	$(GO) test -race -v -run 'TestFlapRecoveryAllCCAs|TestGELossInversionBBRvLossBased|TestFaultedRunDeterminism|TestFaultProfileInResultIdentity|TestRunAllSurvivesPanic|TestRunAllWatchdogAbort|TestCheckpointResume|TestCheckpointHealsFailedAppend|TestCheckpointCompactSkipsCleanJournal' ./internal/experiment/
+	$(GO) test -race -v -run 'TestWarmJobLeavesJournalAlone' ./internal/svc/
 	$(GO) test -race -run 'TestRTOExponentialBackoffDoubling|TestRTORearmAfterSuccessfulRetransmit' ./internal/tcp/
 
 smoke: ## audited -strict sweeps: a flap-fault grid and a parking-lot grid

@@ -104,6 +104,13 @@ type Checkpoint struct {
 	// cannot fuse.
 	torn bool
 
+	// stale counts file lines a Compact rewrite would drop or re-encode:
+	// duplicate, errored, damaged and v1 lines at load, superseding appends,
+	// and queued records re-written after a failed write (a torn fragment's
+	// record always is). Compact skips the rewrite while it is 0;
+	// over-counting costs one rewrite, under-counting a redundant line.
+	stale int
+
 	// Durability policy: Append fsyncs once syncEvery results accumulate
 	// unsynced or syncInterval has passed since the last sync, whichever
 	// comes first — bounding how many journaled-but-volatile results a
@@ -166,6 +173,7 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 		f.Close()
 		return nil, fmt.Errorf("experiment: read checkpoint %s: %w", path, err)
 	}
+	c.stale = c.stats.Duplicates + c.stats.Errored + c.stats.Damaged() + c.stats.V1
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("experiment: checkpoint %s: %w", path, err)
@@ -240,6 +248,9 @@ func (c *Checkpoint) Append(res Result) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if _, ok := c.done[key]; ok {
+		c.stale++
+	}
 	c.done[key] = res
 	err = c.retryLocked()
 	if err == nil {
@@ -253,7 +264,8 @@ func (c *Checkpoint) Append(res Result) error {
 }
 
 // retryLocked journals the queued results; each leaves the queue once its
-// record is written and synced under the policy.
+// record is written and synced under the policy, and counts stale since
+// the failed attempt may have landed.
 func (c *Checkpoint) retryLocked() error {
 	for key := range c.pending {
 		data, _, err := encodeFrame(c.done[key])
@@ -264,6 +276,7 @@ func (c *Checkpoint) retryLocked() error {
 			return err
 		}
 		delete(c.pending, key)
+		c.stale++
 	}
 	return nil
 }
@@ -372,10 +385,9 @@ func (c *Checkpoint) syncLocked() error {
 	return nil
 }
 
-// Results returns every live journaled result, sorted by config ID (with
-// the science Key breaking ties between runs of the same grid cell under
-// different overrides) — the deterministic snapshot order Compact writes
-// and sweepd's cache loads.
+// Results returns every live journaled result sorted by config ID, the
+// science Key breaking ties between runs of one grid cell under different
+// overrides: the deterministic order a Compact rewrite writes.
 func (c *Checkpoint) Results() []Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -383,29 +395,30 @@ func (c *Checkpoint) Results() []Result {
 }
 
 func (c *Checkpoint) resultsLocked() []Result {
-	out := make([]Result, 0, len(c.done))
-	for _, res := range c.done {
-		out = append(out, res)
+	type entry struct{ id, key string } // the index key is the science Key
+	order := make([]entry, 0, len(c.done))
+	for key, res := range c.done {
+		order = append(order, entry{res.Config.ID(), key})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Config.ID(), out[j].Config.ID()
-		if a != b {
-			return a < b
-		}
-		return out[i].Config.Key() < out[j].Config.Key()
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		return a.id < b.id || a.id == b.id && a.key < b.key
 	})
+	out := make([]Result, len(order))
+	for i, e := range order {
+		out[i] = c.done[e.key]
+	}
 	return out
 }
 
-// Compact rewrites the journal to hold exactly the live results — one line
-// per config ID, last write wins — and atomically replaces the file. The
-// append-only journal otherwise grows without bound across resumes
-// (duplicate lines, torn fragments, superseded results); callers compact on
-// successful sweep completion. The journal stays open and appendable after
-// a compaction, and a compacted journal resumes identically to the
-// original. Queued results are journaled first; while any remain, Compact
-// fails rather than declare the journal whole. A memory-only store has
-// nothing to compact.
+// Compact leaves the journal holding exactly the live results, one v2 line
+// per science key, so the append-only file stops growing across resumes;
+// callers compact on sweep completion and shutdown. Queued results are
+// journaled first; while any remain, Compact fails rather than declare the
+// journal whole. A journal with no stale lines is already compact and is
+// left alone; otherwise the live results are rewritten and atomically
+// replace the file, which stays open and appendable and resumes
+// identically to the original. A memory-only store has nothing to compact.
 func (c *Checkpoint) Compact() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -417,6 +430,9 @@ func (c *Checkpoint) Compact() error {
 	}
 	if err := c.retryLocked(); err != nil {
 		return c.degradedLocked(err)
+	}
+	if c.stale == 0 {
+		return nil
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(c.path), filepath.Base(c.path)+".compact-*")
 	if err != nil {
@@ -479,6 +495,7 @@ func (c *Checkpoint) Compact() error {
 	// and any torn partial record is gone with the old file.
 	c.unsynced = 0
 	c.torn = false
+	c.stale = 0
 	c.lastSync = time.Now()
 	return nil
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/aqm"
 	"repro/internal/cca"
+	"repro/internal/failpoint"
 )
 
 // journalLines returns the journal's raw non-empty record lines (the v2
@@ -112,6 +114,142 @@ func TestCheckpointCompact(t *testing.T) {
 			t.Fatalf("config %d resumed out of order", i)
 		}
 	}
+}
+
+// TestCheckpointCompactSkipsCleanJournal: Compact rewrites the journal only
+// when it holds a line the rewrite would drop or re-encode. A journal of
+// distinct appends is left alone, file and bytes; every kind of stale line
+// forces a rewrite to exactly one v2 record per live key; and a clean
+// journal still refuses Compact while results are queued.
+func TestCheckpointCompactSkipsCleanJournal(t *testing.T) {
+	defer failpoint.DisableAll()
+	r1, r2, r3 := durabilityResult(1, 0.9), durabilityResult(2, 0.8), durabilityResult(3, 0.7)
+	open := func(t *testing.T, path string) *Checkpoint {
+		t.Helper()
+		ck, err := OpenCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ck
+	}
+	appendAll := func(t *testing.T, ck *Checkpoint, results ...Result) {
+		t.Helper()
+		for _, res := range results {
+			if err := ck.Append(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("clean", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "sweep.ckpt")
+		ck := open(t, path)
+		defer ck.Close()
+		appendAll(t, ck, r1, r2, r3)
+		before, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := os.ReadFile(path)
+		if err := ck.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(path); !os.SameFile(before, after) || string(got) != string(data) {
+			t.Fatal("Compact rewrote a journal with no stale lines")
+		}
+	})
+
+	for _, tc := range []struct {
+		name  string
+		stale func(t *testing.T, path string) *Checkpoint // leaves 2 live keys
+	}{
+		{"superseding append", func(t *testing.T, path string) *Checkpoint {
+			ck := open(t, path)
+			appendAll(t, ck, r1, r2, durabilityResult(1, 0.5))
+			return ck
+		}},
+		{"v1 line", func(t *testing.T, path string) *Checkpoint {
+			var buf bytes.Buffer
+			writeV1Line(t, &buf, r1)
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ck := open(t, path)
+			appendAll(t, ck, r2)
+			return ck
+		}},
+		{"healed torn fragment", func(t *testing.T, path string) *Checkpoint {
+			ck := open(t, path)
+			appendAll(t, ck, r1, r2)
+			if _, err := ck.f.Write([]byte(`r 1234 0badc0de`)); err != nil {
+				t.Fatal(err)
+			}
+			ck.Close()
+			return open(t, path)
+		}},
+		{"rewrite after failed fsync", func(t *testing.T, path string) *Checkpoint {
+			ck := open(t, path)
+			ck.SetSyncPolicy(0, 0)
+			if err := failpoint.Enable("checkpoint.fsync=err@times=1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := ck.Append(r1); err == nil {
+				t.Fatal("fsync failpoint did not surface an append error")
+			}
+			appendAll(t, ck, r2) // re-writes the queued r1 first
+			return ck
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "sweep.ckpt")
+			ck := tc.stale(t, path)
+			defer ck.Close()
+			before, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ck.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			after, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if os.SameFile(before, after) {
+				t.Fatal("Compact left a journal holding a stale line")
+			}
+			lines := journalLines(t, path)
+			if len(lines) != 2 {
+				t.Fatalf("compacted journal has %d lines, want 2:\n%s", len(lines), strings.Join(lines, "\n"))
+			}
+			for _, l := range lines {
+				if !strings.HasPrefix(l, frameMagic) {
+					t.Fatalf("compacted journal holds a non-v2 line: %q", l)
+				}
+			}
+		})
+	}
+
+	t.Run("queued results refuse", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "sweep.ckpt")
+		ck := open(t, path)
+		defer ck.Close()
+		appendAll(t, ck, r1)
+		if err := failpoint.Enable("checkpoint.append.write=err(injected EIO)"); err != nil {
+			t.Fatal(err)
+		}
+		defer failpoint.DisableAll()
+		if err := ck.Append(r2); err == nil {
+			t.Fatal("write failpoint did not surface an append error")
+		}
+		if err := ck.Compact(); err == nil || !strings.Contains(err.Error(), "degraded") {
+			t.Fatalf("Compact with a queued result: err = %v, want degraded", err)
+		}
+	})
 }
 
 // TestCheckpointKeyedByScience: a journaled result may only satisfy a

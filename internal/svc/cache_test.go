@@ -1,9 +1,11 @@
 package svc
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -155,5 +157,88 @@ func TestHealthzReportsJournalDegradation(t *testing.T) {
 	check(http.StatusOK, "ok")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWarmJobLeavesJournalAlone: a job served from cache writes nothing, so
+// it must leave the journal file alone — no per-job rewrite, even over a
+// journal that holds a stale line — while shutdown still compacts that
+// journal to one record per key.
+func TestWarmJobLeavesJournalAlone(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "cache.ckpt.jsonl")
+	snapshot := func() (os.FileInfo, []byte) {
+		t.Helper()
+		fi, err := os.Stat(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi, data
+	}
+	untouched := func(what string, fi os.FileInfo, data []byte) {
+		t.Helper()
+		fi2, data2 := snapshot()
+		if !os.SameFile(fi, fi2) || !bytes.Equal(data, data2) {
+			t.Fatalf("%s rewrote the journal", what)
+		}
+	}
+	start := func() (*Server, *Client) {
+		t.Helper()
+		s, err := New(Options{Shards: 1, Journal: journal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(s.Handler())
+		t.Cleanup(hs.Close)
+		return s, &Client{Base: hs.URL, HTTP: hs.Client()}
+	}
+	run := func(c *Client, spec experiment.GridSpec, wantCached int) {
+		t.Helper()
+		st, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st = waitDone(t, c, st.ID); st.Cached != wantCached || st.Errored != 0 {
+			t.Fatalf("job %+v, want %d cached and none errored", st, wantCached)
+		}
+	}
+
+	// A completed sweep, then the same grid under a new spec key (audit
+	// toggled): a new job served entirely from cache.
+	s, client := start()
+	run(client, tinySpec(), 0)
+	fi, data := snapshot()
+	audited := tinySpec()
+	audited.Audit = true
+	run(client, audited, 2)
+	untouched("a fully cached resubmit", fi, data)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Duplicate one record, then serve the grid from cache over the stale
+	// journal: the job still leaves it alone, and Close compacts it.
+	ck, err := experiment.OpenCheckpoint(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Append(ck.Results()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, data = snapshot()
+	s, client = start()
+	run(client, tinySpec(), 2)
+	untouched("a cached job over a stale journal", fi, data)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, data = snapshot(); bytes.Count(data, []byte("\nr ")) != 2 {
+		t.Fatalf("journal after Close holds %d records, want 2 (one per key)", bytes.Count(data, []byte("\nr ")))
 	}
 }

@@ -55,10 +55,6 @@ type Job struct {
 	events   []Event
 	subs     map[chan Event]bool
 	finished chan struct{} // closed on done or cancelled
-
-	// onComplete, when set, runs once when the job reaches StateDone (the
-	// server hooks journal compaction here).
-	onComplete func(*Job)
 }
 
 func newJob(id string, spec experiment.GridSpec, cfgs []experiment.Config) *Job {
@@ -121,7 +117,6 @@ func (j *Job) deliver(idx int, res experiment.Result, cached bool) {
 	for ch := range j.subs {
 		subs = append(subs, ch)
 	}
-	onComplete := j.onComplete
 	j.mu.Unlock()
 
 	for _, ch := range subs {
@@ -132,9 +127,6 @@ func (j *Job) deliver(idx int, res experiment.Result, cached bool) {
 	}
 	if complete {
 		close(j.finished)
-		if onComplete != nil {
-			onComplete(j)
-		}
 	}
 }
 

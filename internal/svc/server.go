@@ -89,7 +89,7 @@ func New(opts Options) (*Server, error) {
 
 // Close gracefully shuts the service down: running configurations drain
 // (and reach the journal), queued ones are failed, and the journal is
-// compacted and closed.
+// compacted (rewritten only if it holds stale lines) and closed.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -225,15 +225,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := newJob(key, canonical, cfgs)
-	j.onComplete = func(j *Job) {
-		if st := j.Status(); st.Errored == 0 {
-			// Successful sweep completion: fold the journal down to one
-			// line per live config before it grows across jobs.
-			if err := s.cache.Compact(); err != nil {
-				logger().Error("journal compact failed", "err", err, "job", key)
-			}
-		}
-	}
 	s.jobs[key] = j
 	s.mu.Unlock()
 

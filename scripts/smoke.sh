@@ -121,7 +121,8 @@ smoke_sweep() {
 #      response, zero new simulations;
 #   3. an equivalent spec under a different key (audit bit toggled) is
 #      served entirely from the content-addressed cache, with the hit
-#      counter visible on /metrics;
+#      counter visible on /metrics, and neither resubmission rewrites the
+#      journal (its inode is unchanged);
 #   4. the same grid under a different -duration is different science and
 #      must re-simulate, never hit the cache;
 #   5. a parking-lot topology sweep is distinct science (its Config.Key
@@ -137,6 +138,7 @@ smoke_svc() {
     sweep $grid -duration 4s -audit -quiet -strict -out "$d/direct.json" >/dev/null
     submit $grid -duration 4s -audit -quiet -strict -out "$d/served.json"
     same_science "$d/direct.json" "$d/served.json" "served ResultSet differs from the direct CLI sweep"
+    inode=$(ls -i "$d/journal.ckpt.jsonl" | awk '{print $1}')
 
     say "repeated identical POST (must coalesce, 0 new sims)"
     submit $grid -duration 4s -audit -quiet -out "$d/served2.json" -print-metrics
@@ -150,6 +152,8 @@ smoke_svc() {
     [ "$sims" = "2" ] || fail "cache-path job re-simulated: sims_total=$sims, want 2"
     hits=$(metric sweepd_cache_hits_total "$d/remote.out")
     [ "$hits" = "2" ] || fail "cache hits not visible on /metrics: got '$hits', want 2"
+    [ "$(ls -i "$d/journal.ckpt.jsonl" | awk '{print $1}')" = "$inode" ] ||
+        fail "cached and coalesced resubmissions rewrote the journal (inode changed)"
 
     say "same grid, different -duration (must re-simulate)"
     submit $grid -duration 5s -quiet -out "$d/served4.json" -print-metrics
@@ -178,7 +182,7 @@ smoke_svc() {
     # 2 configs at 4s + the same 2 at 5s + 1 parking-lot: five live science
     # keys (record lines only; the v2 journal also has a version header).
     [ "$lines" = "5" ] || fail "journal not compacted: $lines records, want 5"
-    say "OK (served = direct, repeats coalesced, cache hits on /metrics, overrides re-simulated, parking-lot distinct + coalesced, journal compacted)"
+    say "OK (served = direct, repeats coalesced, cache hits on /metrics, warm path left the journal alone, overrides re-simulated, parking-lot distinct + coalesced, journal compacted)"
 }
 
 # cluster: one coordinator and three workers on ephemeral ports take a
