@@ -1,17 +1,8 @@
 // Command figures renders the paper's figures and tables from a sweep
-// result set produced by cmd/sweep.
-//
-// Figure/table map (paper → flag):
-//
-//	Fig. 2  per-sender throughput vs buffer, FIFO      -fig 2
-//	Fig. 3  Jain's index, FIFO (2 and 16 BDP)          -fig 3
-//	Fig. 4  per-sender throughput vs buffer, RED       -fig 4
-//	Fig. 5  Jain's index, RED                          -fig 5
-//	Fig. 6  Jain's index, FQ_CODEL                     -fig 6
-//	Fig. 7  link utilization, intra-CCA                -fig 7
-//	Fig. 8  retransmissions, intra-CCA                 -fig 8
-//	Table 3 overall comparison                         -fig table3
-//	all of the above                                   -fig all
+// result set produced by cmd/sweep. -fig selects one by number (2–8),
+// table3, or all; paper.Figures declares each one's AQMs, buffer sizes,
+// pairings and metric, and the EXPERIMENTS.md report renders the same
+// declarations.
 package main
 
 import (
@@ -20,8 +11,8 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/aqm"
 	"repro/internal/experiment"
+	"repro/internal/paper"
 )
 
 func main() {
@@ -40,87 +31,11 @@ func main() {
 		}
 		all = append(all, rs.Results...)
 	}
-	s := experiment.Summarize(all)
-
-	chart := *style == "chart"
-	throughput := func(kind aqm.Kind, figNo int) {
-		fmt.Printf("--- Figure %d: per-sender throughput, AQM=%s ---\n\n", figNo, kind)
-		for _, p := range experiment.InterPairings() {
-			if chart {
-				fmt.Println(s.RenderSenderSparklines(p, kind))
-				for _, bw := range s.Bandwidths() {
-					fmt.Println(s.RenderThroughputBars(p, kind, bw))
-				}
-			} else {
-				fmt.Println(s.RenderThroughputFigure(p, kind))
-			}
-		}
+	out, err := paper.RenderFigures(experiment.Summarize(all), *fig, *style == "chart")
+	if err != nil {
+		fatal(err)
 	}
-	jain := func(kind aqm.Kind, figNo int) {
-		fmt.Printf("--- Figure %d: Jain's fairness index, AQM=%s ---\n\n", figNo, kind)
-		for _, q := range []float64{2, 16} {
-			if chart {
-				fmt.Println(s.RenderJainMatrix(kind, q))
-			} else {
-				fmt.Println(s.RenderJainFigure(kind, q))
-			}
-		}
-	}
-	utilAndRetrans := func() {
-		fmt.Println("--- Figure 7: overall link utilization (intra-CCA) ---")
-		for _, kind := range aqm.Kinds() {
-			for _, q := range []float64{2, 16} {
-				fmt.Println(s.RenderUtilizationFigure(kind, q))
-			}
-		}
-		fmt.Println("--- Figure 8: retransmissions (intra-CCA) ---")
-		for _, kind := range aqm.Kinds() {
-			for _, q := range []float64{2, 16} {
-				fmt.Println(s.RenderRetransFigure(kind, q))
-			}
-		}
-	}
-
-	switch *fig {
-	case "2":
-		throughput(aqm.KindFIFO, 2)
-	case "3":
-		jain(aqm.KindFIFO, 3)
-	case "4":
-		throughput(aqm.KindRED, 4)
-	case "5":
-		jain(aqm.KindRED, 5)
-	case "6":
-		jain(aqm.KindFQCoDel, 6)
-	case "7":
-		fmt.Println("--- Figure 7: overall link utilization (intra-CCA) ---")
-		for _, kind := range aqm.Kinds() {
-			for _, q := range []float64{2, 16} {
-				fmt.Println(s.RenderUtilizationFigure(kind, q))
-			}
-		}
-	case "8":
-		fmt.Println("--- Figure 8: retransmissions (intra-CCA) ---")
-		for _, kind := range aqm.Kinds() {
-			for _, q := range []float64{2, 16} {
-				fmt.Println(s.RenderRetransFigure(kind, q))
-			}
-		}
-	case "table3":
-		fmt.Println("--- Table 3: overall performance comparison ---")
-		fmt.Print(s.RenderTable3())
-	case "all":
-		throughput(aqm.KindFIFO, 2)
-		jain(aqm.KindFIFO, 3)
-		throughput(aqm.KindRED, 4)
-		jain(aqm.KindRED, 5)
-		jain(aqm.KindFQCoDel, 6)
-		utilAndRetrans()
-		fmt.Println("--- Table 3: overall performance comparison ---")
-		fmt.Print(s.RenderTable3())
-	default:
-		fatal(fmt.Errorf("unknown figure %q", *fig))
-	}
+	fmt.Print(out)
 }
 
 func fatal(err error) {

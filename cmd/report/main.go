@@ -44,12 +44,9 @@ func main() {
 		fatal(fmt.Errorf("no results in %s", *in))
 	}
 
-	s := experiment.Summarize(all)
-	md := paper.Report(s, paper.ReportOptions{
+	md := paper.Report(all, paper.ReportOptions{
 		Note:           strings.Join(notes, "; "),
 		IncludeFigures: *figures,
-		FCTMatrix:      experiment.HarmFCTMatrix(all),
-		FairnessTable:  experiment.FairnessTable(all),
 	})
 	if *out == "-" {
 		fmt.Print(md)

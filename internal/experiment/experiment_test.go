@@ -190,17 +190,35 @@ func TestTable3AndRenderers(t *testing.T) {
 	if !strings.Contains(fig, "sender1") || !strings.Contains(fig, "1xBDP") {
 		t.Fatalf("fig render:\n%s", fig)
 	}
-	jain := s.RenderJainFigure(aqm.KindFIFO, 1)
+	jain := s.RenderPanel(MetricJain, InterAndIntra, aqm.KindFIFO, 1, false)
 	if !strings.Contains(jain, "inter-CCA") {
 		t.Fatalf("jain render:\n%s", jain)
 	}
-	util := s.RenderUtilizationFigure(aqm.KindFIFO, 1)
+	util := s.RenderPanel(MetricUtilization, IntraOnly, aqm.KindFIFO, 1, false)
 	if !strings.Contains(util, "cubic") {
 		t.Fatalf("util render:\n%s", util)
 	}
-	rtx := s.RenderRetransFigure(aqm.KindFIFO, 1)
+	rtx := s.RenderPanel(MetricRetransmits, IntraOnly, aqm.KindFIFO, 1, false)
 	if !strings.Contains(rtx, "Retransmissions") {
 		t.Fatalf("rtx render:\n%s", rtx)
+	}
+}
+
+// TestTable3KeepsCoDel: Table 3 lists a discipline the paper did not test
+// (CoDel) after the paper's own, instead of dropping its rows.
+func TestTable3KeepsCoDel(t *testing.T) {
+	cell := func(a aqm.Kind) Result {
+		return Result{Config: Config{Pairing: Pairing{cca.Cubic, cca.Cubic}, AQM: a, QueueBDP: 1,
+			Bottleneck: 100 * units.MegabitPerSec}, SenderBps: [2]float64{45e6, 45e6}, Jain: 1, Utilization: 0.9}
+	}
+	s := Summarize([]Result{cell(aqm.KindCoDel), cell(aqm.KindFIFO)})
+	if got := s.AQMs(); len(got) != 2 || got[0] != aqm.KindFIFO || got[1] != aqm.KindCoDel {
+		t.Fatalf("AQMs() = %v, want [fifo codel]", got)
+	}
+	md := s.RenderTable3()
+	fifo, codel := strings.Index(md, "| CUBIC vs CUBIC | FIFO |"), strings.Index(md, "| CUBIC vs CUBIC | CODEL |")
+	if fifo < 0 || codel < fifo {
+		t.Fatalf("table3 wants a FIFO row, then a CODEL row:\n%s", md)
 	}
 }
 
@@ -288,13 +306,9 @@ func TestVizRenderers(t *testing.T) {
 	if s.RenderThroughputBars(Pairing{cca.Reno, cca.Reno}, aqm.KindFIFO, 100*units.MegabitPerSec) != "" {
 		t.Fatal("missing pairing should render empty")
 	}
-	jm := s.RenderJainMatrix(aqm.KindFIFO, 2)
+	jm := s.RenderPanel(MetricJain, InterAndIntra, aqm.KindFIFO, 2, true)
 	if !strings.Contains(jm, "0.750") || !strings.Contains(jm, "100Mbps") {
 		t.Fatalf("jain matrix:\n%s", jm)
-	}
-	um := s.RenderUtilizationMatrix(aqm.KindFIFO, 2)
-	if !strings.Contains(um, "cubic") {
-		t.Fatalf("util matrix:\n%s", um)
 	}
 	sp := s.RenderSenderSparklines(Pairing{cca.BBRv1, cca.Cubic}, aqm.KindFIFO)
 	if !strings.Contains(sp, "100Mbps") {

@@ -30,96 +30,109 @@ func (s *Summary) RenderThroughputFigure(p Pairing, kind aqm.Kind) string {
 	return b.String()
 }
 
-// RenderJainFigure renders the Figure 3/5/6 family: Jain's index per
-// pairing × bandwidth at one buffer size, split into inter- and intra-CCA
-// panels, for one AQM.
-func (s *Summary) RenderJainFigure(kind aqm.Kind, queueBDP float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Jain's fairness index, AQM=%s, buffer=%gxBDP\n", kind, queueBDP)
-	render := func(title string, pairings []Pairing) {
-		fmt.Fprintf(&b, "\n  %s:\n    %-16s", title, "pairing")
-		for _, bw := range s.Bandwidths() {
-			fmt.Fprintf(&b, " %9s", bw)
-		}
-		b.WriteString("\n")
-		for _, p := range pairings {
-			found := false
-			row := fmt.Sprintf("    %-16s", p)
-			for _, bw := range s.Bandwidths() {
-				c := s.Lookup(p, kind, queueBDP, bw)
-				if c == nil {
-					row += fmt.Sprintf(" %9s", "-")
-					continue
-				}
-				found = true
-				row += fmt.Sprintf(" %9.3f", c.Jain)
-			}
-			if found {
-				b.WriteString(row + "\n")
-			}
-		}
+// Metric names the quantity a figure plots.
+type Metric int
+
+const (
+	// MetricOverall is Table 3's per pairing × AQM averages of φ, RR,
+	// Jain and harm.
+	MetricOverall Metric = iota
+	// MetricThroughput is each sender's mean throughput (Figs. 2, 4).
+	MetricThroughput
+	// MetricJain is Jain's fairness index (Figs. 3, 5, 6).
+	MetricJain
+	// MetricUtilization is the link utilization φ (Fig. 7).
+	MetricUtilization
+	// MetricRetransmits is the mean total retransmission count (Fig. 8).
+	MetricRetransmits
+)
+
+// PairingSet names the pairings a figure covers.
+type PairingSet int
+
+const (
+	// AllPairings is every pairing the sweep holds (Table 3).
+	AllPairings PairingSet = iota
+	// PerPairing is one panel per inter-CCA pairing (Figs. 2, 4).
+	PerPairing
+	// InterAndIntra is one table with an inter-CCA and an intra-CCA
+	// section (Figs. 3, 5, 6).
+	InterAndIntra
+	// IntraOnly is one table of the intra-CCA pairings, a row per CCA
+	// (Figs. 7, 8).
+	IntraOnly
+)
+
+// panelMetric is how RenderPanel prints one metric: its title, the table's
+// column width and decimals, and the shading range of its chart form
+// (lo == hi: the metric has no chart form and prints as a table).
+type panelMetric struct {
+	title, chartTitle string
+	width, prec       int
+	lo, hi            float64
+	value             func(*Cell) float64
+}
+
+var panelMetrics = map[Metric]panelMetric{
+	MetricJain: {title: "Jain's fairness index", chartTitle: "Jain's index",
+		width: 9, prec: 3, lo: 0.5, hi: 1, value: func(c *Cell) float64 { return c.Jain }},
+	MetricUtilization: {title: "Link utilization",
+		width: 9, prec: 3, value: func(c *Cell) float64 { return c.Utilization }},
+	MetricRetransmits: {title: "Retransmissions",
+		width: 12, prec: 0, value: func(c *Cell) float64 { return c.Retransmits }},
+}
+
+// RenderPanel renders one Figure 3/5/6/7/8 panel: a metric (MetricJain,
+// MetricUtilization or MetricRetransmits) per pairing × bandwidth at one
+// buffer size, for one AQM. InterAndIntra splits the rows into inter- and
+// intra-CCA sections; IntraOnly lists the intra-CCA pairings by CCA. With
+// chart, a metric that has a chart form is drawn as a shaded matrix over
+// every pairing the sweep holds instead.
+func (s *Summary) RenderPanel(m Metric, set PairingSet, kind aqm.Kind, queueBDP float64, chart bool) string {
+	pm := panelMetrics[m]
+	if chart && pm.lo < pm.hi {
+		return s.renderMatrix(pm, kind, queueBDP)
 	}
-	render("inter-CCA", InterPairings())
-	render("intra-CCA", IntraPairings())
+	var b strings.Builder
+	if set == IntraOnly {
+		fmt.Fprintf(&b, "%s (intra-CCA), AQM=%s, buffer=%gxBDP\n", pm.title, kind, queueBDP)
+		s.panelRows(&b, pm, kind, queueBDP, "cca", IntraPairings(),
+			func(p Pairing) string { return string(p.CCA1) })
+		return b.String()
+	}
+	fmt.Fprintf(&b, "%s, AQM=%s, buffer=%gxBDP\n", pm.title, kind, queueBDP)
+	b.WriteString("\n  inter-CCA:\n")
+	s.panelRows(&b, pm, kind, queueBDP, "pairing", InterPairings(), Pairing.String)
+	b.WriteString("\n  intra-CCA:\n")
+	s.panelRows(&b, pm, kind, queueBDP, "pairing", IntraPairings(), Pairing.String)
 	return b.String()
 }
 
-// RenderUtilizationFigure renders Figure 7: overall link utilization φ for
-// the intra-CCA experiments, per AQM at one buffer size.
-func (s *Summary) RenderUtilizationFigure(kind aqm.Kind, queueBDP float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Link utilization (intra-CCA), AQM=%s, buffer=%gxBDP\n", kind, queueBDP)
-	fmt.Fprintf(&b, "    %-16s", "cca")
+// panelRows writes a bandwidth header and one row per pairing that has at
+// least one cell; missing cells print as "-".
+func (s *Summary) panelRows(b *strings.Builder, pm panelMetric, kind aqm.Kind, queueBDP float64,
+	header string, pairings []Pairing, label func(Pairing) string) {
+	fmt.Fprintf(b, "    %-16s", header)
 	for _, bw := range s.Bandwidths() {
-		fmt.Fprintf(&b, " %9s", bw)
+		fmt.Fprintf(b, " %*s", pm.width, bw)
 	}
 	b.WriteString("\n")
-	for _, p := range IntraPairings() {
+	for _, p := range pairings {
 		found := false
-		row := fmt.Sprintf("    %-16s", p.CCA1)
+		row := fmt.Sprintf("    %-16s", label(p))
 		for _, bw := range s.Bandwidths() {
 			c := s.Lookup(p, kind, queueBDP, bw)
 			if c == nil {
-				row += fmt.Sprintf(" %9s", "-")
+				row += fmt.Sprintf(" %*s", pm.width, "-")
 				continue
 			}
 			found = true
-			row += fmt.Sprintf(" %9.3f", c.Utilization)
+			row += fmt.Sprintf(" %*.*f", pm.width, pm.prec, pm.value(c))
 		}
 		if found {
 			b.WriteString(row + "\n")
 		}
 	}
-	return b.String()
-}
-
-// RenderRetransFigure renders Figure 8: retransmission counts for the
-// intra-CCA experiments, per AQM at one buffer size.
-func (s *Summary) RenderRetransFigure(kind aqm.Kind, queueBDP float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Retransmissions (intra-CCA), AQM=%s, buffer=%gxBDP\n", kind, queueBDP)
-	fmt.Fprintf(&b, "    %-16s", "cca")
-	for _, bw := range s.Bandwidths() {
-		fmt.Fprintf(&b, " %12s", bw)
-	}
-	b.WriteString("\n")
-	for _, p := range IntraPairings() {
-		found := false
-		row := fmt.Sprintf("    %-16s", p.CCA1)
-		for _, bw := range s.Bandwidths() {
-			c := s.Lookup(p, kind, queueBDP, bw)
-			if c == nil {
-				row += fmt.Sprintf(" %12s", "-")
-				continue
-			}
-			found = true
-			row += fmt.Sprintf(" %12.0f", c.Retransmits)
-		}
-		if found {
-			b.WriteString(row + "\n")
-		}
-	}
-	return b.String()
 }
 
 // RenderTable3 renders the overall comparison as a markdown table matching

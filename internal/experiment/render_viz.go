@@ -34,13 +34,14 @@ func (s *Summary) RenderThroughputBars(p Pairing, kind aqm.Kind, bw units.Bandwi
 	return g.Render()
 }
 
-// RenderJainMatrix draws a Figure 3/5/6 panel as a shaded matrix: rows are
-// pairings, columns bandwidths, cells the Jain index at one buffer size.
-func (s *Summary) RenderJainMatrix(kind aqm.Kind, queueBDP float64) string {
+// renderMatrix draws a metric panel as a shaded matrix: rows are the
+// pairings the sweep holds, columns bandwidths, cells the metric at one
+// buffer size.
+func (s *Summary) renderMatrix(pm panelMetric, kind aqm.Kind, queueBDP float64) string {
 	m := &viz.Matrix{
-		Title: fmt.Sprintf("Jain's index, AQM=%s, buffer=%gxBDP", kind, queueBDP),
-		Lo:    0.5,
-		Hi:    1.0,
+		Title: fmt.Sprintf("%s, AQM=%s, buffer=%gxBDP", pm.chartTitle, kind, queueBDP),
+		Lo:    pm.lo,
+		Hi:    pm.hi,
 	}
 	for _, bw := range s.Bandwidths() {
 		m.ColNames = append(m.ColNames, bw.String())
@@ -50,7 +51,7 @@ func (s *Summary) RenderJainMatrix(kind aqm.Kind, queueBDP float64) string {
 		any := false
 		for j, bw := range s.Bandwidths() {
 			if c := s.Lookup(p, kind, queueBDP, bw); c != nil {
-				row[j] = c.Jain
+				row[j] = pm.value(c)
 				any = true
 			} else {
 				row[j] = math.NaN()
@@ -58,35 +59,6 @@ func (s *Summary) RenderJainMatrix(kind aqm.Kind, queueBDP float64) string {
 		}
 		if any {
 			m.RowNames = append(m.RowNames, p.String())
-			m.Values = append(m.Values, row)
-		}
-	}
-	return m.Render()
-}
-
-// RenderUtilizationMatrix draws a Figure 7 panel as a shaded matrix of φ.
-func (s *Summary) RenderUtilizationMatrix(kind aqm.Kind, queueBDP float64) string {
-	m := &viz.Matrix{
-		Title: fmt.Sprintf("Link utilization, AQM=%s, buffer=%gxBDP (intra-CCA)", kind, queueBDP),
-		Lo:    0.4,
-		Hi:    1.0,
-	}
-	for _, bw := range s.Bandwidths() {
-		m.ColNames = append(m.ColNames, bw.String())
-	}
-	for _, p := range IntraPairings() {
-		row := make([]float64, len(m.ColNames))
-		any := false
-		for j, bw := range s.Bandwidths() {
-			if c := s.Lookup(p, kind, queueBDP, bw); c != nil {
-				row[j] = c.Utilization
-				any = true
-			} else {
-				row[j] = math.NaN()
-			}
-		}
-		if any {
-			m.RowNames = append(m.RowNames, string(p.CCA1))
 			m.Values = append(m.Values, row)
 		}
 	}

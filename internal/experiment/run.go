@@ -267,8 +267,8 @@ func Run(cfg Config, obs ...Observer) (Result, error) {
 	res.FaultLossDrops = mon.LossDrops()
 	res.FaultDownDrops = mon.DownDrops()
 	if cfg.Topology != nil {
-		res.Groups = GroupResults(net, cfg)
-		res.Ports = PortResults(net, cfg.Duration)
+		res.Groups = groupResults(net, cfg)
+		res.Ports = portResults(net, cfg.Duration)
 	}
 	if fr != nil {
 		res.FCT = FCTFromRunner(fr)
@@ -330,8 +330,8 @@ func ClassFlowCount(cfg Config, cls topo.SenderSpec) int {
 	return cfg.FlowsPerSender
 }
 
-// GroupResults assembles the per-class results for a built network.
-func GroupResults(net *topo.Network, cfg Config) []GroupResult {
+// groupResults assembles the per-class results for a built network.
+func groupResults(net *topo.Network, cfg Config) []GroupResult {
 	out := make([]GroupResult, 0, net.NumClasses())
 	for ci := 0; ci < net.NumClasses(); ci++ {
 		cls := net.ClassSpec(ci)
@@ -347,9 +347,9 @@ func GroupResults(net *topo.Network, cfg Config) []GroupResult {
 	return out
 }
 
-// PortResults assembles the per-link results for the network's reported
+// portResults assembles the per-link results for the network's reported
 // ports (bottleneck-role, explicitly queued, and monitor links).
-func PortResults(net *topo.Network, dur time.Duration) []PortResult {
+func portResults(net *topo.Network, dur time.Duration) []PortResult {
 	idxs := net.ReportPorts()
 	out := make([]PortResult, 0, len(idxs))
 	for _, i := range idxs {

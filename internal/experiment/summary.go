@@ -162,7 +162,8 @@ func (s *Summary) Pairings() []Pairing {
 	return append(out, rest...)
 }
 
-// AQMs returns the distinct disciplines present, in paper order.
+// AQMs returns the distinct disciplines present: the paper's in paper
+// order, then any other (CoDel) by name.
 func (s *Summary) AQMs() []aqm.Kind {
 	seen := map[aqm.Kind]bool{}
 	for k := range s.cells {
@@ -172,9 +173,15 @@ func (s *Summary) AQMs() []aqm.Kind {
 	for _, a := range aqm.Kinds() {
 		if seen[a] {
 			out = append(out, a)
+			delete(seen, a)
 		}
 	}
-	return out
+	rest := make([]aqm.Kind, 0, len(seen))
+	for a := range seen {
+		rest = append(rest, a)
+	}
+	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
+	return append(out, rest...)
 }
 
 // Table3Row is one row of the paper's Table 3.

@@ -59,20 +59,17 @@ type Port struct {
 
 	// Fault injection (the paper's "network anomalies" future work):
 	// lossRate drops transmitted packets uniformly at random; ge overlays a
-	// Gilbert–Elliott bursty-loss chain; jitter adds a uniform extra delay
-	// in [0, jitter) per packet; down models a carrier loss (link flap).
+	// Gilbert–Elliott bursty-loss chain; down models a carrier loss (link
+	// flap).
 	// The RNG is derived from the engine's seeded RNG on first use, so
 	// fault behaviour is bit-reproducible per engine seed.
 	lossRate float64
-	jitter   time.Duration
 	rng      *sim.RNG
 	ge       geChain
 	down     bool
 
-	// allowReorder lets jittered deliveries overtake each other; by default
-	// delivery times are clamped monotonic per port (a link does not
-	// reorder frames).
-	allowReorder  bool
+	// lastDeliverAt clamps delivery times monotonic per port: a link does
+	// not reorder frames, even when an RTT step shrinks the delay.
 	lastDeliverAt sim.Time
 
 	txPackets uint64
@@ -326,23 +323,6 @@ func (po *Port) SetGELoss(pGB, pBG, lossGood, lossBad float64) {
 	}
 }
 
-// SetJitter adds a uniform random extra propagation delay in [0, d) per
-// packet. By default delivery remains in-order (delivery times are clamped
-// monotonic per port); call SetAllowReorder(true) to let late draws
-// overtake earlier packets.
-func (po *Port) SetJitter(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	po.jitter = d
-	po.ensureRNG()
-}
-
-// SetAllowReorder controls whether jitter (or a shrinking propagation
-// delay) may reorder deliveries. The default is false: a port models a
-// FIFO link, so delivery times are clamped to be non-decreasing.
-func (po *Port) SetAllowReorder(allow bool) { po.allowReorder = allow }
-
 // SetRate changes the link rate mid-run (a fault-injection bandwidth
 // step). The packet currently being serialized finishes at the old rate;
 // subsequent packets use the new one. Non-positive rates are ignored —
@@ -360,9 +340,9 @@ func (po *Port) SetRate(rate units.Bandwidth) {
 func (po *Port) Delay() time.Duration { return po.delay }
 
 // SetDelay changes the propagation delay mid-run (a fault-injection RTT
-// step). Negative delays clamp to zero. Unless SetAllowReorder(true) is
-// set, a shrinking delay cannot reorder packets already in flight: new
-// deliveries are clamped behind the latest scheduled delivery.
+// step). Negative delays clamp to zero. A shrinking delay cannot reorder
+// packets already in flight: new deliveries are clamped behind the latest
+// scheduled delivery.
 func (po *Port) SetDelay(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -555,13 +535,9 @@ func (h *portTxDone) OnEvent(arg any) {
 		}
 		packet.Release(p)
 	default:
-		delay := po.delay
-		if po.jitter > 0 {
-			delay += time.Duration(po.rng.Jitter(float64(po.jitter)))
-		}
 		now := po.eng.Now()
-		at := now + sim.Duration(delay)
-		if !po.allowReorder && at < po.lastDeliverAt {
+		at := now + sim.Duration(po.delay)
+		if at < po.lastDeliverAt {
 			at = po.lastDeliverAt // FIFO link: never overtake an earlier packet
 		}
 		po.lastDeliverAt = at

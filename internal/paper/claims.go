@@ -405,7 +405,7 @@ func Claims() []Claim {
 				get := func(n cca.Name) float64 {
 					var sum float64
 					cnt := 0
-					for _, a := range s.AQMs() {
+					for _, a := range aqm.Kinds() { // Fig. 8's disciplines, not every one swept
 						for _, q := range s.QueueMults() {
 							if c := s.Lookup(pair(n, n), a, q, bw); c != nil {
 								sum += c.Retransmits

@@ -71,7 +71,7 @@ func TestClaimsNoDataOnEmptySweep(t *testing.T) {
 
 // miniSweep runs a small real sweep (100 Mbps, 3 buffers) used by the claim
 // and report tests.
-func miniSweep(t *testing.T) *experiment.Summary {
+func miniSweep(t *testing.T) []experiment.Result {
 	t.Helper()
 	var cfgs []experiment.Config
 	for _, p := range experiment.PaperPairings() {
@@ -89,14 +89,14 @@ func miniSweep(t *testing.T) *experiment.Summary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return experiment.Summarize(results)
+	return results
 }
 
 func TestClaimsAgainstMiniSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mini sweep is expensive")
 	}
-	s := miniSweep(t)
+	s := experiment.Summarize(miniSweep(t))
 	deviating := 0
 	for _, c := range Claims() {
 		v, detail := c.Check(s)
@@ -117,8 +117,7 @@ func TestReportRendering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mini sweep is expensive")
 	}
-	s := miniSweep(t)
-	md := Report(s, ReportOptions{Note: "mini sweep (tests)", IncludeFigures: true})
+	md := Report(miniSweep(t), ReportOptions{Note: "mini sweep (tests)", IncludeFigures: true})
 	for _, want := range []string{
 		"# EXPERIMENTS",
 		"## Qualitative findings",

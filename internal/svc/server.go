@@ -445,11 +445,9 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	md := paper.Report(experiment.Summarize(results), paper.ReportOptions{
+	md := paper.Report(results, paper.ReportOptions{
 		Note:           j.Spec.Note(),
 		IncludeFigures: r.URL.Query().Get("figures") != "0",
-		FCTMatrix:      experiment.HarmFCTMatrix(results),
-		FairnessTable:  experiment.FairnessTable(results),
 	})
 	w.Header().Set("Content-Type", "text/markdown; charset=utf-8")
 	w.Write([]byte(md))

@@ -203,23 +203,28 @@ smoke_svc() {
 smoke_cluster() {
     need sweep sweepd
     # 6 queues x 3 AQMs x 7 pairings x 4 seeds = 504 cheap configurations
-    # (100Mbps, 4s): seconds for the grid, yet a wide window for the kill.
-    spec="-bws 100Mbps -queues 0.5,1,2,4,8,16 -aqms fifo,red,codel -seeds 4 -duration 4s
+    # (100Mbps, 10s). The kill must land while more than one TTL plus one
+    # reap period (TTL/4) of work remains: otherwise the survivors drain
+    # the queue, steal the dead worker's lease tail and finish before the
+    # reaper looks, and nothing is requeued. One simulation per worker
+    # keeps the grid's wall time from shrinking with the host's core count.
+    spec="-bws 100Mbps -queues 0.5,1,2,4,8,16 -aqms fifo,red,codel -seeds 4 -duration 10s
  -pairings reno:reno,cubic:cubic,bbr1:bbr1,bbr2:bbr2,reno:cubic,cubic:bbr1,reno:bbr1"
     n=504
+    ttl_ms=1000
 
     say "direct single-process sweep (the byte-identity oracle)"
     sweep $spec -quiet -strict -out "$d/direct.json" >/dev/null
 
     say "starting coordinator + 3 workers"
     start_sweepd coordinator -coordinator -journal "$d/coordinator.ckpt.jsonl" \
-        -lease-ttl 3s -heartbeat 500ms -lease-batch 8
+        -lease-ttl ${ttl_ms}ms -heartbeat $((ttl_ms / 5))ms -lease-batch 8
     coord=$pid
-    bg "$d/w1.log" sweepd -join "$base" -name w1 -journal "$d/w1.ckpt.jsonl"
+    bg "$d/w1.log" sweepd -join "$base" -name w1 -shards 1 -journal "$d/w1.ckpt.jsonl"
     w1=$!
-    bg "$d/w2.log" sweepd -join "$base" -name w2 -journal "$d/w2.ckpt.jsonl"
+    bg "$d/w2.log" sweepd -join "$base" -name w2 -shards 1 -journal "$d/w2.ckpt.jsonl"
     w2=$!
-    bg "$d/w3.log" sweepd -join "$base" -name w3 -journal "$d/w3.ckpt.jsonl"
+    bg "$d/w3.log" sweepd -join "$base" -name w3 -shards 1 -journal "$d/w3.ckpt.jsonl"
     w3=$!
     bg "$d/client.log" sweep $spec -quiet -remote "$base" -out "$d/served.json"
     client=$!
@@ -243,7 +248,16 @@ smoke_cluster() {
 
     results=$(metric sweepd_cluster_results_total)
     [ "$results" = "$n" ] || fail "results_total=$results, want $n (every config uploaded exactly once)"
-    dead=$(metric sweepd_cluster_workers_dead_total)
+    # The reaper declares w1 dead within one TTL plus one reap period of
+    # its last heartbeat; poll for two reap periods past the TTL.
+    i=0
+    while :; do
+        dead=$(metric sweepd_cluster_workers_dead_total)
+        [ "${dead:-0}" -ge 1 ] && break
+        i=$((i + 1))
+        [ "$i" -gt $((ttl_ms * 3 / 2 / 100)) ] && break
+        sleep 0.1
+    done
     [ "${dead:-0}" -ge 1 ] || fail "workers_dead_total=$dead, want >= 1 (the SIGKILLed worker)"
     requeued=$(metric sweepd_cluster_configs_requeued_total)
     [ "${requeued:-0}" -ge 1 ] ||
