@@ -19,6 +19,9 @@ import (
 	"repro/internal/failpoint"
 	"repro/internal/faults"
 	"repro/internal/flows"
+	"repro/internal/netem"
+	"repro/internal/packet"
+	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
@@ -386,5 +389,93 @@ func TestAllocGuardParkingLot(t *testing.T) {
 	if perPacket > 1.0 {
 		t.Errorf("parking-lot allocation regression: %.3f allocs per forwarded data packet "+
 			"(budget ≤ 1, same as the dumbbell)", perPacket)
+	}
+}
+
+// TestAllocGuardEngineReusePaths holds the event core's reuse paths to
+// exactly zero heap allocations once warm: a chain of pooled handler
+// events, a timer re-arming itself from its own expiry, a delay line whose
+// every delivery pushes the next, and packets forwarded through two netem
+// ports (serializer timer plus delay line per port). Each run dispatches
+// thousands of events; AllocsPerRun's warm-up run grows the pools and rings.
+func TestAllocGuardEngineReusePaths(t *testing.T) {
+	const events = 4096
+	paths := []struct {
+		name string
+		run  func() func()
+	}{
+		{"chained handler", func() func() {
+			e := sim.NewEngine(1)
+			n := 0
+			var h sim.HandlerFunc
+			h = func(any) {
+				if n++; n < events {
+					e.ScheduleHandler(time.Microsecond, h, nil)
+				}
+			}
+			return func() {
+				n = 0
+				e.ScheduleHandler(time.Microsecond, h, nil)
+				e.Run()
+			}
+		}},
+		{"self-re-arming timer", func() func() {
+			e := sim.NewEngine(1)
+			n := 0
+			var tm sim.Timer
+			tm.Init(e, sim.HandlerFunc(func(any) {
+				if n++; n < events {
+					tm.Reset(time.Microsecond)
+				}
+			}), nil)
+			return func() {
+				n = 0
+				tm.Reset(time.Microsecond)
+				e.Run()
+			}
+		}},
+		{"line delivery", func() func() {
+			e := sim.NewEngine(1)
+			n := 0
+			var l sim.Line
+			l.Init(e, sim.HandlerFunc(func(any) {
+				if n++; n <= events-64 {
+					l.PushAt(e.Now()+sim.Duration(time.Millisecond), nil)
+				}
+			}))
+			return func() {
+				n = 0
+				for i := 0; i < 64; i++ {
+					l.PushAt(e.Now()+sim.Time(i)*1000, nil)
+				}
+				e.Run()
+			}
+		}},
+		{"netem port forwarding", func() func() {
+			e := sim.NewEngine(1)
+			pkts := make([]*packet.Packet, 0, events/4)
+			for i := 0; i < cap(pkts); i++ {
+				pkts = append(pkts, &packet.Packet{Kind: packet.Data, Flow: packet.FlowID(i % 8), Size: 9000})
+			}
+			back := make([]*packet.Packet, 0, len(pkts))
+			sink := netem.ReceiverFunc(func(_ sim.Time, p *packet.Packet) { back = append(back, p) })
+			hop2 := netem.NewPort(e, "hop2", 10*units.GigabitPerSec, time.Millisecond, nil, sink)
+			hop1 := netem.NewPort(e, "hop1", 10*units.GigabitPerSec, time.Millisecond, nil, hop2)
+			return func() {
+				back = back[:0]
+				for _, p := range pkts {
+					hop1.Send(p)
+				}
+				e.Run()
+				if len(back) != len(pkts) {
+					t.Fatalf("forwarded %d of %d packets", len(back), len(pkts))
+				}
+			}
+		}},
+	}
+	for _, p := range paths {
+		if allocs := testing.AllocsPerRun(20, p.run()); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per run of %d events; the warm path must allocate nothing", p.name, allocs, events)
+		}
 	}
 }

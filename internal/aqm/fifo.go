@@ -93,7 +93,8 @@ func (q *FIFO) SelfCheck() error {
 }
 
 // pktRing is a growable circular buffer of packets; it avoids the per-element
-// allocation of container/list in the hottest path of the simulator.
+// allocation of container/list in the hottest path of the simulator. Its
+// length is zero or a power of two, so indices wrap with a mask.
 type pktRing struct {
 	buf  []*packet.Packet
 	head int
@@ -106,7 +107,7 @@ func (r *pktRing) push(p *packet.Packet) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = p
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
 	r.n++
 }
 
@@ -116,7 +117,7 @@ func (r *pktRing) pop() *packet.Packet {
 	}
 	p := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return p
 }
@@ -131,7 +132,7 @@ func (r *pktRing) peek() *packet.Packet {
 // forEach visits every queued packet head-to-tail without mutating the ring.
 func (r *pktRing) forEach(fn func(*packet.Packet)) {
 	for i := 0; i < r.n; i++ {
-		fn(r.buf[(r.head+i)%len(r.buf)])
+		fn(r.buf[(r.head+i)&(len(r.buf)-1)])
 	}
 }
 
@@ -142,7 +143,7 @@ func (r *pktRing) grow() {
 	}
 	nb := make([]*packet.Packet, newCap)
 	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)%len(r.buf)]
+		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
 	r.buf = nb
 	r.head = 0

@@ -51,10 +51,13 @@ type Port struct {
 	// Handler adapters for the two per-packet events (serialization done,
 	// propagation delivery). Stable addresses inside the Port let the
 	// engine dispatch them without a closure or Event allocation per
-	// packet. Deliveries wait on the port's delay line, which holds one
+	// packet. The serializer is one port-owned timer, armed for the packet
+	// in txing; deliveries wait on the port's delay line, which holds one
 	// heap slot however many packets are in propagation.
 	txDoneH  portTxDone
 	deliverH portDeliver
+	txTimer  sim.Timer
+	txing    *packet.Packet
 	wire     sim.Line
 
 	// Fault injection (the paper's "network anomalies" future work):
@@ -134,6 +137,7 @@ func NewPort(eng *sim.Engine, name string, rate units.Bandwidth, delay time.Dura
 	po := &Port{Name: name, eng: eng, rate: rate, delay: delay, queue: queue, dst: dst}
 	po.txDoneH.po = po
 	po.deliverH.po = po
+	po.txTimer.Init(eng, &po.txDoneH, nil)
 	po.wire.Init(eng, &po.deliverH)
 	if a := eng.Auditor(); a != nil {
 		po.aud = a
@@ -480,17 +484,19 @@ func (po *Port) transmitNext() {
 	if po.trc != nil {
 		po.trc.Dequeue(int64(now), uint32(p.Flow), int64(po.queue.Bytes()), int64(sojourn))
 	}
-	txTime := units.TransmissionTime(p.Size, po.rate)
-	po.eng.ScheduleHandler(txTime, &po.txDoneH, p)
+	po.txing = p
+	po.txTimer.Reset(units.TransmissionTime(p.Size, po.rate))
 }
 
-// portTxDone fires when the last bit of a packet leaves the serializer.
+// portTxDone fires when the last bit of the packet in txing leaves the
+// serializer.
 type portTxDone struct{ po *Port }
 
-// OnEvent implements sim.Handler; arg is the transmitted *packet.Packet.
-func (h *portTxDone) OnEvent(arg any) {
+// OnEvent implements sim.Handler.
+func (h *portTxDone) OnEvent(any) {
 	po := h.po
-	p := arg.(*packet.Packet)
+	p := po.txing
+	po.txing = nil
 	po.txPackets++
 	po.txBytes += p.Size
 	switch {

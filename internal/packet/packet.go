@@ -35,29 +35,29 @@ const (
 type FlowID uint32
 
 // Packet is one frame in flight. Fields are plain data; ownership passes
-// along the forwarding path and back to the pool on Release.
+// along the forwarding path and back to the pool on Release. The fields
+// every hop reads (queues, ports, demultiplexers) come first, so forwarding
+// touches one cache line; two endpoint flags fill the padding before Flow.
 type Packet struct {
-	Kind Kind
-	Flow FlowID
-	Size units.ByteSize // wire size including headers
-	ECN  ECN
+	Kind      Kind
+	ECN       ECN
+	Retrans   bool // data: this is a retransmission
+	EchoCE    bool // ACK: receiver saw CE on the acked segment
+	Flow      FlowID
+	Size      units.ByteSize // wire size including headers
+	EnqueueAt sim.Time       // when it entered the current queue (CoDel sojourn)
 
 	// Data segment fields.
 	Seq     int64 // first byte carried
 	DataLen int64 // payload bytes
-	Retrans bool  // this is a retransmission
 
 	// ACK fields.
-	CumAck    int64 // next byte expected by the receiver
-	SackSeq   int64 // highest out-of-order byte seen (simplified SACK)
-	AckedSeq  int64 // Seq of the segment that triggered this ACK
-	EchoCE    bool  // receiver saw CE on the acked segment
-	EchoSent  sim.Time
-	EchoAcked int64 // DataLen of segment that triggered this ACK
+	CumAck   int64 // next byte expected by the receiver
+	AckedSeq int64 // Seq of the segment that triggered this ACK
+	EchoSent sim.Time
 
-	// Timestamps for delay accounting.
-	SentAt    sim.Time // when the sender transmitted it
-	EnqueueAt sim.Time // when it entered the current queue (CoDel sojourn)
+	// SentAt is when the sender transmitted it.
+	SentAt sim.Time
 
 	// Delivery-rate sampling state copied from the sender at transmit time
 	// (per the BBR delivery-rate-estimation draft).

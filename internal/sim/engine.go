@@ -22,16 +22,16 @@
 //     owned by the engine, drawn from a per-engine free list, and returned
 //     to it as soon as the event fires. No handle is exposed, so these
 //     events cannot be cancelled; they are the right tool for fire-and-
-//     forget per-packet work (serialization done).
+//     forget work that has no natural owner.
 //
 //   - Timer: a caller-owned, reusable timer for recurring deadlines (RTO,
-//     pacing release, delayed ACK, samplers). Its event storage is embedded
-//     in the Timer itself, so Reset/Stop never allocate: Reset re-keys the
-//     heap slot in place when the timer is already queued. A Timer must not
-//     be copied after Init (the heap holds a pointer into it). A timer set
-//     up with InitObserver is observation, not science: its expiries are
-//     counted apart, so Executed and the event watchdog read the same with
-//     or without observers attached.
+//     pacing release, delayed ACK, samplers, a port's serializer). Its
+//     event storage is embedded in the Timer itself, so Reset/Stop never
+//     allocate: Reset re-keys the heap slot in place when the timer is
+//     already queued. A Timer must not be copied after Init (the heap holds
+//     a pointer into it). A timer set up with InitObserver is observation,
+//     not science: its expiries are counted apart, so Executed and the
+//     event watchdog read the same with or without observers attached.
 //
 //   - Line: a caller-owned FIFO delay line for deliveries that leave in the
 //     order they were pushed (propagation on a link). Entries sit in a ring
@@ -42,6 +42,17 @@
 // Cancelling (Event.Cancel, Timer.Stop) removes the entry from the heap
 // eagerly, so long runs that repeatedly rearm timers do not accumulate
 // dead entries.
+//
+// # Reusing the fired slot
+//
+// While a popped event dispatches, its root slot stays in the heap as a
+// hole keyed by the fired event. The first event the handler schedules —
+// by any surface — takes the hole and sifts once from the root, instead of
+// a full-depth pop followed by a leaf push. If the handler schedules
+// nothing, the run loop pops the hole after it returns. Every queued key
+// is later than the hole's (it was the minimum, and new keys carry a
+// larger sequence), so sifting up, re-keying and removal below the root
+// never pass it, and Pending does not count it.
 //
 // # Dispatch order
 //
@@ -159,11 +170,11 @@ func (q *eventQueue) push(at Time, seq uint64, ev *Event) {
 	q.up(len(*q) - 1)
 }
 
-// pop removes the root.
+// pop discards the root slot, whose event the caller has already marked
+// unqueued.
 func (q *eventQueue) pop() {
 	h := *q
 	n := len(h) - 1
-	h[0].ev.idx = -1
 	h[0] = h[n]
 	h[n] = entry{}
 	*q = h[:n]
@@ -239,7 +250,8 @@ func (q eventQueue) down(i int) bool {
 type Engine struct {
 	now     Time
 	queue   eventQueue
-	behind  int // Line entries queued behind their line's head (not in the heap)
+	hole    bool // queue[0] is the dispatching event's slot, free for reuse
+	behind  int  // Line entries queued behind their line's head (not in the heap)
 	seq     uint64
 	stopped bool
 	rng     *RNG
@@ -292,7 +304,24 @@ func (e *Engine) Executed() uint64 { return e.executed - e.observed }
 
 // Pending returns the number of queued events, including Line entries
 // waiting behind their line's head.
-func (e *Engine) Pending() int { return len(e.queue) + e.behind }
+func (e *Engine) Pending() int {
+	n := len(e.queue) + e.behind
+	if e.hole {
+		n--
+	}
+	return n
+}
+
+// push queues ev under (at, seq), reusing the fired slot when there is one.
+func (e *Engine) push(at Time, seq uint64, ev *Event) {
+	if e.hole {
+		e.hole = false
+		e.queue[0] = entry{at: at, seq: seq, ev: ev}
+		e.queue.down(0)
+		return
+	}
+	e.queue.push(at, seq, ev)
+}
 
 // FreeEvents returns the size of the pooled-event free list (telemetry and
 // pool-reuse tests).
@@ -367,7 +396,7 @@ func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
 	}
 	e.seq++
 	ev := &Event{at: at, fn: fn, idx: -1, eng: e}
-	e.queue.push(at, e.seq, ev)
+	e.push(at, e.seq, ev)
 	return ev
 }
 
@@ -405,7 +434,7 @@ func (e *Engine) ScheduleHandlerAt(at Time, h Handler, arg any) {
 	ev.h = h
 	ev.arg = arg
 	ev.pooled = true
-	e.queue.push(at, e.seq, ev)
+	e.push(at, e.seq, ev)
 }
 
 // release zeroes a pooled event and returns it to the free list.
@@ -493,10 +522,15 @@ func (e *Engine) RunUntil(end Time) {
 		next := head.ev
 		if next.line != nil {
 			next.h.OnEvent(next.line.shift())
-			continue
+		} else {
+			next.idx = -1
+			e.hole = true
+			next.fire()
 		}
-		e.queue.pop()
-		next.fire()
+		if e.hole {
+			e.hole = false
+			e.queue.pop()
+		}
 		if next.pooled {
 			e.release(next)
 		}
@@ -570,7 +604,7 @@ func (t *Timer) ResetAt(at Time) {
 		eng.queue.fix(i)
 		return
 	}
-	eng.queue.push(at, eng.seq, &t.ev)
+	eng.push(at, eng.seq, &t.ev)
 }
 
 // Stop removes the timer from the queue if pending (eagerly — no dead entry
@@ -642,7 +676,7 @@ func (l *Line) PushAt(at Time, arg any) {
 	l.n++
 	switch {
 	case l.n == 1:
-		eng.queue.push(at, eng.seq, &l.ev)
+		eng.push(at, eng.seq, &l.ev)
 	case i == 0: // overtook the head: move the heap slot earlier
 		eng.behind++
 		s := l.ev.idx
@@ -655,9 +689,9 @@ func (l *Line) PushAt(at Time, arg any) {
 
 // shift is called when the line's slot is at the heap root: it removes the
 // head entry, re-keys the slot to the next entry's stored (at, seq) — or
-// pops it when the line empties — and returns the removed entry's arg. The
-// heap is consistent again before the handler runs, so the handler may push
-// onto this line.
+// leaves it as the engine's hole when the line empties — and returns the
+// removed entry's arg. The heap is consistent again before the handler
+// runs, so the handler may push onto this line.
 func (l *Line) shift() any {
 	eng := l.ev.eng
 	hd := &l.ring[l.head]
@@ -666,7 +700,8 @@ func (l *Line) shift() any {
 	l.head = (l.head + 1) & (len(l.ring) - 1)
 	l.n--
 	if l.n == 0 {
-		eng.queue.pop()
+		l.ev.idx = -1
+		eng.hole = true
 		return arg
 	}
 	eng.behind--

@@ -11,7 +11,8 @@ import (
 // The differential order test drives the engine and a trivial reference
 // model — every queued event in a plain slice, scanned for the smallest
 // (deadline, sequence) — with the same seeded operation stream, and requires
-// the same dispatch sequence and the same Pending count after every step.
+// the same dispatch sequence, the same Pending count read inside every
+// callback, and the same Pending count after every step.
 
 // Event ids encode the surface that scheduled them in the low three bits,
 // so both sides derive the same nested reaction from an id alone.
@@ -36,22 +37,60 @@ type orderSide interface {
 	runUntil(end Time)
 	now() Time
 	pending() int
-	dispatched() []int
+	log() *dispatchLog
 }
 
-// child is what a dispatched event schedules from inside its callback: every
-// third non-timer event schedules one more, alternating between a pooled
-// handler event and a push onto a line, 0–20 µs ahead (0 exercises
-// same-time FIFO among events created during dispatch).
-func child(id, n int) (cid int, d Time, ok bool) {
-	if id%8 == kindTimer || (id/8)%3 != 0 {
-		return 0, 0, false
+// dispatchLog is what both sides record and share while dispatching.
+type dispatchLog struct {
+	got         []int // dispatched ids, in order
+	pend        []int // Pending() read inside each callback
+	reactions   int   // callbacks so far: numbers the ids of child events
+	lastClosure int   // newest closure id, the target of a nested cancel
+}
+
+// react is every dispatched event's callback on both sides. It logs the id
+// and the Pending count seen mid-dispatch, then derives from the id what
+// to do from inside the callback:
+//   - a timer re-arms itself on every other expiry, 0–20 µs ahead;
+//   - every third other event schedules one more, alternating between a
+//     pooled handler event and a push onto a line, 0–20 µs ahead (0
+//     exercises same-time FIFO among events created during dispatch);
+//   - another third of line entries push onto their own line — which,
+//     when the fired entry was its last, is an empty line taking the
+//     fired slot;
+//   - some events stop another timer or cancel the newest closure.
+func react(s orderSide, id int) {
+	l := s.log()
+	l.got = append(l.got, id)
+	l.pend = append(l.pend, s.pending())
+	n := l.reactions
+	l.reactions++
+	kind, d := id%8, Time(id%3)*10_000
+	if kind == kindTimer {
+		if n%2 == 0 {
+			s.resetTimer(id/8, s.now()+Time(n%3)*10_000)
+		}
+		if n%5 == 0 {
+			s.stopTimer((id/8 + 1) % nTimers)
+		}
+		return
 	}
-	kind := kindHandler
-	if (id/8)%2 == 1 {
-		kind = kindLine0 + (id/8)%nLines
+	switch r := (id / 8) % 3; {
+	case r == 0:
+		child := kindHandler
+		if (id/8)%2 == 1 {
+			child = kindLine0 + (id/8)%nLines
+		}
+		scheduleByKind(s, s.now()+d, childBase+8*n+child)
+	case r == 1 && kind >= kindLine0:
+		scheduleByKind(s, s.now()+d, childBase+8*n+kind)
 	}
-	return childBase + 8*n + kind, Time(id%3) * 10_000, true
+	switch (id / 8) % 7 {
+	case 2:
+		s.stopTimer((id / 8) % nTimers)
+	case 4:
+		s.cancel(l.lastClosure)
+	}
 }
 
 // scheduleByKind routes an id to the surface its kind names.
@@ -72,8 +111,7 @@ type engineSide struct {
 	timers [nTimers]Timer
 	lines  [nLines]Line
 	evs    map[int]*Event
-	got    []int
-	next   int
+	dl     dispatchLog
 }
 
 func newEngineSide(a *audit.Auditor) *engineSide {
@@ -88,17 +126,11 @@ func newEngineSide(a *audit.Auditor) *engineSide {
 	return s
 }
 
-func (s *engineSide) OnEvent(arg any) {
-	id := arg.(int)
-	s.got = append(s.got, id)
-	if cid, d, ok := child(id, s.next); ok {
-		s.next++
-		scheduleByKind(s, s.e.Now()+d, cid)
-	}
-}
+func (s *engineSide) OnEvent(arg any) { react(s, arg.(int)) }
 
 func (s *engineSide) scheduleAt(at Time, id int) {
-	s.evs[id] = s.e.ScheduleAt(at, func() { s.OnEvent(id) })
+	s.dl.lastClosure = id
+	s.evs[id] = s.e.ScheduleAt(at, func() { react(s, id) })
 }
 func (s *engineSide) handlerAt(at Time, id int)        { s.e.ScheduleHandlerAt(at, s, id) }
 func (s *engineSide) pushAt(line int, at Time, id int) { s.lines[line].PushAt(at, id) }
@@ -108,15 +140,14 @@ func (s *engineSide) cancel(id int)                    { s.evs[id].Cancel() }
 func (s *engineSide) runUntil(end Time)                { s.e.RunUntil(end) }
 func (s *engineSide) now() Time                        { return s.e.Now() }
 func (s *engineSide) pending() int                     { return s.e.Pending() }
-func (s *engineSide) dispatched() []int                { return s.got }
+func (s *engineSide) log() *dispatchLog                { return &s.dl }
 
 // refSide is the reference model: an unordered slice and a linear scan.
 type refSide struct {
 	clock Time
 	seq   uint64
 	q     []refEvent
-	got   []int
-	next  int
+	dl    dispatchLog
 }
 
 type refEvent struct {
@@ -134,7 +165,7 @@ func (r *refSide) drop(id int) {
 	r.q = slices.DeleteFunc(r.q, func(ev refEvent) bool { return ev.id == id })
 }
 
-func (r *refSide) scheduleAt(at Time, id int)    { r.add(at, id) }
+func (r *refSide) scheduleAt(at Time, id int)    { r.dl.lastClosure = id; r.add(at, id) }
 func (r *refSide) handlerAt(at Time, id int)     { r.add(at, id) }
 func (r *refSide) pushAt(_ int, at Time, id int) { r.add(at, id) }
 func (r *refSide) resetTimer(k int, at Time)     { r.drop(8*k + kindTimer); r.add(at, 8*k+kindTimer) }
@@ -142,7 +173,7 @@ func (r *refSide) stopTimer(k int)               { r.drop(8*k + kindTimer) }
 func (r *refSide) cancel(id int)                 { r.drop(id) }
 func (r *refSide) now() Time                     { return r.clock }
 func (r *refSide) pending() int                  { return len(r.q) }
-func (r *refSide) dispatched() []int             { return r.got }
+func (r *refSide) log() *dispatchLog             { return &r.dl }
 func (r *refSide) runUntil(end Time) {
 	for {
 		m := -1
@@ -157,11 +188,7 @@ func (r *refSide) runUntil(end Time) {
 		ev := r.q[m]
 		r.q = slices.Delete(r.q, m, m+1)
 		r.clock = ev.at
-		r.got = append(r.got, ev.id)
-		if cid, d, ok := child(ev.id, r.next); ok {
-			r.next++
-			scheduleByKind(r, r.clock+d, cid)
-		}
+		react(r, ev.id)
 	}
 	r.clock = max(r.clock, end)
 }
@@ -229,8 +256,8 @@ func TestDifferentialDispatchOrder(t *testing.T) {
 			if n := eng.pending(); n != 0 {
 				t.Fatalf("%d events still pending after the drain", n)
 			}
-			if len(eng.got) < 2000 {
-				t.Fatalf("only %d dispatches; the stream exercised too little", len(eng.got))
+			if len(eng.dl.got) < 2000 {
+				t.Fatalf("only %d dispatches; the stream exercised too little", len(eng.dl.got))
 			}
 			a.Finish()
 		})
@@ -239,14 +266,20 @@ func TestDifferentialDispatchOrder(t *testing.T) {
 
 func compareSides(t *testing.T, step int, got, want orderSide) {
 	t.Helper()
-	g, w := got.dispatched(), want.dispatched()
-	if !slices.Equal(g, w) {
+	g, w := got.log(), want.log()
+	if !slices.Equal(g.got, w.got) {
 		i := 0
-		for i < len(g) && i < len(w) && g[i] == w[i] {
+		for i < len(g.got) && i < len(w.got) && g.got[i] == w.got[i] {
 			i++
 		}
 		t.Fatalf("step %d: dispatch sequences diverge at position %d: engine %v, reference %v",
-			step, i, g[i:min(i+5, len(g))], w[i:min(i+5, len(w))])
+			step, i, g.got[i:min(i+5, len(g.got))], w.got[i:min(i+5, len(w.got))])
+	}
+	for i := range g.pend { // one read per dispatch, so as long as got
+		if g.pend[i] != w.pend[i] {
+			t.Fatalf("step %d: dispatch of %d read Pending = %d inside its callback, reference holds %d",
+				step, g.got[i], g.pend[i], w.pend[i])
+		}
 	}
 	if got.pending() != want.pending() {
 		t.Fatalf("step %d: Pending = %d, reference holds %d", step, got.pending(), want.pending())

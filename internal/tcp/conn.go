@@ -719,6 +719,7 @@ func (c *Conn) onRTO() {
 }
 
 // segDeque is a growable ring of outstanding segments ordered by sequence.
+// Its length is zero or a power of two, so indices wrap with a mask.
 type segDeque struct {
 	buf  []*seg
 	head int
@@ -727,7 +728,7 @@ type segDeque struct {
 
 func (d *segDeque) len() int { return d.n }
 
-func (d *segDeque) at(i int) *seg { return d.buf[(d.head+i)%len(d.buf)] }
+func (d *segDeque) at(i int) *seg { return d.buf[(d.head+i)&(len(d.buf)-1)] }
 
 func (d *segDeque) front() *seg {
 	if d.n == 0 {
@@ -745,13 +746,27 @@ func (d *segDeque) push(s *seg) {
 		d.buf = nb
 		d.head = 0
 	}
-	d.buf[(d.head+d.n)%len(d.buf)] = s
+	d.buf[(d.head+d.n)&(len(d.buf)-1)] = s
 	d.n++
 }
 
 // find returns the outstanding segment starting at seq, or nil. Segments
-// are stored in increasing sequence order, so a binary search suffices.
+// are contiguous, non-empty and all but the last are one MSS long, so seq
+// is looked up first at index (seq − front.seq)/front.len; they are stored
+// in increasing sequence order, so a binary search settles any miss.
 func (d *segDeque) find(seq int64) *seg {
+	if d.n == 0 {
+		return nil
+	}
+	f := d.buf[d.head]
+	if seq < f.seq {
+		return nil
+	}
+	if i := (seq - f.seq) / f.len; i < int64(d.n) {
+		if s := d.at(int(i)); s.seq == seq {
+			return s
+		}
+	}
 	lo, hi := 0, d.n
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -775,7 +790,7 @@ func (d *segDeque) pop() *seg {
 	}
 	s := d.buf[d.head]
 	d.buf[d.head] = nil
-	d.head = (d.head + 1) % len(d.buf)
+	d.head = (d.head + 1) & (len(d.buf) - 1)
 	d.n--
 	return s
 }

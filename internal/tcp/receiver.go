@@ -128,7 +128,7 @@ func (r *Receiver) Receive(now sim.Time, p *packet.Packet) {
 		inOrder = true
 		r.rcvNxt += p.DataLen
 		// Merge any buffered continuation.
-		for {
+		for len(r.ooo) > 0 {
 			l, ok := r.ooo[r.rcvNxt]
 			if !ok {
 				break

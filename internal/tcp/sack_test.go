@@ -11,32 +11,71 @@ import (
 	"repro/internal/units"
 )
 
+// TestSegDequeFind covers both halves of find: the direct index
+// (seq − front.seq)/front.len, and the binary search it falls back to when
+// the segment at that index does not start at seq.
 func TestSegDequeFind(t *testing.T) {
-	var d segDeque
-	if d.find(0) != nil {
-		t.Fatal("find on empty deque")
-	}
-	for i := int64(0); i < 50; i++ {
-		d.push(&seg{seq: i * 8900, len: 8900})
-	}
-	// Rotate the ring to exercise wraparound indexing.
-	for i := 0; i < 20; i++ {
-		d.pop()
-	}
-	for i := int64(50); i < 80; i++ {
-		d.push(&seg{seq: i * 8900, len: 8900})
-	}
-	for i := int64(20); i < 80; i++ {
-		s := d.find(i * 8900)
-		if s == nil || s.seq != i*8900 {
-			t.Fatalf("find(%d) = %v", i*8900, s)
+	const mss = 8900
+	// segs returns n contiguous MSS segments from seq, then the given tails.
+	segs := func(seq int64, n int, tails ...int64) []*seg {
+		var out []*seg
+		for i := 0; i < n; i++ {
+			out = append(out, &seg{seq: seq, len: mss})
+			seq += mss
 		}
+		for _, l := range tails {
+			out = append(out, &seg{seq: seq, len: l})
+			seq += l
+		}
+		return out
 	}
-	if d.find(19*8900) != nil {
-		t.Fatal("found popped segment")
+	cases := []struct {
+		name   string
+		rotate int // segments pushed and popped first, so the ring wraps
+		segs   []*seg
+		misses []int64
+	}{
+		{name: "index hit on a wrapped ring", rotate: 40, segs: segs(1_000_000, 50)},
+		{name: "short final segment under LimitBytes", segs: segs(0, 20, 1234)},
+		{name: "seq below the front", rotate: 10, segs: segs(10*mss, 10),
+			misses: []int64{0, 9 * mss, 10*mss - 1}},
+		{name: "seq past the back", segs: segs(0, 10, 100),
+			misses: []int64{10*mss + 100, 11 * mss, 1 << 40}},
+		{name: "seq between segments", rotate: 13, segs: segs(0, 10),
+			misses: []int64{1, mss - 1, 5*mss + 60, 9*mss + 1}},
+		{name: "short front: index past the end, fallback", segs: segs(0, 0, 100, mss, mss, mss, mss, mss)},
+		{name: "long front: index on the wrong segment, fallback", rotate: 30,
+			segs: segs(0, 1, 100, 100, 100, 60, mss), misses: []int64{mss + 50, mss + 301}},
 	}
-	if d.find(12345) != nil {
-		t.Fatal("found nonexistent seq")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var d segDeque
+			if d.find(0) != nil {
+				t.Fatal("find on an empty deque")
+			}
+			for i := 0; i < tc.rotate; i++ {
+				d.push(&seg{seq: -1, len: mss})
+			}
+			for i := 0; i < tc.rotate; i++ {
+				d.pop()
+			}
+			for _, s := range tc.segs {
+				d.push(s)
+			}
+			if tc.rotate > 0 && d.head+d.n <= len(d.buf) {
+				t.Fatalf("ring does not wrap: head %d, %d segments, capacity %d", d.head, d.n, len(d.buf))
+			}
+			for _, want := range tc.segs {
+				if s := d.find(want.seq); s != want {
+					t.Errorf("find(%d) = %v, want the segment starting there", want.seq, s)
+				}
+			}
+			for _, seq := range tc.misses {
+				if s := d.find(seq); s != nil {
+					t.Errorf("find(%d) = segment at %d, want nil", seq, s.seq)
+				}
+			}
+		})
 	}
 }
 

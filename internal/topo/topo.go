@@ -13,6 +13,7 @@
 package topo
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/audit"
@@ -23,9 +24,11 @@ import (
 )
 
 // Demux routes packets to per-flow endpoints at divergence points of the
-// graph (route forks and network edges).
+// graph (route forks and network edges). Flow IDs come from one counter per
+// network and are never reused, so the table is a slice indexed by ID that
+// grows to the highest ID registered here.
 type Demux struct {
-	m map[packet.FlowID]netem.Receiver
+	rs []netem.Receiver
 
 	// aud, when non-nil, reports packets released for an unknown flow as
 	// terminally consumed, keeping the conservation ledger balanced (matched
@@ -34,21 +37,32 @@ type Demux struct {
 }
 
 // NewDemux returns an empty demultiplexer.
-func NewDemux() *Demux { return &Demux{m: make(map[packet.FlowID]netem.Receiver)} }
+func NewDemux() *Demux { return &Demux{} }
 
 // Register binds a flow to an endpoint.
-func (d *Demux) Register(id packet.FlowID, r netem.Receiver) { d.m[id] = r }
+func (d *Demux) Register(id packet.FlowID, r netem.Receiver) {
+	if n := int(id) + 1; n > len(d.rs) {
+		d.rs = slices.Grow(d.rs, n-len(d.rs))[:n]
+	}
+	d.rs[id] = r
+}
 
 // Unregister removes a flow's binding. Packets for the flow still in
 // flight fall to the unknown-flow path in Receive (consumed + released),
 // so tearing a flow down mid-run keeps the conservation ledger settled.
-func (d *Demux) Unregister(id packet.FlowID) { delete(d.m, id) }
+func (d *Demux) Unregister(id packet.FlowID) {
+	if int(id) < len(d.rs) {
+		d.rs[id] = nil
+	}
+}
 
 // Receive implements netem.Receiver.
 func (d *Demux) Receive(now sim.Time, p *packet.Packet) {
-	if r, ok := d.m[p.Flow]; ok {
-		r.Receive(now, p)
-		return
+	if int(p.Flow) < len(d.rs) {
+		if r := d.rs[p.Flow]; r != nil {
+			r.Receive(now, p)
+			return
+		}
 	}
 	if d.aud != nil {
 		d.aud.PacketConsumed()

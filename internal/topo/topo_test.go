@@ -1,11 +1,15 @@
 package topo
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/aqm"
+	"repro/internal/audit"
 	"repro/internal/cca"
+	"repro/internal/netem"
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/tcp"
@@ -100,6 +104,48 @@ func TestDemuxUnknownFlowReleased(t *testing.T) {
 	p := packet.New()
 	p.Flow = 99
 	d.Receive(0, p) // must not panic
+}
+
+// TestDemuxFlowIndexed: the table grows to the highest ID registered, and
+// an ID past its end or unregistered takes the unknown-flow path, which
+// releases the packet and keeps the auditor's ledger balanced.
+func TestDemuxFlowIndexed(t *testing.T) {
+	a := audit.New("demux-test")
+	d := NewDemux()
+	d.aud = a
+	var got []packet.FlowID
+	r := netem.ReceiverFunc(func(_ sim.Time, p *packet.Packet) {
+		got = append(got, p.Flow)
+		a.PacketConsumed()
+		packet.Release(p)
+	})
+	for _, step := range []struct {
+		id   packet.FlowID
+		size int
+	}{{3, 4}, {7, 8}, {5, 8}} {
+		d.Register(step.id, r)
+		if len(d.rs) != step.size {
+			t.Fatalf("after Register(%d) the table holds %d slots, want %d", step.id, len(d.rs), step.size)
+		}
+	}
+	d.Unregister(1000) // past the end: a no-op
+	d.Unregister(7)
+	if len(d.rs) != 8 {
+		t.Fatalf("Unregister resized the table to %d slots", len(d.rs))
+	}
+	for _, id := range []packet.FlowID{3, 5, 7, 4, 0, 8, 1000, math.MaxUint32} {
+		a.PacketCreated()
+		p := packet.New()
+		p.Flow = id
+		d.Receive(0, p)
+	}
+	if want := []packet.FlowID{3, 5}; !slices.Equal(got, want) {
+		t.Fatalf("delivered flows %v, want %v", got, want)
+	}
+	if a.Created() != a.Consumed() {
+		t.Fatalf("ledger: %d packets created, %d consumed", a.Created(), a.Consumed())
+	}
+	a.Finish()
 }
 
 func TestSenderAccessors(t *testing.T) {
