@@ -479,3 +479,61 @@ func TestAllocGuardEngineReusePaths(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocGuardAQMSteadyState holds every discipline's per-packet path to
+// exactly zero heap allocations once its rings have grown. Each batch runs
+// enqueue+dequeue pairs over a standing queue whose sojourn (one packet per
+// millisecond behind 32) stays above CoDel's 5 ms target and whose RED
+// average sits in the drop ramp, so every discipline but FIFO CE-marks ECT
+// packets; it then offers non-ECT packets until one is dropped and drains
+// back to the standing level.
+func TestAllocGuardAQMSteadyState(t *testing.T) {
+	const (
+		standing = 32  // packets queued between batches
+		pairs    = 256 // enqueue+dequeue pairs per batch
+		size     = 1500
+		runs     = 20
+	)
+	for _, kind := range []aqm.Kind{aqm.KindFIFO, aqm.KindRED, aqm.KindCoDel, aqm.KindFQCoDel} {
+		// RED's defaults put the 48 kB standing queue between min_th
+		// (capacity/12) and max_th (capacity/4).
+		q, err := aqm.New(aqm.Config{Kind: kind, Capacity: 8 * standing * size, ECN: true, RED: aqm.REDParams{Seed: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := sim.Time(0)
+		offer := func(ecn packet.ECN) {
+			p := packet.New()
+			p.Kind, p.Flow, p.Size, p.ECN = packet.Data, 1, size, ecn
+			q.Enqueue(now, p)
+		}
+		for q.Len() < standing {
+			offer(packet.ECT0)
+		}
+		batch := func() {
+			for i := 0; i < pairs; i++ {
+				now += sim.Time(time.Millisecond)
+				offer(packet.ECT0)
+				packet.Release(q.Dequeue(now))
+			}
+			for d := q.Stats().Dropped; q.Stats().Dropped == d; {
+				offer(packet.NotECT)
+			}
+			for q.Len() > standing {
+				packet.Release(q.Dequeue(now))
+			}
+		}
+		batch() // grow the rings and reach the steady state
+		before := q.Stats()
+		if allocs := testing.AllocsPerRun(runs, batch); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per batch of %d enqueue+dequeue pairs; the warm path must allocate nothing", kind, allocs, pairs)
+		}
+		after := q.Stats()
+		if drops := after.Dropped - before.Dropped; drops < runs {
+			t.Errorf("%s: %d drops over %d batches, want at least one per batch", kind, drops, runs)
+		}
+		if marks := after.Marked - before.Marked; kind != aqm.KindFIFO && marks < runs {
+			t.Errorf("%s: %d ECN marks over %d batches, want at least one per batch", kind, marks, runs)
+		}
+	}
+}

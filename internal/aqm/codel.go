@@ -34,10 +34,6 @@ type codelState struct {
 	count          int      // drops since entering drop state
 	lastCount      int      // count at the previous drop-state entry
 	dropping       bool
-	// trc, when non-nil, receives the control law's drop/mark events
-	// (installed by the owning discipline's SetTrace; shared by every
-	// flow queue under FQ-CoDel).
-	trc *telemetry.PortTracer
 }
 
 // controlLaw returns the next drop time: dropNext = t + interval/sqrt(count).
@@ -72,9 +68,9 @@ type codelSource interface {
 
 // dequeue applies the controller to the head packet of src at time now. It
 // returns the packet to transmit (possibly after dropping predecessors);
-// drops and marks are counted in stats. The caller supplies its own storage
-// via src so FQ-CoDel can share this logic across flow queues.
-func (c *codelState) dequeue(now sim.Time, src codelSource, stats *Stats) *packet.Packet {
+// drops and marks are counted and traced in l. The caller supplies its own
+// storage via src so FQ-CoDel can share this logic across flow queues.
+func (c *codelState) dequeue(now sim.Time, src codelSource, l *ledger) *packet.Packet {
 	p := src.pop()
 	if p == nil {
 		c.dropping = false
@@ -88,23 +84,12 @@ func (c *codelState) dequeue(now sim.Time, src codelSource, stats *Stats) *packe
 			return p
 		}
 		for now >= c.dropNext && c.dropping {
-			if c.p.ECN && (p.ECN == packet.ECT0 || p.ECN == packet.ECT1) {
-				p.ECN = packet.CE
-				stats.Marked++
-				if c.trc != nil {
-					c.trc.Mark(int64(now), uint32(p.Flow), telemetry.MarkCoDel, int64(p.Size), src.backlog())
-				}
-				c.count++
+			marked := c.signal(now, p, src, l)
+			c.count++
+			if marked {
 				c.dropNext = c.controlLaw(c.dropNext)
 				return p
 			}
-			stats.Dropped++
-			stats.DroppedBytes += p.Size
-			if c.trc != nil {
-				c.trc.Drop(int64(now), uint32(p.Flow), telemetry.DropCoDel, int64(p.Size), src.backlog())
-			}
-			packet.Release(p)
-			c.count++
 			p = src.pop()
 			if p == nil {
 				c.dropping = false
@@ -122,19 +107,7 @@ func (c *codelState) dequeue(now sim.Time, src codelSource, stats *Stats) *packe
 
 	if c.shouldDrop(sojourn, now, src.backlog()) {
 		// Enter the dropping state.
-		if c.p.ECN && (p.ECN == packet.ECT0 || p.ECN == packet.ECT1) {
-			p.ECN = packet.CE
-			stats.Marked++
-			if c.trc != nil {
-				c.trc.Mark(int64(now), uint32(p.Flow), telemetry.MarkCoDel, int64(p.Size), src.backlog())
-			}
-		} else {
-			stats.Dropped++
-			stats.DroppedBytes += p.Size
-			if c.trc != nil {
-				c.trc.Drop(int64(now), uint32(p.Flow), telemetry.DropCoDel, int64(p.Size), src.backlog())
-			}
-			packet.Release(p)
+		if !c.signal(now, p, src, l) {
 			p = src.pop() // may be nil; transmit the next packet if any
 		}
 		c.dropping = true
@@ -149,4 +122,16 @@ func (c *codelState) dequeue(now sim.Time, src codelSource, stats *Stats) *packe
 		c.dropNext = c.controlLaw(now)
 	}
 	return p
+}
+
+// signal applies the congestion signal to p, the packet just popped from
+// src: it CE-marks p and returns true when ECN is on and p is ECN-capable,
+// and otherwise drops p and returns false.
+func (c *codelState) signal(now sim.Time, p *packet.Packet, src codelSource, l *ledger) bool {
+	if c.p.ECN && (p.ECN == packet.ECT0 || p.ECN == packet.ECT1) {
+		l.mark(now, p, telemetry.MarkCoDel, src.backlog())
+		return true
+	}
+	l.drop(now, p, telemetry.DropCoDel, src.backlog())
+	return false
 }

@@ -16,11 +16,8 @@ import (
 // for validation runs and isolates the control law from the fair-queuing
 // layer for ablation.
 type CoDel struct {
-	ring  pktRing
-	bytes units.ByteSize
-	cap   units.ByteSize
-	stats Stats
-	ctl   codelState
+	buffer
+	ctl codelState
 
 	// doorDrops counts tail drops at the full buffer, a subset of
 	// stats.Dropped. CoDel shares FIFO/RED door semantics (rejected packets
@@ -28,81 +25,37 @@ type CoDel struct {
 	// the split is needed to state the accepted-packet balance:
 	// Enqueued = Dequeued + (Dropped - doorDrops) + Len.
 	doorDrops uint64
-
-	trc *telemetry.PortTracer
-}
-
-// SetTrace implements TraceSink: the door drops and the control law's
-// dequeue drops share the port's trace ring.
-func (q *CoDel) SetTrace(t *telemetry.PortTracer) {
-	q.trc = t
-	q.ctl.trc = t
 }
 
 // NewCoDel returns a standalone CoDel queue holding at most capacity bytes.
 func NewCoDel(capacity units.ByteSize, ecn bool, p CoDelParams) *CoDel {
-	if capacity <= 0 {
-		capacity = 1
-	}
 	p.defaults()
 	if ecn {
 		p.ECN = true
 	}
-	return &CoDel{cap: capacity, ctl: codelState{p: p}}
+	return &CoDel{buffer: newBuffer(capacity), ctl: codelState{p: p}}
 }
 
 // Name implements Queue.
 func (q *CoDel) Name() string { return string(KindCoDel) }
 
-// Capacity implements Queue.
-func (q *CoDel) Capacity() units.ByteSize { return q.cap }
-
-// Len implements Queue.
-func (q *CoDel) Len() int { return q.ring.len() }
-
-// Bytes implements Queue.
-func (q *CoDel) Bytes() units.ByteSize { return q.bytes }
-
-// Stats implements Queue.
-func (q *CoDel) Stats() Stats { return q.stats }
-
 // Enqueue implements Queue: tail drop when the byte limit would be
 // exceeded, otherwise accept — all AQM intelligence runs at dequeue.
 func (q *CoDel) Enqueue(now sim.Time, p *packet.Packet) bool {
-	if q.bytes+p.Size > q.cap {
-		q.stats.Dropped++
-		q.stats.DroppedBytes += p.Size
+	if !q.fits(p) {
 		q.doorDrops++
-		if q.trc != nil {
-			q.trc.Drop(int64(now), uint32(p.Flow), telemetry.DropOverlimit, int64(p.Size), int64(q.bytes))
-		}
-		packet.Release(p)
+		q.drop(now, p, telemetry.DropOverlimit, q.backlog())
 		return false
 	}
-	p.EnqueueAt = now
-	q.ring.push(p)
-	q.bytes += p.Size
-	q.stats.Enqueued++
+	q.push(now, p)
 	return true
 }
-
-// pop implements codelSource.
-func (q *CoDel) pop() *packet.Packet {
-	p := q.ring.pop()
-	if p != nil {
-		q.bytes -= p.Size
-	}
-	return p
-}
-
-// backlog implements codelSource.
-func (q *CoDel) backlog() int64 { return int64(q.bytes) }
 
 // Dequeue implements Queue: the RFC 8289 control law decides whether the
 // head packet (and possibly its successors) is transmitted, marked or
 // dropped based on how long it sat in the queue.
 func (q *CoDel) Dequeue(now sim.Time) *packet.Packet {
-	p := q.ctl.dequeue(now, q, &q.stats)
+	p := q.ctl.dequeue(now, &q.buffer, &q.ledger)
 	if p != nil {
 		q.stats.Dequeued++
 	}
@@ -111,21 +64,8 @@ func (q *CoDel) Dequeue(now sim.Time) *packet.Packet {
 
 // SelfCheck implements SelfChecker.
 func (q *CoDel) SelfCheck() error {
-	var sum units.ByteSize
-	q.ring.forEach(func(p *packet.Packet) { sum += p.Size })
-	if sum != q.bytes {
-		return fmt.Errorf("codel: queued packets sum to %d bytes but occupancy says %d", sum, q.bytes)
-	}
-	if q.bytes < 0 || q.bytes > q.cap {
-		return fmt.Errorf("codel: occupancy %d outside [0, %d]", q.bytes, q.cap)
-	}
 	if q.doorDrops > q.stats.Dropped {
 		return fmt.Errorf("codel: doorDrops=%d exceeds total Dropped=%d", q.doorDrops, q.stats.Dropped)
 	}
-	codelDrops := q.stats.Dropped - q.doorDrops
-	if q.stats.Enqueued != q.stats.Dequeued+codelDrops+uint64(q.ring.len()) {
-		return fmt.Errorf("codel: accepted-packet imbalance: enqueued=%d != dequeued=%d + codel-dropped=%d + queued=%d",
-			q.stats.Enqueued, q.stats.Dequeued, codelDrops, q.ring.len())
-	}
-	return nil
+	return q.check(string(KindCoDel), q.stats.Dropped-q.doorDrops)
 }

@@ -106,7 +106,7 @@ func TestFIFOConservation(t *testing.T) {
 }
 
 func TestRingGrowth(t *testing.T) {
-	var r pktRing
+	var r ring[*packet.Packet]
 	const n = 1000
 	for i := 0; i < n; i++ {
 		p := packet.New()
@@ -139,18 +139,18 @@ func TestRingGrowth(t *testing.T) {
 }
 
 func TestRingPeek(t *testing.T) {
-	var r pktRing
-	if r.peek() != nil {
-		t.Fatal("peek on empty should be nil")
+	var r ring[*packet.Packet]
+	if r.front() != nil {
+		t.Fatal("front on empty should be nil")
 	}
 	p := packet.New()
 	p.Seq = 42
 	r.push(p)
-	if got := r.peek(); got == nil || got.Seq != 42 {
-		t.Fatalf("peek got %v", got)
+	if got := r.front(); got == nil || got.Seq != 42 {
+		t.Fatalf("front got %v", got)
 	}
 	if r.len() != 1 {
-		t.Fatal("peek must not consume")
+		t.Fatal("front must not consume")
 	}
 	packet.Release(r.pop())
 }

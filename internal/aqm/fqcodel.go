@@ -28,27 +28,18 @@ type FQCoDel struct {
 	cap   units.ByteSize
 	bytes units.ByteSize
 	npkts int
-	stats Stats
+	// ledger counts and traces fat-flow evictions and every flow queue's
+	// CoDel drops and marks into one port ring.
+	ledger
 
 	queues   []flowQueue
-	newFlows flowList // indices into queues
-	oldFlows flowList
-
-	trc *telemetry.PortTracer
-}
-
-// SetTrace implements TraceSink: fat-flow evictions and every flow queue's
-// CoDel control law report into the same port ring.
-func (q *FQCoDel) SetTrace(t *telemetry.PortTracer) {
-	q.trc = t
-	for i := range q.queues {
-		q.queues[i].codel.trc = t
-	}
+	newFlows ring[int] // indices into queues
+	oldFlows ring[int]
 }
 
 type flowQueue struct {
 	parent  *FQCoDel // owning discipline, for shared byte/packet accounting
-	ring    pktRing
+	ring    ring[*packet.Packet]
 	bytes   int64
 	deficit int64
 	codel   codelState
@@ -75,17 +66,6 @@ const (
 	fqNew
 	fqOld
 )
-
-// flowList is an intrusive FIFO of bucket indices.
-type flowList struct {
-	items []int
-}
-
-func (l *flowList) empty() bool  { return len(l.items) == 0 }
-func (l *flowList) push(i int)   { l.items = append(l.items, i) }
-func (l *flowList) head() int    { return l.items[0] }
-func (l *flowList) popHead() int { h := l.items[0]; l.items = l.items[1:]; return h }
-func (l *flowList) rotate()      { h := l.popHead(); l.push(h) }
 
 // NewFQCoDel returns an FQ-CoDel queue holding at most capacity bytes total.
 func NewFQCoDel(capacity units.ByteSize, ecn bool, p FQCoDelParams) *FQCoDel {
@@ -125,9 +105,6 @@ func (q *FQCoDel) Len() int { return q.npkts }
 
 // Bytes implements Queue.
 func (q *FQCoDel) Bytes() units.ByteSize { return q.bytes }
-
-// Stats implements Queue.
-func (q *FQCoDel) Stats() Stats { return q.stats }
 
 // Enqueue implements Queue. When the shared byte limit is exceeded the
 // packet at the head of the largest sub-queue is dropped (RFC 8290 §4.1's
@@ -175,55 +152,46 @@ func (q *FQCoDel) dropFromFattest(now sim.Time, justIdx int, just *packet.Packet
 	if fat < 0 || fatBytes <= 0 {
 		return false
 	}
-	fq := &q.queues[fat]
-	victim := fq.ring.pop()
+	victim := q.queues[fat].pop()
 	if victim == nil {
 		return false
 	}
-	fq.bytes -= int64(victim.Size)
-	q.bytes -= victim.Size
-	q.npkts--
-	q.stats.Dropped++
-	q.stats.DroppedBytes += victim.Size
-	if q.trc != nil {
-		q.trc.Drop(int64(now), uint32(victim.Flow), telemetry.DropOverlimit, int64(victim.Size), int64(q.bytes))
-	}
 	isJust := fat == justIdx && victim == just
-	packet.Release(victim)
+	q.drop(now, victim, telemetry.DropOverlimit, int64(q.bytes))
 	return isJust
 }
 
 // Dequeue implements Queue with the RFC 8290 two-list DRR scheduler.
 func (q *FQCoDel) Dequeue(now sim.Time) *packet.Packet {
 	for {
-		var list *flowList
-		if !q.newFlows.empty() {
+		var list *ring[int]
+		if q.newFlows.len() > 0 {
 			list = &q.newFlows
-		} else if !q.oldFlows.empty() {
+		} else if q.oldFlows.len() > 0 {
 			list = &q.oldFlows
 		} else {
 			return nil
 		}
-		idx := list.head()
+		idx := list.front()
 		fq := &q.queues[idx]
 
 		if fq.deficit <= 0 {
 			fq.deficit += int64(q.p.Quantum)
 			// Move to the back of the old list.
-			list.popHead()
+			list.pop()
 			fq.state = fqOld
 			q.oldFlows.push(idx)
 			continue
 		}
 
-		p := fq.codel.dequeue(now, fq, &q.stats)
+		p := fq.codel.dequeue(now, fq, &q.ledger)
 
 		if p == nil {
 			// Queue drained. A new-list flow moves to the old list (to
 			// guard against a flow cycling through "new" status); an
 			// old-list flow becomes idle.
-			list.popHead()
-			if fq.state == fqNew && !q.oldFlows.empty() {
+			list.pop()
+			if fq.state == fqNew && q.oldFlows.len() > 0 {
 				fq.state = fqOld
 				q.oldFlows.push(idx)
 			} else {
@@ -248,7 +216,9 @@ func (q *FQCoDel) SelfCheck() error {
 	for i := range q.queues {
 		fq := &q.queues[i]
 		var fqSum int64
-		fq.ring.forEach(func(p *packet.Packet) { fqSum += int64(p.Size) })
+		for j := 0; j < fq.ring.len(); j++ {
+			fqSum += int64(fq.ring.at(j).Size)
+		}
 		if fqSum != fq.bytes {
 			return fmt.Errorf("fq_codel: flow %d packets sum to %d bytes but flow occupancy says %d", i, fqSum, fq.bytes)
 		}
@@ -271,27 +241,28 @@ func (q *FQCoDel) SelfCheck() error {
 		return fmt.Errorf("fq_codel: offered-packet imbalance: enqueued=%d != dequeued=%d + dropped=%d + queued=%d",
 			q.stats.Enqueued, q.stats.Dequeued, q.stats.Dropped, q.npkts)
 	}
-	seen := make(map[int]uint8, len(q.newFlows.items)+len(q.oldFlows.items))
-	for _, idx := range q.newFlows.items {
-		if idx < 0 || idx >= len(q.queues) || q.queues[idx].state != fqNew {
-			return fmt.Errorf("fq_codel: new-list entry %d has state %d, want %d", idx, q.queues[idx].state, fqNew)
+	seen := make([]bool, len(q.queues))
+	for _, sched := range []struct {
+		name  string
+		list  *ring[int]
+		state uint8
+	}{{"new", &q.newFlows, fqNew}, {"old", &q.oldFlows, fqOld}} {
+		for j := 0; j < sched.list.len(); j++ {
+			idx := sched.list.at(j)
+			if idx < 0 || idx >= len(q.queues) {
+				return fmt.Errorf("fq_codel: %s-list entry %d is not a flow bucket", sched.name, idx)
+			}
+			if st := q.queues[idx].state; st != sched.state {
+				return fmt.Errorf("fq_codel: %s-list entry %d has state %d, want %d", sched.name, idx, st, sched.state)
+			}
+			if seen[idx] {
+				return fmt.Errorf("fq_codel: flow %d appears twice on the scheduler lists", idx)
+			}
+			seen[idx] = true
 		}
-		if seen[idx] != 0 {
-			return fmt.Errorf("fq_codel: flow %d appears twice on the scheduler lists", idx)
-		}
-		seen[idx] = fqNew
-	}
-	for _, idx := range q.oldFlows.items {
-		if idx < 0 || idx >= len(q.queues) || q.queues[idx].state != fqOld {
-			return fmt.Errorf("fq_codel: old-list entry %d has state %d, want %d", idx, q.queues[idx].state, fqOld)
-		}
-		if seen[idx] != 0 {
-			return fmt.Errorf("fq_codel: flow %d appears twice on the scheduler lists", idx)
-		}
-		seen[idx] = fqOld
 	}
 	for i := range q.queues {
-		if q.queues[i].state != fqIdle && seen[i] == 0 {
+		if q.queues[i].state != fqIdle && !seen[i] {
 			return fmt.Errorf("fq_codel: flow %d has state %d but sits on no scheduler list", i, q.queues[i].state)
 		}
 	}

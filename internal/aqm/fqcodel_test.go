@@ -1,6 +1,7 @@
 package aqm
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -60,28 +61,49 @@ func TestFQCoDelRoundRobinFairness(t *testing.T) {
 	}
 }
 
+// TestFQCoDelDRRWeightsBySize checks RFC 8290's byte-based deficit round
+// robin under unequal packet sizes: while two flows stay backlogged, their
+// cumulative bytes served differ by at most one quantum plus one maximum
+// packet at the end of every full round, whatever sizes they send. A
+// scheduler that charged per packet instead of per byte would let the flow
+// with the larger packets pull ahead by a multiple of the size ratio each
+// round.
 func TestFQCoDelDRRWeightsBySize(t *testing.T) {
-	// Flow 1 sends jumbo packets (8960B), flow 2 small ones (1120B). DRR in
-	// bytes should give each flow ~equal bytes, i.e. ~8 small per 1 jumbo.
-	q := NewFQCoDel(100_000_000, false, FQCoDelParams{})
-	for i := 0; i < 500; i++ {
-		q.Enqueue(0, mkData(1, 8960))
-		for j := 0; j < 8; j++ {
-			q.Enqueue(0, mkData(2, 1120))
-		}
-	}
-	bytes := map[packet.FlowID]int64{}
-	for i := 0; i < 1000; i++ {
-		p := q.Dequeue(0)
-		if p == nil {
-			break
-		}
-		bytes[p.Flow] += int64(p.Size)
-		packet.Release(p)
-	}
-	ratio := float64(bytes[1]) / float64(bytes[2])
-	if ratio < 0.7 || ratio > 1.4 {
-		t.Fatalf("byte shares not ~equal: %v (ratio %.2f)", bytes, ratio)
+	const backlog = 2_000_000 // bytes queued per flow
+	for _, sz := range [][2]units.ByteSize{{8960, 1120}, {8960, 1500}, {1500, 64}} {
+		t.Run(fmt.Sprintf("%d_%d", sz[0], sz[1]), func(t *testing.T) {
+			q := NewFQCoDel(1<<30, false, FQCoDelParams{})
+			var fqs [2]*flowQueue
+			for i, size := range sz {
+				flow := packet.FlowID(i + 1)
+				fqs[i] = &q.queues[packet.FlowHash(flow, q.p.Perturb, q.p.Flows)]
+				for n := units.ByteSize(0); n < backlog; n += size {
+					q.Enqueue(0, mkData(flow, size))
+				}
+			}
+			if fqs[0] == fqs[1] {
+				t.Fatal("flows 1 and 2 share a bucket")
+			}
+			bound := int64(q.p.Quantum + max(sz[0], sz[1]))
+			var served [2]int64
+			prev, rounds := packet.FlowID(0), 0
+			for fqs[0].bytes > 0 && fqs[1].bytes > 0 {
+				p := q.Dequeue(0)             // zero sojourn: CoDel never drops
+				if p.Flow == 1 && prev == 2 { // flow 2's turn closed a round
+					rounds++
+					if gap := served[0] - served[1]; gap > bound || -gap > bound {
+						t.Fatalf("round %d: served %d vs %d bytes, gap %d > quantum + max packet = %d",
+							rounds, served[0], served[1], gap, bound)
+					}
+				}
+				served[p.Flow-1] += int64(p.Size)
+				prev = p.Flow
+				packet.Release(p)
+			}
+			if rounds < 100 {
+				t.Fatalf("only %d full rounds with both flows backlogged", rounds)
+			}
+		})
 	}
 }
 

@@ -115,3 +115,33 @@ func fuzzQueueStream(t *testing.T, kind Kind, ecn bool, data []byte) {
 		t.Fatalf("%s/%v after drain: %v", kind, ecn, err)
 	}
 }
+
+// TestSelfCheckDetectsCorruption corrupts one internal structure at a time
+// and requires SelfCheck to report it as an error rather than pass or panic.
+func TestSelfCheckDetectsCorruption(t *testing.T) {
+	fifo := func() *FIFO {
+		q := NewFIFO(100_000)
+		q.Enqueue(0, mkData(1, 1000))
+		return q
+	}
+	fq := func() *FQCoDel {
+		q := NewFQCoDel(100_000, false, FQCoDelParams{Flows: 16})
+		q.Enqueue(0, mkData(1, 1000))
+		return q
+	}
+	for _, tc := range []struct {
+		name string
+		q    func() SelfChecker
+	}{
+		{"buffer bytes", func() SelfChecker { q := fifo(); q.bytes++; return q }},
+		{"buffer balance", func() SelfChecker { q := fifo(); q.stats.Enqueued++; return q }},
+		{"codel door drops", func() SelfChecker { q := NewCoDel(1000, false, CoDelParams{}); q.doorDrops++; return q }},
+		{"fq_codel list index", func() SelfChecker { q := fq(); q.oldFlows.push(99); return q }},
+		{"fq_codel list duplicate", func() SelfChecker { q := fq(); q.newFlows.push(q.newFlows.front()); return q }},
+		{"fq_codel list state", func() SelfChecker { q := fq(); q.queues[q.newFlows.front()].state = fqOld; return q }},
+	} {
+		if err := tc.q().SelfCheck(); err == nil {
+			t.Errorf("%s: corruption not reported", tc.name)
+		}
+	}
+}

@@ -1,8 +1,10 @@
 // Package aqm implements the three active-queue-management disciplines the
 // paper evaluates on the bottleneck router — FIFO (tail drop), RED (Floyd &
 // Jacobson 1993, with Linux-style "gentle" mode), and FQ-CoDel (RFC 8290 on
-// top of the RFC 8289 CoDel control law) — behind a common Queue interface
-// the router port drains.
+// top of the RFC 8289 CoDel control law) — plus standalone CoDel, behind a
+// common Queue interface the router port drains. FIFO, RED and CoDel share
+// one byte-bounded buffer; every discipline counts and traces its drops and
+// ECN marks through one ledger.
 package aqm
 
 import (

@@ -42,29 +42,23 @@ type REDParams struct {
 // discipline the paper finds starves CUBIC when BBR shares the link and
 // fails to fill high-bandwidth pipes.
 type RED struct {
-	ring  pktRing
-	bytes units.ByteSize
-	cap   units.ByteSize
-	stats Stats
+	buffer
 
 	p   REDParams
 	ecn bool
 	rng *sim.RNG
-	trc *telemetry.PortTracer
 
 	avg       float64  // EWMA queue size, bytes
 	count     int      // packets since last drop/mark while in [minth,maxth)
-	emptyAt   sim.Time // when the queue last went empty (-1 = not empty)
+	emptyAt   sim.Time // when the queue last went empty; read only while it is empty
 	everQueue bool
 }
 
 // NewRED returns a RED queue with the given byte limit.
 func NewRED(capacity units.ByteSize, ecn bool, p REDParams) *RED {
-	if capacity <= 0 {
-		capacity = 1
-	}
+	b := newBuffer(capacity)
 	if p.MaxTh <= 0 {
-		p.MaxTh = capacity / 4
+		p.MaxTh = b.cap / 4
 	}
 	if p.MinTh <= 0 {
 		p.MinTh = p.MaxTh / 3
@@ -85,34 +79,18 @@ func NewRED(capacity units.ByteSize, ecn bool, p REDParams) *RED {
 		p.MeanPktTime = time.Microsecond
 	}
 	return &RED{
-		cap:     capacity,
-		p:       p,
-		ecn:     ecn,
-		rng:     sim.NewRNG(p.Seed ^ 0x5ed0_5a17_ca11_ab1e),
-		emptyAt: 0,
+		buffer: b,
+		p:      p,
+		ecn:    ecn,
+		rng:    sim.NewRNG(p.Seed ^ 0x5ed0_5a17_ca11_ab1e),
 	}
 }
 
 // Name implements Queue.
 func (q *RED) Name() string { return string(KindRED) }
 
-// Capacity implements Queue.
-func (q *RED) Capacity() units.ByteSize { return q.cap }
-
-// Len implements Queue.
-func (q *RED) Len() int { return q.ring.len() }
-
-// Bytes implements Queue.
-func (q *RED) Bytes() units.ByteSize { return q.bytes }
-
-// Stats implements Queue.
-func (q *RED) Stats() Stats { return q.stats }
-
 // AvgQueue exposes the EWMA queue estimate (for tests and telemetry).
 func (q *RED) AvgQueue() float64 { return q.avg }
-
-// SetTrace implements TraceSink.
-func (q *RED) SetTrace(t *telemetry.PortTracer) { q.trc = t }
 
 // Params returns the resolved parameter set.
 func (q *RED) Params() REDParams { return q.p }
@@ -179,43 +157,26 @@ func (q *RED) Enqueue(now sim.Time, p *packet.Packet) bool {
 		q.count = 0
 	}
 
-	if !drop && q.bytes+p.Size > q.cap {
+	if !drop && !q.fits(p) {
 		drop = true // hard limit, like the physical buffer overflowing
 		reason = telemetry.DropTail
 	}
 	if drop {
-		q.stats.Dropped++
-		q.stats.DroppedBytes += p.Size
-		if q.trc != nil {
-			q.trc.Drop(int64(now), uint32(p.Flow), reason, int64(p.Size), int64(q.bytes))
-		}
-		packet.Release(p)
+		q.drop(now, p, reason, q.backlog())
 		return false
 	}
 	if mark {
-		p.ECN = packet.CE
-		q.stats.Marked++
-		if q.trc != nil {
-			q.trc.Mark(int64(now), uint32(p.Flow), telemetry.MarkRED, int64(p.Size), int64(q.bytes))
-		}
+		q.mark(now, p, telemetry.MarkRED, q.backlog())
 	}
-	p.EnqueueAt = now
-	q.ring.push(p)
-	q.bytes += p.Size
-	q.stats.Enqueued++
+	q.push(now, p)
 	q.everQueue = true
 	return true
 }
 
 // Dequeue implements Queue.
 func (q *RED) Dequeue(now sim.Time) *packet.Packet {
-	p := q.ring.pop()
-	if p == nil {
-		return nil
-	}
-	q.bytes -= p.Size
-	q.stats.Dequeued++
-	if q.ring.len() == 0 {
+	p := q.take()
+	if p != nil && q.ring.len() == 0 {
 		q.emptyAt = now
 	}
 	return p
@@ -223,17 +184,8 @@ func (q *RED) Dequeue(now sim.Time) *packet.Packet {
 
 // SelfCheck implements SelfChecker.
 func (q *RED) SelfCheck() error {
-	var sum units.ByteSize
-	q.ring.forEach(func(p *packet.Packet) { sum += p.Size })
-	if sum != q.bytes {
-		return fmt.Errorf("red: queued packets sum to %d bytes but occupancy says %d", sum, q.bytes)
-	}
-	if q.bytes < 0 || q.bytes > q.cap {
-		return fmt.Errorf("red: occupancy %d outside [0, %d]", q.bytes, q.cap)
-	}
-	if q.stats.Enqueued != q.stats.Dequeued+uint64(q.ring.len()) {
-		return fmt.Errorf("red: accepted-packet imbalance: enqueued=%d != dequeued=%d + queued=%d",
-			q.stats.Enqueued, q.stats.Dequeued, q.ring.len())
+	if err := q.check(string(KindRED), 0); err != nil {
+		return err
 	}
 	if math.IsNaN(q.avg) || math.IsInf(q.avg, 0) || q.avg < 0 {
 		return fmt.Errorf("red: EWMA queue estimate is %v", q.avg)

@@ -1,6 +1,7 @@
 package aqm
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -186,5 +187,87 @@ func BenchmarkREDEnqueueDequeue(b *testing.B) {
 		if p := q.Dequeue(sim.Time(i)); p != nil {
 			packet.Release(p)
 		}
+	}
+}
+
+// TestREDDropProbFloydJacobson pins dropProb to the closed form of Floyd &
+// Jacobson (1993) §4 plus the gentle extension: p_b = 0 below min_th,
+// max_p·(avg−min_th)/(max_th−min_th) up to max_th, then either 1 (classic)
+// or max_p + (1−max_p)·(avg−max_th)/max_th up to 2·max_th, and 1 beyond.
+func TestREDDropProbFloydJacobson(t *testing.T) {
+	const tol = 1e-12
+	const minTh, maxTh, maxP = 100_000.0, 300_000.0, 0.02
+	params := REDParams{MinTh: minTh, MaxTh: maxTh, MaxP: maxP}
+	classic := params
+	classic.DisableGentle = true
+	for _, tc := range []struct {
+		name string
+		p    REDParams
+		avg  float64
+		want float64
+	}{
+		{"below min_th", params, 60_000, 0},
+		{"at min_th", params, minTh, 0},
+		{"linear ramp", params, 150_000, maxP * (150_000 - minTh) / (maxTh - minTh)},
+		{"linear ramp high", params, 299_999, maxP * (299_999 - minTh) / (maxTh - minTh)},
+		{"at max_th", params, maxTh, maxP},
+		{"gentle ramp", params, 420_000, maxP + (1-maxP)*(420_000-maxTh)/maxTh},
+		{"gentle ramp high", params, 599_999, maxP + (1-maxP)*(599_999-maxTh)/maxTh},
+		{"at 2·max_th", params, 2 * maxTh, 1},
+		{"above 2·max_th", params, 5 * maxTh, 1},
+		{"classic linear ramp", classic, 250_000, maxP * (250_000 - minTh) / (maxTh - minTh)},
+		{"classic cliff at max_th", classic, maxTh, 1},
+		{"classic above max_th", classic, 420_000, 1},
+	} {
+		q := NewRED(4_000_000, false, tc.p)
+		q.avg = tc.avg
+		if got := q.dropProb(); math.Abs(got-tc.want) > tol {
+			t.Errorf("%s: dropProb(avg=%.0f) = %.15f, want %.15f", tc.name, tc.avg, got, tc.want)
+		}
+	}
+}
+
+// TestREDInterDropGapUniform checks the count term of Floyd & Jacobson §4.
+// With the average held at a fixed p_b in the linear ramp, p_a =
+// p_b/(1−count·p_b) makes the number of arrivals from one early drop to the
+// next (the drop included, i.e. the accepted count + 1) uniform on
+// {1, …, 1/p_b}, with mean (1/p_b + 1)/2 and never more than 1/p_b. Without
+// the count term the gap is geometric with mean 1/p_b; doubling max_p
+// halves the mean. The tolerance, ±2 arrivals on a mean of 50.5 over 4000
+// gaps, is over four standard errors (σ ≈ 28.9, σ/√4000 ≈ 0.46).
+func TestREDInterDropGapUniform(t *testing.T) {
+	const (
+		gaps = 4000
+		tol  = 2.0
+	)
+	// Wq is negligible, so the one-packet backlog never moves avg off the
+	// midpoint of the ramp: p_b = max_p/2.
+	const minTh, maxTh, maxP, avg = 100_000, 300_000, 0.02, 200_000
+	q := NewRED(1<<30, false, REDParams{MinTh: minTh, MaxTh: maxTh, MaxP: maxP, Wq: 1e-15, Seed: 11})
+	q.avg = avg
+	pb := maxP * (avg - minTh) / (maxTh - minTh)
+	var sum, since, longest int
+	for n := 0; n < gaps; {
+		since++
+		if q.Enqueue(0, mkData(1, 1000)) {
+			packet.Release(q.Dequeue(0))
+			continue
+		}
+		sum += since
+		longest = max(longest, since)
+		since = 0
+		n++
+	}
+	mean := float64(sum) / gaps
+	want := (1/pb + 1) / 2
+	t.Logf("%d early drops: mean gap %.2f arrivals (want %.2f), longest %d", gaps, mean, want, longest)
+	if math.Abs(mean-want) > tol {
+		t.Errorf("mean arrivals per early drop = %.2f, want %.2f ± %.0f", mean, want, tol)
+	}
+	if longest > int(math.Round(1/pb)) {
+		t.Errorf("longest gap = %d arrivals, want ≤ 1/p_b = %.0f", longest, 1/pb)
+	}
+	if d := q.Stats().Dropped; d != gaps {
+		t.Errorf("Dropped = %d, want %d early drops", d, gaps)
 	}
 }
