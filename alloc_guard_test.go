@@ -396,8 +396,9 @@ func TestAllocGuardParkingLot(t *testing.T) {
 // exactly zero heap allocations once warm: a chain of pooled handler
 // events, a timer re-arming itself from its own expiry, a delay line whose
 // every delivery pushes the next, and packets forwarded through two netem
-// ports (serializer timer plus delay line per port). Each run dispatches
-// thousands of events; AllocsPerRun's warm-up run grows the pools and rings.
+// ports, both backlogged (serializer timer plus delay line per port) and
+// idle (fused: delay line only). Each run dispatches thousands of events;
+// AllocsPerRun's warm-up run grows the pools and rings.
 func TestAllocGuardEngineReusePaths(t *testing.T) {
 	const events = 4096
 	paths := []struct {
@@ -469,6 +470,40 @@ func TestAllocGuardEngineReusePaths(t *testing.T) {
 				e.Run()
 				if len(back) != len(pkts) {
 					t.Fatalf("forwarded %d of %d packets", len(back), len(pkts))
+				}
+			}
+		}},
+		{"idle fused-port forwarding", func() func() {
+			e := sim.NewEngine(1)
+			pkts := make([]*packet.Packet, 0, events/3)
+			for i := 0; i < cap(pkts); i++ {
+				pkts = append(pkts, &packet.Packet{Kind: packet.Data, Flow: packet.FlowID(i % 8), Size: 9000})
+			}
+			back := make([]*packet.Packet, 0, len(pkts))
+			sink := netem.ReceiverFunc(func(_ sim.Time, p *packet.Packet) { back = append(back, p) })
+			hop2 := netem.NewPort(e, "hop2", 10*units.GigabitPerSec, time.Millisecond, nil, sink)
+			hop1 := netem.NewPort(e, "hop1", 10*units.GigabitPerSec, time.Millisecond, nil, hop2)
+			// One packet every 10 µs; each serializes in 7.2 µs, so both
+			// ports are idle at every arrival and finish it at dequeue.
+			next := 0
+			var tick sim.Timer
+			tick.Init(e, sim.HandlerFunc(func(any) {
+				hop1.Send(pkts[next])
+				if next++; next < len(pkts) {
+					tick.Reset(10 * time.Microsecond)
+				}
+			}), nil)
+			return func() {
+				back, next = back[:0], 0
+				before := e.Executed()
+				tick.Reset(10 * time.Microsecond)
+				e.Run()
+				if len(back) != len(pkts) {
+					t.Fatalf("forwarded %d of %d packets", len(back), len(pkts))
+				}
+				// A send and one delivery per hop: no serializer events.
+				if got, want := e.Executed()-before, 3*uint64(len(pkts)); got != want {
+					t.Fatalf("dispatched %d events for %d packets, want %d", got, len(pkts), want)
 				}
 			}
 		}},

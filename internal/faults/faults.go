@@ -186,11 +186,14 @@ func dur(d time.Duration) string { return d.String() }
 // installed immediately and every timeline entry is scheduled on eng
 // relative to the current simulation time. Relative BW/RTT factors resolve
 // against the port's rate and delay at Apply time. A nil or empty profile
-// is a no-op.
+// is a no-op; any other takes the port off the fused path before the run
+// starts, so every packet meets the timeline at the end of its
+// serialization.
 func Apply(eng *sim.Engine, po *netem.Port, p *Profile) {
 	if p.Empty() {
 		return
 	}
+	po.Unfuse()
 	n := p.Normalize()
 	if n.GE != nil {
 		po.SetGELoss(n.GE.PGoodBad, n.GE.PBadGood, n.GE.LossGood, n.GE.LossBad)

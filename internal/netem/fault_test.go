@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -10,22 +12,32 @@ import (
 	"repro/internal/units"
 )
 
+// TestLossInjectionRate: uniform injected loss drops a binomial share of
+// the packets, within 4σ of n·p at each rate. Fails if the loss decision is
+// drawn twice per packet (the rate roughly doubles).
 func TestLossInjectionRate(t *testing.T) {
-	eng := sim.NewEngine(1)
-	sink := &Sink{}
-	po := NewPort(eng, "lossy", 10*units.GigabitPerSec, 0, aqm.NewFIFO(1<<30), sink)
-	po.SetLoss(0.1)
-	const n = 20000
-	for i := 0; i < n; i++ {
-		po.Send(data(1000))
-	}
-	eng.Run()
-	lost := po.LossDrops()
-	if lost < n/20 || lost > n/5 {
-		t.Fatalf("10%% loss dropped %d of %d", lost, n)
-	}
-	if sink.Packets+lost != n {
-		t.Fatalf("conservation: %d delivered + %d lost != %d", sink.Packets, lost, n)
+	const n = 100_000
+	for _, p := range []float64{0.001, 0.01, 0.1} {
+		t.Run(fmt.Sprint(p), func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			sink := &Sink{}
+			po := NewPort(eng, "lossy", 10*units.GigabitPerSec, 0, aqm.NewFIFO(1<<30), sink)
+			po.SetLoss(p)
+			for sent := 0; sent < n; sent += 1000 {
+				for i := 0; i < 1000; i++ {
+					po.Send(data(1000))
+				}
+				eng.Run()
+			}
+			lost := float64(po.LossDrops())
+			mean, sigma := n*p, math.Sqrt(n*p*(1-p))
+			if math.Abs(lost-mean) > 4*sigma {
+				t.Fatalf("loss %g dropped %.0f of %d, want %.0f ± %.0f (4σ)", p, lost, n, mean, 4*sigma)
+			}
+			if sink.Packets+po.LossDrops() != n {
+				t.Fatalf("conservation: %d delivered + %d lost != %d", sink.Packets, po.LossDrops(), n)
+			}
+		})
 	}
 }
 
@@ -90,13 +102,18 @@ func TestPortRNGSeededFromEngine(t *testing.T) {
 	}
 }
 
-// TestGilbertElliottBurstiness: GE loss with lossBad=1 must drop packets
-// in bursts whose mean length approaches 1/pBG, far above the ~1 of a
-// uniform process with the same average rate, while the long-run loss rate
-// matches the chain's stationary distribution.
+// TestGilbertElliottBurstiness: with lossGood=0 and lossBad=1 every packet
+// sent in the bad state is lost, so the lost share must match the chain's
+// stationary bad fraction pGB/(pGB+pBG) and loss runs must average 1/pBG
+// packets. Each tolerance is 4σ: for the bad fraction, the asymptotic
+// variance of a two-state chain's occupancy, π(1-π)(1+λ)/(1-λ)/n with
+// λ = 1-pGB-pBG; for the burst mean, the geometric run length's standard
+// deviation √(1-pBG)/pBG over √(runs observed). Fails if the chain's
+// transition probabilities are swapped.
 func TestGilbertElliottBurstiness(t *testing.T) {
 	eng := sim.NewEngine(3)
-	delivered := map[int64]bool{}
+	const n = 200_000
+	delivered := make([]bool, n)
 	rec := ReceiverFunc(func(now sim.Time, p *packet.Packet) {
 		delivered[p.Seq] = true
 		packet.Release(p)
@@ -104,26 +121,27 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 	po := NewPort(eng, "ge", 10*units.GigabitPerSec, 0, aqm.NewFIFO(1<<30), rec)
 	const pGB, pBG = 0.02, 0.2
 	po.SetGELoss(pGB, pBG, 0, 1)
-	const n = 50000
 	for i := 0; i < n; i++ {
 		p := data(1000)
 		p.Seq = int64(i)
 		po.Send(p)
+		if i%1000 == 999 {
+			eng.Run()
+		}
 	}
 	eng.Run()
 
-	lost := int(po.LossDrops())
-	wantRate := pGB / (pGB + pBG) // stationary bad fraction ≈ 9.1%
-	rate := float64(lost) / n
-	if rate < wantRate*0.7 || rate > wantRate*1.3 {
-		t.Fatalf("GE loss rate %.4f, want ≈%.4f", rate, wantRate)
+	pi, lambda := pGB/(pGB+pBG), 1-pGB-pBG // ≈ 9.1 % bad
+	frac := float64(po.LossDrops()) / n
+	if tol := 4 * math.Sqrt(pi*(1-pi)*(1+lambda)/(1-lambda)/n); math.Abs(frac-pi) > tol {
+		t.Fatalf("GE lost share %.4f, want %.4f ± %.4f (4σ)", frac, pi, tol)
 	}
 
 	// Mean length of consecutive-loss runs.
 	runs, cur := 0, 0
 	sum := 0
-	for i := int64(0); i < n; i++ {
-		if !delivered[i] {
+	for _, ok := range delivered {
+		if !ok {
 			cur++
 			continue
 		}
@@ -141,8 +159,8 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 		t.Fatal("no loss bursts observed")
 	}
 	mean := float64(sum) / float64(runs)
-	if mean < 2.5 {
-		t.Fatalf("GE mean burst length %.2f, want ≥2.5 (uniform loss gives ≈1.1)", mean)
+	if tol := 4 * math.Sqrt(1-pBG) / pBG / math.Sqrt(float64(runs)); math.Abs(mean-1/pBG) > tol {
+		t.Fatalf("GE mean burst length %.3f over %d runs, want %.3f ± %.3f (4σ)", mean, runs, 1/pBG, tol)
 	}
 }
 

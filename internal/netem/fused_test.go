@@ -1,0 +1,181 @@
+package netem
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/aqm"
+	"repro/internal/packet"
+	"repro/internal/sim"
+	"repro/internal/units"
+)
+
+// eventPath wraps a FIFO so that NewPort does not see a plain *aqm.FIFO:
+// the port then ends every packet's serialization with a tx-done event. It
+// changes nothing else, which makes it the reference the fused path is
+// compared against.
+type eventPath struct{ *aqm.FIFO }
+
+// fusedSchedule is a seeded arrival schedule for one port: bursts, idle
+// gaps and mixed sizes, with arrivals placed exactly when the serializer
+// frees up and 1 ns before it.
+type fusedSchedule struct {
+	arrivals    []fusedArrival
+	checkpoints []sim.Time // RunUntil ends, several in mid-serialization
+	atFree      int        // arrivals landing exactly as a packet finishes
+	beforeFree  int        // arrivals landing 1 ns before it
+}
+
+type fusedArrival struct {
+	at    sim.Time
+	sizes []units.ByteSize
+	// early schedules the next arrival before sending, so that an arrival
+	// at the instant a serialization ends can dispatch on either side of
+	// the port's tx-done key.
+	early bool
+}
+
+func newFusedSchedule(seed uint64, rate units.Bandwidth) fusedSchedule {
+	rng := sim.NewRNG(seed)
+	var s fusedSchedule
+	var now, free sim.Time // free: when the serializer finishes its backlog
+	for i := 0; i < 600; i++ {
+		switch rng.Intn(6) {
+		case 0:
+			if free > now {
+				s.atFree++
+			}
+			now = max(now, free)
+		case 1:
+			if free-1 > now {
+				s.beforeFree++
+			}
+			now = max(now, free-1)
+		case 2: // idle gap
+			now = max(now, free) + sim.Time(1+rng.Intn(200_000))
+		case 3: // same instant as the previous arrival
+		default: // somewhere inside the current serialization, or just after
+			now += sim.Time(rng.Intn(40_000))
+		}
+		a := fusedArrival{at: now, early: rng.Intn(2) == 0}
+		for n := 1 + max(0, rng.Intn(8)-4); n > 0; n-- {
+			size := mixedSizes[rng.Intn(len(mixedSizes))]
+			a.sizes = append(a.sizes, size)
+			tx := sim.Duration(units.TransmissionTime(size, rate))
+			if i%40 == 0 {
+				s.checkpoints = append(s.checkpoints, max(now, free)+tx/2)
+			}
+			free = max(now, free) + tx
+		}
+		if i%55 == 0 {
+			s.checkpoints = append(s.checkpoints, free) // the run ends as a packet finishes
+		}
+		s.arrivals = append(s.arrivals, a)
+	}
+	slices.Sort(s.checkpoints)
+	return s
+}
+
+// portObservation is everything a port exposes, sampled at every arrival
+// and at the end of every RunUntil, plus every delivery.
+type portObservation struct {
+	samples    []string
+	deliveries []string
+	executed   uint64
+}
+
+func observePort(s fusedSchedule, rate units.Bandwidth, q aqm.Queue) portObservation {
+	eng := sim.NewEngine(1)
+	var obs portObservation
+	rec := ReceiverFunc(func(now sim.Time, p *packet.Packet) {
+		obs.deliveries = append(obs.deliveries, fmt.Sprintf("#%d@%d", p.Seq, now))
+		packet.Release(p)
+	})
+	po := NewPort(eng, "p", rate, time.Millisecond, q, rec)
+	sample := func(where string) {
+		b, n := po.PeakQueue()
+		obs.samples = append(obs.samples, fmt.Sprintf("%s@%d: tx %d pkts %d B, queue %d, peak %d B %d pkts, sojourn %+v",
+			where, eng.Now(), po.TxPackets(), po.TxBytes(), po.Queue().Len(), b, n, po.Sojourn()))
+	}
+	seq := int64(0)
+	var arrive func(i int)
+	next := func(i int) {
+		if i+1 < len(s.arrivals) {
+			eng.ScheduleAt(s.arrivals[i+1].at, func() { arrive(i + 1) })
+		}
+	}
+	arrive = func(i int) {
+		a := s.arrivals[i]
+		if a.early {
+			next(i)
+		}
+		sample(fmt.Sprint("arrival ", i))
+		for _, size := range a.sizes {
+			p := data(size)
+			p.Seq = seq
+			seq++
+			po.Send(p)
+		}
+		if !a.early {
+			next(i)
+		}
+	}
+	eng.ScheduleAt(s.arrivals[0].at, func() { arrive(0) })
+	for _, end := range s.checkpoints {
+		eng.RunUntil(end)
+		sample("run end")
+	}
+	eng.Run()
+	sample("drained")
+	obs.executed = eng.Executed()
+	return obs
+}
+
+// TestFusedMatchesEventPath drives one seeded schedule through a fused port
+// and through the same port forced onto the event path. Every delivery
+// (packet and time, in order) and every reading of the port's counters,
+// queue high-watermark and sojourn — at each arrival and at each run end,
+// including ends in mid-serialization — must match. Fails if the serializer
+// timer is not armed for an arrival behind a fused packet, or if TxPackets
+// and TxBytes count a fused packet at its dequeue.
+func TestFusedMatchesEventPath(t *testing.T) {
+	const rate = units.GigabitPerSec
+	for seed := uint64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			s := newFusedSchedule(seed, rate)
+			if s.atFree < 20 || s.beforeFree < 20 {
+				t.Fatalf("schedule lands %d arrivals at a serialization's end and %d 1 ns before; want ≥20 each",
+					s.atFree, s.beforeFree)
+			}
+			fused := observePort(s, rate, aqm.NewFIFO(1<<30))
+			ref := observePort(s, rate, eventPath{aqm.NewFIFO(1 << 30)})
+			if fused.executed >= ref.executed {
+				t.Fatalf("fused port executed %d events, event path %d: nothing was fused", fused.executed, ref.executed)
+			}
+			if i := firstDiff(fused.deliveries, ref.deliveries); i >= 0 {
+				t.Fatalf("delivery %d differs: fused %s, event path %s", i, at(fused.deliveries, i), at(ref.deliveries, i))
+			}
+			if i := firstDiff(fused.samples, ref.samples); i >= 0 {
+				t.Fatalf("sample %d differs:\n fused      %s\n event path %s", i, at(fused.samples, i), at(ref.samples, i))
+			}
+		})
+	}
+}
+
+func firstDiff(a, b []string) int {
+	for i := range max(len(a), len(b)) {
+		if at(a, i) != at(b, i) {
+			return i
+		}
+	}
+	return -1
+}
+
+func at(s []string, i int) string {
+	if i < len(s) {
+		return s[i]
+	}
+	return "<none>"
+}

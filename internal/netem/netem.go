@@ -46,7 +46,7 @@ type Port struct {
 	delay time.Duration
 	queue aqm.Queue
 	dst   Receiver
-	busy  bool
+	busy  bool // txTimer is armed
 
 	// Handler adapters for the two per-packet events (serialization done,
 	// propagation delivery). Stable addresses inside the Port let the
@@ -59,6 +59,19 @@ type Port struct {
 	txTimer  sim.Timer
 	txing    *packet.Packet
 	wire     sim.Line
+
+	// Fused serialization. On a fused port (a plain FIFO with no fault
+	// armed) a packet that leaves the queue with nothing behind it is
+	// finished when it is dequeued: nothing can change its fate on the
+	// serializer, so it is counted and pushed onto the wire at once, and
+	// free keeps the key its tx-done event would have run under instead of
+	// queueing that event. freeBytes is its size, which TxPackets and
+	// TxBytes hold back until free is reached. An arrival before then arms
+	// txTimer under free, so the next packet starts exactly when it would
+	// have.
+	fused     bool
+	free      sim.Key
+	freeBytes units.ByteSize
 
 	// Fault injection (the paper's "network anomalies" future work):
 	// lossRate drops transmitted packets uniformly at random; ge overlays a
@@ -119,11 +132,12 @@ type SojournStats struct {
 
 // Sojourn returns the mean and maximum queueing delay so far.
 func (po *Port) Sojourn() SojournStats {
-	if po.txPackets == 0 {
+	n := po.TxPackets()
+	if n == 0 {
 		return SojournStats{}
 	}
 	return SojournStats{
-		Mean: (po.sojournSum / sim.Time(po.txPackets)).Std(),
+		Mean: (po.sojournSum / sim.Time(n)).Std(),
 		Max:  po.sojournMax.Std(),
 	}
 }
@@ -135,6 +149,9 @@ func NewPort(eng *sim.Engine, name string, rate units.Bandwidth, delay time.Dura
 		queue = aqm.NewFIFO(1 << 40) // effectively unbuffered-loss-free
 	}
 	po := &Port{Name: name, eng: eng, rate: rate, delay: delay, queue: queue, dst: dst}
+	// A FIFO's Dequeue on an empty queue changes nothing, so skipping the
+	// one an idle port makes at tx-done is invisible.
+	_, po.fused = queue.(*aqm.FIFO)
 	po.txDoneH.po = po
 	po.deliverH.po = po
 	po.txTimer.Init(eng, &po.txDoneH, nil)
@@ -239,11 +256,29 @@ func (po *Port) PeakQueue() (units.ByteSize, int) { return po.peakQBytes, po.pea
 // Rate returns the configured link rate.
 func (po *Port) Rate() units.Bandwidth { return po.rate }
 
-// TxPackets returns how many packets have been put on the wire.
-func (po *Port) TxPackets() uint64 { return po.txPackets }
+// TxPackets returns how many packets have finished serialization.
+func (po *Port) TxPackets() uint64 {
+	if po.eng.Reached(po.free) {
+		return po.txPackets
+	}
+	return po.txPackets - 1
+}
 
-// TxBytes returns how many bytes have been put on the wire.
-func (po *Port) TxBytes() units.ByteSize { return po.txBytes }
+// TxBytes returns how many bytes have finished serialization.
+func (po *Port) TxBytes() units.ByteSize {
+	if po.eng.Reached(po.free) {
+		return po.txBytes
+	}
+	return po.txBytes - po.freeBytes
+}
+
+// Unfuse puts the port on the event path for good: every packet's
+// serialization ends in a tx-done event, where loss, flaps and rate and
+// delay steps act. Every fault setter calls it; a caller that will change
+// the port later in the run must call it before the run starts, since a
+// packet already fused has been delivered under the settings of its
+// dequeue.
+func (po *Port) Unfuse() { po.fused = false }
 
 // SetDst rewires the port's destination (used by topology builders).
 func (po *Port) SetDst(dst Receiver) { po.dst = dst }
@@ -271,6 +306,7 @@ func (po *Port) SetLoss(rate float64) {
 	}
 	po.lossRate = rate
 	po.ensureRNG()
+	po.Unfuse()
 }
 
 // geChain is a two-state Gilbert–Elliott loss process: per transmitted
@@ -325,6 +361,7 @@ func (po *Port) SetGELoss(pGB, pBG, lossGood, lossBad float64) {
 	if po.ge.enabled {
 		po.ensureRNG()
 	}
+	po.Unfuse()
 }
 
 // SetRate changes the link rate mid-run (a fault-injection bandwidth
@@ -332,6 +369,7 @@ func (po *Port) SetGELoss(pGB, pBG, lossGood, lossBad float64) {
 // subsequent packets use the new one. Non-positive rates are ignored —
 // model an outage with SetDown instead.
 func (po *Port) SetRate(rate units.Bandwidth) {
+	po.Unfuse()
 	if rate > 0 {
 		po.rate = rate
 		if po.trc != nil {
@@ -348,6 +386,7 @@ func (po *Port) Delay() time.Duration { return po.delay }
 // packets already in flight: new deliveries are clamped behind the latest
 // scheduled delivery.
 func (po *Port) SetDelay(d time.Duration) {
+	po.Unfuse()
 	if d < 0 {
 		d = 0
 	}
@@ -363,6 +402,7 @@ func (po *Port) SetDelay(d time.Duration) {
 // up restarts the transmitter. Packets already past serialization (in
 // propagation) still arrive — they are on the wire ahead of the failure.
 func (po *Port) SetDown(down bool) {
+	po.Unfuse()
 	if po.down == down {
 		return
 	}
@@ -396,9 +436,7 @@ func (po *Port) SetDown(down bool) {
 	if po.trc != nil {
 		po.trc.Fault(int64(po.eng.Now()), telemetry.FaultUp, 0, 0)
 	}
-	if !po.busy {
-		po.transmitNext()
-	}
+	po.kick()
 }
 
 // Down reports whether the link is currently flapped down.
@@ -450,7 +488,19 @@ func (po *Port) Send(p *packet.Packet) {
 	if po.aud != nil {
 		po.auditQueueOp()
 	}
-	if !po.busy {
+	po.kick()
+}
+
+// kick starts the transmitter unless it is serializing. While a fused
+// packet is still on the serializer it arms txTimer under the key that
+// packet's tx-done would have run under.
+func (po *Port) kick() {
+	switch {
+	case po.busy:
+	case !po.eng.Reached(po.free):
+		po.busy = true
+		po.txTimer.ResetKey(po.free)
+	default:
 		po.transmitNext()
 	}
 }
@@ -471,7 +521,6 @@ func (po *Port) transmitNext() {
 		po.busy = false
 		return
 	}
-	po.busy = true
 	// Every packet passes Enqueue before reaching here, so EnqueueAt is
 	// always stamped (possibly 0 at simulation start).
 	sojourn := now - p.EnqueueAt
@@ -484,19 +533,42 @@ func (po *Port) transmitNext() {
 	if po.trc != nil {
 		po.trc.Dequeue(int64(now), uint32(p.Flow), int64(po.queue.Bytes()), int64(sojourn))
 	}
+	tx := units.TransmissionTime(p.Size, po.rate)
+	// tx > 0 and a destination put a fused packet on the wire, behind its
+	// tx-done key: it is never handed on inside Send, and the run cannot
+	// end before that key is reached.
+	if po.fused && tx > 0 && po.dst != nil && po.queue.Len() == 0 {
+		po.busy = false
+		po.free = po.eng.Reserve(now + sim.Duration(tx))
+		po.freeBytes = p.Size
+		po.complete(p, po.free.At)
+		return
+	}
+	po.busy = true
 	po.txing = p
-	po.txTimer.Reset(units.TransmissionTime(p.Size, po.rate))
+	po.txTimer.Reset(tx)
 }
 
 // portTxDone fires when the last bit of the packet in txing leaves the
-// serializer.
+// serializer, or when a fused packet's serialization ends with an arrival
+// waiting behind it (txing is then nil).
 type portTxDone struct{ po *Port }
 
 // OnEvent implements sim.Handler.
 func (h *portTxDone) OnEvent(any) {
 	po := h.po
-	p := po.txing
-	po.txing = nil
+	if p := po.txing; p != nil {
+		po.txing = nil
+		po.complete(p, po.eng.Now())
+	}
+	po.transmitNext()
+}
+
+// complete counts p as transmitted with its last bit leaving at done, then
+// destroys it (a flap, injected loss) or starts its propagation. The tx-done
+// event calls it at done; a fused port calls it at dequeue, with done ahead
+// of the clock.
+func (po *Port) complete(p *packet.Packet, done sim.Time) {
 	po.txPackets++
 	po.txBytes += p.Size
 	switch {
@@ -516,7 +588,7 @@ func (h *portTxDone) OnEvent(any) {
 			po.audInFlight--
 		}
 		if po.trc != nil {
-			po.trc.Drop(int64(po.eng.Now()), uint32(p.Flow), telemetry.DropLinkDown,
+			po.trc.Drop(int64(done), uint32(p.Flow), telemetry.DropLinkDown,
 				int64(p.Size), int64(po.queue.Bytes()))
 		}
 		packet.Release(p)
@@ -526,7 +598,7 @@ func (h *portTxDone) OnEvent(any) {
 			po.audInFlight--
 		}
 		if po.trc != nil {
-			po.trc.Drop(int64(po.eng.Now()), uint32(p.Flow), telemetry.DropLoss,
+			po.trc.Drop(int64(done), uint32(p.Flow), telemetry.DropLoss,
 				int64(p.Size), int64(po.queue.Bytes()))
 		}
 		packet.Release(p)
@@ -536,18 +608,17 @@ func (h *portTxDone) OnEvent(any) {
 			po.audInFlight--
 		}
 		if po.trc != nil {
-			po.trc.Drop(int64(po.eng.Now()), uint32(p.Flow), telemetry.DropLoss,
+			po.trc.Drop(int64(done), uint32(p.Flow), telemetry.DropLoss,
 				int64(p.Size), int64(po.queue.Bytes()))
 		}
 		packet.Release(p)
 	default:
-		now := po.eng.Now()
-		at := now + sim.Duration(po.delay)
+		at := done + sim.Duration(po.delay)
 		if at < po.lastDeliverAt {
 			at = po.lastDeliverAt // FIFO link: never overtake an earlier packet
 		}
 		po.lastDeliverAt = at
-		if at > now {
+		if now := po.eng.Now(); at > now {
 			po.wire.PushAt(at, p)
 		} else {
 			if po.aud != nil {
@@ -557,7 +628,6 @@ func (h *portTxDone) OnEvent(any) {
 			po.dst.Receive(now, p)
 		}
 	}
-	po.transmitNext()
 }
 
 // portDeliver fires when a packet's propagation delay elapses.

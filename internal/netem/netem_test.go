@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -17,38 +18,92 @@ func data(size units.ByteSize) *packet.Packet {
 	return p
 }
 
-func TestPortSerializationTiming(t *testing.T) {
-	eng := sim.NewEngine(1)
-	sink := &Sink{}
-	// 100 Mbps, 10 ms propagation. 8960B => 716.8us serialization.
-	po := NewPort(eng, "p", 100*units.MegabitPerSec, 10*time.Millisecond, aqm.NewFIFO(1<<20), sink)
-	po.Send(data(8960))
-	eng.Run()
-	want := sim.Duration(716800*time.Nanosecond + 10*time.Millisecond)
-	if sink.LastAt != want {
-		t.Fatalf("delivery at %v, want %v", sink.LastAt, want)
-	}
-	if sink.Packets != 1 {
-		t.Fatalf("packets = %d", sink.Packets)
+// linkVariants are the two ways a lossless port can serialize: fused (a
+// plain FIFO, no fault armed) and the event path (a fault armed, here a
+// zero loss rate). events is how many engine events one packet crossing an
+// idle port costs on each.
+var linkVariants = []struct {
+	name   string
+	arm    func(po *Port)
+	events uint64
+}{
+	{"fused", func(*Port) {}, 1},
+	{"event-path", func(po *Port) { po.SetLoss(0) }, 2},
+}
+
+var mixedSizes = []units.ByteSize{40, 64, 576, 1500, 8960, 9000}
+
+// TestLinkLatency: on an idle port the one-way delay is the serialization
+// time plus the propagation delay, to the nanosecond, for every size. Fails
+// if a fused packet is delivered a propagation delay after its dequeue
+// rather than after its last bit leaves (at := now + delay in complete).
+func TestLinkLatency(t *testing.T) {
+	const rate, delay = 10 * units.GigabitPerSec, 3 * time.Millisecond
+	for _, v := range linkVariants {
+		t.Run(v.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			var sentAt, gotAt sim.Time
+			rec := ReceiverFunc(func(now sim.Time, p *packet.Packet) {
+				gotAt = now
+				packet.Release(p)
+			})
+			po := NewPort(eng, "p", rate, delay, nil, rec)
+			v.arm(po)
+			for i, size := range mixedSizes {
+				eng.RunFor(time.Duration(i+1) * 7 * time.Millisecond) // idle gap, odd start times
+				sentAt = eng.Now()
+				po.Send(data(size))
+				eng.Run()
+				want := units.TransmissionTime(size, rate) + delay
+				if got := (gotAt - sentAt).Std(); got != want {
+					t.Errorf("%d B: one-way delay %v, want %v", size, got, want)
+				}
+			}
+			if got, want := eng.Executed(), v.events*uint64(len(mixedSizes)); got != want {
+				t.Errorf("executed %d events for %d packets, want %d", got, len(mixedSizes), want)
+			}
+		})
 	}
 }
 
-func TestPortBackToBackRate(t *testing.T) {
-	// N packets sent at once drain at exactly the link rate.
-	eng := sim.NewEngine(1)
-	sink := &Sink{}
-	po := NewPort(eng, "p", 1*units.GigabitPerSec, 0, aqm.NewFIFO(1<<30), sink)
-	const n = 100
-	for i := 0; i < n; i++ {
-		po.Send(data(8960))
-	}
-	eng.Run()
-	wantDur := units.TransmissionTime(8960*n, 1*units.GigabitPerSec)
-	if got := sink.LastAt.Std(); got != wantDur {
-		t.Fatalf("drained in %v, want %v", got, wantDur)
-	}
-	if po.TxPackets() != n || po.TxBytes() != 8960*n {
-		t.Fatalf("tx counters: %d pkts %d bytes", po.TxPackets(), po.TxBytes())
+// TestLinkRate: the k-th packet of a mixed-size back-to-back burst offered
+// at t0 arrives at t0 + Σ_{i≤k} tx_i + delay. Fails if an arrival during a
+// fused serialization starts at once instead of arming the serializer's
+// timer (drop the !Reached case from kick).
+func TestLinkRate(t *testing.T) {
+	const rate, delay = units.GigabitPerSec, 2 * time.Millisecond
+	for _, v := range linkVariants {
+		t.Run(v.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			var got []sim.Time
+			rec := ReceiverFunc(func(now sim.Time, p *packet.Packet) {
+				got = append(got, now)
+				packet.Release(p)
+			})
+			po := NewPort(eng, "p", rate, delay, aqm.NewFIFO(1<<30), rec)
+			v.arm(po)
+			eng.RunFor(5 * time.Millisecond)
+			t0 := eng.Now()
+			var want []sim.Time
+			done := t0
+			for k := 0; k < 60; k++ {
+				size := mixedSizes[(k*7)%len(mixedSizes)]
+				po.Send(data(size))
+				done += sim.Duration(units.TransmissionTime(size, rate))
+				want = append(want, done+sim.Duration(delay))
+			}
+			eng.Run()
+			if !slices.Equal(got, want) {
+				t.Fatalf("burst arrivals\n got  %v\n want %v", got, want)
+			}
+			var bytes units.ByteSize
+			for k := 0; k < 60; k++ {
+				bytes += mixedSizes[(k*7)%len(mixedSizes)]
+			}
+			if po.TxPackets() != 60 || po.TxBytes() != bytes {
+				t.Fatalf("tx counters: %d pkts %d bytes, want 60 pkts %d bytes", po.TxPackets(), po.TxBytes(), bytes)
+			}
+		})
 	}
 }
 

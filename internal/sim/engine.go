@@ -66,6 +66,17 @@
 // minima is the minimum over all queued entries — the same event a heap
 // holding one slot per delivery would pop. Which surface scheduled an event
 // never changes when it runs.
+//
+// # Reserved keys
+//
+// Reserve takes the next sequence number for a deadline without queueing
+// anything: the Key it returns sits in the dispatch order exactly where an
+// event scheduled at that moment would. Reached reports whether the run has
+// passed that point, and Timer.ResetKey can later queue an event under the
+// key. A component whose event would only have updated its own state (a
+// port's serializer finishing a packet nothing waits behind) reserves the
+// key instead of scheduling it, reads its state through Reached, and arms
+// the event only if something comes to depend on it.
 package sim
 
 import (
@@ -253,6 +264,7 @@ type Engine struct {
 	hole    bool // queue[0] is the dispatching event's slot, free for reuse
 	behind  int  // Line entries queued behind their line's head (not in the heap)
 	seq     uint64
+	cur     uint64 // seq of the dispatching or last dispatched event (see Reached)
 	stopped bool
 	rng     *RNG
 
@@ -321,6 +333,27 @@ func (e *Engine) push(at Time, seq uint64, ev *Event) {
 		return
 	}
 	e.queue.push(at, seq, ev)
+}
+
+// Key is a point in the dispatch order: the (deadline, sequence) pair an
+// event runs under. The zero Key is reached from the start of the run.
+type Key struct {
+	At  Time
+	Seq uint64
+}
+
+// Reserve returns the key an event scheduled now for deadline at would run
+// under, without queueing one. Times in the past are clamped to now.
+func (e *Engine) Reserve(at Time) Key {
+	e.seq++
+	return Key{At: max(at, e.now), Seq: e.seq}
+}
+
+// Reached reports whether the run has passed k: an event queued under k
+// would already have been dispatched. Between RunUntil calls every key up
+// to the clock is reached, unless Stop or the watchdog ended the run early.
+func (e *Engine) Reached(k Key) bool {
+	return k.At < e.now || (k.At == e.now && k.Seq <= e.cur)
 }
 
 // FreeEvents returns the size of the pooled-event free list (telemetry and
@@ -518,6 +551,7 @@ func (e *Engine) RunUntil(end Time) {
 				"heap head due at %v is earlier than the clock %v", head.at, e.now)
 		}
 		e.now = head.at
+		e.cur = head.seq
 		e.executed++
 		next := head.ev
 		if next.line != nil {
@@ -534,6 +568,11 @@ func (e *Engine) RunUntil(end Time) {
 		if next.pooled {
 			e.release(next)
 		}
+	}
+	if !e.stopped && e.now <= end {
+		// Everything due by end has run, so every key reserved so far up
+		// to the clock is reached.
+		e.cur = e.seq
 	}
 	if e.now < end && end < Time(1<<63-1) {
 		e.now = end
@@ -592,19 +631,20 @@ func (t *Timer) Reset(delay time.Duration) {
 // ResetAt is Reset with an absolute deadline. Times in the past are clamped
 // to now. When the timer is already queued its heap slot is re-keyed in
 // place — no allocation, no dead entry left behind.
-func (t *Timer) ResetAt(at Time) {
+func (t *Timer) ResetAt(at Time) { t.ResetKey(t.ev.eng.Reserve(at)) }
+
+// ResetKey (re)schedules the timer under k, a key taken with Reserve that
+// is not yet Reached: the timer then runs exactly where an event scheduled
+// at the time of the Reserve call would have.
+func (t *Timer) ResetKey(k Key) {
 	eng := t.ev.eng
-	if at < eng.now {
-		at = eng.now
-	}
-	eng.seq++
-	t.ev.at = at
+	t.ev.at = k.At
 	if i := t.ev.idx; i >= 0 {
-		eng.queue[i].at, eng.queue[i].seq = at, eng.seq
+		eng.queue[i].at, eng.queue[i].seq = k.At, k.Seq
 		eng.queue.fix(i)
 		return
 	}
-	eng.push(at, eng.seq, &t.ev)
+	eng.push(k.At, k.Seq, &t.ev)
 }
 
 // Stop removes the timer from the queue if pending (eagerly — no dead entry

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -475,6 +476,63 @@ func TestTimerResetFIFOTieBreak(t *testing.T) {
 	e.Run()
 	if len(order) != 2 || order[0] != "closure" || order[1] != "timer" {
 		t.Fatalf("reset timer must follow same-deadline FIFO: %v", order)
+	}
+}
+
+// TestReservedKey: a key reserved between two same-deadline schedules is
+// reached exactly between their dispatches, a timer armed under it runs in
+// the slot it reserved, and a completed RunUntil reaches every key up to
+// the clock while Stop, or an end before the clock, leaves later keys
+// unreached.
+func TestReservedKey(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	var reached []bool
+	at := Duration(5 * time.Millisecond)
+	var k Key
+	log := func(name string) func() {
+		return func() {
+			order = append(order, name)
+			reached = append(reached, e.Reached(k))
+		}
+	}
+	e.ScheduleAt(at, log("before"))
+	k = e.Reserve(at)
+	e.ScheduleAt(at, log("after"))
+	if e.Reached(k) {
+		t.Fatal("a key ahead of the clock is reached")
+	}
+	var tm Timer
+	tm.Init(e, HandlerFunc(func(any) { log("timer")() }), nil)
+	e.Schedule(time.Millisecond, func() { tm.ResetKey(k) }) // armed late, runs in the reserved slot
+	e.Run()
+	if want := []string{"before", "timer", "after"}; !slices.Equal(order, want) {
+		t.Fatalf("dispatch order %v, want %v", order, want)
+	}
+	if want := []bool{false, true, true}; !slices.Equal(reached, want) {
+		t.Fatalf("Reached inside each dispatch %v, want %v", reached, want)
+	}
+
+	if k = e.Reserve(e.Now()); e.Reached(k) {
+		t.Fatal("a key reserved at the clock after the last dispatch is reached")
+	}
+	if e.RunUntil(e.Now() - 1); e.Reached(k) {
+		t.Fatal("a RunUntil ending before the clock reached a key at the clock")
+	}
+	e.RunUntil(e.Now())
+	if !e.Reached(k) {
+		t.Fatal("a completed RunUntil left a key at its end unreached")
+	}
+
+	end := e.Now() + Duration(time.Millisecond)
+	e.ScheduleAt(end, e.Stop)
+	k = e.Reserve(end)
+	e.RunUntil(end)
+	if e.Reached(k) {
+		t.Fatal("Stop ended the run before the key, yet it reads reached")
+	}
+	if !e.Reached(Key{}) {
+		t.Fatal("the zero key must always be reached")
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/flows"
 	"repro/internal/topo"
+	"repro/internal/units"
 )
 
 type railCase struct {
@@ -79,14 +80,24 @@ func runRails(t *testing.T, cases []railCase) {
 	}
 }
 
-// TestBenchTopoTrajectory: the dumbbell and a three-hop parking lot.
+// TestBenchTopoTrajectory: the dumbbell, a three-hop parking lot, and a
+// short 25 Gbps dumbbell — the paper's top rate, where same-nanosecond event
+// ties are commonest — with a 5 ms RTT so its flows leave slow start
+// within 200 ms.
 func TestBenchTopoTrajectory(t *testing.T) {
 	pl := topo.ParkingLotSpec(3)
 	parking := allocGuardConfig()
 	parking.Topology = &pl
+	fast := allocGuardConfig()
+	fast.Bottleneck = 25 * units.GigabitPerSec
+	fast.FlowsPerSender = 4
+	fast.Duration = 200 * time.Millisecond
+	fast.RTT = 5 * time.Millisecond
+	fast.StartSpread = 10 * time.Millisecond
 	runRails(t, []railCase{
-		{name: "dumbbell", cfg: allocGuardConfig(), events: 32463, segments: 2547, allocs: 0.474},
-		{name: "parking-lot-3", cfg: parking, events: 91062, segments: 7261, allocs: 0.286},
+		{name: "dumbbell", cfg: allocGuardConfig(), events: 19496, segments: 2547, allocs: 0.474},
+		{name: "parking-lot-3", cfg: parking, events: 53751, segments: 7261, allocs: 0.286},
+		{name: "dumbbell-25g", cfg: fast, events: 499218, segments: 61503, allocs: 0.382},
 	})
 }
 
@@ -102,8 +113,8 @@ func TestBenchFCTTrajectory(t *testing.T) {
 	solo := competition
 	solo.SoloFCT = true
 	runRails(t, []railCase{
-		{name: "mice-competition", cfg: competition, events: 33548, segments: 2472, opened: 23, allocs: 0.795},
-		{name: "mice-solo", cfg: solo, events: 13492, segments: 1012, opened: 23, allocs: 1.266},
+		{name: "mice-competition", cfg: competition, events: 20518, segments: 2472, opened: 23, allocs: 0.795},
+		{name: "mice-solo", cfg: solo, events: 8007, segments: 1012, opened: 23, allocs: 1.266},
 	})
 }
 
@@ -115,7 +126,7 @@ func TestBenchObsTrajectory(t *testing.T) {
 	armed.Fairness = true
 	armed.FairnessWindow = 10 * time.Millisecond
 	runRails(t, []railCase{
-		{name: "dumbbell-plain", cfg: allocGuardConfig(), events: 32463, segments: 2547, allocs: 0.474},
-		{name: "dumbbell-obs", cfg: armed, events: 32463, segments: 2547, windows: 200, allocs: 0.480},
+		{name: "dumbbell-plain", cfg: allocGuardConfig(), events: 19496, segments: 2547, allocs: 0.474},
+		{name: "dumbbell-obs", cfg: armed, events: 19496, segments: 2547, windows: 200, allocs: 0.480},
 	})
 }
