@@ -5,9 +5,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci help lint vet build test allocs audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke bench bench-ruler
+.PHONY: ci help lint vet build cross test allocs audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke bench bench-ruler
 
-ci: lint build test allocs bench-ruler audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke ## every gate below, in order (what a PR must pass)
+ci: lint build cross test allocs bench-ruler audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke ## every gate below, in order (what a PR must pass)
 
 help: ## list the targets
 	@awk -F ':.*## ' '/^[a-z-]+:.*## / { printf "  %-14s %s\n", $$1, $$2 }' $(MAKEFILE_LIST)
@@ -22,6 +22,10 @@ vet: ## go vet only
 
 build: ## compile all packages and commands
 	$(GO) build ./...
+
+cross: ## cross-builds: arm64 vet (asmdecl checks the PRFM prefetch) and build, riscv64 (no-op prefetch)
+	GOARCH=arm64 $(GO) vet ./internal/sim && GOARCH=arm64 $(GO) build ./...
+	GOARCH=riscv64 $(GO) build ./...
 
 test: ## full suite under the race detector
 	$(GO) test -race ./...

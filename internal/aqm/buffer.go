@@ -86,6 +86,11 @@ func (b *buffer) pop() *packet.Packet {
 	p := b.ring.pop()
 	if p != nil {
 		b.bytes -= p.Size
+		// The new front was queued a queueing delay ago and is cold by
+		// now; the next pop reads its size, CoDel its enqueue time.
+		if nx := b.ring.front(); nx != nil {
+			sim.Prefetch(nx)
+		}
 	}
 	return p
 }

@@ -637,6 +637,11 @@ type portDeliver struct{ po *Port }
 func (h *portDeliver) OnEvent(arg any) {
 	po := h.po
 	p := arg.(*packet.Packet)
+	// The next delivery's packet left this port a propagation delay ago and
+	// is long out of cache: start loading it while this one is received.
+	if nx, ok := po.wire.Head().(*packet.Packet); ok {
+		sim.Prefetch(nx)
+	}
 	if po.aud != nil {
 		po.audInFlight--
 		po.audDelivered++

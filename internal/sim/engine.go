@@ -81,6 +81,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/audit"
@@ -170,6 +171,17 @@ func (a *entry) before(b *entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
+// less is before as a 0/1 word, computed without a branch: the key reads as
+// the unsigned 128-bit number (at with its sign bit flipped, seq), and a is
+// smaller exactly when subtracting b's words borrows out of the high word.
+// Flipping the sign bit maps int64 order onto uint64 order, so less agrees
+// with before for every deadline.
+func less(a, b *entry) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at)^1<<63, uint64(b.at)^1<<63, borrow)
+	return borrow
+}
+
 // eventQueue is a 4-ary min-heap on (at, seq); each queued Event records
 // its slot in idx. Four children per node halve the depth of a binary heap,
 // and sift-down — the hot direction, run on every pop — compares siblings
@@ -229,7 +241,11 @@ func (q eventQueue) up(i int) {
 	x.ev.idx = i
 }
 
-// down sifts slot i toward the leaves and reports whether it moved.
+// down sifts slot i toward the leaves and reports whether it moved. A full
+// group of four children is reduced without branches — the winner of each
+// pair, then the winner of the two — since which child is smallest is a
+// coin toss the branch predictor loses; ties keep the leftmost child, as
+// the scan of a partial last group does.
 func (q eventQueue) down(i int) bool {
 	n := len(q)
 	x := q[i]
@@ -239,10 +255,18 @@ func (q eventQueue) down(i int) bool {
 		if c >= n {
 			break
 		}
-		m := c
-		for j, end := c+1, min(c+4, n); j < end; j++ {
-			if q[j].before(&q[m]) {
-				m = j
+		var m int
+		if c+4 <= n {
+			g := q[c : c+4 : c+4]
+			a := int(less(&g[1], &g[0]))
+			b := 2 + int(less(&g[3], &g[2]))
+			m = c + (a ^ (a^b)&-int(less(&g[b&3], &g[a&3])))
+		} else {
+			m = c
+			for j := c + 1; j < n; j++ {
+				if q[j].before(&q[m]) {
+					m = j
+				}
 			}
 		}
 		if !q[m].before(&x) {
@@ -681,6 +705,10 @@ type lineEntry struct {
 	arg any
 }
 
+// lineLookahead is how many ring entries ahead of the new head shift
+// prefetches: two 32-byte entries, the next cache line.
+const lineLookahead = 2
+
 // Init binds the line to an engine and its dispatch target: every entry
 // fires as h.OnEvent(arg). Init must be called exactly once, before any
 // PushAt.
@@ -737,7 +765,8 @@ func (l *Line) shift() any {
 	hd := &l.ring[l.head]
 	arg := hd.arg
 	*hd = lineEntry{}
-	l.head = (l.head + 1) & (len(l.ring) - 1)
+	mask := len(l.ring) - 1
+	l.head = (l.head + 1) & mask
 	l.n--
 	if l.n == 0 {
 		l.ev.idx = -1
@@ -745,10 +774,24 @@ func (l *Line) shift() any {
 		return arg
 	}
 	eng.behind--
+	// The ring is read strictly in order, one entry per delivery, but
+	// deliveries are far apart in the event stream: fetch the line holding
+	// the entry after next while this one is consumed.
+	Prefetch(&l.ring[(l.head+lineLookahead)&mask])
 	nx := &l.ring[l.head]
 	eng.queue[0].at, eng.queue[0].seq = nx.at, nx.seq
 	eng.queue.down(0)
 	return arg
+}
+
+// Head returns the arg of the entry the line will deliver next, or nil when
+// the line is empty. Called from the handler, it peeks at the delivery after
+// the one being dispatched.
+func (l *Line) Head() any {
+	if l.n == 0 {
+		return nil
+	}
+	return l.ring[l.head].arg
 }
 
 // grow doubles the full ring, unrolling it to start at index 0.

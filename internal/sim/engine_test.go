@@ -753,3 +753,47 @@ func TestObserverTimerExcludedFromCount(t *testing.T) {
 		t.Fatalf("observer fired %d times over 100 ms, want ~1000", k.fired)
 	}
 }
+
+// TestLineHead checks the peek at a line's next delivery: inside each
+// dispatch Head returns the arg the following dispatch receives — across the
+// ring wrapping and growing — and nil once the line is empty.
+func TestLineHead(t *testing.T) {
+	e := NewEngine(1)
+	var l Line
+	var got, peeked []any
+	l.Init(e, HandlerFunc(func(arg any) {
+		got = append(got, arg)
+		peeked = append(peeked, l.Head())
+	}))
+	if l.Head() != nil {
+		t.Fatal("Head of a fresh line is not nil")
+	}
+	id := 0
+	push := func(k int) {
+		for ; k > 0; k-- {
+			id++
+			l.PushAt(e.Now()+Time(id), id)
+		}
+	}
+	push(10)
+	e.RunFor(5 * time.Nanosecond) // head moves to slot 5 of the 16-entry ring
+	push(9)                       // wraps around the ring's end
+	e.RunFor(3 * time.Nanosecond)
+	push(20) // grows the wrapped ring
+	e.Run()
+	if len(got) != id {
+		t.Fatalf("delivered %d of %d entries", len(got), id)
+	}
+	for i := range got {
+		want := any(nil)
+		if i+1 < len(got) {
+			want = got[i+1]
+		}
+		if got[i] != i+1 || peeked[i] != want {
+			t.Fatalf("dispatch %d got %v and peeked %v, want %d and %v", i, got[i], peeked[i], i+1, want)
+		}
+	}
+	if l.Head() != nil {
+		t.Fatal("Head of a drained line is not nil")
+	}
+}
