@@ -10,40 +10,13 @@ import (
 
 // BBRv1 constants per the BBR draft and Cardwell et al. (2017).
 const (
-	bbrHighGain     = 2.885 // 2/ln2: fills the pipe in one RTT per doubling
-	bbrDrainGain    = 1 / bbrHighGain
 	bbrCwndGain     = 2.0 // the "2×BDP inflight cap" the paper dwells on
-	bbrBtlBwRounds  = 10  // max-filter window, in round trips
 	bbrMinRTTWindow = 10 * time.Second
-	bbrProbeRTTTime = 200 * time.Millisecond
-	bbrMinCwndSegs  = 4
-	bbrFullBwThresh = 1.25 // startup exits after 3 rounds without 25% growth
-	bbrFullBwRounds = 3
 	bbrGainCycleLen = 8
+	// bbrProbeRTTGain 0 leaves BBRv1's ProbeRTT window at the 4-segment
+	// floor (see bbrCore.probeRTTCwnd).
+	bbrProbeRTTGain = 0
 )
-
-// bbrState enumerates the BBRv1 state machine.
-type bbrState int
-
-const (
-	bbrStartup bbrState = iota
-	bbrDrain
-	bbrProbeBW
-	bbrProbeRTT
-)
-
-func (s bbrState) String() string {
-	switch s {
-	case bbrStartup:
-		return "startup"
-	case bbrDrain:
-		return "drain"
-	case bbrProbeBW:
-		return "probe_bw"
-	default:
-		return "probe_rtt"
-	}
-}
 
 var bbrPacingGainCycle = [bbrGainCycleLen]float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
 
@@ -53,48 +26,17 @@ var bbrPacingGainCycle = [bbrGainCycleLen]float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
 // rate on packet loss, which is why the paper sees it both dominate CUBIC
 // under RED and suffer enormous retransmission counts.
 type bbr1 struct {
-	state bbrState
-
-	btlBw       maxFilter // bits/sec, keyed by round count (by value: no per-flow heap object)
-	rtProp      time.Duration
-	rtPropStamp sim.Time
-
-	pacingGain float64
-	cwndGain   float64
-
-	// Startup full-pipe detection.
-	fullBw      int64
-	fullBwCount int
-	filled      bool
+	bbrCore
 
 	// ProbeBW gain cycling.
 	cycleIndex int
 	cycleStamp sim.Time
-
-	// ProbeRTT bookkeeping.
-	probeRTTDoneStamp sim.Time
-	probeRTTRoundDone bool
-	priorCwnd         int64
-
-	// Post-RTO packet conservation.
-	conservationUntilRound int64
 }
 
 // NewBBRv1 returns a fresh BBRv1 controller.
-func NewBBRv1() tcp.CongestionControl {
-	return &bbr1{
-		btlBw:      maxFilter{window: bbrBtlBwRounds},
-		state:      bbrStartup,
-		pacingGain: bbrHighGain,
-		cwndGain:   bbrHighGain,
-	}
-}
+func NewBBRv1() tcp.CongestionControl { return &bbr1{bbrCore: newBBRCore()} }
 
 func (b *bbr1) Name() string { return string(BBRv1) }
-
-func (b *bbr1) Init(c *tcp.Conn) {}
-
-func (b *bbr1) OnPacketSent(c *tcp.Conn, bytes int64) {}
 
 // State exposes the current state name (telemetry/tests).
 func (b *bbr1) State() string { return b.state.String() }
@@ -102,74 +44,19 @@ func (b *bbr1) State() string { return b.state.String() }
 // BtlBw returns the current bottleneck-bandwidth estimate.
 func (b *bbr1) BtlBw() units.Bandwidth { return units.Bandwidth(b.btlBw.Get()) }
 
-// bdpBytes returns gain × BtlBw·RTprop in bytes.
-func (b *bbr1) bdpBytes(gain float64) int64 {
-	bw := b.btlBw.Get()
-	if bw == 0 || b.rtProp == 0 {
-		return 0
-	}
-	return int64(gain * float64(bw) / 8 * b.rtProp.Seconds())
-}
-
 func (b *bbr1) OnAck(c *tcp.Conn, s tcp.AckSample) {
-	now := s.Now
-
-	// Model updates.
-	if s.DeliveryRate > 0 && (!s.RateAppLimited || int64(s.DeliveryRate) > b.btlBw.Get()) {
-		b.btlBw.Update(c.RoundCount(), int64(s.DeliveryRate))
-	}
-	if s.RTT > 0 && (b.rtProp == 0 || s.RTT <= b.rtProp) {
-		b.rtProp = s.RTT
-		b.rtPropStamp = now
-	}
-
-	// State machine.
-	switch b.state {
-	case bbrStartup:
-		b.checkFullPipe(s)
-		if b.filled {
-			b.state = bbrDrain
-			b.pacingGain = bbrDrainGain
-			b.cwndGain = bbrHighGain
-		}
-	case bbrDrain:
-		if s.Inflight <= b.bdpBytes(1.0) {
-			b.enterProbeBW(c, now)
-		}
-	case bbrProbeBW:
+	b.updateModel(c, s)
+	if b.state == bbrProbeBW {
 		b.advanceCycle(c, s)
-	case bbrProbeRTT:
-		b.handleProbeRTT(c, s)
+	} else if b.advance(c, s, bbrHighGain, bbrProbeRTTGain) {
+		b.enterProbeBW(c, s.Now)
 	}
-
-	// Enter ProbeRTT when the min-RTT estimate has gone stale.
-	if b.state != bbrProbeRTT && b.rtProp > 0 &&
-		now-b.rtPropStamp > sim.Duration(bbrMinRTTWindow) {
-		b.enterProbeRTT(c, now)
-	}
-
+	b.checkProbeRTT(c, s.Now, bbrMinRTTWindow)
 	b.setPacingRate(c)
-	b.setCwnd(c, s)
+	b.setCwnd(c, s, bbrProbeRTTGain, 0)
 	// Every transition above funnels through here; the tracer dedupes, so
 	// this records exactly one event per state change (nil-safe when off).
-	c.Trace().CCAState(int64(now), b.state.String())
-}
-
-// checkFullPipe implements startup exit: three rounds without 25% growth.
-func (b *bbr1) checkFullPipe(s tcp.AckSample) {
-	if b.filled || !s.RoundStart || s.RateAppLimited {
-		return
-	}
-	bw := b.btlBw.Get()
-	if float64(bw) >= float64(b.fullBw)*bbrFullBwThresh {
-		b.fullBw = bw
-		b.fullBwCount = 0
-		return
-	}
-	b.fullBwCount++
-	if b.fullBwCount >= bbrFullBwRounds {
-		b.filled = true
-	}
+	c.Trace().CCAState(int64(s.Now), b.state.String())
 }
 
 func (b *bbr1) enterProbeBW(c *tcp.Conn, now sim.Time) {
@@ -206,108 +93,4 @@ func (b *bbr1) advanceCycle(c *tcp.Conn, s tcp.AckSample) {
 		b.cycleStamp = now
 		b.pacingGain = bbrPacingGainCycle[b.cycleIndex]
 	}
-}
-
-func (b *bbr1) enterProbeRTT(c *tcp.Conn, now sim.Time) {
-	b.state = bbrProbeRTT
-	b.priorCwnd = c.Cwnd()
-	b.pacingGain = 1
-	b.cwndGain = 1
-	b.probeRTTDoneStamp = 0
-	b.probeRTTRoundDone = false
-}
-
-func (b *bbr1) handleProbeRTT(c *tcp.Conn, s tcp.AckSample) {
-	now := s.Now
-	minW := bbrMinCwndSegs * c.MSS()
-	if b.probeRTTDoneStamp == 0 && s.Inflight <= minW {
-		b.probeRTTDoneStamp = now + sim.Duration(bbrProbeRTTTime)
-		b.probeRTTRoundDone = false
-	} else if b.probeRTTDoneStamp != 0 {
-		if s.RoundStart {
-			b.probeRTTRoundDone = true
-		}
-		if b.probeRTTRoundDone && now > b.probeRTTDoneStamp {
-			b.rtPropStamp = now
-			if c.Cwnd() < b.priorCwnd {
-				c.SetCwnd(b.priorCwnd)
-			}
-			if b.filled {
-				b.enterProbeBW(c, now)
-			} else {
-				b.state = bbrStartup
-				b.pacingGain = bbrHighGain
-				b.cwndGain = bbrHighGain
-			}
-		}
-	}
-}
-
-func (b *bbr1) setPacingRate(c *tcp.Conn) {
-	bw := b.btlBw.Get()
-	if bw == 0 {
-		// No rate sample yet: pace the initial window over the first RTT.
-		if srtt := c.SRTT(); srtt > 0 {
-			c.SetPacingRate(units.Bandwidth(bbrHighGain * float64(c.Cwnd()) * 8 / srtt.Seconds()))
-		}
-		return
-	}
-	rate := units.Bandwidth(b.pacingGain * float64(bw))
-	if rate > 0 {
-		c.SetPacingRate(rate)
-	}
-}
-
-func (b *bbr1) setCwnd(c *tcp.Conn, s tcp.AckSample) {
-	minW := bbrMinCwndSegs * c.MSS()
-	if b.state == bbrProbeRTT {
-		if c.Cwnd() > minW {
-			c.SetCwnd(minW)
-		}
-		return
-	}
-	if c.RoundCount() < b.conservationUntilRound {
-		// One round of packet conservation after an RTO.
-		c.SetCwnd(maxI64(s.Inflight+s.AckedBytes, c.MSS()))
-		return
-	}
-	target := b.bdpBytes(b.cwndGain)
-	if target == 0 {
-		// No model yet: grow like slow start.
-		c.SetCwnd(c.Cwnd() + s.AckedBytes)
-		return
-	}
-	if target < minW {
-		target = minW
-	}
-	w := c.Cwnd()
-	if b.filled {
-		if w+s.AckedBytes < target {
-			w += s.AckedBytes
-		} else {
-			w = target
-		}
-	} else {
-		// Startup: grow without capping at the (still-forming) target.
-		w += s.AckedBytes
-	}
-	c.SetCwnd(w)
-}
-
-// OnCongestionEvent: BBRv1 deliberately ignores packet loss as a congestion
-// signal; its model is rate- and delay-based.
-func (b *bbr1) OnCongestionEvent(c *tcp.Conn) {}
-
-func (b *bbr1) OnRTO(c *tcp.Conn) {
-	// Collapse to one segment and conserve packets for a round, then the
-	// model-based cwnd target takes over again.
-	c.SetCwnd(c.MSS())
-	b.conservationUntilRound = c.RoundCount() + 1
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

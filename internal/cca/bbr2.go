@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/tcp"
-	"repro/internal/units"
 )
 
 // BBRv2 constants per the IETF-106 presentation and the v2alpha kernel tree.
@@ -14,8 +13,6 @@ const (
 	bbr2Beta         = 0.7  // multiplicative cut applied to inflight bounds
 	bbr2Headroom     = 0.85 // cruise keeps 15% headroom under inflight_hi
 	bbr2ProbeRTTGain = 0.5  // ProbeRTT shrinks to 0.5×BDP (v1 used 4 pkts)
-	bbr2StartupGain  = bbrHighGain
-	bbr2DrainGain    = bbrDrainGain
 	bbr2UpGain       = 1.25
 	bbr2DownGain     = 0.75
 	bbr2CwndGain     = 2.0
@@ -54,19 +51,11 @@ func (p bbr2Phase) String() string {
 // (where overflow losses are bursty) yet still dominant under RED (whose
 // early random drops stay below the 2% threshold).
 type bbr2 struct {
-	state bbrState
+	bbrCore
 	phase bbr2Phase
 
-	btlBw       maxFilter // by value: no per-flow heap object
-	rtProp      time.Duration
-	rtPropStamp sim.Time
-
-	pacingGain float64
-	cwndGain   float64
-
-	// Inflight bounds (bytes). 0 = unset/unlimited.
+	// Upper inflight bound (bytes). 0 = unset/unlimited.
 	inflightHi int64
-	inflightLo int64
 
 	// Per-round loss/ECN accounting.
 	lostThisRound      int64
@@ -74,38 +63,15 @@ type bbr2 struct {
 	ceThisRound        int64
 	acksThisRound      int64
 
-	// Startup full-pipe detection.
-	fullBw      int64
-	fullBwCount int
-	filled      bool
-
 	// Phase timing.
 	phaseStamp  sim.Time
 	cruiseUntil sim.Time
-
-	// ProbeRTT.
-	probeRTTDoneStamp sim.Time
-	probeRTTRoundDone bool
-	priorCwnd         int64
-
-	conservationUntilRound int64
 }
 
 // NewBBRv2 returns a fresh BBRv2 controller.
-func NewBBRv2() tcp.CongestionControl {
-	return &bbr2{
-		btlBw:      maxFilter{window: bbrBtlBwRounds},
-		state:      bbrStartup,
-		pacingGain: bbr2StartupGain,
-		cwndGain:   bbr2StartupGain,
-	}
-}
+func NewBBRv2() tcp.CongestionControl { return &bbr2{bbrCore: newBBRCore()} }
 
 func (b *bbr2) Name() string { return string(BBRv2) }
-
-func (b *bbr2) Init(c *tcp.Conn) {}
-
-func (b *bbr2) OnPacketSent(c *tcp.Conn, bytes int64) {}
 
 // State exposes the state and phase (telemetry/tests).
 func (b *bbr2) State() string { return b.stateName() }
@@ -131,25 +97,8 @@ func (b *bbr2) stateName() string {
 // InflightHi exposes the upper inflight bound (tests).
 func (b *bbr2) InflightHi() int64 { return b.inflightHi }
 
-func (b *bbr2) bdpBytes(gain float64) int64 {
-	bw := b.btlBw.Get()
-	if bw == 0 || b.rtProp == 0 {
-		return 0
-	}
-	return int64(gain * float64(bw) / 8 * b.rtProp.Seconds())
-}
-
 func (b *bbr2) OnAck(c *tcp.Conn, s tcp.AckSample) {
-	now := s.Now
-
-	// Model updates.
-	if s.DeliveryRate > 0 && (!s.RateAppLimited || int64(s.DeliveryRate) > b.btlBw.Get()) {
-		b.btlBw.Update(c.RoundCount(), int64(s.DeliveryRate))
-	}
-	if s.RTT > 0 && (b.rtProp == 0 || s.RTT <= b.rtProp) {
-		b.rtProp = s.RTT
-		b.rtPropStamp = now
-	}
+	b.updateModel(c, s)
 
 	// Per-round loss/ECN bookkeeping; evaluated at round boundaries.
 	b.lostThisRound += s.LostBytes
@@ -162,35 +111,26 @@ func (b *bbr2) OnAck(c *tcp.Conn, s tcp.AckSample) {
 		b.evaluateRound(c, s)
 	}
 
-	// State machine.
-	switch b.state {
-	case bbrStartup:
-		b.checkStartupDone(c, s)
-	case bbrDrain:
-		if s.Inflight <= b.bdpBytes(1.0) {
-			b.enterProbeBW(c, now, bbr2Down)
-		}
-	case bbrProbeBW:
+	if b.state == bbrProbeBW {
 		b.advancePhase(c, s)
-	case bbrProbeRTT:
-		b.handleProbeRTT(c, s)
+	} else if b.advance(c, s, bbr2CwndGain, bbr2ProbeRTTGain) {
+		b.enterProbeBW(c, s.Now, bbr2Down)
 	}
-
-	if b.state != bbrProbeRTT && b.rtProp > 0 &&
-		now-b.rtPropStamp > sim.Duration(bbr2MinRTTWindow) {
-		b.state = bbrProbeRTT
-		b.priorCwnd = c.Cwnd()
-		b.pacingGain = 1
-		b.cwndGain = 1
-		b.probeRTTDoneStamp = 0
-		b.probeRTTRoundDone = false
-	}
-
+	b.checkProbeRTT(c, s.Now, bbr2MinRTTWindow)
 	b.setPacingRate(c)
-	b.setCwnd(c, s)
+	b.setCwnd(c, s, bbr2ProbeRTTGain, b.cwndBound())
 	// Every state/phase transition funnels through here; the tracer dedupes,
 	// so this records exactly one event per transition (nil-safe when off).
-	c.Trace().CCAState(int64(now), b.stateName())
+	c.Trace().CCAState(int64(s.Now), b.stateName())
+}
+
+// cwndBound is inflight_hi as the bound of the cwnd law, less the 15%
+// headroom while cruising or draining in ProbeBW (0 = unbounded).
+func (b *bbr2) cwndBound() int64 {
+	if b.inflightHi > 0 && b.state == bbrProbeBW && (b.phase == bbr2Cruise || b.phase == bbr2Down) {
+		return int64(bbr2Headroom * float64(b.inflightHi))
+	}
+	return b.inflightHi
 }
 
 // evaluateRound applies the loss/ECN thresholds once per round trip.
@@ -210,7 +150,7 @@ func (b *bbr2) evaluateRound(c *tcp.Conn, s tcp.AckSample) {
 		// The cut is floored at beta×BDP (as in the v2alpha kernel): the
 		// loss may have evaporated the inflight sample, but the path model
 		// still knows roughly what fits.
-		base := maxI64(s.Inflight, b.bdpBytes(1.0))
+		base := max(s.Inflight, b.bdpBytes(1.0))
 		target := int64(bbr2Beta * float64(base))
 		if target < 2*c.MSS() {
 			target = 2 * c.MSS()
@@ -243,7 +183,7 @@ func (b *bbr2) evaluateRound(c *tcp.Conn, s tcp.AckSample) {
 		// The probe actually tested the ceiling and survived: raise it
 		// multiplicatively so long-term growth remains possible.
 		prev := b.inflightHi
-		b.inflightHi += maxI64(b.inflightHi/4, c.MSS())
+		b.inflightHi += max(b.inflightHi/4, c.MSS())
 		c.Trace().InflightHi(int64(s.Now), b.inflightHi, prev)
 	}
 
@@ -251,26 +191,6 @@ func (b *bbr2) evaluateRound(c *tcp.Conn, s tcp.AckSample) {
 	b.deliveredThisRound = 0
 	b.ceThisRound = 0
 	b.acksThisRound = 0
-}
-
-func (b *bbr2) checkStartupDone(c *tcp.Conn, s tcp.AckSample) {
-	if !b.filled && s.RoundStart && !s.RateAppLimited {
-		bw := b.btlBw.Get()
-		if float64(bw) >= float64(b.fullBw)*bbrFullBwThresh {
-			b.fullBw = bw
-			b.fullBwCount = 0
-		} else {
-			b.fullBwCount++
-			if b.fullBwCount >= bbrFullBwRounds {
-				b.filled = true
-			}
-		}
-	}
-	if b.filled {
-		b.state = bbrDrain
-		b.pacingGain = bbr2DrainGain
-		b.cwndGain = bbr2CwndGain
-	}
 }
 
 func (b *bbr2) enterProbeBW(c *tcp.Conn, now sim.Time, ph bbr2Phase) {
@@ -293,7 +213,6 @@ func (b *bbr2) enterPhase(c *tcp.Conn, now sim.Time, ph bbr2Phase) {
 			sim.Duration(time.Duration(c.Rand().Jitter(float64(time.Second))))
 	case bbr2Refill:
 		b.pacingGain = 1.0
-		b.inflightLo = 0 // forget short-term caution before probing
 	case bbr2Up:
 		b.pacingGain = bbr2UpGain
 	}
@@ -323,107 +242,8 @@ func (b *bbr2) advancePhase(c *tcp.Conn, s tcp.AckSample) {
 	}
 }
 
-func (b *bbr2) handleProbeRTT(c *tcp.Conn, s tcp.AckSample) {
-	now := s.Now
-	target := b.bdpBytes(bbr2ProbeRTTGain)
-	if target < bbrMinCwndSegs*c.MSS() {
-		target = bbrMinCwndSegs * c.MSS()
-	}
-	if b.probeRTTDoneStamp == 0 && s.Inflight <= target {
-		b.probeRTTDoneStamp = now + sim.Duration(bbrProbeRTTTime)
-		b.probeRTTRoundDone = false
-	} else if b.probeRTTDoneStamp != 0 {
-		if s.RoundStart {
-			b.probeRTTRoundDone = true
-		}
-		if b.probeRTTRoundDone && now > b.probeRTTDoneStamp {
-			b.rtPropStamp = now
-			if c.Cwnd() < b.priorCwnd {
-				c.SetCwnd(b.priorCwnd)
-			}
-			if b.filled {
-				b.enterProbeBW(c, now, bbr2Down)
-			} else {
-				b.state = bbrStartup
-				b.pacingGain = bbr2StartupGain
-				b.cwndGain = bbr2StartupGain
-			}
-		}
-	}
-}
-
-func (b *bbr2) setPacingRate(c *tcp.Conn) {
-	bw := b.btlBw.Get()
-	if bw == 0 {
-		if srtt := c.SRTT(); srtt > 0 {
-			c.SetPacingRate(units.Bandwidth(bbr2StartupGain * float64(c.Cwnd()) * 8 / srtt.Seconds()))
-		}
-		return
-	}
-	rate := units.Bandwidth(b.pacingGain * float64(bw))
-	if rate > 0 {
-		c.SetPacingRate(rate)
-	}
-}
-
-func (b *bbr2) setCwnd(c *tcp.Conn, s tcp.AckSample) {
-	minW := int64(bbrMinCwndSegs) * c.MSS()
-	if b.state == bbrProbeRTT {
-		target := b.bdpBytes(bbr2ProbeRTTGain)
-		if target < minW {
-			target = minW
-		}
-		if c.Cwnd() > target {
-			c.SetCwnd(target)
-		}
-		return
-	}
-	if c.RoundCount() < b.conservationUntilRound {
-		c.SetCwnd(maxI64(s.Inflight+s.AckedBytes, c.MSS()))
-		return
-	}
-	target := b.bdpBytes(b.cwndGain)
-	if target == 0 {
-		c.SetCwnd(c.Cwnd() + s.AckedBytes)
-		return
-	}
-	// Apply the inflight bounds.
-	bound := b.inflightHi
-	if bound > 0 && b.state == bbrProbeBW && (b.phase == bbr2Cruise || b.phase == bbr2Down) {
-		bound = int64(bbr2Headroom * float64(bound))
-	}
-	if bound > 0 && target > bound {
-		target = bound
-	}
-	if b.inflightLo > 0 && target > b.inflightLo {
-		target = b.inflightLo
-	}
-	if target < minW {
-		target = minW
-	}
-	w := c.Cwnd()
-	if b.filled {
-		if w+s.AckedBytes < target {
-			w += s.AckedBytes
-		} else {
-			w = target
-		}
-	} else {
-		w += s.AckedBytes
-		if bound > 0 && w > bound {
-			w = bound
-		}
-	}
-	c.SetCwnd(w)
-}
-
-// OnCongestionEvent: loss reaction happens via the per-round loss-rate
-// threshold in evaluateRound, not per event.
-func (b *bbr2) OnCongestionEvent(c *tcp.Conn) {}
-
 func (b *bbr2) OnRTO(c *tcp.Conn) {
-	c.SetCwnd(c.MSS())
-	b.conservationUntilRound = c.RoundCount() + 1
+	b.bbrCore.OnRTO(c)
 	// An RTO is unambiguous congestion: also clamp the bound.
 	if hi := b.bdpBytes(1.0); hi > 0 {
 		cut := int64(bbr2Beta * float64(hi))

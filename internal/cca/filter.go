@@ -18,10 +18,6 @@ type maxFilter struct {
 	s      [3]minmaxSample
 }
 
-func newMaxFilter(window int64) *maxFilter {
-	return &maxFilter{window: window}
-}
-
 // Get returns the current windowed maximum.
 func (f *maxFilter) Get() int64 { return f.s[0].v }
 

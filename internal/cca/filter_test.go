@@ -6,7 +6,7 @@ import (
 )
 
 func TestMaxFilterTracksMax(t *testing.T) {
-	f := newMaxFilter(10)
+	f := &maxFilter{window: 10}
 	f.Update(0, 100)
 	if f.Get() != 100 {
 		t.Fatalf("got %d", f.Get())
@@ -22,7 +22,7 @@ func TestMaxFilterTracksMax(t *testing.T) {
 }
 
 func TestMaxFilterExpiry(t *testing.T) {
-	f := newMaxFilter(10)
+	f := &maxFilter{window: 10}
 	f.Update(0, 1000)
 	for i := int64(1); i <= 30; i++ {
 		f.Update(i, 100)
@@ -33,7 +33,7 @@ func TestMaxFilterExpiry(t *testing.T) {
 }
 
 func TestMaxFilterRunnerUpPromotion(t *testing.T) {
-	f := newMaxFilter(10)
+	f := &maxFilter{window: 10}
 	f.Update(0, 1000)
 	f.Update(3, 800)
 	f.Update(6, 600)
@@ -48,7 +48,7 @@ func TestMaxFilterNeverBelowLatest(t *testing.T) {
 	// Property: after Update(t,v), Get() >= v (the estimate can never be
 	// below the newest evidence).
 	f := func(vals []uint32) bool {
-		mf := newMaxFilter(10)
+		mf := &maxFilter{window: 10}
 		for i, v := range vals {
 			mf.Update(int64(i), int64(v))
 			if mf.Get() < int64(v) {
@@ -70,7 +70,7 @@ func TestMaxFilterWindowBound(t *testing.T) {
 			return true
 		}
 		const w = 5
-		mf := newMaxFilter(w)
+		mf := &maxFilter{window: w}
 		for i, v := range vals {
 			mf.Update(int64(i), int64(v))
 			lo := i - w

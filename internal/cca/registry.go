@@ -2,7 +2,6 @@ package cca
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/tcp"
 )
@@ -57,20 +56,10 @@ func MustNew(n Name) tcp.CongestionControl {
 	return cc
 }
 
-// Names lists the paper's five algorithms, sorted. Variants are excluded;
-// see AllNames.
+// Names lists the paper's five algorithms, sorted. Ablation variants are
+// excluded.
 func Names() []Name {
 	return []Name{BBRv1, BBRv2, Cubic, HTCP, Reno}
-}
-
-// AllNames lists every registered constructor, including ablation variants.
-func AllNames() []Name {
-	out := make([]Name, 0, len(factories))
-	for n := range factories {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Parse validates an algorithm name.
