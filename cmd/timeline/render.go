@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/viz"
 )
@@ -290,17 +291,12 @@ func jainSeries(perFlow [][]float64, bins int) []float64 {
 		return nil
 	}
 	vals := make([]float64, bins)
-	for i := 0; i < bins; i++ {
-		var sum, sumSq float64
-		for _, f := range perFlow {
-			sum += f[i]
-			sumSq += f[i] * f[i]
+	shares := make([]float64, len(perFlow))
+	for i := range vals {
+		for fi, f := range perFlow {
+			shares[fi] = f[i]
 		}
-		if sumSq == 0 {
-			vals[i] = 1
-			continue
-		}
-		vals[i] = sum * sum / (float64(len(perFlow)) * sumSq)
+		vals[i] = metrics.Jain(shares)
 	}
 	return vals
 }

@@ -236,25 +236,28 @@ func (c Config) ID() string {
 	return id
 }
 
+// recorded returns the normalized configuration with every run control
+// cleared: the watchdog budgets and the observation-only audit, trace and
+// fairness knobs. It is the configuration a Result records and the one Key
+// hashes, so a result served from a cache reads the same whichever job's
+// controls produced it.
+func (c Config) recorded() Config {
+	n := c.Normalize()
+	n.MaxEvents, n.MaxWall, n.Audit = 0, 0, false
+	n.Trace, n.TraceRingCap, n.TraceSampleN = false, 0, 0
+	n.Fairness, n.FairnessWindow = false, 0
+	return n
+}
+
 // Key returns the configuration's full science identity: a hex digest of
-// the normalized configuration with the fields that cannot change a run's
-// bytes — the watchdog budgets and the observation-only audit bit —
-// cleared. Unlike ID, which renders only the grid cell, seed, and fault
-// profile, Key also covers duration, paper scale, RTT, flow counts, ECN,
-// and every other science-affecting field, so two configurations share a
-// Key iff they simulate identically. The checkpoint journal and sweepd's
+// the recorded configuration, whose cleared run controls cannot change a
+// run's science bytes. Unlike ID, which renders only the grid cell, seed,
+// and fault profile, Key also covers duration, paper scale, RTT, flow
+// counts, ECN, and every other science-affecting field, so two
+// configurations share a Key iff they simulate identically. The checkpoint journal and sweepd's
 // result cache are keyed by it; ID remains the human-readable label.
 func (c Config) Key() string {
-	n := c.Normalize()
-	n.MaxEvents = 0
-	n.MaxWall = 0
-	n.Audit = false
-	n.Trace = false
-	n.TraceRingCap = 0
-	n.TraceSampleN = 0
-	n.Fairness = false
-	n.FairnessWindow = 0
-	data, err := json.Marshal(n)
+	data, err := json.Marshal(c.recorded())
 	if err != nil { // Config is plain data; cannot happen
 		panic(err)
 	}

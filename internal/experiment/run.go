@@ -157,13 +157,11 @@ func Run(cfg Config, obs ...Observer) (Result, error) {
 		})
 		eng.SetTracer(trc)
 	}
-	// The trace knobs are observation-only and excluded from Config.Key();
-	// scrub them from the recorded config too, so a traced result serializes
-	// byte-identically to an untraced one everywhere results land (result
-	// files, the sweepd cache, checkpoint journals).
-	recCfg := cfg
-	recCfg.Trace, recCfg.TraceRingCap, recCfg.TraceSampleN = false, 0, 0
-	recCfg.Fairness, recCfg.FairnessWindow = false, 0
+	// The run controls are excluded from Config.Key(); scrub them from the
+	// recorded config too, so a result serializes byte-identically whatever
+	// controls produced it, everywhere results land (result files, the
+	// sweepd cache, checkpoint journals).
+	recCfg := cfg.recorded()
 	net, err := BuildNet(eng, cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("experiment %s: %w", cfg.ID(), err)

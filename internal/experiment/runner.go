@@ -42,14 +42,14 @@ var testHookBeforeRun func(Config)
 
 // RunOne executes a single configuration with the sweep runner's hardening:
 // a panic anywhere under Run, or any error Run returns, comes back as an
-// errored Result carrying the normalized config for identification, never
-// a crash. RunAllOpts and sweepd's workers both run configurations through
-// it, so CLI and daemon sweeps get exactly the same recovery, watchdog, and
-// audit semantics.
+// errored Result carrying the config as Run records it, never a crash.
+// RunAllOpts and sweepd's workers both run configurations through it, so
+// CLI and daemon sweeps get exactly the same recovery, watchdog, and audit
+// semantics.
 func RunOne(cfg Config) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = Result{Config: cfg.Normalize(), Error: fmt.Sprintf("panic: %v", r)}
+			res = Result{Config: cfg.recorded(), Error: fmt.Sprintf("panic: %v", r)}
 		}
 	}()
 	if testHookBeforeRun != nil {
@@ -57,7 +57,7 @@ func RunOne(cfg Config) (res Result) {
 	}
 	res, err := Run(cfg)
 	if err != nil {
-		res.Config = cfg.Normalize()
+		res.Config = cfg.recorded()
 		res.Error = err.Error()
 	}
 	return res

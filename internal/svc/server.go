@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sync"
@@ -349,36 +350,32 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	experiment.WriteJSON(w, &experiment.ResultSet{Note: j.Spec.Note(), Results: results})
 }
 
-// handleTrace streams the completed job's telemetry as NDJSON: for each
-// configuration that carries a trace, a header line naming the config
-// (science key and human-readable ID) followed by the trace's own NDJSON
-// encoding. ?config=<key> narrows the stream to one configuration. Results
-// served from the journal-warmed cache carry no trace (traces live in
-// memory only), so those configurations are silently absent; a stream with
-// nothing to say is a 404 pointing at the -trace flag.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+// streamPerConfig streams a completed job as NDJSON, one record per
+// configuration: write renders a result's record, or reports false without
+// writing when the result lacks the artifact. ?config=<key> narrows the
+// stream to one configuration. A stream with nothing to say is a 404 whose
+// message is missing.
+func (s *Server) streamPerConfig(w http.ResponseWriter, r *http.Request, missing string,
+	write func(w io.Writer, key string, res *experiment.Result) (bool, error)) {
 	j, results := s.completedJob(w, r)
 	if j == nil {
 		return
 	}
 	want := r.URL.Query().Get("config")
 	flusher, _ := w.(http.Flusher)
+	// The first record's write sends the 200; the 404 overrides the type.
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	n := 0
 	for i := range results {
-		res := &results[i]
 		if want != "" && want != j.keys[i] {
 			continue
 		}
-		if res.Trace == nil {
-			continue
-		}
-		if n == 0 {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-		}
-		fmt.Fprintf(w, "{\"config\":%q,\"id\":%q}\n", j.keys[i], res.Config.ID())
-		if err := telemetry.EncodeNDJSON(w, res.Trace); err != nil {
+		wrote, err := write(w, j.keys[i], &results[i])
+		if err != nil {
 			return // client went away mid-stream
+		}
+		if !wrote {
+			continue
 		}
 		if flusher != nil {
 			flusher.Flush()
@@ -386,55 +383,45 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		n++
 	}
 	if n == 0 {
-		httpError(w, http.StatusNotFound,
-			"no telemetry recorded for this sweep (start sweepd with -trace, or the results were served from the journal)")
+		httpError(w, http.StatusNotFound, "%s", missing)
 	}
 }
 
-// handleFairness streams the completed job's fairness reports as NDJSON,
-// one line per fairness-armed configuration:
+// handleTrace streams the completed job's telemetry: for each configuration
+// that carries a trace, a header line naming the config (science key and
+// human-readable ID) followed by the trace's own NDJSON encoding. Results
+// served from the journal-warmed cache carry no trace (traces live in
+// memory only), so those configurations are silently absent.
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+	s.streamPerConfig(w, r,
+		"no telemetry recorded for this sweep (start sweepd with -trace, or the results were served from the journal)",
+		func(w io.Writer, key string, res *experiment.Result) (bool, error) {
+			if res.Trace == nil {
+				return false, nil
+			}
+			fmt.Fprintf(w, "{\"config\":%q,\"id\":%q}\n", key, res.Config.ID())
+			return true, telemetry.EncodeNDJSON(w, res.Trace)
+		})
+}
+
+// handleFairness streams the completed job's fairness reports, one line per
+// fairness-armed configuration:
 //
 //	{"config":"<science key>","id":"<human id>","fairness":{...}}
 //
-// ?config=<key> narrows the stream to one configuration. Results served
-// from a cache populated by fairness-off runs carry no report, so those
-// configurations are silently absent; a stream with nothing to say is a
-// 404 pointing at the -fairness flag. cmd/sweep -fairness-out writes the
-// same byte shape for offline diffing.
+// Results served from a cache populated by fairness-off runs carry no
+// report, so those configurations are silently absent. cmd/sweep
+// -fairness-out writes the same byte shape for offline diffing.
 func (s *Server) handleFairness(w http.ResponseWriter, r *http.Request) {
-	j, results := s.completedJob(w, r)
-	if j == nil {
-		return
-	}
-	want := r.URL.Query().Get("config")
-	flusher, _ := w.(http.Flusher)
-	n := 0
-	enc := json.NewEncoder(w)
-	for i := range results {
-		res := &results[i]
-		if want != "" && want != j.keys[i] {
-			continue
-		}
-		if res.Fairness == nil {
-			continue
-		}
-		if n == 0 {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-		}
-		line := experiment.FairnessLine{Config: j.keys[i], ID: res.Config.ID(), Fairness: res.Fairness}
-		if err := enc.Encode(line); err != nil {
-			return // client went away mid-stream
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		n++
-	}
-	if n == 0 {
-		httpError(w, http.StatusNotFound,
-			"no fairness reports recorded for this sweep (start sweepd with -fairness or set fairness in the spec, or the results were served from a fairness-off cache)")
-	}
+	s.streamPerConfig(w, r,
+		"no fairness reports recorded for this sweep (start sweepd with -fairness or set fairness in the spec, or the results were served from a fairness-off cache)",
+		func(w io.Writer, key string, res *experiment.Result) (bool, error) {
+			if res.Fairness == nil {
+				return false, nil
+			}
+			line := experiment.FairnessLine{Config: key, ID: res.Config.ID(), Fairness: res.Fairness}
+			return true, json.NewEncoder(w).Encode(line)
+		})
 }
 
 // handleReport renders the completed job through the cmd/report path

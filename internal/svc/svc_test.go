@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cca"
 	"repro/internal/experiment"
+	"repro/internal/units"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -162,6 +164,78 @@ func TestServedMatchesLocalSweep(t *testing.T) {
 	if !bytes.Equal(stripWall(served), stripWall(want.Bytes())) {
 		t.Errorf("served bytes differ from a local sweep of the same spec.\n--- served ---\n%s\n--- local ---\n%s",
 			stripWall(served), stripWall(want.Bytes()))
+	}
+}
+
+// TestCachedResultsCarryNoRunControls: a result served from the cache must
+// not carry the run controls of the job that simulated it. An audited job
+// with an event budget warms the cache; a plain job of the same grid is then
+// served from it, byte-identically to a local sweep of the plain spec.
+func TestCachedResultsCarryNoRunControls(t *testing.T) {
+	_, client := newTestServer(t, Options{Shards: 1})
+	armed := tinySpec()
+	armed.Audit = true
+	armed.MaxEvents = 1 << 40
+	st, err := client.Submit(armed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, client, st.ID)
+
+	spec := tinySpec()
+	st, err = client.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitDone(t, client, st.ID); st.Cached != 2 {
+		t.Fatalf("plain job served %d cached results, want 2", st.Cached)
+	}
+	served, err := client.Results(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := experiment.RunAllOpts(cfgs, experiment.RunAllOptions{Workers: 2, KeepGoing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := experiment.WriteJSON(&want, &experiment.ResultSet{Note: spec.Note(), Results: local}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stripWall(served), stripWall(want.Bytes())) {
+		t.Errorf("cached results differ from a local sweep of the plain spec.\n--- served ---\n%s\n--- local ---\n%s",
+			stripWall(served), stripWall(want.Bytes()))
+	}
+}
+
+// TestRecordedConfigMatchesRunOne: the coordinator's errored results record
+// the same config as an errored experiment.RunOne, every run control cleared.
+func TestRecordedConfigMatchesRunOne(t *testing.T) {
+	cfg := experiment.Config{
+		Pairing:        experiment.Pairing{CCA1: "no-such-cca", CCA2: cca.Cubic},
+		Bottleneck:     100 * units.MegabitPerSec,
+		Duration:       time.Second,
+		MaxEvents:      1 << 40,
+		MaxWall:        time.Hour,
+		Audit:          true,
+		Trace:          true,
+		TraceRingCap:   64,
+		TraceSampleN:   2,
+		Fairness:       true,
+		FairnessWindow: time.Second,
+	}
+	res := experiment.RunOne(cfg)
+	if !res.Errored() {
+		t.Fatal("a run with an unknown CCA succeeded")
+	}
+	got, _ := json.Marshal(recordedConfig(cfg))
+	want, _ := json.Marshal(res.Config)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("recordedConfig differs from RunOne's recorded config:\n got %s\nwant %s", got, want)
 	}
 }
 
