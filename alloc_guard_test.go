@@ -394,7 +394,9 @@ func TestAllocGuardParkingLot(t *testing.T) {
 
 // TestAllocGuardEngineReusePaths holds the event core's reuse paths to
 // exactly zero heap allocations once warm: a chain of pooled handler
-// events, a timer re-arming itself from its own expiry, a delay line whose
+// events, a chain of closures scheduled with Schedule (a prebuilt func
+// rides the same pool), a timer re-arming itself from its own expiry, a
+// delay line whose
 // every delivery pushes the next, and packets forwarded through two netem
 // ports, both backlogged (serializer timer plus delay line per port) and
 // idle (fused: delay line only). Each run dispatches thousands of events;
@@ -417,6 +419,21 @@ func TestAllocGuardEngineReusePaths(t *testing.T) {
 			return func() {
 				n = 0
 				e.ScheduleHandler(time.Microsecond, h, nil)
+				e.Run()
+			}
+		}},
+		{"chained closure", func() func() {
+			e := sim.NewEngine(1)
+			n := 0
+			var step func()
+			step = func() {
+				if n++; n < events {
+					e.Schedule(time.Microsecond, step)
+				}
+			}
+			return func() {
+				n = 0
+				e.Schedule(time.Microsecond, step)
 				e.Run()
 			}
 		}},

@@ -26,7 +26,11 @@
 // API:
 //
 //	POST /v1/sweeps              submit a GridSpec (JSON body); identical
-//	                             specs coalesce onto one job
+//	                             specs coalesce onto one job. @file
+//	                             faults/topo/flows specs are resolved by
+//	                             the client only (sweep -remote sends the
+//	                             file's contents); the daemon answers 400
+//	                             to any @file value and never opens it
 //	GET  /v1/sweeps/{id}         status with per-config skip/error counts
 //	GET  /v1/sweeps/{id}/events  NDJSON progress stream, one line per
 //	                             completed configuration

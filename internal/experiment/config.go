@@ -236,12 +236,12 @@ func (c Config) ID() string {
 	return id
 }
 
-// recorded returns the normalized configuration with every run control
+// Recorded returns the normalized configuration with every run control
 // cleared: the watchdog budgets and the observation-only audit, trace and
-// fairness knobs. It is the configuration a Result records and the one Key
-// hashes, so a result served from a cache reads the same whichever job's
-// controls produced it.
-func (c Config) recorded() Config {
+// fairness knobs. It is the configuration a Result records — errored ones
+// included, wherever they are made — and the one Key hashes, so a result
+// served from a cache reads the same whichever job's controls produced it.
+func (c Config) Recorded() Config {
 	n := c.Normalize()
 	n.MaxEvents, n.MaxWall, n.Audit = 0, 0, false
 	n.Trace, n.TraceRingCap, n.TraceSampleN = false, 0, 0
@@ -257,7 +257,7 @@ func (c Config) recorded() Config {
 // configurations share a Key iff they simulate identically. The checkpoint journal and sweepd's
 // result cache are keyed by it; ID remains the human-readable label.
 func (c Config) Key() string {
-	data, err := json.Marshal(c.recorded())
+	data, err := json.Marshal(c.Recorded())
 	if err != nil { // Config is plain data; cannot happen
 		panic(err)
 	}

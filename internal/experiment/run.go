@@ -161,7 +161,7 @@ func Run(cfg Config, obs ...Observer) (Result, error) {
 	// recorded config too, so a result serializes byte-identically whatever
 	// controls produced it, everywhere results land (result files, the
 	// sweepd cache, checkpoint journals).
-	recCfg := cfg.recorded()
+	recCfg := cfg.Recorded()
 	net, err := BuildNet(eng, cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("experiment %s: %w", cfg.ID(), err)

@@ -49,7 +49,7 @@ var testHookBeforeRun func(Config)
 func RunOne(cfg Config) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = Result{Config: cfg.recorded(), Error: fmt.Sprintf("panic: %v", r)}
+			res = Result{Config: cfg.Recorded(), Error: fmt.Sprintf("panic: %v", r)}
 		}
 	}()
 	if testHookBeforeRun != nil {
@@ -57,7 +57,7 @@ func RunOne(cfg Config) (res Result) {
 	}
 	res, err := Run(cfg)
 	if err != nil {
-		res.Config = cfg.recorded()
+		res.Config = cfg.Recorded()
 		res.Error = err.Error()
 	}
 	return res

@@ -103,7 +103,7 @@ func observePort(s fusedSchedule, rate units.Bandwidth, q aqm.Queue) portObserva
 	var arrive func(i int)
 	next := func(i int) {
 		if i+1 < len(s.arrivals) {
-			eng.ScheduleAt(s.arrivals[i+1].at, func() { arrive(i + 1) })
+			eng.Schedule((s.arrivals[i+1].at - eng.Now()).Std(), func() { arrive(i + 1) })
 		}
 	}
 	arrive = func(i int) {
@@ -122,7 +122,7 @@ func observePort(s fusedSchedule, rate units.Bandwidth, q aqm.Queue) portObserva
 			next(i)
 		}
 	}
-	eng.ScheduleAt(s.arrivals[0].at, func() { arrive(0) })
+	eng.Schedule(s.arrivals[0].at.Std(), func() { arrive(0) })
 	for _, end := range s.checkpoints {
 		eng.RunUntil(end)
 		sample("run end")

@@ -71,10 +71,10 @@ func TestAuditorCatchesPoolDoubleFree(t *testing.T) {
 	e, _ := auditedEngine()
 	e.ScheduleHandler(0, &countHandler{}, nil)
 	e.Run() // fires and releases the pooled event into e.free
-	if len(e.free) != 1 {
-		t.Fatalf("free list holds %d events, want 1", len(e.free))
+	if n := e.FreeEvents(); n != 1 {
+		t.Fatalf("free list holds %d events, want 1", n)
 	}
-	v := expectViolation(t, func() { e.release(e.free[0]) })
+	v := expectViolation(t, func() { e.release(e.free) })
 	if v.Layer != "sim" || v.Rule != "pool-double-free" {
 		t.Fatalf("violation attributed to %s/%s, want sim/pool-double-free", v.Layer, v.Rule)
 	}
@@ -85,7 +85,7 @@ func TestAuditorCatchesPoolDoubleFree(t *testing.T) {
 // the heap end up sharing one event object.
 func TestAuditorCatchesReleaseOfQueuedEvent(t *testing.T) {
 	e, _ := auditedEngine()
-	e.ScheduleHandlerAt(Duration(time.Second), &countHandler{}, nil)
+	e.ScheduleHandler(time.Second, &countHandler{}, nil)
 	v := expectViolation(t, func() { e.release(e.queue[0].ev) })
 	if v.Rule != "pool-release-queued" {
 		t.Fatalf("rule = %s, want pool-release-queued", v.Rule)
@@ -96,7 +96,7 @@ func TestAuditorCatchesReleaseOfQueuedEvent(t *testing.T) {
 // list; the next pooled schedule must refuse to hand it out.
 func TestAuditorCatchesCorruptFreeList(t *testing.T) {
 	e, _ := auditedEngine()
-	e.free = append(e.free, &Event{eng: e, pooled: true, idx: -1})
+	e.free = &event{eng: e, pooled: true, idx: -1, next: e.free}
 	v := expectViolation(t, func() { e.ScheduleHandler(0, &countHandler{}, nil) })
 	if v.Rule != "pool-corrupt" {
 		t.Fatalf("rule = %s, want pool-corrupt", v.Rule)
@@ -110,7 +110,7 @@ func TestAuditorCatchesCorruptFreeList(t *testing.T) {
 // deadline; the dispatch loop must refuse to run time backwards.
 func TestAuditorCatchesTimeRegression(t *testing.T) {
 	e, _ := auditedEngine()
-	e.ScheduleAt(Duration(5*time.Millisecond), func() {})
+	e.Schedule(5*time.Millisecond, func() {})
 	e.now = Duration(10 * time.Millisecond)
 	v := expectViolation(t, e.Run)
 	if v.Rule != "time-monotone" {
@@ -123,7 +123,7 @@ func TestAuditorCatchesTimeRegression(t *testing.T) {
 // deadline under the heap) is a violation at Finish.
 func TestAuditorCatchesStuckEvent(t *testing.T) {
 	e, a := auditedEngine()
-	e.ScheduleAt(Duration(time.Second), func() {})
+	e.Schedule(time.Second, func() {})
 	e.RunUntil(Duration(500 * time.Millisecond))
 	// Corrupt the queued deadline to be in the past without re-heapifying —
 	// the stuck-event shape the check exists to catch.
@@ -141,26 +141,26 @@ func TestAuditorCatchesStuckEvent(t *testing.T) {
 // the run horizon are not violations — only past-due ones are.
 func TestQuiescenceAcceptsFutureEvents(t *testing.T) {
 	e, a := auditedEngine()
-	e.ScheduleAt(Duration(2*time.Second), func() {})
+	e.Schedule(2*time.Second, func() {})
 	e.RunUntil(Duration(time.Second))
 	a.Finish()
 }
 
-// TestAuditedHeapIntegrityAfterChurn cross-checks that heavy cancel/reset
+// TestAuditedHeapIntegrityAfterChurn cross-checks that heavy stop/reset
 // and delay-line churn under the auditor leaves a structurally valid 4-ary
 // heap (indices match positions, parent ≤ child ordering) whose line slots
 // carry their head entry's key. The callbacks schedule from inside dispatch
-// — a timer re-arms itself, an emptied line takes a push, pooled events
-// chain, others are stopped or cancelled — so the fired slot is refilled
-// by every surface; each callback checks the heap after its own work and
-// compares Pending with an independent tally of what is queued.
+// — a timer re-arms itself, an emptied line takes a push, pooled handler
+// and closure events chain, timers are stopped — so the fired slot is
+// refilled by every surface and entries are removed from every depth; each
+// callback checks the heap after its own work and compares Pending with an
+// independent tally of what is queued.
 func TestAuditedHeapIntegrityAfterChurn(t *testing.T) {
 	e, a := auditedEngine()
 	rng := NewRNG(99)
 	var timers [8]Timer
 	var lines [3]Line
 	var last [3]Time
-	var closures []*Event
 	loose := 0 // pooled handler and closure events queued
 	checkPending := func() {
 		t.Helper()
@@ -177,15 +177,7 @@ func TestAuditedHeapIntegrityAfterChurn(t *testing.T) {
 			t.Fatalf("Pending() = %d inside dispatch, %d queued", got, want)
 		}
 	}
-	cancelOne := func() {
-		if len(closures) == 0 {
-			return
-		}
-		if ev := closures[rng.Intn(len(closures))]; ev.Pending() {
-			ev.Cancel()
-			loose--
-		}
-	}
+	stopOne := func() { timers[rng.Intn(len(timers))].Stop() }
 	var handler HandlerFunc
 	handler = func(any) {
 		loose--
@@ -196,10 +188,15 @@ func TestAuditedHeapIntegrityAfterChurn(t *testing.T) {
 		}
 		checkHeap(t, e)
 	}
-	closure := func() {
+	var closure func()
+	closure = func() {
 		loose--
 		checkPending()
-		cancelOne()
+		if rng.Intn(3) == 0 {
+			loose++
+			e.Schedule(time.Duration(rng.Intn(1000))*time.Microsecond, closure)
+		}
+		stopOne()
 		checkHeap(t, e)
 	}
 	for i := range timers {
@@ -209,7 +206,7 @@ func TestAuditedHeapIntegrityAfterChurn(t *testing.T) {
 				timers[i].Reset(time.Duration(rng.Intn(500)) * time.Microsecond)
 			}
 			if rng.Intn(4) == 0 {
-				timers[rng.Intn(len(timers))].Stop()
+				stopOne()
 			}
 			checkHeap(t, e)
 		}), nil)
@@ -223,7 +220,7 @@ func TestAuditedHeapIntegrityAfterChurn(t *testing.T) {
 				lines[j].PushAt(last[j], j)
 			}
 			if rng.Intn(4) == 0 {
-				cancelOne()
+				stopOne()
 			}
 			checkHeap(t, e)
 		}))
@@ -235,9 +232,9 @@ func TestAuditedHeapIntegrityAfterChurn(t *testing.T) {
 			e.ScheduleHandler(time.Duration(rng.Intn(1000))*time.Microsecond, handler, nil)
 		case 1:
 			loose++
-			closures = append(closures, e.Schedule(time.Duration(rng.Intn(1000))*time.Microsecond, closure))
+			e.Schedule(time.Duration(rng.Intn(1000))*time.Microsecond, closure)
 			if rng.Intn(2) == 0 {
-				cancelOne()
+				stopOne()
 			}
 		case 2:
 			timers[rng.Intn(len(timers))].Reset(time.Duration(rng.Intn(500)) * time.Microsecond)

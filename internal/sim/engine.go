@@ -9,29 +9,26 @@
 //
 // # Event ownership and pooling
 //
-// The engine offers four scheduling surfaces with different ownership
+// The engine offers three scheduling surfaces with different ownership
 // rules, chosen so the steady-state forwarding path performs zero heap
 // allocations per event:
 //
-//   - Schedule/ScheduleAt (closure API): the returned *Event is owned by
-//     the caller, is never recycled, and stays valid forever — Cancel and
-//     Pending are safe at any point, including after the event has fired.
-//     Use this for setup-time and low-rate work.
+//   - Schedule/ScheduleHandler: the event object is owned by the engine,
+//     drawn from a per-engine free list, and returned to it as soon as the
+//     event fires. No handle is exposed, so these events cannot be
+//     cancelled; they are the right tool for fire-and-forget work that has
+//     no natural owner. Schedule runs a closure, ScheduleHandler calls
+//     h.OnEvent(arg); both take the same pooled path.
 //
-//   - ScheduleHandler/ScheduleHandlerAt (handler API): the event object is
-//     owned by the engine, drawn from a per-engine free list, and returned
-//     to it as soon as the event fires. No handle is exposed, so these
-//     events cannot be cancelled; they are the right tool for fire-and-
-//     forget work that has no natural owner.
-//
-//   - Timer: a caller-owned, reusable timer for recurring deadlines (RTO,
-//     pacing release, delayed ACK, samplers, a port's serializer). Its
-//     event storage is embedded in the Timer itself, so Reset/Stop never
-//     allocate: Reset re-keys the heap slot in place when the timer is
-//     already queued. A Timer must not be copied after Init (the heap holds
-//     a pointer into it). A timer set up with InitObserver is observation,
-//     not science: its expiries are counted apart, so Executed and the
-//     event watchdog read the same with or without observers attached.
+//   - Timer: a caller-owned, reusable timer for cancellable or recurring
+//     deadlines (RTO, pacing release, delayed ACK, samplers, a port's
+//     serializer). Its event storage is embedded in the Timer itself, so
+//     Reset/Stop never allocate: Reset re-keys the heap slot in place when
+//     the timer is already queued. A Timer must not be copied after Init
+//     (the heap holds a pointer into it). A timer set up with InitObserver
+//     is observation, not science: its expiries are counted apart, so
+//     Executed and the event watchdog read the same with or without
+//     observers attached.
 //
 //   - Line: a caller-owned FIFO delay line for deliveries that leave in the
 //     order they were pushed (propagation on a link). Entries sit in a ring
@@ -39,9 +36,8 @@
 //     thousands of packets in flight costs the heap one entry. A Line must
 //     not be copied after Init.
 //
-// Cancelling (Event.Cancel, Timer.Stop) removes the entry from the heap
-// eagerly, so long runs that repeatedly rearm timers do not accumulate
-// dead entries.
+// Cancelling (Timer.Stop) removes the entry from the heap eagerly, so long
+// runs that repeatedly rearm timers do not accumulate dead entries.
 //
 // # Reusing the fired slot
 //
@@ -119,52 +115,36 @@ type HandlerFunc func(arg any)
 // OnEvent implements Handler.
 func (f HandlerFunc) OnEvent(arg any) { f(arg) }
 
-// Event is a scheduled callback. It fires either a closure (Schedule) or a
-// Handler (ScheduleHandler/Timer/Line) at its deadline.
-type Event struct {
+// callback adapts a closure to Handler, so Schedule takes the pooled
+// handler path. Func values are pointer-shaped: the conversion to Handler
+// does not allocate.
+type callback func()
+
+// OnEvent implements Handler.
+func (f callback) OnEvent(any) { f() }
+
+// event is one queued dispatch of h.OnEvent: an engine-owned pooled event
+// (Schedule/ScheduleHandler), a Timer's embedded event, or a Line's head
+// slot.
+type event struct {
 	at  Time
 	idx int // heap slot, -1 when not queued
 
-	fn   func() // closure dispatch (nil for handler events)
 	h    Handler
 	arg  any
 	line *Line // non-nil for a Line's head slot: dispatch advances the line
 
-	eng    *Engine // owner, for eager heap removal on Cancel
+	eng    *Engine // owner, for eager heap removal on Timer.Stop
 	pooled bool    // engine-owned: recycled into the free list after firing
-}
-
-// Cancel removes a pending event from the queue so it will not run. Safe to
-// call multiple times and after the event has fired (then it is a no-op).
-// Only valid for caller-owned events (Schedule/ScheduleAt).
-func (e *Event) Cancel() {
-	if e == nil || e.idx < 0 {
-		return
-	}
-	e.eng.queue.remove(e.idx)
-}
-
-// Pending reports whether the event is still queued.
-func (e *Event) Pending() bool { return e != nil && e.idx >= 0 }
-
-// At returns the scheduled time of the event.
-func (e *Event) At() Time { return e.at }
-
-// fire dispatches the event's callback.
-func (e *Event) fire() {
-	if e.fn != nil {
-		e.fn()
-		return
-	}
-	e.h.OnEvent(e.arg)
+	next   *event  // free-list link while a pooled event waits for reuse
 }
 
 // entry is one heap slot. The sort key lives in the slot itself, so sifting
-// compares contiguous values and never dereferences an Event.
+// compares contiguous values and never dereferences an event.
 type entry struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among same-time events
-	ev  *Event
+	ev  *event
 }
 
 func (a *entry) before(b *entry) bool {
@@ -182,13 +162,13 @@ func less(a, b *entry) uint64 {
 	return borrow
 }
 
-// eventQueue is a 4-ary min-heap on (at, seq); each queued Event records
+// eventQueue is a 4-ary min-heap on (at, seq); each queued event records
 // its slot in idx. Four children per node halve the depth of a binary heap,
 // and sift-down — the hot direction, run on every pop — compares siblings
 // that sit next to each other in memory.
 type eventQueue []entry
 
-func (q *eventQueue) push(at Time, seq uint64, ev *Event) {
+func (q *eventQueue) push(at Time, seq uint64, ev *event) {
 	*q = append(*q, entry{at: at, seq: seq, ev: ev})
 	q.up(len(*q) - 1)
 }
@@ -292,8 +272,10 @@ type Engine struct {
 	stopped bool
 	rng     *RNG
 
-	// free is the pool of engine-owned events for the handler path.
-	free []*Event
+	// free is the pool of engine-owned events for Schedule and
+	// ScheduleHandler: a stack linked through event.next, so returning an
+	// event to it never grows a slice.
+	free *event
 
 	// Watchdog budget (see SetBudget). budgeted gates the per-event checks
 	// so the unbudgeted hot path pays a single predictable branch.
@@ -349,7 +331,7 @@ func (e *Engine) Pending() int {
 }
 
 // push queues ev under (at, seq), reusing the fired slot when there is one.
-func (e *Engine) push(at Time, seq uint64, ev *Event) {
+func (e *Engine) push(at Time, seq uint64, ev *event) {
 	if e.hole {
 		e.hole = false
 		e.queue[0] = entry{at: at, seq: seq, ev: ev}
@@ -382,7 +364,13 @@ func (e *Engine) Reached(k Key) bool {
 
 // FreeEvents returns the size of the pooled-event free list (telemetry and
 // pool-reuse tests).
-func (e *Engine) FreeEvents() int { return len(e.free) }
+func (e *Engine) FreeEvents() int {
+	n := 0
+	for ev := e.free; ev != nil; ev = ev.next {
+		n++
+	}
+	return n
+}
 
 // SetAuditor attaches (or, with nil, detaches) a runtime invariant auditor.
 // The engine becomes the auditor's simulation clock and registers its
@@ -435,56 +423,29 @@ func (e *Engine) wireFlightRecorder() {
 	e.aud.SetFlightRecorder(func() string { return t.TailNDJSON(0) })
 }
 
-// Schedule queues fn to run after delay. A negative delay is clamped to zero
-// (runs at the current time, after already-queued same-time events). The
-// returned Event is caller-owned and never recycled.
-func (e *Engine) Schedule(delay time.Duration, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.ScheduleAt(e.now+Duration(delay), fn)
-}
-
-// ScheduleAt queues fn to run at absolute time at. Times in the past are
-// clamped to now.
-func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	ev := &Event{at: at, fn: fn, idx: -1, eng: e}
-	e.push(at, e.seq, ev)
-	return ev
+// Schedule queues fn to run after delay on a pooled, engine-owned event,
+// exactly as ScheduleHandler does. A negative delay is clamped to zero (runs
+// at the current time, after already-queued same-time events).
+func (e *Engine) Schedule(delay time.Duration, fn func()) {
+	e.ScheduleHandler(delay, callback(fn), nil)
 }
 
 // ScheduleHandler queues h.OnEvent(arg) to run after delay using a pooled,
 // engine-owned event: the hot path allocates nothing once the pool has
-// warmed up. The event cannot be cancelled (no handle is returned); use a
-// Timer for cancellable or recurring work.
+// warmed up. A negative delay is clamped to zero. The event cannot be
+// cancelled (no handle is returned); use a Timer for cancellable or
+// recurring work.
 func (e *Engine) ScheduleHandler(delay time.Duration, h Handler, arg any) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.ScheduleHandlerAt(e.now+Duration(delay), h, arg)
-}
-
-// ScheduleHandlerAt is ScheduleHandler with an absolute deadline. Times in
-// the past are clamped to now.
-func (e *Engine) ScheduleHandlerAt(at Time, h Handler, arg any) {
-	if at < e.now {
-		at = e.now
-	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
+	at := e.now + Duration(max(delay, 0))
+	ev := e.free
+	if ev != nil {
+		e.free, ev.next = ev.next, nil
 		if e.aud != nil && (ev.pooled || ev.idx >= 0 || ev.h != nil) {
 			e.aud.Failf("sim", "pool-corrupt",
 				"free-list event not zeroed: pooled=%v idx=%d handler=%v", ev.pooled, ev.idx, ev.h != nil)
 		}
 	} else {
-		ev = &Event{eng: e}
+		ev = &event{eng: e}
 	}
 	e.seq++
 	ev.at = at
@@ -495,7 +456,7 @@ func (e *Engine) ScheduleHandlerAt(at Time, h Handler, arg any) {
 }
 
 // release zeroes a pooled event and returns it to the free list.
-func (e *Engine) release(ev *Event) {
+func (e *Engine) release(ev *event) {
 	if e.aud != nil {
 		if !ev.pooled {
 			e.aud.Failf("sim", "pool-double-free",
@@ -506,8 +467,8 @@ func (e *Engine) release(ev *Event) {
 				"release of an event still queued at heap index %d (at=%v)", ev.idx, ev.at)
 		}
 	}
-	*ev = Event{eng: e, idx: -1}
-	e.free = append(e.free, ev)
+	*ev = event{eng: e, idx: -1, next: e.free}
+	e.free = ev
 }
 
 // Stop halts the run loop after the current event returns.
@@ -583,7 +544,7 @@ func (e *Engine) RunUntil(end Time) {
 		} else {
 			next.idx = -1
 			e.hole = true
-			next.fire()
+			next.h.OnEvent(next.arg)
 		}
 		if e.hole {
 			e.hole = false
@@ -612,14 +573,14 @@ func (e *Engine) RunFor(d time.Duration) {
 // zero value is unusable; call Init once, then Reset/Stop freely — neither
 // allocates. A Timer must not be copied after Init.
 type Timer struct {
-	ev Event
+	ev event
 }
 
 // Init binds the timer to an engine and its dispatch target. arg is passed
 // to h.OnEvent on every expiry (commonly a small integer distinguishing the
 // owner's timers). Init must be called exactly once, before any Reset.
 func (t *Timer) Init(eng *Engine, h Handler, arg any) {
-	t.ev = Event{eng: eng, idx: -1, h: h, arg: arg}
+	t.ev = event{eng: eng, idx: -1, h: h, arg: arg}
 }
 
 // InitObserver is Init for an observation-only timer (samplers, interval
@@ -693,7 +654,7 @@ func (t *Timer) At() Time { return t.ev.at }
 // once, then PushAt freely — it allocates only while the ring grows to the
 // line's high-water mark. A Line must not be copied after Init.
 type Line struct {
-	ev   Event       // heap slot keyed by the head entry; queued iff n > 0
+	ev   event       // heap slot keyed by the head entry; queued iff n > 0
 	ring []lineEntry // power-of-two length
 	head int
 	n    int
@@ -713,12 +674,12 @@ const lineLookahead = 2
 // fires as h.OnEvent(arg). Init must be called exactly once, before any
 // PushAt.
 func (l *Line) Init(eng *Engine, h Handler) {
-	l.ev = Event{eng: eng, idx: -1, h: h, line: l}
+	l.ev = event{eng: eng, idx: -1, h: h, line: l}
 }
 
 // PushAt queues h.OnEvent(arg) at absolute time at; times in the past are
 // clamped to now. It reserves the next sequence number exactly as
-// ScheduleHandlerAt does, so the entry runs at the same point in the global
+// ScheduleHandler does, so the entry runs at the same point in the global
 // order as a separately scheduled event would. Deadlines normally arrive
 // non-decreasing (append at the tail); an earlier one is inserted in place,
 // after every entry due at or before it.

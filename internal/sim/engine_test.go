@@ -36,19 +36,43 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	}
 }
 
+// TestCancel: Timer.Stop is the engine's one cancellation. A stopped timer
+// never runs, a second Stop is a no-op, and a Stop after the timer fired
+// touches nothing else in the queue.
 func TestCancel(t *testing.T) {
 	e := NewEngine(1)
-	ran := false
-	ev := e.Schedule(time.Millisecond, func() { ran = true })
-	if !ev.Pending() {
-		t.Fatal("event should be pending")
+	ran := 0
+	var tm Timer
+	tm.Init(e, HandlerFunc(func(any) { ran++ }), nil)
+	tm.Reset(time.Millisecond)
+	if !tm.Pending() {
+		t.Fatal("armed timer should be pending")
 	}
-	ev.Cancel()
+	tm.Stop()
+	if tm.Pending() || e.Pending() != 0 {
+		t.Fatalf("stopped timer still queued: pending=%v engine=%d", tm.Pending(), e.Pending())
+	}
 	e.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
+	if ran != 0 {
+		t.Fatal("cancelled timer ran")
 	}
-	ev.Cancel() // double-cancel is a no-op
+	tm.Stop() // double-cancel is a no-op
+
+	tm.Reset(time.Millisecond)
+	other := false
+	e.Schedule(2*time.Millisecond, func() { other = true })
+	e.RunFor(time.Millisecond)
+	if ran != 1 || tm.Pending() {
+		t.Fatalf("timer did not fire once: ran=%d pending=%v", ran, tm.Pending())
+	}
+	tm.Stop() // cancel after fire is a no-op
+	if e.Pending() != 1 {
+		t.Fatalf("Stop after fire disturbed the queue: Pending=%d, want 1", e.Pending())
+	}
+	e.Run()
+	if !other || ran != 1 {
+		t.Fatalf("Stop after fire: other event ran=%v, timer ran %d times", other, ran)
+	}
 }
 
 func TestNestedScheduling(t *testing.T) {
@@ -225,8 +249,10 @@ func TestExecutedCount(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.Schedule(time.Duration(i)*time.Millisecond, func() {})
 	}
-	ev := e.Schedule(time.Millisecond, func() {})
-	ev.Cancel()
+	var tm Timer
+	tm.Init(e, HandlerFunc(func(any) {}), nil)
+	tm.Reset(time.Millisecond)
+	tm.Stop()
 	e.Run()
 	if e.Executed() != 5 {
 		t.Errorf("Executed = %d, want 5 (cancelled events don't count)", e.Executed())
@@ -274,36 +300,61 @@ func TestTimeHelpers(t *testing.T) {
 	}
 }
 
+// TestEventAt: a timer reports the deadline it is queued under, and keeps
+// reporting it after it fires.
 func TestEventAt(t *testing.T) {
 	e := NewEngine(1)
-	ev := e.Schedule(2*time.Second, func() {})
-	if ev.At() != Duration(2*time.Second) {
-		t.Errorf("At = %v", ev.At())
+	var tm Timer
+	tm.Init(e, HandlerFunc(func(any) {}), nil)
+	tm.Reset(2 * time.Second)
+	if tm.At() != Duration(2*time.Second) {
+		t.Errorf("At = %v", tm.At())
 	}
 	if e.Pending() != 1 {
 		t.Errorf("Pending = %d", e.Pending())
 	}
+	e.Run()
+	if tm.At() != Duration(2*time.Second) || tm.Pending() {
+		t.Errorf("fired timer: At = %v, pending = %v", tm.At(), tm.Pending())
+	}
 }
 
+// TestScheduleAtPastClamped: an absolute deadline in the past — a timer's
+// ResetAt or a line's PushAt — is clamped to now and runs in FIFO order
+// among the events queued at now.
 func TestScheduleAtPastClamped(t *testing.T) {
 	e := NewEngine(1)
+	var order []string
+	rec := HandlerFunc(func(arg any) {
+		if e.Now() != Duration(time.Second) {
+			t.Errorf("%v ran at %v, want 1s", arg, e.Now())
+		}
+		order = append(order, arg.(string))
+	})
+	var tm Timer
+	tm.Init(e, rec, "timer")
+	var l Line
+	l.Init(e, rec)
 	e.Schedule(time.Second, func() {
-		ran := false
-		e.ScheduleAt(0, func() { ran = true }) // in the past: clamped to now
-		e.Schedule(0, func() {
-			if !ran {
-				t.Error("past-scheduled event should run immediately")
-			}
-		})
+		tm.ResetAt(0) // in the past: clamped to now
+		l.PushAt(0, "line")
+		e.Schedule(0, func() { order = append(order, "closure") })
 	})
 	e.Run()
+	if want := []string{"timer", "line", "closure"}; !slices.Equal(order, want) {
+		t.Fatalf("past-scheduled events ran as %v, want %v", order, want)
+	}
 }
 
-func TestNilEventCancelSafe(t *testing.T) {
-	var ev *Event
-	ev.Cancel() // must not panic
-	if ev.Pending() {
-		t.Error("nil event cannot be pending")
+// TestTimerStopNeverArmed: Stop on an initialised timer that was never
+// armed is a no-op and leaves it not pending.
+func TestTimerStopNeverArmed(t *testing.T) {
+	e := NewEngine(1)
+	var tm Timer
+	tm.Init(e, HandlerFunc(func(any) {}), nil)
+	tm.Stop() // must not panic
+	if tm.Pending() || e.Pending() != 0 {
+		t.Errorf("never-armed timer: pending=%v engine=%d", tm.Pending(), e.Pending())
 	}
 }
 
@@ -383,8 +434,8 @@ func TestPooledEventZeroedOnReuse(t *testing.T) {
 			e.ScheduleHandler(time.Duration(d)*time.Microsecond, h, arg)
 		}
 		e.Run()
-		for _, ev := range e.free {
-			if ev.at != 0 || ev.line != nil || ev.fn != nil || ev.h != nil ||
+		for ev := e.free; ev != nil; ev = ev.next {
+			if ev.at != 0 || ev.line != nil || ev.h != nil ||
 				ev.arg != nil || ev.pooled || ev.idx != -1 || ev.eng != e {
 				return false
 			}
@@ -398,12 +449,13 @@ func TestPooledEventZeroedOnReuse(t *testing.T) {
 
 func TestCancelRemovesFromHeapEagerly(t *testing.T) {
 	e := NewEngine(1)
-	var evs []*Event
-	for i := 0; i < 100; i++ {
-		evs = append(evs, e.Schedule(time.Duration(i+1)*time.Millisecond, func() {}))
+	tms := make([]Timer, 100)
+	for i := range tms {
+		tms[i].Init(e, HandlerFunc(func(any) {}), nil)
+		tms[i].Reset(time.Duration(i+1) * time.Millisecond)
 	}
-	for _, ev := range evs[10:] {
-		ev.Cancel()
+	for i := range tms[10:] {
+		tms[10+i].Stop()
 	}
 	// The old engine left cancelled events queued until popped; the heap
 	// must now shrink immediately, or long runs rearming RTO timers leak.
@@ -496,9 +548,9 @@ func TestReservedKey(t *testing.T) {
 			reached = append(reached, e.Reached(k))
 		}
 	}
-	e.ScheduleAt(at, log("before"))
+	e.Schedule(at.Std(), log("before"))
 	k = e.Reserve(at)
-	e.ScheduleAt(at, log("after"))
+	e.Schedule(at.Std(), log("after"))
 	if e.Reached(k) {
 		t.Fatal("a key ahead of the clock is reached")
 	}
@@ -525,7 +577,7 @@ func TestReservedKey(t *testing.T) {
 	}
 
 	end := e.Now() + Duration(time.Millisecond)
-	e.ScheduleAt(end, e.Stop)
+	e.Schedule(time.Millisecond, e.Stop)
 	k = e.Reserve(end)
 	e.RunUntil(end)
 	if e.Reached(k) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 )
 
 // TestHeapLessMatchesBefore pins the branch-free comparison down's child
@@ -58,7 +59,7 @@ func TestHeapAllGroupSizes(t *testing.T) {
 	rng := NewRNG(17)
 	for n := 1; n <= 70; n++ {
 		e := NewEngine(1)
-		evs := make([]Event, n)
+		evs := make([]event, n)
 		seqs := make([]uint64, n)
 		for i := range seqs {
 			seqs[i] = uint64(i + 1)
@@ -119,10 +120,10 @@ func BenchmarkEngineSift(b *testing.B) {
 					e.Stop() // leave the heap undrained: draining is not a sift at depth
 					return
 				}
-				e.ScheduleHandlerAt(e.Now()+Time(rng.Intn(1_000_000)), h, nil)
+				e.ScheduleHandler(time.Duration(rng.Intn(1_000_000)), h, nil)
 			}
 			for i := 0; i < depth; i++ {
-				e.ScheduleHandlerAt(Time(rng.Intn(1_000_000)), h, nil)
+				e.ScheduleHandler(time.Duration(rng.Intn(1_000_000)), h, nil)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

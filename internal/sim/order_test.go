@@ -33,7 +33,6 @@ type orderSide interface {
 	pushAt(line int, at Time, id int)
 	resetTimer(k int, at Time)
 	stopTimer(k int)
-	cancel(id int)
 	runUntil(end Time)
 	now() Time
 	pending() int
@@ -42,23 +41,23 @@ type orderSide interface {
 
 // dispatchLog is what both sides record and share while dispatching.
 type dispatchLog struct {
-	got         []int // dispatched ids, in order
-	pend        []int // Pending() read inside each callback
-	reactions   int   // callbacks so far: numbers the ids of child events
-	lastClosure int   // newest closure id, the target of a nested cancel
+	got       []int // dispatched ids, in order
+	pend      []int // Pending() read inside each callback
+	reactions int   // callbacks so far: numbers the ids of child events
+	lastTimer int   // most recently armed timer, the target of a nested stop
 }
 
 // react is every dispatched event's callback on both sides. It logs the id
 // and the Pending count seen mid-dispatch, then derives from the id what
 // to do from inside the callback:
 //   - a timer re-arms itself on every other expiry, 0–20 µs ahead;
-//   - every third other event schedules one more, alternating between a
-//     pooled handler event and a push onto a line, 0–20 µs ahead (0
-//     exercises same-time FIFO among events created during dispatch);
+//   - every third other event schedules one more — a closure, a pooled
+//     handler event or a push onto a line — 0–20 µs ahead (0 exercises
+//     same-time FIFO among events created during dispatch);
 //   - another third of line entries push onto their own line — which,
 //     when the fired entry was its last, is an empty line taking the
 //     fired slot;
-//   - some events stop another timer or cancel the newest closure.
+//   - some events stop another timer or the most recently armed one.
 func react(s orderSide, id int) {
 	l := s.log()
 	l.got = append(l.got, id)
@@ -77,10 +76,7 @@ func react(s orderSide, id int) {
 	}
 	switch r := (id / 8) % 3; {
 	case r == 0:
-		child := kindHandler
-		if (id/8)%2 == 1 {
-			child = kindLine0 + (id/8)%nLines
-		}
+		child := [...]int{kindHandler, kindLine0 + (id/8)%nLines, kindClosure}[(id/24)%3]
 		scheduleByKind(s, s.now()+d, childBase+8*n+child)
 	case r == 1 && kind >= kindLine0:
 		scheduleByKind(s, s.now()+d, childBase+8*n+kind)
@@ -89,13 +85,15 @@ func react(s orderSide, id int) {
 	case 2:
 		s.stopTimer((id / 8) % nTimers)
 	case 4:
-		s.cancel(l.lastClosure)
+		s.stopTimer(l.lastTimer)
 	}
 }
 
 // scheduleByKind routes an id to the surface its kind names.
 func scheduleByKind(s orderSide, at Time, id int) {
 	switch k := id % 8; {
+	case k == kindClosure:
+		s.scheduleAt(at, id)
 	case k == kindHandler:
 		s.handlerAt(at, id)
 	case k >= kindLine0 && k < kindLine0+nLines:
@@ -110,12 +108,11 @@ type engineSide struct {
 	e      *Engine
 	timers [nTimers]Timer
 	lines  [nLines]Line
-	evs    map[int]*Event
 	dl     dispatchLog
 }
 
 func newEngineSide(a *audit.Auditor) *engineSide {
-	s := &engineSide{e: NewEngine(1), evs: map[int]*Event{}}
+	s := &engineSide{e: NewEngine(1)}
 	s.e.SetAuditor(a)
 	for k := range s.timers {
 		s.timers[k].Init(s.e, s, 8*k+kindTimer)
@@ -128,15 +125,16 @@ func newEngineSide(a *audit.Auditor) *engineSide {
 
 func (s *engineSide) OnEvent(arg any) { react(s, arg.(int)) }
 
+// scheduleAt and handlerAt take a deadline, as the reference does; the
+// engine schedules by delay, and a deadline in the past is a negative delay,
+// clamped to now on both sides.
 func (s *engineSide) scheduleAt(at Time, id int) {
-	s.dl.lastClosure = id
-	s.evs[id] = s.e.ScheduleAt(at, func() { react(s, id) })
+	s.e.Schedule((at - s.e.Now()).Std(), func() { react(s, id) })
 }
-func (s *engineSide) handlerAt(at Time, id int)        { s.e.ScheduleHandlerAt(at, s, id) }
+func (s *engineSide) handlerAt(at Time, id int)        { s.e.ScheduleHandler((at - s.e.Now()).Std(), s, id) }
 func (s *engineSide) pushAt(line int, at Time, id int) { s.lines[line].PushAt(at, id) }
-func (s *engineSide) resetTimer(k int, at Time)        { s.timers[k].ResetAt(at) }
+func (s *engineSide) resetTimer(k int, at Time)        { s.dl.lastTimer = k; s.timers[k].ResetAt(at) }
 func (s *engineSide) stopTimer(k int)                  { s.timers[k].Stop() }
-func (s *engineSide) cancel(id int)                    { s.evs[id].Cancel() }
 func (s *engineSide) runUntil(end Time)                { s.e.RunUntil(end) }
 func (s *engineSide) now() Time                        { return s.e.Now() }
 func (s *engineSide) pending() int                     { return s.e.Pending() }
@@ -165,15 +163,18 @@ func (r *refSide) drop(id int) {
 	r.q = slices.DeleteFunc(r.q, func(ev refEvent) bool { return ev.id == id })
 }
 
-func (r *refSide) scheduleAt(at Time, id int)    { r.dl.lastClosure = id; r.add(at, id) }
+func (r *refSide) scheduleAt(at Time, id int)    { r.add(at, id) }
 func (r *refSide) handlerAt(at Time, id int)     { r.add(at, id) }
 func (r *refSide) pushAt(_ int, at Time, id int) { r.add(at, id) }
-func (r *refSide) resetTimer(k int, at Time)     { r.drop(8*k + kindTimer); r.add(at, 8*k+kindTimer) }
-func (r *refSide) stopTimer(k int)               { r.drop(8*k + kindTimer) }
-func (r *refSide) cancel(id int)                 { r.drop(id) }
-func (r *refSide) now() Time                     { return r.clock }
-func (r *refSide) pending() int                  { return len(r.q) }
-func (r *refSide) log() *dispatchLog             { return &r.dl }
+func (r *refSide) resetTimer(k int, at Time) {
+	r.dl.lastTimer = k
+	r.drop(8*k + kindTimer)
+	r.add(at, 8*k+kindTimer)
+}
+func (r *refSide) stopTimer(k int)   { r.drop(8*k + kindTimer) }
+func (r *refSide) now() Time         { return r.clock }
+func (r *refSide) pending() int      { return len(r.q) }
+func (r *refSide) log() *dispatchLog { return &r.dl }
 func (r *refSide) runUntil(end Time) {
 	for {
 		m := -1
@@ -200,7 +201,6 @@ func TestDifferentialDispatchOrder(t *testing.T) {
 			eng := newEngineSide(a)
 			sides := []orderSide{eng, &refSide{}}
 			rng := NewRNG(seed)
-			var closures []int
 			var last [nLines]Time // latest monotone deadline per line
 			id := 0
 			newID := func(kind int) int { id++; return 8*id + kind }
@@ -213,7 +213,6 @@ func TestDifferentialDispatchOrder(t *testing.T) {
 				switch rng.Intn(9) {
 				case 0:
 					at, id := now+ahead(100)-50_000, newID(kindClosure) // may be in the past
-					closures = append(closures, id)
 					op = func(s orderSide) { s.scheduleAt(at, id) }
 				case 1:
 					at, id := now+ahead(100), newID(kindHandler)
@@ -224,12 +223,8 @@ func TestDifferentialDispatchOrder(t *testing.T) {
 				case 3:
 					k := rng.Intn(nTimers)
 					op = func(s orderSide) { s.stopTimer(k) }
-				case 4:
-					if len(closures) == 0 {
-						continue
-					}
-					id := closures[rng.Intn(len(closures))]
-					op = func(s orderSide) { s.cancel(id) }
+				case 4: // stop the most recently armed timer
+					op = func(s orderSide) { s.stopTimer(s.log().lastTimer) }
 				case 5, 6: // monotone: a FIFO link
 					k := rng.Intn(nLines)
 					last[k] = max(last[k], now) + ahead(8)

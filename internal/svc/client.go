@@ -127,12 +127,18 @@ func postJSON(ctx context.Context, hc *http.Client, url string, in, out any) err
 }
 
 // Submit posts a spec and returns the (possibly pre-existing) job's status.
-// Submission is idempotent — specs are content-addressed, so a retried POST
-// coalesces onto the job the lost response described — and is therefore
-// retried like a GET.
+// It sends the spec's canonical form, so an @file faults, topo or flows
+// spec is read here, on the client, and travels as its contents; the
+// server refuses @file specs. Submission is idempotent — specs are
+// content-addressed, so a retried POST coalesces onto the job the lost
+// response described — and is therefore retried like a GET.
 func (c *Client) Submit(spec experiment.GridSpec) (Status, error) {
+	spec, err := spec.Canonical()
+	if err != nil {
+		return Status{}, fmt.Errorf("invalid spec: %w", err)
+	}
 	var st Status
-	err := c.retry().do(context.Background(), "submit", func(ctx context.Context) error {
+	err = c.retry().do(context.Background(), "submit", func(ctx context.Context) error {
 		return postJSON(ctx, c.http(), c.url("/v1/sweeps"), spec, &st)
 	})
 	return st, err

@@ -300,19 +300,6 @@ type quarantineRecord struct {
 	res      experiment.Result
 }
 
-// recordedConfig is the configuration an errored Result records: the
-// normalized config with the run controls that Config.Key excludes cleared,
-// as experiment.Run and experiment.RunOne record it. A quarantine record is
-// served to later jobs, so it must not carry the controls of the job that
-// hit it.
-func recordedConfig(cfg experiment.Config) experiment.Config {
-	n := cfg.Normalize()
-	n.MaxEvents, n.MaxWall, n.Audit = 0, 0, false
-	n.Trace, n.TraceRingCap, n.TraceSampleN = false, 0, 0
-	n.Fairness, n.FairnessWindow = false, 0
-	return n
-}
-
 // quarantineTaskLocked retires a task that exhausted its retry budget: it
 // leaves the task table for good, its waiters are answered (by the caller,
 // after unlock) with an errored Result carrying the full failure history —
@@ -326,7 +313,7 @@ func (c *Coordinator) quarantineTaskLocked(t *clusterTask) {
 		failures: t.failures,
 		failLog:  t.failLog,
 		res: experiment.Result{
-			Config: recordedConfig(t.cfg),
+			Config: t.cfg.Recorded(),
 			Error: fmt.Sprintf("%s: %d lease failures exhausted the retry budget: %s",
 				quarantinedErrPrefix, t.failures, strings.Join(t.failLog, "; ")),
 		},
@@ -393,7 +380,7 @@ func (c *Coordinator) Enqueue(key string, cfg experiment.Config, j *Job, idx int
 	}
 	if c.closed {
 		c.mu.Unlock()
-		j.deliver(idx, experiment.Result{Config: recordedConfig(cfg),
+		j.deliver(idx, experiment.Result{Config: cfg.Recorded(),
 			Error: "sweepd: coordinator shutting down; configuration was not scheduled"}, false)
 		return
 	}
@@ -682,7 +669,7 @@ func (c *Coordinator) Close() {
 	c.leases = make(map[string]*lease)
 	c.mu.Unlock()
 	for _, t := range tasks {
-		res := experiment.Result{Config: recordedConfig(t.cfg),
+		res := experiment.Result{Config: t.cfg.Recorded(),
 			Error: "sweepd: coordinator shutting down; configuration was not run"}
 		for _, w := range t.waiters {
 			w.job.deliver(w.idx, res, false)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -167,7 +168,10 @@ func bodyError(w http.ResponseWriter, what string, err error) {
 // coalesces onto the existing job for that key or expands and schedules a
 // new one. Every configuration is first looked up in the cache; misses go
 // to the coordinator (joining any queued or running task for the same
-// config).
+// config). A faults, topo or flows value naming an @file is refused before
+// anything parses it: the path would be opened on the server, so @file
+// specs are the client's to resolve (Client.Submit sends the canonical
+// spec, which carries the file's contents).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec experiment.GridSpec
 	dec := json.NewDecoder(r.Body)
@@ -175,6 +179,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&spec); err != nil {
 		bodyError(w, "spec", err)
 		return
+	}
+	for _, f := range [...]struct{ name, v string }{{"faults", spec.Faults}, {"topo", spec.Topo}, {"flows", spec.Flows}} {
+		if strings.HasPrefix(strings.TrimSpace(f.v), "@") {
+			httpError(w, http.StatusBadRequest,
+				"invalid spec: %s: @file specs are resolved by the client; submit the file's contents", f.name)
+			return
+		}
 	}
 	canonical, err := spec.Canonical()
 	if err != nil {

@@ -212,6 +212,70 @@ func TestCachedResultsCarryNoRunControls(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesServerFiles: a POSTed spec whose faults, topo or flows
+// value names an @file must not make the daemon open a path of its own. The
+// POST is answered 400 before anything parses the spec, and no job is
+// made. The client resolves @file itself: Client.Submit of the same spec
+// sends the file's contents and is served byte-identically to a local sweep.
+func TestSubmitRefusesServerFiles(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "faults.json")
+	if err := os.WriteFile(path, []byte(`{"flaps":[{"at_ns":300000000,"down_ns":100000000}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, client := newTestServer(t, Options{Shards: 2})
+	for _, field := range []string{"faults", "topo", "flows"} {
+		body, err := json.Marshal(map[string]any{"bandwidths": "100Mbps", "configs": 1, field: " @" + path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.HTTP.Post(client.Base+"/v1/sweeps", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), field+": @file") {
+			t.Fatalf("POST with %s=@file: %d %s, want 400 naming the field", field, resp.StatusCode, msg)
+		}
+	}
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
+	if jobs != 0 {
+		t.Fatalf("refused submissions left %d jobs", jobs)
+	}
+
+	spec := tinySpec()
+	spec.Faults = "@" + path
+	cfgs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := experiment.RunAllOpts(cfgs, experiment.RunAllOptions{Workers: 2, KeepGoing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := experiment.WriteJSON(&want, &experiment.ResultSet{Note: spec.Note(), Results: local}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := client.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitDone(t, client, st.ID); st.State != StateDone || st.Errored != 0 {
+		t.Fatalf("client-resolved @file job: %+v", st)
+	}
+	served, err := client.Results(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stripWall(served), stripWall(want.Bytes())) {
+		t.Errorf("served @file sweep differs from a local sweep of the same spec.\n--- served ---\n%s\n--- local ---\n%s",
+			stripWall(served), stripWall(want.Bytes()))
+	}
+}
+
 // TestRecordedConfigMatchesRunOne: the coordinator's errored results record
 // the same config as an errored experiment.RunOne, every run control cleared.
 func TestRecordedConfigMatchesRunOne(t *testing.T) {
@@ -232,10 +296,10 @@ func TestRecordedConfigMatchesRunOne(t *testing.T) {
 	if !res.Errored() {
 		t.Fatal("a run with an unknown CCA succeeded")
 	}
-	got, _ := json.Marshal(recordedConfig(cfg))
+	got, _ := json.Marshal(cfg.Recorded())
 	want, _ := json.Marshal(res.Config)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("recordedConfig differs from RunOne's recorded config:\n got %s\nwant %s", got, want)
+		t.Fatalf("Config.Recorded differs from RunOne's recorded config:\n got %s\nwant %s", got, want)
 	}
 }
 

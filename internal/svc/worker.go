@@ -327,7 +327,7 @@ func (w *Worker) runOne(cfg experiment.Config, leaseID string) {
 	} else if ferr := failpoint.InjectCtx("worker.run", cfg.ID()); ferr != nil {
 		// Injected simulation failure (the poison-config chaos hook; the
 		// exit action never returns). Errored results upload but never cache.
-		res = experiment.Result{Config: recordedConfig(cfg), Error: ferr.Error()}
+		res = experiment.Result{Config: cfg.Recorded(), Error: ferr.Error()}
 	} else {
 		res = w.run(cfg)
 		w.sims.Add(1)

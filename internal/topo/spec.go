@@ -8,6 +8,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/aqm"
@@ -428,14 +429,13 @@ func IsDumbbell(s *Spec) bool {
 	return string(s.Canonical()) == string(dumbbellCanonical())
 }
 
-var dumbbellCanonicalJSON []byte
+// dumbbellCanonical is computed once: IsDumbbell runs from concurrent
+// Config.Normalize calls (sweep workers, sweepd handlers).
+var dumbbellCanonical = sync.OnceValue(canonicalDumbbell)
 
-func dumbbellCanonical() []byte {
-	if dumbbellCanonicalJSON == nil {
-		sp := DumbbellSpec()
-		dumbbellCanonicalJSON = sp.Canonical()
-	}
-	return dumbbellCanonicalJSON
+func canonicalDumbbell() []byte {
+	sp := DumbbellSpec()
+	return sp.Canonical()
 }
 
 func nodeList(names ...string) []NodeSpec {

@@ -3,6 +3,7 @@ package topo
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -167,6 +168,34 @@ func TestIsDumbbell(t *testing.T) {
 	renamed.Name = "dumbbell2"
 	if IsDumbbell(&renamed) {
 		t.Error("renamed dumbbell treated as canonical")
+	}
+}
+
+// TestIsDumbbellConcurrent starts from a cold canonical-dumbbell cache and
+// calls IsDumbbell from 8 goroutines at once, as concurrent
+// Config.Normalize calls do; under -race a lazily filled cache without
+// synchronization is reported here.
+func TestIsDumbbellConcurrent(t *testing.T) {
+	dumbbellCanonical = sync.OnceValue(canonicalDumbbell)
+	var wg sync.WaitGroup
+	errs := make(chan string, 16)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pl, d := ParkingLotSpec(3), DumbbellSpec()
+			if IsDumbbell(&pl) {
+				errs <- "parking lot mistaken for the dumbbell"
+			}
+			if !IsDumbbell(&d) {
+				errs <- "preset dumbbell not recognized"
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -128,7 +128,9 @@ smoke_sweep() {
 #   5. a parking-lot topology sweep is distinct science (its Config.Key
 #      differs from the dumbbell's), runs audit-clean through the service,
 #      and a resubmission coalesces without new simulations;
-#   6. graceful shutdown drains and compacts the journal.
+#   6. a POSTed spec naming a server-side @file is refused with 400 and
+#      makes no job (the job gauges on /metrics do not move);
+#   7. graceful shutdown drains and compacts the journal.
 smoke_svc() {
     need sweep sweepd
     grid="-bws 100Mbps -queues 2 -aqms fifo -pairings reno:reno,cubic:cubic"
@@ -176,13 +178,24 @@ smoke_svc() {
     sims=$(metric sweepd_sims_total "$d/remote.out")
     [ "$sims" = "5" ] || fail "parking-lot resubmission re-simulated: sims_total=$sims, want 5"
 
+    say "@file spec POSTed to the daemon (must be refused, no job made)"
+    gauges() { for m in sweepd_jobs_queued sweepd_jobs_running sweepd_jobs_done; do echo "$m=$(metric $m)"; done; }
+    before=$(gauges)
+    code=$(curl -s -o "$d/refused.json" -w '%{http_code}' -H 'Content-Type: application/json' \
+        -d '{"bandwidths":"100Mbps","configs":1,"faults":"@/etc/hostname"}' "$base/v1/sweeps")
+    [ "$code" = "400" ] || fail "POST with faults=@/etc/hostname answered $code, want 400: $(cat "$d/refused.json")"
+    # The refusal names @file; a parse error would mean the daemon read the file.
+    grep -q '@file' "$d/refused.json" || fail "POST with faults=@/etc/hostname was not refused as @file: $(cat "$d/refused.json")"
+    after=$(gauges)
+    [ "$before" = "$after" ] || fail "refused POST moved the job gauges: $before -> $after"
+
     say "graceful shutdown (drain + journal compaction)"
     stop "$pid" daemon
     lines=$(grep -c '^r ' "$d/journal.ckpt.jsonl") || fail "journal missing after shutdown"
     # 2 configs at 4s + the same 2 at 5s + 1 parking-lot: five live science
     # keys (record lines only; the v2 journal also has a version header).
     [ "$lines" = "5" ] || fail "journal not compacted: $lines records, want 5"
-    say "OK (served = direct, repeats coalesced, cache hits on /metrics, warm path left the journal alone, overrides re-simulated, parking-lot distinct + coalesced, journal compacted)"
+    say "OK (served = direct, repeats coalesced, cache hits on /metrics, warm path left the journal alone, overrides re-simulated, parking-lot distinct + coalesced, @file refused, journal compacted)"
 }
 
 # cluster: one coordinator and three workers on ephemeral ports take a
