@@ -39,15 +39,15 @@ func (cfg *Config) defaults() {
 	}
 }
 
-// seg tracks one outstanding segment on the sender.
+// seg tracks one outstanding segment on the sender. It is held by value in
+// the connection's segDeque (32 bytes, no heap record per segment).
 type seg struct {
 	seq        int64
 	len        int64
 	lastSentAt sim.Time
-	sentCount  int
+	sentCount  int32
 	lost       bool // marked lost, awaiting retransmission
 	sacked     bool // delivered out of order (selectively acknowledged)
-	inRtxQ     bool // referenced by rtxQ; must not be recycled while set
 }
 
 // Stats is a snapshot of a connection's counters.
@@ -73,12 +73,16 @@ type Conn struct {
 	inj  func(*packet.Packet) // injects data packets toward the receiver
 	done func(*Conn)          // optional completion callback
 
-	// Sender sequence state.
-	sndUna  int64
-	sndNxt  int64
-	segs    segDeque
-	rtxQ    []*seg
-	segFree []*seg // recycled seg records (zero-alloc steady state)
+	// Sender sequence state. rtxQ holds the sequence numbers of segments
+	// marked lost, in marking order; an entry whose segment has since been
+	// acknowledged, SACKed or retransmitted is skipped when it reaches the
+	// head. Every outstanding segment below lossScan is lost or SACKed, so
+	// markLost resumes there instead of at the front.
+	sndUna   int64
+	sndNxt   int64
+	segs     segDeque
+	rtxQ     []int64
+	lossScan int64
 
 	// Windows. cwnd and ssthresh are in bytes.
 	cwnd       int64
@@ -340,12 +344,11 @@ func (c *Conn) trySend() {
 		// Pick what to send: retransmissions take priority.
 		var rtx *seg
 		for len(c.rtxQ) > 0 {
-			s := c.rtxQ[0]
-			if s.lost && !s.sacked && s.seq+s.len > c.sndUna { // still relevant
+			// Still relevant: outstanding and lost (a SACKed segment never is).
+			if s := c.segs.find(c.rtxQ[0]); s != nil && s.lost {
 				rtx = s
 				break
 			}
-			s.inRtxQ = false
 			c.rtxQ = c.rtxQ[1:]
 		}
 		var segLen int64
@@ -374,40 +377,16 @@ func (c *Conn) trySend() {
 		}
 
 		if rtx != nil {
-			rtx.inRtxQ = false
 			c.rtxQ = c.rtxQ[1:]
 			rtx.lost = false
+			c.lossScan = min(c.lossScan, rtx.seq)
 			c.transmit(rtx)
 		} else {
-			s := c.newSeg(c.sndNxt, segLen)
+			s := c.segs.push(c.sndNxt, segLen)
 			c.sndNxt += segLen
-			c.segs.push(s)
 			c.transmit(s)
 		}
 	}
-}
-
-// newSeg fetches a zeroed seg record from the connection's free list (or
-// allocates when the list is empty) — steady state runs allocation-free.
-func (c *Conn) newSeg(seq, length int64) *seg {
-	if n := len(c.segFree); n > 0 {
-		s := c.segFree[n-1]
-		c.segFree[n-1] = nil
-		c.segFree = c.segFree[:n-1]
-		*s = seg{seq: seq, len: length}
-		return s
-	}
-	return &seg{seq: seq, len: length}
-}
-
-// freeSeg recycles a fully-acknowledged seg. Segments still referenced by
-// the retransmission queue are left for the garbage collector instead
-// (recycling them would let a stale rtxQ entry alias a new segment).
-func (c *Conn) freeSeg(s *seg) {
-	if s.inRtxQ {
-		return
-	}
-	c.segFree = append(c.segFree, s)
 }
 
 // armPacing schedules the pacing release timer.
@@ -540,7 +519,7 @@ func (c *Conn) Receive(now sim.Time, p *packet.Packet) {
 				c.delivered += s.len
 				c.deliveredTime = now
 			}
-			c.freeSeg(c.segs.pop())
+			c.segs.pop()
 		}
 	}
 
@@ -642,27 +621,29 @@ func (c *Conn) Receive(now sim.Time, p *packet.Packet) {
 }
 
 // markLost marks as lost every leading outstanding segment whose latest
-// transmission is older than trigSentAt, returning the bytes marked.
+// transmission is older than trigSentAt, returning the bytes marked. It
+// skips lost and SACKed segments, so starting at lossScan marks exactly what
+// a scan from the front would, without re-walking the marked prefix.
 func (c *Conn) markLost(trigSentAt sim.Time) int64 {
 	if trigSentAt <= 0 {
 		return 0
 	}
 	lost := int64(0)
-	for i := 0; i < c.segs.len(); i++ {
+	for i := c.segs.search(c.lossScan); i < c.segs.len(); i++ {
 		s := c.segs.at(i)
 		if s.lost || s.sacked {
 			continue
 		}
-		if s.lastSentAt < trigSentAt {
-			s.lost = true
-			s.inRtxQ = true
-			c.inflight -= s.len
-			lost += s.len
-			c.rtxQ = append(c.rtxQ, s)
-		} else {
-			break
+		if s.lastSentAt >= trigSentAt {
+			c.lossScan = s.seq
+			return lost
 		}
+		s.lost = true
+		c.inflight -= s.len
+		lost += s.len
+		c.rtxQ = append(c.rtxQ, s.seq)
 	}
+	c.lossScan = c.sndNxt
 	return lost
 }
 
@@ -701,15 +682,13 @@ func (c *Conn) onRTO() {
 	for i := 0; i < c.segs.len(); i++ {
 		s := c.segs.at(i)
 		if s.sacked {
-			s.inRtxQ = false // no longer referenced by the emptied rtxQ
-			continue         // already delivered; nothing to resend
+			continue // already delivered; nothing to resend
 		}
 		if !s.lost {
 			s.lost = true
 			c.inflight -= s.len
 		}
-		s.inRtxQ = true
-		c.rtxQ = append(c.rtxQ, s)
+		c.rtxQ = append(c.rtxQ, s.seq)
 	}
 	c.inflight = 0
 	c.inRecovery = false
@@ -718,54 +697,64 @@ func (c *Conn) onRTO() {
 	c.trySend()
 }
 
-// segDeque is a growable ring of outstanding segments ordered by sequence.
-// Its length is zero or a power of two, so indices wrap with a mask.
+// segDeque is a growable ring of outstanding segments, held by value and
+// ordered by sequence. Its length is zero or a power of two, so indices
+// wrap with a mask. at, front, find and push return pointers into the ring:
+// a push may move it, so no pointer may be held across one.
 type segDeque struct {
-	buf  []*seg
+	buf  []seg
 	head int
 	n    int
 }
 
 func (d *segDeque) len() int { return d.n }
 
-func (d *segDeque) at(i int) *seg { return d.buf[(d.head+i)&(len(d.buf)-1)] }
+func (d *segDeque) at(i int) *seg { return &d.buf[(d.head+i)&(len(d.buf)-1)] }
 
 func (d *segDeque) front() *seg {
 	if d.n == 0 {
 		return nil
 	}
-	return d.buf[d.head]
+	return &d.buf[d.head]
 }
 
-func (d *segDeque) push(s *seg) {
+// push appends the segment [seq, seq+length) and returns it.
+func (d *segDeque) push(seq, length int64) *seg {
 	if d.n == len(d.buf) {
-		nb := make([]*seg, max(16, len(d.buf)*2))
+		nb := make([]seg, max(16, len(d.buf)*2))
 		for i := 0; i < d.n; i++ {
-			nb[i] = d.at(i)
+			nb[i] = *d.at(i)
 		}
 		d.buf = nb
 		d.head = 0
 	}
-	d.buf[(d.head+d.n)&(len(d.buf)-1)] = s
+	s := d.at(d.n)
+	*s = seg{seq: seq, len: length}
 	d.n++
+	return s
 }
 
-// find returns the outstanding segment starting at seq, or nil. Segments
-// are contiguous, non-empty and all but the last are one MSS long, so seq
-// is looked up first at index (seq − front.seq)/front.len; they are stored
-// in increasing sequence order, so a binary search settles any miss.
-func (d *segDeque) find(seq int64) *seg {
+// pop drops the front segment; the deque must not be empty.
+func (d *segDeque) pop() {
+	d.head = (d.head + 1) & (len(d.buf) - 1)
+	d.n--
+}
+
+// search returns the index of the first segment starting at or after seq
+// (len() when there is none). Segments are contiguous, non-empty and all
+// but the last are one MSS long, so seq is looked up first at index
+// (seq − front.seq)/front.len; they are stored in increasing sequence
+// order, so a binary search settles any miss.
+func (d *segDeque) search(seq int64) int {
 	if d.n == 0 {
-		return nil
+		return 0
 	}
-	f := d.buf[d.head]
-	if seq < f.seq {
-		return nil
+	f := &d.buf[d.head]
+	if seq <= f.seq {
+		return 0
 	}
-	if i := (seq - f.seq) / f.len; i < int64(d.n) {
-		if s := d.at(int(i)); s.seq == seq {
-			return s
-		}
+	if i := (seq - f.seq) / f.len; i < int64(d.n) && d.at(int(i)).seq == seq {
+		return int(i)
 	}
 	lo, hi := 0, d.n
 	for lo < hi {
@@ -776,21 +765,15 @@ func (d *segDeque) find(seq int64) *seg {
 			hi = mid
 		}
 	}
-	if lo < d.n {
-		if s := d.at(lo); s.seq == seq {
+	return lo
+}
+
+// find returns the outstanding segment starting at seq, or nil.
+func (d *segDeque) find(seq int64) *seg {
+	if i := d.search(seq); i < d.n {
+		if s := d.at(i); s.seq == seq {
 			return s
 		}
 	}
 	return nil
-}
-
-func (d *segDeque) pop() *seg {
-	if d.n == 0 {
-		return nil
-	}
-	s := d.buf[d.head]
-	d.buf[d.head] = nil
-	d.head = (d.head + 1) & (len(d.buf) - 1)
-	d.n--
-	return s
 }

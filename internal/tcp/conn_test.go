@@ -298,19 +298,20 @@ func TestECNEchoTriggersCongestionEvent(t *testing.T) {
 
 func TestSegDeque(t *testing.T) {
 	var d segDeque
-	if d.front() != nil || d.pop() != nil {
-		t.Fatal("empty deque should return nil")
+	if d.front() != nil || d.find(0) != nil {
+		t.Fatal("empty deque should have no segments")
 	}
 	for i := 0; i < 100; i++ {
-		d.push(&seg{seq: int64(i)})
+		d.push(int64(i), 1)
 	}
 	for i := 0; i < 40; i++ {
-		if s := d.pop(); s.seq != int64(i) {
-			t.Fatalf("pop %d got %d", i, s.seq)
+		if s := d.front(); s.seq != int64(i) {
+			t.Fatalf("front before pop %d got %d", i, s.seq)
 		}
+		d.pop()
 	}
 	for i := 100; i < 200; i++ {
-		d.push(&seg{seq: int64(i)})
+		d.push(int64(i), 1)
 	}
 	if d.len() != 160 {
 		t.Fatalf("len = %d", d.len())
@@ -319,6 +320,26 @@ func TestSegDeque(t *testing.T) {
 		if d.at(i).seq != int64(40+i) {
 			t.Fatalf("at(%d) = %d", i, d.at(i).seq)
 		}
+	}
+
+	// Growth moves the ring: a segment's state travels with it, and a
+	// pointer taken after the last push reads and writes the moved copy.
+	d.find(41).lost = true
+	for i := 200; d.len() < cap(d.buf); i++ {
+		d.push(int64(i), 1)
+	}
+	last := d.push(1000, 7) // full ring: this push grows it
+	last.sentCount = 3
+	if s := d.find(41); s == nil || !s.lost || s.seq != 41 {
+		t.Fatalf("after growth find(41) = %+v, want the lost segment at 41", s)
+	}
+	s := d.find(1000)
+	if s != d.at(d.len()-1) || s.len != 7 || s.sentCount != 3 {
+		t.Fatalf("after growth find(1000) = %+v, want the last segment, sent 3 times", s)
+	}
+	s.sacked = true
+	if !d.at(d.len() - 1).sacked {
+		t.Fatal("write through a pointer from find is not visible through at")
 	}
 }
 

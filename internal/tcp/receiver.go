@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/audit"
@@ -21,7 +22,7 @@ type Receiver struct {
 	inject func(*packet.Packet) // injects ACKs toward the sender
 
 	rcvNxt int64
-	ooo    map[int64]int64 // out-of-order segments: seq -> len
+	ooo    []span // out-of-order data above rcvNxt: sorted, disjoint, merged
 
 	bytesIn     int64 // all payload bytes that arrived (incl. duplicates)
 	dupSegments uint64
@@ -39,6 +40,9 @@ type Receiver struct {
 	// ledger: every arriving packet is consumed here, every ACK is created.
 	aud *audit.Auditor
 }
+
+// span is the byte range [start, end) of contiguous out-of-order data.
+type span struct{ start, end int64 }
 
 // pendingEcho holds the echo fields of the newest unacknowledged segment.
 type pendingEcho struct {
@@ -65,7 +69,6 @@ func NewReceiver(eng *sim.Engine, id packet.FlowID, header units.ByteSize, injec
 		flow:   id,
 		hdr:    header,
 		inject: inject,
-		ooo:    make(map[int64]int64),
 	}
 	r.delTimer.Init(eng, r, nil)
 	r.aud = eng.Auditor()
@@ -127,21 +130,18 @@ func (r *Receiver) Receive(now sim.Time, p *packet.Packet) {
 	case p.Seq == r.rcvNxt:
 		inOrder = true
 		r.rcvNxt += p.DataLen
-		// Merge any buffered continuation.
-		for len(r.ooo) > 0 {
-			l, ok := r.ooo[r.rcvNxt]
-			if !ok {
-				break
+		// Merge the buffered continuation, if this filled the first hole.
+		// Dropping the front span is O(1); an emptied list keeps its buffer.
+		if len(r.ooo) > 0 && r.ooo[0].start == r.rcvNxt {
+			r.rcvNxt = r.ooo[0].end
+			if len(r.ooo) == 1 {
+				r.ooo = r.ooo[:0]
+			} else {
+				r.ooo = r.ooo[1:]
 			}
-			delete(r.ooo, r.rcvNxt)
-			r.rcvNxt += l
 		}
 	case p.Seq > r.rcvNxt:
-		if _, dup := r.ooo[p.Seq]; dup {
-			r.dupSegments++
-		} else {
-			r.ooo[p.Seq] = p.DataLen
-		}
+		r.addSpan(p.Seq, p.Seq+p.DataLen)
 	default:
 		r.dupSegments++ // already delivered
 	}
@@ -179,6 +179,35 @@ func (r *Receiver) Receive(now sim.Time, p *packet.Packet) {
 	r.pendingAck = echo
 	r.hasPending = true
 	r.delTimer.Reset(delAckTimeout)
+}
+
+// addSpan records the out-of-order segment [start, end), or counts it as a
+// duplicate when it already arrived. A segment keeps its boundaries across
+// retransmissions, so it is either wholly inside a span or wholly outside
+// every span. Arrivals almost always extend the last span, so the search
+// runs from the back.
+func (r *Receiver) addSpan(start, end int64) {
+	i := len(r.ooo) // index of the first span starting above start
+	for i > 0 && r.ooo[i-1].start > start {
+		i--
+	}
+	if i > 0 && start < r.ooo[i-1].end {
+		r.dupSegments++
+		return
+	}
+	joinPrev := i > 0 && r.ooo[i-1].end == start
+	joinNext := i < len(r.ooo) && r.ooo[i].start == end
+	switch {
+	case joinPrev && joinNext:
+		r.ooo[i-1].end = r.ooo[i].end
+		r.ooo = slices.Delete(r.ooo, i, i+1)
+	case joinPrev:
+		r.ooo[i-1].end = end
+	case joinNext:
+		r.ooo[i].start = start
+	default:
+		r.ooo = slices.Insert(r.ooo, i, span{start, end})
+	}
 }
 
 // sendAck emits a cumulative ACK carrying the given echo fields.

@@ -17,14 +17,14 @@ import (
 func TestSegDequeFind(t *testing.T) {
 	const mss = 8900
 	// segs returns n contiguous MSS segments from seq, then the given tails.
-	segs := func(seq int64, n int, tails ...int64) []*seg {
-		var out []*seg
+	segs := func(seq int64, n int, tails ...int64) []seg {
+		var out []seg
 		for i := 0; i < n; i++ {
-			out = append(out, &seg{seq: seq, len: mss})
+			out = append(out, seg{seq: seq, len: mss})
 			seq += mss
 		}
 		for _, l := range tails {
-			out = append(out, &seg{seq: seq, len: l})
+			out = append(out, seg{seq: seq, len: l})
 			seq += l
 		}
 		return out
@@ -32,7 +32,7 @@ func TestSegDequeFind(t *testing.T) {
 	cases := []struct {
 		name   string
 		rotate int // segments pushed and popped first, so the ring wraps
-		segs   []*seg
+		segs   []seg
 		misses []int64
 	}{
 		{name: "index hit on a wrapped ring", rotate: 40, segs: segs(1_000_000, 50)},
@@ -54,20 +54,20 @@ func TestSegDequeFind(t *testing.T) {
 				t.Fatal("find on an empty deque")
 			}
 			for i := 0; i < tc.rotate; i++ {
-				d.push(&seg{seq: -1, len: mss})
+				d.push(-1, mss)
 			}
 			for i := 0; i < tc.rotate; i++ {
 				d.pop()
 			}
 			for _, s := range tc.segs {
-				d.push(s)
+				d.push(s.seq, s.len)
 			}
 			if tc.rotate > 0 && d.head+d.n <= len(d.buf) {
 				t.Fatalf("ring does not wrap: head %d, %d segments, capacity %d", d.head, d.n, len(d.buf))
 			}
-			for _, want := range tc.segs {
-				if s := d.find(want.seq); s != want {
-					t.Errorf("find(%d) = %v, want the segment starting there", want.seq, s)
+			for i, want := range tc.segs {
+				if s := d.find(want.seq); s != d.at(i) || *s != want {
+					t.Errorf("find(%d) = %+v, want segment %d, %+v", want.seq, s, i, want)
 				}
 			}
 			for _, seq := range tc.misses {

@@ -5,8 +5,9 @@
 // pins the run's counts (events, delivered segments, fairness windows,
 // opened flows), which move with any change to dispatch order or workload
 // determinism, and holds an allocation budget per delivered segment: the
-// rate the row recorded before the event-core rewrite, plus 0.05. Speed is
-// the repo benchmark's job (bench/), not these rails'.
+// rate the row measures when run alone (so one-time set-up allocations
+// count), plus 0.05. Speed is the repo benchmark's job (bench/), not these
+// rails'.
 package repro
 
 import (
@@ -15,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aqm"
+	"repro/internal/cca"
 	"repro/internal/experiment"
 	"repro/internal/flows"
 	"repro/internal/topo"
@@ -95,9 +98,9 @@ func TestBenchTopoTrajectory(t *testing.T) {
 	fast.RTT = 5 * time.Millisecond
 	fast.StartSpread = 10 * time.Millisecond
 	runRails(t, []railCase{
-		{name: "dumbbell", cfg: allocGuardConfig(), events: 19496, segments: 2547, allocs: 0.474},
-		{name: "parking-lot-3", cfg: parking, events: 53751, segments: 7261, allocs: 0.286},
-		{name: "dumbbell-25g", cfg: fast, events: 499218, segments: 61503, allocs: 0.382},
+		{name: "dumbbell", cfg: allocGuardConfig(), events: 19496, segments: 2547, allocs: 0.187},
+		{name: "parking-lot-3", cfg: parking, events: 53751, segments: 7261, allocs: 0.179},
+		{name: "dumbbell-25g", cfg: fast, events: 499218, segments: 61503, allocs: 0.132},
 	})
 }
 
@@ -113,8 +116,8 @@ func TestBenchFCTTrajectory(t *testing.T) {
 	solo := competition
 	solo.SoloFCT = true
 	runRails(t, []railCase{
-		{name: "mice-competition", cfg: competition, events: 20518, segments: 2472, opened: 23, allocs: 0.795},
-		{name: "mice-solo", cfg: solo, events: 8007, segments: 1012, opened: 23, allocs: 1.266},
+		{name: "mice-competition", cfg: competition, events: 20518, segments: 2472, opened: 23, allocs: 0.312},
+		{name: "mice-solo", cfg: solo, events: 8007, segments: 1012, opened: 23, allocs: 0.425},
 	})
 }
 
@@ -126,7 +129,27 @@ func TestBenchObsTrajectory(t *testing.T) {
 	armed.Fairness = true
 	armed.FairnessWindow = 10 * time.Millisecond
 	runRails(t, []railCase{
-		{name: "dumbbell-plain", cfg: allocGuardConfig(), events: 19496, segments: 2547, allocs: 0.474},
-		{name: "dumbbell-obs", cfg: armed, events: 19496, segments: 2547, windows: 200, allocs: 0.480},
+		{name: "dumbbell-plain", cfg: allocGuardConfig(), events: 19496, segments: 2547, allocs: 0.187},
+		{name: "dumbbell-obs", cfg: armed, events: 19496, segments: 2547, windows: 200, allocs: 0.194},
+	})
+}
+
+// TestBenchRecoveryTrajectory: two Reno flows per sender at 25 Gbps over a
+// 20 ms RTT overshoot slow start into a 2×BDP FIFO around 0.5 s. The row
+// drops and retransmits 45,346 segments, so it exercises recovery from a
+// mass loss: loss marking, the retransmission queue and the receiver's
+// holes.
+func TestBenchRecoveryTrajectory(t *testing.T) {
+	cfg := experiment.Config{
+		Pairing:        experiment.Pairing{CCA1: cca.Reno, CCA2: cca.Reno},
+		AQM:            aqm.KindFIFO,
+		QueueBDP:       2,
+		Bottleneck:     25 * units.GigabitPerSec,
+		RTT:            20 * time.Millisecond,
+		FlowsPerSender: 2,
+		Duration:       1500 * time.Millisecond,
+	}
+	runRails(t, []railCase{
+		{name: "recovery-25g", cfg: cfg, events: 3812997, segments: 456660, allocs: 0.115},
 	})
 }
