@@ -23,9 +23,22 @@ vet: ## go vet only
 build: ## compile all packages and commands
 	$(GO) build ./...
 
-cross: ## cross-builds: arm64 vet (asmdecl checks the PRFM prefetch) and build, riscv64 (no-op prefetch)
+cross: ## cross-builds: arm64 vet (asmdecl checks the PRFM prefetch) and build, riscv64 (no-op prefetch), no fused multiply-add on any of four GOARCHes
 	GOARCH=arm64 $(GO) vet ./internal/sim && GOARCH=arm64 $(GO) build ./...
 	GOARCH=riscv64 $(GO) build ./...
+	@# Go may fuse x*y+z into one instruction where the hardware has one, so
+	@# the same run would round differently by architecture; float64(x*y)
+	@# rounds the product and keeps it unfused (Go spec, Arithmetic operators).
+	@for arch in arm64 ppc64le riscv64 s390x; do \
+		asm=$$(GOARCH=$$arch $(GO) build -gcflags=-S ./... 2>&1) || { echo "$$asm" | tail -20; exit 1; }; \
+		fused=$$(echo "$$asm" | grep -E '\)[[:space:]]FN?M(ADD|SUB)[SD]?[[:space:]]' | \
+			sed -nE 's|.*\($(CURDIR)/([^)]*\.go:[0-9]+)\).*|\1|p' | sort -u -t: -k1,1 -k2,2n); \
+		if [ -n "$$fused" ]; then \
+			echo "GOARCH=$$arch: fused multiply-add at (round the product with float64(...)):"; \
+			echo "$$fused"; exit 1; \
+		fi; \
+		echo "GOARCH=$$arch: no fused multiply-add"; \
+	done
 
 test: ## full suite under the race detector
 	$(GO) test -race ./...
@@ -34,8 +47,8 @@ allocs: ## zero-alloc event-core gates and the exact-count rails (non-race build
 	$(GO) test -run 'TestAllocGuard|TestBench' -v .
 	$(GO) test -run xxx -bench 'BenchmarkEngineHandlerChained|BenchmarkTimerReset|BenchmarkLineDelivery' -benchmem ./internal/sim/
 
-audit: ## invariant-auditor suites: conservation, seeded bugs, metamorphic relations
-	$(GO) test -race -v -run 'TestAudit|TestViolation|TestMetamorphic|TestDropAccountingAllAQMs|TestCheckpointLastWriteWins' ./internal/audit/ ./internal/sim/ ./internal/netem/ ./internal/experiment/
+audit: ## invariant-auditor suites: conservation, packet-pool balance, seeded bugs, metamorphic relations
+	$(GO) test -race -v -run 'TestAudit|TestViolation|TestMetamorphic|TestDropAccountingAllAQMs|TestCheckpointLastWriteWins' ./internal/audit/ ./internal/sim/ ./internal/netem/ ./internal/topo/ ./internal/experiment/
 
 resilience: ## fault-injection suites: flap recovery, bursty loss, replay, runner hardening, journal heal and compaction
 	$(GO) test -race -v -run 'TestFlapRecoveryAllCCAs|TestGELossInversionBBRvLossBased|TestFaultedRunDeterminism|TestFaultProfileInResultIdentity|TestRunAllSurvivesPanic|TestRunAllWatchdogAbort|TestCheckpointResume|TestCheckpointHealsFailedAppend|TestCheckpointCompactSkipsCleanJournal' ./internal/experiment/

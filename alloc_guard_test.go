@@ -10,6 +10,7 @@ package repro
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -538,7 +539,8 @@ func TestAllocGuardEngineReusePaths(t *testing.T) {
 // millisecond behind 32) stays above CoDel's 5 ms target and whose RED
 // average sits in the drop ramp, so every discipline but FIFO CE-marks ECT
 // packets; it then offers non-ECT packets until one is dropped and drains
-// back to the standing level.
+// back to the standing level. Packets come from a packet.Pool, as in a run,
+// so every drop and dequeue recycles them.
 func TestAllocGuardAQMSteadyState(t *testing.T) {
 	const (
 		standing = 32  // packets queued between batches
@@ -554,8 +556,9 @@ func TestAllocGuardAQMSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 		now := sim.Time(0)
+		pool := packet.NewPool(nil)
 		offer := func(ecn packet.ECN) {
-			p := packet.New()
+			p := pool.New()
 			p.Kind, p.Flow, p.Size, p.ECN = packet.Data, 1, size, ecn
 			q.Enqueue(now, p)
 		}
@@ -587,5 +590,83 @@ func TestAllocGuardAQMSteadyState(t *testing.T) {
 		if marks := after.Marked - before.Marked; kind != aqm.KindFIFO && marks < runs {
 			t.Errorf("%s: %d ECN marks over %d batches, want at least one per batch", kind, marks, runs)
 		}
+	}
+}
+
+// TestAllocGuardPacketPool pins the run's packet pool: once warm, a
+// New/Release cycle allocates nothing; the free stack is LIFO; New zeroes
+// a packet however dirty it came back; and Release ignores nil and
+// unowned packets.
+func TestAllocGuardPacketPool(t *testing.T) {
+	pool := packet.NewPool(nil)
+	batch := make([]*packet.Packet, 300) // more than one slab
+	cycle := func() {
+		for i := range batch {
+			batch[i] = pool.New()
+		}
+		for _, p := range batch {
+			packet.Release(p)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("%.1f allocs per cycle of %d packets from a warm pool, want 0", allocs, len(batch))
+	}
+	if out := pool.Out(); out != 0 {
+		t.Errorf("%d packets out after every one was released", out)
+	}
+
+	a, b := pool.New(), pool.New()
+	packet.Release(a)
+	packet.Release(b)
+	if got := pool.New(); got != b {
+		t.Error("New did not return the packet released last")
+	}
+	if got := pool.New(); got != a {
+		t.Error("New did not return the packet released second to last")
+	}
+
+	// Dirty every exported field through the pointer (a struct literal
+	// assigned over it would also wipe the pool's bookkeeping).
+	dirty := reflect.ValueOf(a).Elem()
+	for i := 0; i < dirty.NumField(); i++ {
+		if f := dirty.Field(i); f.CanSet() {
+			switch {
+			case f.Kind() == reflect.Bool:
+				f.SetBool(true)
+			case f.CanInt():
+				f.SetInt(int64(i + 1))
+			default:
+				f.SetUint(uint64(i + 1))
+			}
+		}
+	}
+	packet.Release(a)
+	got := pool.New()
+	if got != a {
+		t.Fatal("New did not return the packet released last")
+	}
+	clean := reflect.ValueOf(got).Elem()
+	for i := 0; i < clean.NumField(); i++ {
+		if f := clean.Field(i); f.CanSet() && !f.IsZero() {
+			t.Errorf("reused packet keeps %s = %v", clean.Type().Field(i).Name, f)
+		}
+	}
+	// A reused packet still goes back to its pool.
+	packet.Release(a)
+	if got := pool.New(); got != a {
+		t.Error("a reused packet lost its owner")
+	}
+
+	out := pool.Out()
+	packet.Release(nil)
+	stray := packet.New()
+	packet.Release(stray)
+	packet.Release(stray) // unowned: no double-release check either
+	if pool.Out() != out {
+		t.Errorf("releasing nil or an unowned packet moved the pool: %d out, want %d", pool.Out(), out)
+	}
+	if got := pool.New(); got == stray {
+		t.Error("an unowned packet entered the pool")
 	}
 }

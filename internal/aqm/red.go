@@ -106,7 +106,7 @@ func (q *RED) updateAvg(now sim.Time) {
 		}
 		return
 	}
-	q.avg = (1-q.p.Wq)*q.avg + q.p.Wq*float64(q.bytes)
+	q.avg = float64((1-q.p.Wq)*q.avg) + float64(q.p.Wq*float64(q.bytes)) // never fused
 }
 
 // dropProb returns the early-drop probability for the current average.

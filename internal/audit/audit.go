@@ -196,6 +196,16 @@ func (a *Auditor) RegisterNet(probe func() NetSample) {
 	a.probes = append(a.probes, probe)
 }
 
+// Resident returns the packets the registered network elements report
+// still inside them (queued, serializing or propagating).
+func (a *Auditor) Resident() int64 {
+	var resident int64
+	for _, s := range a.collect() {
+		resident += s.Resident
+	}
+	return resident
+}
+
 // OnFinish registers an end-of-run invariant owned by one layer. Finish
 // runs every registered check in registration order; a non-nil error
 // becomes a violation attributed to the given layer and rule.

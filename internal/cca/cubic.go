@@ -104,7 +104,7 @@ func (cu *cubic) growWindow(c *tcp.Conn, s tcp.AckSample) {
 	// Target is the cubic curve evaluated one RTT ahead (RFC 8312 §4.1).
 	t := (s.Now - cu.epochStart).Std() + rtt
 	ts := t.Seconds() - cu.k
-	target := cubicC*ts*ts*ts + cu.wMax
+	target := float64(cubicC*ts*ts*ts) + cu.wMax // rounded product: never fused (Go spec)
 
 	// TCP-friendly region (RFC 8312 §4.2): emulate AIMD with
 	// alpha = 3(1-beta)/(1+beta) per RTT.

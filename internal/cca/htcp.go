@@ -43,7 +43,7 @@ func (h *htcp) alpha(delta time.Duration) float64 {
 		return 1
 	}
 	d := (delta - htcpDeltaL).Seconds()
-	a := 1 + 10*d + 0.25*d*d
+	a := 1 + float64(10*d) + float64(0.25*d*d) // rounded products: never fused
 	// RTT-scaling-free variant; the paper's testbed has a fixed 62 ms RTT.
 	return a
 }

@@ -41,10 +41,10 @@ func newSizeSampler(p Population) sizeSampler {
 // shifted u1 that can never be 0), keeping the RNG stream position a pure
 // function of the sample count.
 func (s sizeSampler) sample(rng *sim.RNG) int64 {
-	u1 := 1 - rng.Float64() // in (0, 1]: log is finite
+	u1 := 1 - float64(rng.Float64()) // in (0, 1]: log is finite; rounded: never fused
 	u2 := rng.Float64()
 	n := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	v := math.Exp(s.mu + s.sigma*n)
+	v := math.Exp(s.mu + float64(s.sigma*n))
 	if !(v > 1) { // NaN-safe clamp
 		return 1
 	}

@@ -26,7 +26,7 @@ func Jain(shares []float64) float64 {
 			s = 0
 		}
 		sum += s
-		sumSq += s * s
+		sumSq += float64(s * s) // rounded product: never fused (Go spec)
 	}
 	if sumSq == 0 {
 		return 1
@@ -75,7 +75,9 @@ func Harm(solo, workload float64) float64 {
 	if workload < 0 {
 		workload = 0
 	}
-	return (solo - workload) / solo
+	// Explicit roundings: a product passed in is never fused into the
+	// subtraction where Harm is inlined (Go spec, Arithmetic operators).
+	return (float64(solo) - float64(workload)) / solo
 }
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -115,7 +117,7 @@ func Stddev(xs []float64) float64 {
 	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d) // rounded product: never fused
 	}
 	return math.Sqrt(ss / float64(len(xs)-1))
 }

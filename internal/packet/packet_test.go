@@ -3,20 +3,58 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPoolReuseZeroes(t *testing.T) {
-	p := New()
+	pool := NewPool(nil)
+	p := pool.New()
 	p.Seq = 99
 	p.Flow = 7
 	p.Retrans = true
 	Release(p)
-	q := New()
-	if q.Seq != 0 || q.Flow != 0 || q.Retrans {
+	q := pool.New()
+	if q != p {
+		t.Fatal("pool did not reuse the released packet")
+	}
+	if q.Seq != 0 || q.Flow != 0 || q.Retrans || q.free || q.owner != pool {
 		t.Fatalf("pooled packet not zeroed: %+v", q)
 	}
 	Release(q)
 	Release(nil) // must not panic
+}
+
+// TestPacketSize: the pool's bookkeeping fits the 112-byte size class, with
+// the free flag in AppLimited's tail padding and the forwarding fields in
+// the first cache line.
+func TestPacketSize(t *testing.T) {
+	var p Packet
+	if got := unsafe.Sizeof(p); got != 112 {
+		t.Errorf("Packet is %d bytes, want 112", got)
+	}
+	if off := unsafe.Offsetof(p.free); off != unsafe.Offsetof(p.AppLimited)+1 {
+		t.Errorf("free flag at offset %d, want right after AppLimited", off)
+	}
+	if end := unsafe.Offsetof(p.EnqueueAt) + unsafe.Sizeof(p.EnqueueAt); end > 64 {
+		t.Errorf("forwarding fields end at byte %d, past the first cache line", end)
+	}
+}
+
+// TestDoubleReleasePanicsUnaudited: without an auditor a double release
+// still refuses to put one packet on the free stack twice.
+func TestDoubleReleasePanicsUnaudited(t *testing.T) {
+	pool := NewPool(nil)
+	p := pool.New()
+	Release(p)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second release did not panic")
+		}
+		if n := len(pool.free); n != pool.total {
+			t.Fatalf("free stack holds %d of %d packets", n, pool.total)
+		}
+	}()
+	Release(p)
 }
 
 func TestString(t *testing.T) {
@@ -87,8 +125,9 @@ func TestFlowHashSingleBucket(t *testing.T) {
 
 func BenchmarkPoolCycle(b *testing.B) {
 	b.ReportAllocs()
+	pool := NewPool(nil)
 	for i := 0; i < b.N; i++ {
-		p := New()
+		p := pool.New()
 		p.Seq = int64(i)
 		Release(p)
 	}

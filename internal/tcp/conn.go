@@ -72,6 +72,7 @@ type Conn struct {
 	cc   CongestionControl
 	inj  func(*packet.Packet) // injects data packets toward the receiver
 	done func(*Conn)          // optional completion callback
+	pool *packet.Pool         // the run's packets (nil: unowned packets)
 
 	// Sender sequence state. rtxQ holds the sequence numbers of segments
 	// marked lost, in marking order; an entry whose segment has since been
@@ -153,6 +154,10 @@ func NewConn(eng *sim.Engine, id packet.FlowID, cfg Config, cc CongestionControl
 	cc.Init(c)
 	return c
 }
+
+// UsePool makes the sender draw its data packets from pool, the run's
+// packet pool; without one it sends unowned packets.
+func (c *Conn) UsePool(pool *packet.Pool) { c.pool = pool }
 
 // auditDeepCheckEvery is how many ACKs pass between O(outstanding) segment
 // list walks on an audited connection.
@@ -417,7 +422,7 @@ func (c *Conn) transmit(s *seg) {
 		c.deliveredTime = now
 	}
 
-	p := packet.New()
+	p := c.pool.New()
 	p.Kind = packet.Data
 	p.Flow = c.id
 	p.Seq = s.seq

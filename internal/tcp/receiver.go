@@ -20,6 +20,7 @@ type Receiver struct {
 	flow   packet.FlowID
 	hdr    units.ByteSize
 	inject func(*packet.Packet) // injects ACKs toward the sender
+	pool   *packet.Pool         // the run's packets (nil: unowned packets)
 
 	rcvNxt int64
 	ooo    []span // out-of-order data above rcvNxt: sorted, disjoint, merged
@@ -101,6 +102,10 @@ func NewDelayedAckReceiver(eng *sim.Engine, id packet.FlowID, header units.ByteS
 	r.delayAck = true
 	return r
 }
+
+// UsePool makes the receiver draw its ACKs from pool, the run's packet
+// pool; without one it sends unowned packets.
+func (r *Receiver) UsePool(pool *packet.Pool) { r.pool = pool }
 
 // AcksSent returns how many ACK packets left this receiver.
 func (r *Receiver) AcksSent() uint64 { return r.acksSent }
@@ -212,7 +217,7 @@ func (r *Receiver) addSpan(start, end int64) {
 
 // sendAck emits a cumulative ACK carrying the given echo fields.
 func (r *Receiver) sendAck(e pendingEcho) {
-	ack := packet.New()
+	ack := r.pool.New()
 	ack.Kind = packet.Ack
 	ack.Flow = r.flow
 	ack.Size = r.hdr

@@ -62,8 +62,10 @@ type hop struct {
 // class is one instantiated sender class.
 type class struct {
 	spec    SenderSpec
-	fwd     *netem.Port // injection port for data (Path[0])
-	ret     *netem.Port // injection port for ACKs (Return[0])
+	fwd     *netem.Port          // injection port for data (Path[0])
+	ret     *netem.Port          // injection port for ACKs (Return[0])
+	sendFwd func(*packet.Packet) // fwd.Send, bound once for every flow's sender
+	sendRet func(*packet.Packet) // ret.Send, bound once for every flow's receiver
 	fwdHops []hop
 	retHops []hop
 	flows   []*Flow
@@ -86,6 +88,10 @@ type Network struct {
 	classes []*class
 	flows   []*Flow
 	nextID  packet.FlowID
+
+	// pool is the run's packet allocator: every endpoint attach builds
+	// draws from it, and every release site returns to it.
+	pool *packet.Pool
 }
 
 // Build instantiates spec on eng. Routing is resolved statically per link:
@@ -110,9 +116,20 @@ func Build(eng *sim.Engine, spec Spec, par Params) (*Network, error) {
 		ports:   make([]*netem.Port, len(spec.Links)),
 		rates:   make([]units.Bandwidth, len(spec.Links)),
 		portIdx: make(map[string]int, len(spec.Links)),
+		pool:    packet.NewPool(eng.Auditor()),
 	}
 	for i, l := range spec.Links {
 		n.portIdx[l.Name] = i
+	}
+	if aud := eng.Auditor(); aud != nil {
+		// Every packet out of the pool is still inside a network element:
+		// endpoints hold none between events, so one released nowhere leaked.
+		aud.OnFinish("packet", "pool-balance", func() error {
+			if out, res := int64(n.pool.Out()), aud.Resident(); out != res {
+				return fmt.Errorf("%d packets out of the pool, %d resident in the network", out, res)
+			}
+			return nil
+		})
 	}
 
 	// Continuation analysis: the set of next links (or terminal, "") each
@@ -195,6 +212,7 @@ func Build(eng *sim.Engine, spec Spec, par Params) (*Network, error) {
 			}
 			return hops
 		}
+		cl.sendFwd, cl.sendRet = cl.fwd.Send, cl.ret.Send
 		cl.fwdHops = collect(sd.Path)
 		cl.retHops = collect(sd.Return)
 		n.classes = append(n.classes, cl)
@@ -322,7 +340,7 @@ func calibrate(q aqm.Config, rate units.Bandwidth, rtt time.Duration) aqm.Config
 func combinedLoss(l LinkSpec, par Params) float64 {
 	loss := l.PathLoss
 	if l.ConfigLoss && par.PathLoss > 0 {
-		loss = 1 - (1-loss)*(1-par.PathLoss)
+		loss = 1 - float64((1-loss)*(1-par.PathLoss)) // rounded product: never fused
 	}
 	return loss
 }
@@ -373,14 +391,14 @@ func (n *Network) attach(ci int, tcpCfg tcp.Config, cc tcp.CongestionControl) *F
 	n.nextID++
 	id := n.nextID
 
-	fwdPort := cl.fwd
-	retPort := cl.ret
-	conn := tcp.NewConn(n.Eng, id, tcpCfg, cc, func(p *packet.Packet) { fwdPort.Send(p) })
+	conn := tcp.NewConn(n.Eng, id, tcpCfg, cc, cl.sendFwd)
+	conn.UsePool(n.pool)
 	mkRcv := tcp.NewReceiver
 	if tcpCfg.DelayedAck {
 		mkRcv = tcp.NewDelayedAckReceiver
 	}
-	rcv := mkRcv(n.Eng, id, tcpCfg.Header, func(p *packet.Packet) { retPort.Send(p) })
+	rcv := mkRcv(n.Eng, id, tcpCfg.Header, cl.sendRet)
+	rcv.UsePool(n.pool)
 	for _, h := range cl.fwdHops {
 		if h.next != nil {
 			h.d.Register(id, h.next)

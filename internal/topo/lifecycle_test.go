@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/cca"
+	"repro/internal/netem"
+	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/units"
@@ -144,4 +146,82 @@ func TestLeakedSegmentTripsConservation(t *testing.T) {
 	})
 	eng.RunFor(2 * time.Second)
 	finish(t, aud, true)
+}
+
+// violationOf runs fn and returns the audit violation it raises, failing
+// the test if it raises none.
+func violationOf(t *testing.T, fn func()) (v *audit.Violation) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("no audit violation raised")
+		}
+		var ok bool
+		if v, ok = r.(*audit.Violation); !ok {
+			panic(r)
+		}
+	}()
+	fn()
+	return nil
+}
+
+// seededEndpoint wraps a flow's receiver with one seeded bug, applied to the
+// first data packet that arrives: leak takes it off the ledger as consumed
+// but never releases it; otherwise it is released here and then handed on,
+// so the receiver releases it a second time.
+type seededEndpoint struct {
+	rcv   netem.Receiver
+	aud   *audit.Auditor
+	leak  bool
+	fired bool
+}
+
+func (s *seededEndpoint) Receive(now sim.Time, p *packet.Packet) {
+	if s.fired {
+		s.rcv.Receive(now, p)
+		return
+	}
+	s.fired = true
+	if s.leak {
+		s.aud.PacketConsumed()
+		return
+	}
+	packet.Release(p)
+	s.rcv.Receive(now, p)
+}
+
+// seedEndpoint attaches one flow and puts a seededEndpoint in front of its
+// receiver at the forward route's last demux.
+func seedEndpoint(t *testing.T, leak bool) (*sim.Engine, *audit.Auditor) {
+	t.Helper()
+	eng, aud, d := auditedDumbbell(t)
+	f := d.AddFlow(0, tcp.Config{}, cca.MustNew(cca.Cubic))
+	hops := d.classes[f.Sender].fwdHops
+	hops[len(hops)-1].d.Register(f.ID, &seededEndpoint{rcv: f.Rcv, aud: aud, leak: leak})
+	f.Conn.Start()
+	return eng, aud
+}
+
+// TestAuditPoolBalanceCatchesLeak: a packet consumed on the conservation
+// ledger but never released balances that ledger, so only the run's packet
+// pool sees it — one more packet out of the pool than the network holds.
+func TestAuditPoolBalanceCatchesLeak(t *testing.T) {
+	eng, aud := seedEndpoint(t, true)
+	eng.RunFor(500 * time.Millisecond)
+	v := violationOf(t, aud.Finish)
+	if v.Layer != "packet" || v.Rule != "pool-balance" {
+		t.Fatalf("violation attributed to %s/%s, want packet/pool-balance:\n%v", v.Layer, v.Rule, v)
+	}
+}
+
+// TestAuditPoolCatchesDoubleRelease: a packet released twice would sit on
+// its pool's free stack twice and later be handed to two owners at once;
+// the second release fails at once.
+func TestAuditPoolCatchesDoubleRelease(t *testing.T) {
+	eng, _ := seedEndpoint(t, false)
+	v := violationOf(t, func() { eng.RunFor(500 * time.Millisecond) })
+	if v.Layer != "packet" || v.Rule != "double-release" {
+		t.Fatalf("violation attributed to %s/%s, want packet/double-release:\n%v", v.Layer, v.Rule, v)
+	}
 }

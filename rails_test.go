@@ -6,8 +6,9 @@
 // opened flows), which move with any change to dispatch order or workload
 // determinism, and holds an allocation budget per delivered segment: the
 // rate the row measures when run alone (so one-time set-up allocations
-// count), plus 0.05. Speed is the repo benchmark's job (bench/), not these
-// rails'.
+// count), plus 0.05. Each run draws its packets from its own pool, so a
+// row's rate no longer depends on which rows ran before it. Speed is the
+// repo benchmark's job (bench/), not these rails'.
 package repro
 
 import (
@@ -98,9 +99,9 @@ func TestBenchTopoTrajectory(t *testing.T) {
 	fast.RTT = 5 * time.Millisecond
 	fast.StartSpread = 10 * time.Millisecond
 	runRails(t, []railCase{
-		{name: "dumbbell", cfg: allocGuardConfig(), events: 19496, segments: 2547, allocs: 0.187},
-		{name: "parking-lot-3", cfg: parking, events: 53751, segments: 7261, allocs: 0.179},
-		{name: "dumbbell-25g", cfg: fast, events: 499218, segments: 61503, allocs: 0.132},
+		{name: "dumbbell", cfg: allocGuardConfig(), events: 19496, segments: 2547, allocs: 0.115},
+		{name: "parking-lot-3", cfg: parking, events: 53751, segments: 7261, allocs: 0.101},
+		{name: "dumbbell-25g", cfg: fast, events: 499218, segments: 61503, allocs: 0.057},
 	})
 }
 
@@ -116,8 +117,8 @@ func TestBenchFCTTrajectory(t *testing.T) {
 	solo := competition
 	solo.SoloFCT = true
 	runRails(t, []railCase{
-		{name: "mice-competition", cfg: competition, events: 20518, segments: 2472, opened: 23, allocs: 0.312},
-		{name: "mice-solo", cfg: solo, events: 8007, segments: 1012, opened: 23, allocs: 0.425},
+		{name: "mice-competition", cfg: competition, events: 20518, segments: 2472, opened: 23, allocs: 0.211},
+		{name: "mice-solo", cfg: solo, events: 8007, segments: 1012, opened: 23, allocs: 0.362},
 	})
 }
 
@@ -129,8 +130,8 @@ func TestBenchObsTrajectory(t *testing.T) {
 	armed.Fairness = true
 	armed.FairnessWindow = 10 * time.Millisecond
 	runRails(t, []railCase{
-		{name: "dumbbell-plain", cfg: allocGuardConfig(), events: 19496, segments: 2547, allocs: 0.187},
-		{name: "dumbbell-obs", cfg: armed, events: 19496, segments: 2547, windows: 200, allocs: 0.194},
+		{name: "dumbbell-plain", cfg: allocGuardConfig(), events: 19496, segments: 2547, allocs: 0.115},
+		{name: "dumbbell-obs", cfg: armed, events: 19496, segments: 2547, windows: 200, allocs: 0.122},
 	})
 }
 
@@ -150,6 +151,6 @@ func TestBenchRecoveryTrajectory(t *testing.T) {
 		Duration:       1500 * time.Millisecond,
 	}
 	runRails(t, []railCase{
-		{name: "recovery-25g", cfg: cfg, events: 3812997, segments: 456660, allocs: 0.115},
+		{name: "recovery-25g", cfg: cfg, events: 3812997, segments: 456660, allocs: 0.051},
 	})
 }
