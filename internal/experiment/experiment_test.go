@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -219,6 +220,31 @@ func TestTable3KeepsCoDel(t *testing.T) {
 	fifo, codel := strings.Index(md, "| CUBIC vs CUBIC | FIFO |"), strings.Index(md, "| CUBIC vs CUBIC | CODEL |")
 	if fifo < 0 || codel < fifo {
 		t.Fatalf("table3 wants a FIFO row, then a CODEL row:\n%s", md)
+	}
+}
+
+// TestTable3UndefinedRR: Avg(RR) is undefined, and renders as a dash, when
+// a pairing has no CUBIC-vs-CUBIC reference cell or only loss-free ones.
+func TestTable3UndefinedRR(t *testing.T) {
+	cell := func(p Pairing, rtx uint64) Result {
+		return Result{Config: Config{Pairing: p, AQM: aqm.KindFIFO, QueueBDP: 1,
+			Bottleneck: 100 * units.MegabitPerSec}, SenderBps: [2]float64{45e6, 45e6}, Jain: 1,
+			Utilization: 0.95, TotalRetransmits: rtx}
+	}
+	bbr := Pairing{cca.BBRv1, cca.Cubic}
+	for name, results := range map[string][]Result{
+		"no reference":        {cell(Pairing{cca.Reno, cca.Cubic}, 100), cell(bbr, 500)},
+		"loss-free reference": {cell(Pairing{cca.Cubic, cca.Cubic}, 0), cell(bbr, 500)},
+	} {
+		s := Summarize(results)
+		for _, row := range s.Table3() {
+			if row.Pairing == bbr && !math.IsNaN(row.AvgRR) {
+				t.Errorf("%s: BBRv1-vs-CUBIC AvgRR = %v, want NaN", name, row.AvgRR)
+			}
+		}
+		if md := s.RenderTable3(); !strings.Contains(md, "| BBR1 vs CUBIC | FIFO | 0.950 | - |") {
+			t.Errorf("%s: table3 wants a dash for Avg(RR):\n%s", name, md)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package experiment
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/aqm"
@@ -95,16 +95,6 @@ func FairnessTable(results []Result) []FairnessCell {
 		a.cell.StarvedTime = a.starvedTime
 		out = append(out, a.cell)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		ai, aj := aqmOrder(out[i].AQM), aqmOrder(out[j].AQM)
-		if ai != aj {
-			return ai < aj
-		}
-		pi, pj := pairingOrder(out[i].Pairing), pairingOrder(out[j].Pairing)
-		if pi != pj {
-			return pi < pj
-		}
-		return out[i].Pairing.String() < out[j].Pairing.String()
-	})
+	slices.SortFunc(out, func(x, y FairnessCell) int { return table3Cmp(x.AQM, x.Pairing, y.AQM, y.Pairing) })
 	return out
 }

@@ -1,7 +1,7 @@
 package experiment
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/aqm"
@@ -172,16 +172,6 @@ func HarmFCTMatrix(results []Result) []FCTHarmCell {
 		a.cell.HarmMean = metrics.MeanFinite(a.mean)
 		out = append(out, a.cell)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		ai, aj := aqmOrder(out[i].AQM), aqmOrder(out[j].AQM)
-		if ai != aj {
-			return ai < aj
-		}
-		pi, pj := pairingOrder(out[i].Pairing), pairingOrder(out[j].Pairing)
-		if pi != pj {
-			return pi < pj
-		}
-		return out[i].Pairing.String() < out[j].Pairing.String()
-	})
+	slices.SortFunc(out, func(x, y FCTHarmCell) int { return table3Cmp(x.AQM, x.Pairing, y.AQM, y.Pairing) })
 	return out
 }

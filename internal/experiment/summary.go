@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/aqm"
@@ -213,33 +215,44 @@ func (s *Summary) Table3() []Table3Row {
 					jains = append(jains, c.Jain)
 					harms = append(harms, c.Harm)
 					if ref := s.Lookup(cubicRef, a, q, bw); ref != nil {
-						rrs = append(rrs, metrics.RelativeRetransmissions(
-							uint64(c.Retransmits+0.5), uint64(ref.Retransmits+0.5)))
+						rr := metrics.RelativeRetransmissions(uint64(c.Retransmits+0.5), uint64(ref.Retransmits+0.5))
+						if !math.IsInf(rr, 1) { // a loss-free reference: no ratio
+							rrs = append(rrs, rr)
+						}
 					}
 				}
 			}
 			if len(phis) == 0 {
 				continue
 			}
+			avgRR := math.NaN() // no CUBIC reference cell with a finite ratio
+			if len(rrs) > 0 {
+				avgRR = metrics.Mean(rrs)
+			}
 			rows = append(rows, Table3Row{
 				Pairing: p,
 				AQM:     a,
 				AvgPhi:  metrics.Mean(phis),
-				AvgRR:   metrics.MeanFinite(rrs),
+				AvgRR:   avgRR,
 				AvgJain: metrics.Mean(jains),
 				AvgHarm: metrics.Mean(harms),
 			})
 		}
 	}
-	// Paper order: grouped by AQM (FIFO, RED, FQ_CODEL), pairings inside.
-	sort.SliceStable(rows, func(i, j int) bool {
-		ai, aj := aqmOrder(rows[i].AQM), aqmOrder(rows[j].AQM)
-		if ai != aj {
-			return ai < aj
-		}
-		return pairingOrder(rows[i].Pairing) < pairingOrder(rows[j].Pairing)
-	})
+	slices.SortFunc(rows, func(x, y Table3Row) int { return table3Cmp(x.AQM, x.Pairing, y.AQM, y.Pairing) })
 	return rows
+}
+
+// table3Cmp orders rows as the paper prints Table 3: grouped by AQM (FIFO,
+// RED, FQ_CODEL, then any other by name), the paper's pairings inside in
+// printed order, then any other pairing by name.
+func table3Cmp(a1 aqm.Kind, p1 Pairing, a2 aqm.Kind, p2 Pairing) int {
+	return cmp.Or(
+		cmp.Compare(aqmOrder(a1), aqmOrder(a2)),
+		cmp.Compare(a1, a2),
+		cmp.Compare(pairingOrder(p1), pairingOrder(p2)),
+		cmp.Compare(p1.String(), p2.String()),
+	)
 }
 
 func aqmOrder(a aqm.Kind) int {

@@ -135,3 +135,30 @@ func TestReportRendering(t *testing.T) {
 		t.Errorf("report shows too few reproduced claims:\n%s", md[:min(2000, len(md))])
 	}
 }
+
+// TestReportUndefinedCells: the report prints a dash, not 0, for a Table 3
+// Avg(RR) with no CUBIC reference and for a harm-to-FCT cell whose
+// competition runs had no solo baseline.
+func TestReportUndefinedCells(t *testing.T) {
+	cell := func(p experiment.Pairing, rtx uint64) experiment.Result {
+		return experiment.Result{
+			Config: experiment.Config{Pairing: p, AQM: aqm.KindFIFO, QueueBDP: 1,
+				Bottleneck: 100 * units.MegabitPerSec, Seed: 1},
+			SenderBps: [2]float64{45e6, 45e6}, Jain: 1, Utilization: 0.95, TotalRetransmits: rtx,
+			FCT: &experiment.FCTResult{Classes: []experiment.FCTClass{
+				{Class: "all", Count: 10, P50: time.Millisecond, P95: 2 * time.Millisecond,
+					P99: 3 * time.Millisecond, Mean: time.Millisecond}}},
+		}
+	}
+	md := Report([]experiment.Result{cell(pair(cca.Reno, cca.Cubic), 100), cell(pair(cca.BBRv1, cca.Cubic), 500)},
+		ReportOptions{})
+	for _, want := range []string{
+		"| BBR1 vs CUBIC |  | 0.997 / 0.950 | 14.916 / – |",
+		"| BBR1 vs CUBIC | FIFO | – | – | – | – | 0 (+1 unmatched) |",
+		"| RENO vs CUBIC |  | – | – | – | – | 0 (+1 unmatched) |",
+	} {
+		if !strings.Contains(md, want) {
+			t.Errorf("report missing %q:\n%s", want, md)
+		}
+	}
+}
