@@ -5,20 +5,48 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci help lint vet build cross test allocs audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke bench bench-ruler
+# The tests, benchmarks and fuzz targets the gates below select by name.
+# `go test -run NAME` passes with "no tests to run" when NAME matches
+# nothing, so gate-names (run by lint) fails on any name here that matches
+# no test in its packages.
+ALLOC_TESTS = TestAllocGuard|TestBench
+ALLOC_BENCHES = BenchmarkEngineHandlerChained|BenchmarkTimerReset|BenchmarkLineDelivery
+BENCHES = BenchmarkEngine|BenchmarkTimer|BenchmarkLine
+AUDIT_PKGS = ./internal/audit/ ./internal/sim/ ./internal/netem/ ./internal/topo/ ./internal/experiment/
+AUDIT_TESTS = TestAudit|TestViolation|TestMetamorphic|TestDropAccountingAllAQMs|TestCheckpointLastWriteWins
+RESILIENCE_EXPERIMENT = TestFlapRecoveryAllCCAs|TestGELossInversionBBRvLossBased|TestFaultedRunDeterminism|TestFaultProfileInResultIdentity|TestRunAllSurvivesPanic|TestRunAllWatchdogAbort|TestCheckpointResume|TestCheckpointHealsFailedAppend|TestCheckpointCompactSkipsCleanJournal
+RESILIENCE_SVC = TestWarmJobLeavesJournalAlone
+RESILIENCE_TCP = TestRTOExponentialBackoffDoubling|TestRTORearmAfterSuccessfulRetransmit
+# fuzz-target:package
+FUZZ_TARGETS = FuzzFaultsParse:./internal/faults/ FuzzCheckpointReload:./internal/experiment/ \
+	FuzzJournalV2Reload:./internal/experiment/ FuzzAQMQueueOps:./internal/aqm/ \
+	FuzzConnAckProcessing:./internal/tcp/ FuzzParseNDJSON:./internal/telemetry/ \
+	FuzzTopoSpec:./internal/topo/ FuzzFlowSpecParse:./internal/flows/
+
+.PHONY: ci help lint vet gate-names build cross test allocs audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke bench bench-ruler
 
 ci: lint build cross test allocs bench-ruler audit resilience smoke smoke-svc smoke-cluster smoke-chaos smoke-fct smoke-obs trace-smoke fuzz-smoke ## every gate below, in order (what a PR must pass)
 
 help: ## list the targets
 	@awk -F ':.*## ' '/^[a-z-]+:.*## / { printf "  %-14s %s\n", $$1, $$2 }' $(MAKEFILE_LIST)
 
-lint: vet ## gofmt, go vet, and a syntax check of scripts/smoke.sh
+lint: vet gate-names ## gofmt, go vet, gate names, and a syntax check of scripts/smoke.sh
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$fmt"; exit 1; fi
 	sh -n scripts/smoke.sh
 
 vet: ## go vet only
 	$(GO) vet ./...
+
+gate-names: ## every name the allocs, bench, audit, resilience and fuzz-smoke gates select matches a test
+	GO="$(GO)" sh scripts/gatenames.sh \
+		. '$(ALLOC_TESTS)' \
+		./internal/sim/ '$(ALLOC_BENCHES)|$(BENCHES)' \
+		'$(AUDIT_PKGS)' '$(AUDIT_TESTS)' \
+		./internal/experiment/ '$(RESILIENCE_EXPERIMENT)' \
+		./internal/svc/ '$(RESILIENCE_SVC)' \
+		./internal/tcp/ '$(RESILIENCE_TCP)' \
+		$(foreach t,$(FUZZ_TARGETS),$(word 2,$(subst :, ,$(t))) $(word 1,$(subst :, ,$(t))))
 
 build: ## compile all packages and commands
 	$(GO) build ./...
@@ -44,16 +72,16 @@ test: ## full suite under the race detector
 	$(GO) test -race ./...
 
 allocs: ## zero-alloc event-core gates and the exact-count rails (non-race build)
-	$(GO) test -run 'TestAllocGuard|TestBench' -v .
-	$(GO) test -run xxx -bench 'BenchmarkEngineHandlerChained|BenchmarkTimerReset|BenchmarkLineDelivery' -benchmem ./internal/sim/
+	$(GO) test -run '$(ALLOC_TESTS)' -v .
+	$(GO) test -run xxx -bench '$(ALLOC_BENCHES)' -benchmem ./internal/sim/
 
 audit: ## invariant-auditor suites: conservation, packet-pool balance, seeded bugs, metamorphic relations
-	$(GO) test -race -v -run 'TestAudit|TestViolation|TestMetamorphic|TestDropAccountingAllAQMs|TestCheckpointLastWriteWins' ./internal/audit/ ./internal/sim/ ./internal/netem/ ./internal/topo/ ./internal/experiment/
+	$(GO) test -race -v -run '$(AUDIT_TESTS)' $(AUDIT_PKGS)
 
 resilience: ## fault-injection suites: flap recovery, bursty loss, replay, runner hardening, journal heal and compaction
-	$(GO) test -race -v -run 'TestFlapRecoveryAllCCAs|TestGELossInversionBBRvLossBased|TestFaultedRunDeterminism|TestFaultProfileInResultIdentity|TestRunAllSurvivesPanic|TestRunAllWatchdogAbort|TestCheckpointResume|TestCheckpointHealsFailedAppend|TestCheckpointCompactSkipsCleanJournal' ./internal/experiment/
-	$(GO) test -race -v -run 'TestWarmJobLeavesJournalAlone' ./internal/svc/
-	$(GO) test -race -run 'TestRTOExponentialBackoffDoubling|TestRTORearmAfterSuccessfulRetransmit' ./internal/tcp/
+	$(GO) test -race -v -run '$(RESILIENCE_EXPERIMENT)' ./internal/experiment/
+	$(GO) test -race -v -run '$(RESILIENCE_SVC)' ./internal/svc/
+	$(GO) test -race -run '$(RESILIENCE_TCP)' ./internal/tcp/
 
 smoke: ## audited -strict sweeps: a flap-fault grid and a parking-lot grid
 	GO="$(GO)" sh scripts/smoke.sh sweep
@@ -77,17 +105,13 @@ trace-smoke: ## flight recorder: record, render, per-config traces, served strea
 	GO="$(GO)" sh scripts/smoke.sh trace
 
 fuzz-smoke: ## every fuzz target for FUZZTIME (10s), seeded from */testdata/fuzz
-	$(GO) test -run '^$$' -fuzz FuzzFaultsParse -fuzztime $(FUZZTIME) ./internal/faults/
-	$(GO) test -run '^$$' -fuzz FuzzCheckpointReload -fuzztime $(FUZZTIME) ./internal/experiment/
-	$(GO) test -run '^$$' -fuzz FuzzJournalV2Reload -fuzztime $(FUZZTIME) ./internal/experiment/
-	$(GO) test -run '^$$' -fuzz FuzzAQMQueueOps -fuzztime $(FUZZTIME) ./internal/aqm/
-	$(GO) test -run '^$$' -fuzz FuzzConnAckProcessing -fuzztime $(FUZZTIME) ./internal/tcp/
-	$(GO) test -run '^$$' -fuzz FuzzParseNDJSON -fuzztime $(FUZZTIME) ./internal/telemetry/
-	$(GO) test -run '^$$' -fuzz FuzzTopoSpec -fuzztime $(FUZZTIME) ./internal/topo/
-	$(GO) test -run '^$$' -fuzz FuzzFlowSpecParse -fuzztime $(FUZZTIME) ./internal/flows/
+	@for t in $(FUZZ_TARGETS); do \
+		echo "$(GO) test -run '^\$$' -fuzz $${t%%:*} -fuzztime $(FUZZTIME) $${t#*:}"; \
+		$(GO) test -run '^$$' -fuzz $${t%%:*} -fuzztime $(FUZZTIME) $${t#*:} || exit 1; \
+	done
 
 bench: ## engine micro-benchmarks (0 allocs/op on reuse paths)
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkTimer|BenchmarkLine' -benchmem ./internal/sim/
+	$(GO) test -run xxx -bench '$(BENCHES)' -benchmem ./internal/sim/
 
 bench-ruler: ## vet and short-test the bench/ module against the current internals
 	cd bench && $(GO) vet . && $(GO) test -short .
