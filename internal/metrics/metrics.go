@@ -92,8 +92,8 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// MeanFinite averages only the finite values (Table 3's Avg(RR) must not be
-// poisoned by an infinite ratio from a loss-free CUBIC reference).
+// MeanFinite averages only the finite values (a harm against a zero
+// baseline is +Inf and must not poison the mean); 0 when there are none.
 func MeanFinite(xs []float64) float64 {
 	s, n := 0.0, 0
 	for _, x := range xs {
