@@ -226,10 +226,11 @@ func TestAllocGuardFailpointsDisabled(t *testing.T) {
 
 // TestAllocGuardOpenLoop: the open-loop workload churns flows through the
 // engine — attach, transfer, teardown, sketch update — on top of the two
-// elephants. Flow setup/teardown costs a bounded number of allocations per
-// flow (connection, receiver, demux entries), amortized to noise over the
-// run's half-million forwarded segments, so the combined traffic must hold
-// the same ≤ 1 alloc per forwarded data packet budget as the static run.
+// elephants. A flow re-initialises a released flow's connection, receiver
+// and controller in place, so churn allocates only while the number of
+// flows open at once grows (plus the demux tables' amortized growth), and
+// the combined traffic must hold the same ≤ 1 alloc per forwarded data
+// packet budget as the static run.
 func TestAllocGuardOpenLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 2s of traffic; skipped in -short mode")
@@ -273,6 +274,60 @@ func TestAllocGuardOpenLoop(t *testing.T) {
 	if perPacket > 1.0 {
 		t.Errorf("open-loop allocation regression: %.3f allocs per forwarded data packet "+
 			"(budget ≤ 1, flow churn must amortize away)", perPacket)
+	}
+}
+
+// TestAllocGuardFlowChurn: a churn-only run shaped like the benchmark's
+// mice-churn-10g workload (four Poisson populations, one per CCA, at a
+// 2 ms mean arrival each, 16–256 KB transfers, a 10 Gbps FQ-CoDel
+// dumbbell, no elephants), shortened to 2 s. Every arrival recycles a
+// finished flow's Flow, Conn, Receiver, controller and runner record, and
+// the arrival timer is one per population, so the run — set-up included —
+// must stay at or under one heap allocation per opened flow.
+func TestAllocGuardFlowChurn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 2s of flow churn; skipped in -short mode")
+	}
+	var pops []flows.Population
+	for _, c := range []cca.Name{cca.Cubic, cca.BBRv1, cca.Reno, cca.BBRv2} {
+		pops = append(pops, flows.Population{
+			Name:        string(c),
+			MeanArrival: 2 * time.Millisecond,
+			SizeP5:      16 * units.Kilobyte,
+			SizeP95:     256 * units.Kilobyte,
+			CCA:         c,
+		})
+	}
+	cfg := experiment.Config{
+		AQM:        aqm.KindFQCoDel,
+		QueueBDP:   2,
+		Bottleneck: 10 * units.GigabitPerSec,
+		Duration:   2 * time.Second,
+		Seed:       1,
+		Flows:      &flows.Spec{Populations: pops},
+		SoloFCT:    true,
+	}
+
+	var last experiment.Result
+	allocs := testing.AllocsPerRun(2, func() {
+		res, err := experiment.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = res
+	})
+	// The arrival schedule is part of the determinism contract.
+	if last.FCT == nil {
+		t.Fatal("churn run reported no FCT result")
+	}
+	if last.FCT.Opened != 3893 {
+		t.Fatalf("churn run opened %d flows, want exactly 3893", last.FCT.Opened)
+	}
+	perFlow := allocs / float64(last.FCT.Opened)
+	t.Logf("allocs/run = %.0f over %d opened flows → %.3f allocs per flow", allocs, last.FCT.Opened, perFlow)
+	if perFlow > 1.0 {
+		t.Errorf("flow churn allocation regression: %.3f allocs per opened flow (budget ≤ 1); "+
+			"released flows, controllers and runner records must be recycled", perFlow)
 	}
 }
 

@@ -34,7 +34,13 @@ type bbr1 struct {
 }
 
 // NewBBRv1 returns a fresh BBRv1 controller.
-func NewBBRv1() tcp.CongestionControl { return &bbr1{bbrCore: newBBRCore()} }
+func NewBBRv1() tcp.CongestionControl {
+	b := new(bbr1)
+	b.reset()
+	return b
+}
+
+func (b *bbr1) reset() { *b = bbr1{bbrCore: newBBRCore()} }
 
 func (b *bbr1) Name() string { return string(BBRv1) }
 

@@ -69,7 +69,13 @@ type bbr2 struct {
 }
 
 // NewBBRv2 returns a fresh BBRv2 controller.
-func NewBBRv2() tcp.CongestionControl { return &bbr2{bbrCore: newBBRCore()} }
+func NewBBRv2() tcp.CongestionControl {
+	b := new(bbr2)
+	b.reset()
+	return b
+}
+
+func (b *bbr2) reset() { *b = bbr2{bbrCore: newBBRCore()} }
 
 func (b *bbr2) Name() string { return string(BBRv2) }
 

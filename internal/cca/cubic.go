@@ -54,6 +54,12 @@ func NewCubicNoHyStart() tcp.CongestionControl {
 	return &cubic{fastConv: true, name: CubicNoHyStart}
 }
 
+// reset restores the state NewCubic (or the variant's constructor) builds;
+// the variant's configuration — name, fast convergence, HyStart — is kept.
+func (cu *cubic) reset() {
+	*cu = cubic{fastConv: cu.fastConv, hystart: cu.hystart, name: cu.name}
+}
+
 func (cu *cubic) Name() string {
 	if cu.name != "" {
 		return string(cu.name)

@@ -31,7 +31,13 @@ type htcp struct {
 }
 
 // NewHTCP returns a fresh H-TCP controller.
-func NewHTCP() tcp.CongestionControl { return &htcp{beta: htcpBetaMin} }
+func NewHTCP() tcp.CongestionControl {
+	h := new(htcp)
+	h.reset()
+	return h
+}
+
+func (h *htcp) reset() { *h = htcp{beta: htcpBetaMin} }
 
 func (h *htcp) Name() string                          { return string(HTCP) }
 func (h *htcp) Init(c *tcp.Conn)                      {}

@@ -12,6 +12,8 @@ type reno struct{}
 // NewReno returns a fresh Reno controller.
 func NewReno() tcp.CongestionControl { return &reno{} }
 
+func (r *reno) reset() { *r = reno{} }
+
 func (r *reno) Name() string                          { return string(Reno) }
 func (r *reno) Init(c *tcp.Conn)                      {}
 func (r *reno) OnPacketSent(c *tcp.Conn, bytes int64) {}

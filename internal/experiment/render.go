@@ -141,22 +141,31 @@ func (s *Summary) RenderTable3() string {
 	var b strings.Builder
 	b.WriteString("| CCA1 vs CCA2 | AQM | Avg(phi) | Avg(RR) | Avg(J_index) | Avg(H) |\n")
 	b.WriteString("|---|---|---|---|---|---|\n")
-	lastAQM := aqm.Kind("")
+	aqmCell := AQMGroups()
 	for _, row := range s.Table3() {
-		aqmCell := ""
-		if row.AQM != lastAQM {
-			aqmCell = strings.ToUpper(string(row.AQM))
-			lastAQM = row.AQM
-		}
 		rr := "-"
 		if !math.IsNaN(row.AvgRR) {
 			rr = fmt.Sprintf("%.3f", row.AvgRR)
 		}
 		fmt.Fprintf(&b, "| %s vs %s | %s | %.3f | %s | %.3f | %.3f |\n",
 			strings.ToUpper(string(row.Pairing.CCA1)), strings.ToUpper(string(row.Pairing.CCA2)),
-			aqmCell, row.AvgPhi, rr, row.AvgJain, row.AvgHarm)
+			aqmCell(row.AQM), row.AvgPhi, rr, row.AvgJain, row.AvgHarm)
 	}
 	return b.String()
+}
+
+// AQMGroups returns the AQM column of a table whose rows are sorted by
+// discipline: each call names its row's discipline, upper-cased, on the
+// group's first row and returns "" on the rows below.
+func AQMGroups() func(aqm.Kind) string {
+	last := aqm.Kind("")
+	return func(a aqm.Kind) string {
+		if a == last {
+			return ""
+		}
+		last = a
+		return strings.ToUpper(string(a))
+	}
 }
 
 // EquilibriumBDP finds the buffer multiplier at which sender 2 (CUBIC in

@@ -178,7 +178,7 @@ func Run(cfg Config, obs ...Observer) (Result, error) {
 		for ci := 0; ci < net.NumClasses(); ci++ {
 			name := ClassCCA(cfg, net.ClassSpec(ci), ci)
 			for i := 0; i < ClassFlowCount(cfg, net.ClassSpec(ci)); i++ {
-				cc, err := cca.New(name)
+				cc, err := net.Controllers().New(name)
 				if err != nil {
 					return Result{}, fmt.Errorf("experiment %s: %w", cfg.ID(), err)
 				}

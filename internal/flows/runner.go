@@ -80,9 +80,11 @@ type Options struct {
 type Runner struct {
 	eng  *sim.Engine
 	net  *topo.Network
+	ccs  *cca.Factory
 	aud  *audit.Auditor
 	opts Options
-	pops []runnerPop
+	pops []*runnerPop
+	idle []*mouse // finished flows' records, reused by later arrivals
 
 	sketches   [NumSizeClasses]*metrics.FCTSketch
 	classBytes [NumSizeClasses]int64
@@ -91,9 +93,32 @@ type Runner struct {
 	rr         int // round-robin sender-class cursor
 }
 
+// runnerPop is one population's arrival process. Its timer fires at the
+// next arrival, whose size is held in size.
 type runnerPop struct {
-	proc *Process
-	cc   cca.Name
+	r      *Runner
+	proc   *Process
+	cc     cca.Name
+	size   int64
+	arrive sim.Timer
+}
+
+// OnEvent implements sim.Handler: the next arrival is due.
+func (p *runnerPop) OnEvent(any) {
+	p.r.open(p)
+	p.r.scheduleNext(p)
+}
+
+// mouse is the runner's record of one open flow. Records are recycled
+// like the flows themselves, and done, the flow's completion callback, is
+// bound once per record.
+type mouse struct {
+	r        *Runner
+	f        *topo.Flow
+	cc       tcp.CongestionControl
+	openedAt sim.Time
+	size     int64
+	done     func(*tcp.Conn)
 }
 
 // NewRunner builds a runner for spec on a built network. The spec is
@@ -108,7 +133,7 @@ func NewRunner(eng *sim.Engine, net *topo.Network, spec *Spec, opts Options) (*R
 	if n.Empty() {
 		return nil, fmt.Errorf("flows: empty spec")
 	}
-	r := &Runner{eng: eng, net: net, aud: eng.Auditor(), opts: opts}
+	r := &Runner{eng: eng, net: net, ccs: net.Controllers(), aud: eng.Auditor(), opts: opts}
 	for i := range r.sketches {
 		r.sketches[i] = metrics.NewFCTSketch()
 	}
@@ -117,7 +142,9 @@ func NewRunner(eng *sim.Engine, net *topo.Network, spec *Spec, opts Options) (*R
 		if err != nil {
 			return nil, fmt.Errorf("flows: %s: %w", pop.Name, err)
 		}
-		r.pops = append(r.pops, runnerPop{proc: NewProcess(opts.Seed, pi, pop), cc: name})
+		p := &runnerPop{r: r, proc: NewProcess(opts.Seed, pi, pop), cc: name}
+		p.arrive.Init(eng, p, nil)
+		r.pops = append(r.pops, p)
 	}
 	if r.aud != nil {
 		r.aud.OnFinish("flows", "lifecycle", r.checkLifecycle)
@@ -128,53 +155,69 @@ func NewRunner(eng *sim.Engine, net *topo.Network, spec *Spec, opts Options) (*R
 // Start schedules the first arrival of every population. Must be called
 // before the engine runs (arrivals are absolute times from t=0).
 func (r *Runner) Start() {
-	for i := range r.pops {
-		r.scheduleNext(&r.pops[i])
+	for _, p := range r.pops {
+		r.scheduleNext(p)
 	}
 }
 
-// scheduleNext pulls one arrival from the population's process and
-// schedules it, unless the process is exhausted or past the horizon.
+// scheduleNext pulls one arrival from the population's process and arms
+// the population's timer for it, unless the process is exhausted or past
+// the horizon. A timer reset takes the next sequence number exactly as
+// scheduling a fresh event would, so arrivals keep their place in the
+// event order.
 func (r *Runner) scheduleNext(p *runnerPop) {
 	at, size, ok := p.proc.Next()
 	if !ok || at >= r.opts.Horizon {
 		return
 	}
-	delay := at - time.Duration(r.eng.Now())
-	if delay < 0 {
-		delay = 0 // arrival time already passed (burst): open immediately
-	}
-	r.eng.Schedule(delay, func() {
-		r.open(p, size)
-		r.scheduleNext(p)
-	})
+	// An arrival time already passed (burst) is clamped to now: open
+	// immediately.
+	p.size = size
+	p.arrive.Reset(at - time.Duration(r.eng.Now()))
 }
 
 // open attaches one ephemeral flow and starts its transfer. Sender
 // classes are assigned round-robin so multi-class topologies spread the
 // background load deterministically.
-func (r *Runner) open(p *runnerPop, size int64) {
+func (r *Runner) open(p *runnerPop) {
 	tcpCfg := r.opts.TCP
-	tcpCfg.LimitBytes = size
+	tcpCfg.LimitBytes = p.size
 	ci := r.rr % r.net.NumClasses()
 	r.rr++
-	f := r.net.AddEphemeralFlow(ci, tcpCfg, cca.MustNew(p.cc))
+	m := r.record()
+	m.cc = r.ccs.MustNew(p.cc)
+	m.f = r.net.AddEphemeralFlow(ci, tcpCfg, m.cc)
 	r.opened++
 	if r.aud != nil {
 		r.aud.FlowOpened()
 	}
-	openedAt := r.eng.Now()
-	f.Conn.Trace().FlowOpen(int64(openedAt), size)
-	f.Conn.OnDone(func(*tcp.Conn) { r.complete(f, openedAt, size) })
-	f.Conn.Start()
+	m.openedAt, m.size = r.eng.Now(), p.size
+	m.f.Conn.Trace().FlowOpen(int64(m.openedAt), m.size)
+	m.f.Conn.OnDone(m.done)
+	m.f.Conn.Start()
 }
 
-// complete records the finished transfer and releases the flow. Packets
-// of the flow still in flight (duplicate ACKs, stale retransmits) drain
-// through the demux unknown-flow path, so the conservation ledger stays
-// settled.
-func (r *Runner) complete(f *topo.Flow, openedAt sim.Time, size int64) {
-	fct := time.Duration(r.eng.Now() - openedAt)
+// record returns an idle flow record, or a new one with its completion
+// callback bound.
+func (r *Runner) record() *mouse {
+	if n := len(r.idle); n > 0 {
+		m := r.idle[n-1]
+		r.idle = r.idle[:n-1]
+		return m
+	}
+	m := &mouse{r: r}
+	m.done = m.complete
+	return m
+}
+
+// complete records the finished transfer and releases the flow and its
+// controller. It runs inside the flow's Conn.Receive, so neither is
+// reused before a later arrival event. Packets of the flow still in flight
+// (duplicate ACKs, stale retransmits) drain through the demux unknown-flow
+// path, so the conservation ledger stays settled.
+func (m *mouse) complete(*tcp.Conn) {
+	r, f, size := m.r, m.f, m.size
+	fct := time.Duration(r.eng.Now() - m.openedAt)
 	r.sketches[ClassAll].Record(fct)
 	r.classBytes[ClassAll] += size
 	c := ClassOf(size)
@@ -186,6 +229,9 @@ func (r *Runner) complete(f *topo.Flow, openedAt sim.Time, size int64) {
 	}
 	f.Conn.Trace().FlowComplete(int64(r.eng.Now()), int64(fct), size)
 	r.net.ReleaseFlow(f)
+	r.ccs.Release(m.cc)
+	m.f, m.cc = nil, nil
+	r.idle = append(r.idle, m)
 }
 
 // checkLifecycle is the end-of-run audit invariant: the runner's own

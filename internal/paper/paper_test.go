@@ -2,6 +2,7 @@ package paper
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -69,27 +70,37 @@ func TestClaimsNoDataOnEmptySweep(t *testing.T) {
 	}
 }
 
-// miniSweep runs a small real sweep (100 Mbps, 3 buffers) used by the claim
-// and report tests.
+// mini holds the one mini sweep of this test binary.
+var mini struct {
+	once    sync.Once
+	results []experiment.Result
+	err     error
+}
+
+// miniSweep runs a small real sweep (100 Mbps, 3 buffers) once, on first
+// use, and returns its results to every claim and report test; callers
+// only read them.
 func miniSweep(t *testing.T) []experiment.Result {
 	t.Helper()
-	var cfgs []experiment.Config
-	for _, p := range experiment.PaperPairings() {
-		for _, a := range aqm.Kinds() {
-			for _, q := range []float64{0.5, 2, 16} {
-				cfgs = append(cfgs, experiment.Config{
-					Pairing: p, AQM: a, QueueBDP: q,
-					Bottleneck: 100 * units.MegabitPerSec,
-					Duration:   15 * time.Second, Seed: 1,
-				})
+	mini.once.Do(func() {
+		var cfgs []experiment.Config
+		for _, p := range experiment.PaperPairings() {
+			for _, a := range aqm.Kinds() {
+				for _, q := range []float64{0.5, 2, 16} {
+					cfgs = append(cfgs, experiment.Config{
+						Pairing: p, AQM: a, QueueBDP: q,
+						Bottleneck: 100 * units.MegabitPerSec,
+						Duration:   15 * time.Second, Seed: 1,
+					})
+				}
 			}
 		}
+		mini.results, mini.err = experiment.RunAll(cfgs, 1, nil)
+	})
+	if mini.err != nil {
+		t.Fatal(mini.err)
 	}
-	results, err := experiment.RunAll(cfgs, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return results
+	return mini.results
 }
 
 func TestClaimsAgainstMiniSweep(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/aqm"
 	"repro/internal/experiment"
 )
 
@@ -72,7 +71,7 @@ func Report(results []experiment.Result, opts ReportOptions) string {
 	for _, r := range s.Table3() {
 		measured[r.Pairing.String()+"/"+string(r.AQM)] = r
 	}
-	aqmCell := aqmGroups()
+	aqmCell := experiment.AQMGroups()
 	for _, ref := range Table3() {
 		key := ref.Pairing.String() + "/" + string(ref.AQM)
 		m, ok := measured[key]
@@ -138,19 +137,6 @@ func pairingLabel(p experiment.Pairing) string {
 	return strings.ToUpper(string(p.CCA1)) + " vs " + strings.ToUpper(string(p.CCA2))
 }
 
-// aqmGroups returns the AQM column of a table grouped by discipline: the
-// discipline on its group's first row, blank on the rows below.
-func aqmGroups() func(aqm.Kind) string {
-	last := aqm.Kind("")
-	return func(a aqm.Kind) string {
-		if a == last {
-			return ""
-		}
-		last = a
-		return strings.ToUpper(string(a))
-	}
-}
-
 // renderFCTMatrix formats the harm-to-FCT matrix. Harm is lower-is-better
 // on [0, 1): the fraction of the background flows' completion time that is
 // attributable to the competing elephants, H = (FCT_comp − FCT_solo) /
@@ -168,7 +154,7 @@ func renderFCTMatrix(cells []experiment.FCTHarmCell) string {
 	b.WriteString("is the headline: tails are where elephants hurt mice first.\n\n")
 	b.WriteString("| CCA1 vs CCA2 | AQM | H(p50) | H(p95) | H(p99) | H(mean) | n |\n")
 	b.WriteString("|---|---|---|---|---|---|---|\n")
-	aqmCell := aqmGroups()
+	aqmCell := experiment.AQMGroups()
 	for _, c := range cells {
 		harm := func(v float64) string {
 			if c.N == 0 { // no solo baseline matched: harm unmeasured, not zero
@@ -203,7 +189,7 @@ func renderFairnessTable(cells []experiment.FairnessCell) string {
 	b.WriteString("the run ended).\n\n")
 	b.WriteString("| CCA1 vs CCA2 | AQM | converged | mean conv. | mean t<0.9 | final J | episodes | starved |\n")
 	b.WriteString("|---|---|---|---|---|---|---|---|\n")
-	aqmCell := aqmGroups()
+	aqmCell := experiment.AQMGroups()
 	for _, c := range cells {
 		conv := "–"
 		if c.Converged > 0 {

@@ -131,28 +131,50 @@ type Conn struct {
 // NewConn creates a sender for flow id that injects data packets via inject
 // (typically the client NIC port) and is driven by cc.
 func NewConn(eng *sim.Engine, id packet.FlowID, cfg Config, cc CongestionControl, inject func(*packet.Packet)) *Conn {
-	cfg.defaults()
-	c := &Conn{
-		eng:      eng,
-		id:       id,
-		cfg:      cfg,
-		cc:       cc,
-		inj:      inject,
-		ssthresh: math.MaxInt64 / 4,
-		rtt:      newRTTEstimator(),
-	}
-	c.cwnd = int64(cfg.InitialCwnd) * int64(cfg.MSS)
-	c.rtoTimer.Init(eng, c, timerRTO)
-	c.paceTimer.Init(eng, c, timerPace)
+	c := &Conn{eng: eng}
 	if a := eng.Auditor(); a != nil {
-		c.aud = a
 		a.OnFinish("tcp", "seq-space", c.auditSeqSpace)
 	}
-	if t := eng.Tracer(); t != nil {
+	c.init(id, cfg, cc, inject)
+	return c
+}
+
+// Reinit re-initialises a stopped sender in place as the sender of a new
+// flow: afterwards every field reads exactly as NewConn(eng, id, cfg, cc,
+// inject) on the same engine would leave it, except that the segment ring
+// and the retransmission queue keep their capacity. The end-of-run
+// seq-space check registered at construction follows the object, so it
+// checks whichever flow the sender serves last. Reinit must not run while
+// the sender's Receive is on the stack; on an audited engine a pending
+// timer is a violation.
+func (c *Conn) Reinit(id packet.FlowID, cfg Config, cc CongestionControl, inject func(*packet.Packet)) {
+	if c.aud != nil && (c.rtoTimer.Pending() || c.paceTimer.Pending()) {
+		c.aud.Failf("tcp", "recycle-live",
+			"conn %d: recycled as flow %d with a timer still pending (rto=%v pace=%v)",
+			c.id, id, c.rtoTimer.Pending(), c.paceTimer.Pending())
+	}
+	c.rtoTimer.Stop()
+	c.paceTimer.Stop()
+	segs, rtxQ := c.segs.buf, c.rtxQ[:0]
+	*c = Conn{eng: c.eng}
+	c.init(id, cfg, cc, inject)
+	c.segs.buf, c.rtxQ = segs, rtxQ
+}
+
+// init sets every field but eng as a fresh sender of flow id.
+func (c *Conn) init(id packet.FlowID, cfg Config, cc CongestionControl, inject func(*packet.Packet)) {
+	cfg.defaults()
+	c.id, c.cfg, c.cc, c.inj = id, cfg, cc, inject
+	c.ssthresh = math.MaxInt64 / 4
+	c.rtt = newRTTEstimator()
+	c.cwnd = int64(cfg.InitialCwnd) * int64(cfg.MSS)
+	c.rtoTimer.Init(c.eng, c, timerRTO)
+	c.paceTimer.Init(c.eng, c, timerPace)
+	c.aud = c.eng.Auditor()
+	if t := c.eng.Tracer(); t != nil {
 		c.trc = t.Flow(uint32(id), cc.Name())
 	}
 	cc.Init(c)
-	return c
 }
 
 // UsePool makes the sender draw its data packets from pool, the run's

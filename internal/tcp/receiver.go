@@ -62,18 +62,38 @@ const delAckTimeout = 40 * time.Millisecond
 // NewReceiver creates the receiving endpoint for flow id; ACKs are injected
 // via inject (typically the server NIC port).
 func NewReceiver(eng *sim.Engine, id packet.FlowID, header units.ByteSize, inject func(*packet.Packet)) *Receiver {
+	r := &Receiver{eng: eng}
+	r.init(id, header, false, inject)
+	return r
+}
+
+// Reinit re-initialises a closed receiver in place as the receiver of a
+// new flow: afterwards every field reads exactly as NewReceiver (or, with
+// delayAck, NewDelayedAckReceiver) on the same engine would leave it,
+// except that the out-of-order span list keeps its capacity. Reinit must
+// not run while the receiver's Receive is on the stack; on an audited
+// engine a pending delayed-ACK timer or a held ACK is a violation.
+func (r *Receiver) Reinit(id packet.FlowID, header units.ByteSize, delayAck bool, inject func(*packet.Packet)) {
+	if r.aud != nil && (r.delTimer.Pending() || r.hasPending) {
+		r.aud.Failf("tcp", "recycle-live",
+			"receiver %d: recycled as flow %d with a delayed ACK still held (timer pending=%v)",
+			r.flow, id, r.delTimer.Pending())
+	}
+	r.delTimer.Stop()
+	ooo := r.ooo[:0]
+	*r = Receiver{eng: r.eng}
+	r.init(id, header, delayAck, inject)
+	r.ooo = ooo
+}
+
+// init sets every field but eng as a fresh receiver of flow id.
+func (r *Receiver) init(id packet.FlowID, header units.ByteSize, delayAck bool, inject func(*packet.Packet)) {
 	if header <= 0 {
 		header = 60
 	}
-	r := &Receiver{
-		eng:    eng,
-		flow:   id,
-		hdr:    header,
-		inject: inject,
-	}
-	r.delTimer.Init(eng, r, nil)
-	r.aud = eng.Auditor()
-	return r
+	r.flow, r.hdr, r.inject, r.delayAck = id, header, inject, delayAck
+	r.delTimer.Init(r.eng, r, nil)
+	r.aud = r.eng.Auditor()
 }
 
 // OnEvent implements sim.Handler: the delayed-ACK timer expired, so flush
@@ -98,8 +118,8 @@ func (r *Receiver) Close() {
 
 // NewDelayedAckReceiver returns a receiver with delayed ACKs enabled.
 func NewDelayedAckReceiver(eng *sim.Engine, id packet.FlowID, header units.ByteSize, inject func(*packet.Packet)) *Receiver {
-	r := NewReceiver(eng, id, header, inject)
-	r.delayAck = true
+	r := &Receiver{eng: eng}
+	r.init(id, header, true, inject)
 	return r
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/aqm"
+	"repro/internal/cca"
 	"repro/internal/faults"
 	"repro/internal/netem"
 	"repro/internal/packet"
@@ -92,6 +93,11 @@ type Network struct {
 	// pool is the run's packet allocator: every endpoint attach builds
 	// draws from it, and every release site returns to it.
 	pool *packet.Pool
+	// ccs is the run's controller factory (see Controllers).
+	ccs cca.Factory
+	// free holds released ephemeral flows, most recent last, whose Flow,
+	// Conn and Receiver AddEphemeralFlow re-initialises in place.
+	free []*Flow
 }
 
 // Build instantiates spec on eng. Routing is resolved statically per link:
@@ -350,7 +356,7 @@ func combinedLoss(l LinkSpec, par Params) float64 {
 // demux registrations at every divergence point along both routes. The
 // flow is not started; call Flow.Conn.Start (or schedule it).
 func (n *Network) AddFlow(ci int, tcpCfg tcp.Config, cc tcp.CongestionControl) *Flow {
-	f := n.attach(ci, tcpCfg, cc)
+	f := n.attach(ci, tcpCfg, cc, nil)
 	n.classes[ci].flows = append(n.classes[ci].flows, f)
 	n.flows = append(n.flows, f)
 	return f
@@ -361,9 +367,12 @@ func (n *Network) AddFlow(ci int, tcpCfg tcp.Config, cc tcp.CongestionControl) *
 // class or network flow lists: class goodput, retransmit totals, and
 // fairness indices stay scoped to the long-running flows, and the caller
 // (the open-loop workload runner) owns the flow's lifecycle and must
-// ReleaseFlow it when done.
+// ReleaseFlow it when done. The Flow, its Conn and its Receiver are those
+// of a flow released at an earlier event when there is one, re-initialised
+// in place to read exactly as freshly built ones; the flow ID is always
+// fresh.
 func (n *Network) AddEphemeralFlow(ci int, tcpCfg tcp.Config, cc tcp.CongestionControl) *Flow {
-	return n.attach(ci, tcpCfg, cc)
+	return n.attach(ci, tcpCfg, cc, n.reusable())
 }
 
 // ReleaseFlow detaches a flow attached by AddEphemeralFlow: its demux
@@ -371,7 +380,13 @@ func (n *Network) AddEphemeralFlow(ci int, tcpCfg tcp.Config, cc tcp.CongestionC
 // cancelled, and the receiver is closed. Packets of the flow still in
 // flight drain to the demux unknown-flow path (consumed + released), so
 // the audit ledger settles no matter when in the transfer this is called.
+// The caller must not touch f afterwards: a later AddEphemeralFlow may
+// recycle it. ReleaseFlow may run inside the flow's own completion
+// callback; the flow is not recycled before a later event.
 func (n *Network) ReleaseFlow(f *Flow) {
+	if f.free {
+		panic(fmt.Sprintf("topo: flow %d released twice", f.ID))
+	}
 	cl := n.classes[f.Sender]
 	for _, h := range cl.fwdHops {
 		h.d.Unregister(f.ID)
@@ -381,9 +396,27 @@ func (n *Network) ReleaseFlow(f *Flow) {
 	}
 	f.Conn.Stop()
 	f.Rcv.Close()
+	f.free, f.released = true, n.Eng.Executed()
+	n.free = append(n.free, f)
 }
 
-func (n *Network) attach(ci int, tcpCfg tcp.Config, cc tcp.CongestionControl) *Flow {
+// reusable takes the most recently released flow that was released at an
+// earlier event than the current one (so its Conn.Receive, which runs the
+// completion callback that released it, has returned), or returns nil.
+func (n *Network) reusable() *Flow {
+	now := n.Eng.Executed()
+	for i := len(n.free) - 1; i >= 0; i-- {
+		if f := n.free[i]; f.released != now {
+			n.free = append(n.free[:i], n.free[i+1:]...)
+			return f
+		}
+	}
+	return nil
+}
+
+// attach wires a flow with a fresh ID into class ci, re-initialising slot
+// in place when it is non-nil.
+func (n *Network) attach(ci int, tcpCfg tcp.Config, cc tcp.CongestionControl, slot *Flow) *Flow {
 	if ci < 0 || ci >= len(n.classes) {
 		panic(fmt.Sprintf("topo: sender class must be 0..%d, got %d", len(n.classes)-1, ci))
 	}
@@ -391,13 +424,22 @@ func (n *Network) attach(ci int, tcpCfg tcp.Config, cc tcp.CongestionControl) *F
 	n.nextID++
 	id := n.nextID
 
-	conn := tcp.NewConn(n.Eng, id, tcpCfg, cc, cl.sendFwd)
-	conn.UsePool(n.pool)
-	mkRcv := tcp.NewReceiver
-	if tcpCfg.DelayedAck {
-		mkRcv = tcp.NewDelayedAckReceiver
+	var conn *tcp.Conn
+	var rcv *tcp.Receiver
+	if slot != nil {
+		conn, rcv = slot.Conn, slot.Rcv
+		conn.Reinit(id, tcpCfg, cc, cl.sendFwd)
+		rcv.Reinit(id, tcpCfg.Header, tcpCfg.DelayedAck, cl.sendRet)
+	} else {
+		slot = new(Flow)
+		conn = tcp.NewConn(n.Eng, id, tcpCfg, cc, cl.sendFwd)
+		mkRcv := tcp.NewReceiver
+		if tcpCfg.DelayedAck {
+			mkRcv = tcp.NewDelayedAckReceiver
+		}
+		rcv = mkRcv(n.Eng, id, tcpCfg.Header, cl.sendRet)
 	}
-	rcv := mkRcv(n.Eng, id, tcpCfg.Header, cl.sendRet)
+	conn.UsePool(n.pool)
 	rcv.UsePool(n.pool)
 	for _, h := range cl.fwdHops {
 		if h.next != nil {
@@ -414,8 +456,14 @@ func (n *Network) attach(ci int, tcpCfg tcp.Config, cc tcp.CongestionControl) *F
 		}
 	}
 
-	return &Flow{ID: id, Sender: ci, Conn: conn, Rcv: rcv, CCName: cc.Name()}
+	*slot = Flow{ID: id, Sender: ci, Conn: conn, Rcv: rcv, CCName: cc.Name()}
+	return slot
 }
+
+// Controllers returns the run's controller factory: the long-running flows
+// and the open-loop runner build their controllers through it, and the
+// runner hands each finished flow's controller back.
+func (n *Network) Controllers() *cca.Factory { return &n.ccs }
 
 // NumClasses returns how many sender classes the spec declares.
 func (n *Network) NumClasses() int { return len(n.classes) }

@@ -225,3 +225,133 @@ func TestAuditPoolCatchesDoubleRelease(t *testing.T) {
 		t.Fatalf("violation attributed to %s/%s, want packet/double-release:\n%v", v.Layer, v.Rule, v)
 	}
 }
+
+// TestEphemeralFlowSlotsRecycle: a released flow's Flow, Conn and Receiver
+// come back from a later AddEphemeralFlow under a fresh flow ID, never
+// from one in the same event as the release (the completion callback that
+// released it is still inside its Conn.Receive), and the audited run
+// settles with strays of the old ID draining through the demux.
+func TestEphemeralFlowSlotsRecycle(t *testing.T) {
+	eng, aud, d := auditedDumbbell(t)
+	cfg := tcp.Config{LimitBytes: 100_000}
+	first := d.AddEphemeralFlow(0, cfg, cca.MustNew(cca.Cubic))
+	firstConn, firstID := first.Conn, first.ID
+	aud.FlowOpened()
+	var sameEvent, later *Flow
+	first.Conn.OnDone(func(*tcp.Conn) {
+		aud.FlowClosed()
+		d.ReleaseFlow(first)
+		sameEvent = d.AddEphemeralFlow(1, cfg, cca.MustNew(cca.Reno))
+		aud.FlowOpened()
+		sameEvent.Conn.Start()
+		eng.Schedule(0, func() {
+			later = d.AddEphemeralFlow(1, cfg, cca.MustNew(cca.Reno))
+			aud.FlowOpened()
+			later.Conn.Start()
+		})
+	})
+	first.Conn.Start()
+	eng.RunFor(2 * time.Second)
+	finish(t, aud, false)
+
+	switch {
+	case sameEvent == nil || later == nil:
+		t.Fatal("the first flow never completed")
+	case sameEvent == first || sameEvent.Conn == firstConn:
+		t.Fatal("a flow was recycled inside the completion callback that released it")
+	case later != first || later.Conn != firstConn:
+		t.Fatal("a flow released at an earlier event was not recycled")
+	case later.ID <= sameEvent.ID || sameEvent.ID <= firstID:
+		t.Fatalf("flow IDs %d, %d, %d: want fresh, increasing IDs", firstID, sameEvent.ID, later.ID)
+	case later.Sender != 1 || later.CCName != "reno" || later.Rcv.Goodput() != cfg.LimitBytes:
+		t.Fatalf("recycled flow: class %d, %s, %d bytes delivered; want class 1, reno, %d",
+			later.Sender, later.CCName, later.Rcv.Goodput(), cfg.LimitBytes)
+	}
+}
+
+// leakyRelease is ReleaseFlow with a seeded bug: the flow leaves the
+// demuxes and joins the free list, but its receiver is never closed and,
+// unless stopSender, its sender is never stopped. The next event recycles
+// it.
+func leakyRelease(n *Network, f *Flow, stopSender bool) {
+	cl := n.classes[f.Sender]
+	for _, h := range cl.fwdHops {
+		h.d.Unregister(f.ID)
+	}
+	for _, h := range cl.retHops {
+		h.d.Unregister(f.ID)
+	}
+	if stopSender {
+		f.Conn.Stop()
+	}
+	f.free, f.released = true, n.Eng.Executed()
+	n.free = append(n.free, f)
+	n.Eng.Schedule(0, func() { n.AddEphemeralFlow(0, tcp.Config{}, cca.MustNew(cca.Cubic)) })
+}
+
+// checkRecycleViolation runs eng through the seeded release and the
+// recycle after it, and requires the recycle to fail at once.
+func checkRecycleViolation(t *testing.T, eng *sim.Engine) {
+	t.Helper()
+	v := violationOf(t, func() { eng.RunFor(time.Second) })
+	if v.Layer != "tcp" || v.Rule != "recycle-live" {
+		t.Fatalf("violation attributed to %s/%s, want tcp/recycle-live:\n%v", v.Layer, v.Rule, v)
+	}
+}
+
+// TestAuditRecycleCatchesPendingTimer: a flow recycled while its sender's
+// retransmission timer is still queued would be re-initialised under a
+// live heap entry; the recycle fails at once.
+func TestAuditRecycleCatchesPendingTimer(t *testing.T) {
+	eng, aud, d := auditedDumbbell(t)
+	f := d.AddEphemeralFlow(0, tcp.Config{LimitBytes: 1 << 30}, cca.MustNew(cca.Cubic))
+	aud.FlowOpened()
+	f.Conn.Start()
+	eng.Schedule(200*time.Millisecond, func() { leakyRelease(d, f, false) })
+	checkRecycleViolation(t, eng)
+}
+
+// heldAckRelease hands each data packet to the flow's receiver and, the
+// first time the receiver holds its ACK (delayed ACK: nothing was sent),
+// releases the flow with the seeded bug, leaving the held ACK in place.
+type heldAckRelease struct {
+	d    *Network
+	f    *Flow
+	done bool
+}
+
+func (h *heldAckRelease) Receive(now sim.Time, p *packet.Packet) {
+	before := h.f.Rcv.AcksSent()
+	h.f.Rcv.Receive(now, p)
+	if !h.done && h.f.Rcv.AcksSent() == before {
+		h.done = true
+		leakyRelease(h.d, h.f, true)
+	}
+}
+
+// TestAuditRecycleCatchesHeldAck: a flow recycled while its receiver holds
+// a delayed ACK would drop that ACK and its timer unsent; the recycle fails
+// at once.
+func TestAuditRecycleCatchesHeldAck(t *testing.T) {
+	eng, aud, d := auditedDumbbell(t)
+	f := d.AddEphemeralFlow(0, tcp.Config{LimitBytes: 1 << 30, DelayedAck: true}, cca.MustNew(cca.Cubic))
+	aud.FlowOpened()
+	hops := d.classes[f.Sender].fwdHops
+	hops[len(hops)-1].d.Register(f.ID, &heldAckRelease{d: d, f: f})
+	f.Conn.Start()
+	checkRecycleViolation(t, eng)
+}
+
+// TestReleaseFlowTwicePanics: a second release would put the flow on the
+// free list twice and hand it to two later flows at once.
+func TestReleaseFlowTwicePanics(t *testing.T) {
+	_, _, d := auditedDumbbell(t)
+	f := d.AddEphemeralFlow(0, tcp.Config{}, cca.MustNew(cca.Cubic))
+	d.ReleaseFlow(f)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second ReleaseFlow of one flow did not panic")
+		}
+	}()
+	d.ReleaseFlow(f)
+}

@@ -80,4 +80,7 @@ type Flow struct {
 	// Start is the offset at which the run starts the sender, recorded by
 	// whoever schedules Conn.Start (zero for open-loop flows).
 	Start time.Duration
+
+	free     bool   // on the network's free list
+	released uint64 // engine event count at ReleaseFlow
 }

@@ -117,8 +117,8 @@ func TestBenchFCTTrajectory(t *testing.T) {
 	solo := competition
 	solo.SoloFCT = true
 	runRails(t, []railCase{
-		{name: "mice-competition", cfg: competition, events: 20518, segments: 2472, opened: 23, allocs: 0.211},
-		{name: "mice-solo", cfg: solo, events: 8007, segments: 1012, opened: 23, allocs: 0.362},
+		{name: "mice-competition", cfg: competition, events: 20518, segments: 2472, opened: 23, allocs: 0.177},
+		{name: "mice-solo", cfg: solo, events: 8007, segments: 1012, opened: 23, allocs: 0.248},
 	})
 }
 
