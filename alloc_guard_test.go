@@ -8,9 +8,14 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -23,6 +28,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/packet"
 	"repro/internal/sim"
+	"repro/internal/svc"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
@@ -723,5 +729,105 @@ func TestAllocGuardPacketPool(t *testing.T) {
 	}
 	if got := pool.New(); got == stray {
 		t.Error("an unowned packet entered the pool")
+	}
+}
+
+// elementRecorder is a discarding http.ResponseWriter that remembers where
+// each result-set element it was handed lives: an element write is a chunk
+// starting with '{' (the frame's own writes never do, past "{\n"). Its
+// slice is preallocated, so recording allocates nothing.
+type elementRecorder struct {
+	header http.Header
+	code   int
+	elems  []*byte
+}
+
+func (w *elementRecorder) Header() http.Header  { return w.header }
+func (w *elementRecorder) WriteHeader(code int) { w.code = code }
+func (w *elementRecorder) Write(p []byte) (int, error) {
+	if len(p) > 2 && p[0] == '{' {
+		w.elems = append(w.elems, &p[0])
+	}
+	return len(p), nil
+}
+
+// TestAllocGuardCachedResults: a repeat GET /results of a warm job splices
+// the bytes each cached entry encoded once, so it allocates under 64 bytes
+// per result (re-encoding the set allocated ~5.2 KB per result), and three
+// fetches hand over the very same element bytes.
+func TestAllocGuardCachedResults(t *testing.T) {
+	spec := experiment.GridSpec{Bandwidths: "100Mbps", Duration: "300ms"}
+	cfgs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cfgs) < 100 {
+		t.Fatalf("grid expands to %d configs, want at least 100", len(cfgs))
+	}
+	journal := filepath.Join(t.TempDir(), "warm.journal")
+	ck, err := experiment.OpenCheckpoint(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		if err := ck.Append(experiment.Result{Config: cfg.Recorded(), SenderBps: [2]float64{4.1e7, 4.9e7},
+			Jain: 0.99, FlowJain: 0.98, Utilization: 0.9, Retransmits: [2]uint64{3, 4}, TotalRetransmits: 7,
+			PeakQueueBytes: 50000, Flows: 2, SimSeconds: 0.3, Events: uint64(10000 + i), Wall: time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := svc.New(svc.Options{Journal: journal, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+
+	body, _ := json.Marshal(spec)
+	post := httptest.NewRecorder()
+	h.ServeHTTP(post, httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(body)))
+	var st svc.Status
+	if err := json.Unmarshal(post.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != svc.StateDone || st.Cached != len(cfgs) {
+		t.Fatalf("warm submit: %+v", st)
+	}
+
+	var fetched [3][]*byte
+	var alloc uint64
+	for i := range fetched {
+		req := httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+st.ID+"/results", nil)
+		w := &elementRecorder{header: http.Header{}, elems: make([]*byte, 0, len(cfgs))}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(w, req)
+		runtime.ReadMemStats(&after)
+		if w.code != 0 && w.code != http.StatusOK {
+			t.Fatalf("fetch %d: status %d", i, w.code)
+		}
+		if i > 0 {
+			alloc += after.TotalAlloc - before.TotalAlloc
+		}
+		fetched[i] = w.elems
+	}
+	for i, elems := range fetched {
+		if len(elems) != len(cfgs) {
+			t.Fatalf("fetch %d wrote %d elements, want %d", i, len(elems), len(cfgs))
+		}
+		for k := range elems {
+			if elems[k] != fetched[0][k] {
+				t.Fatalf("fetch %d served element %d from new bytes: a cached entry was encoded again", i, k)
+			}
+		}
+	}
+	perResult := float64(alloc) / 2 / float64(len(cfgs))
+	t.Logf("repeat fetch: %.1f B allocated per result over %d results", perResult, len(cfgs))
+	if perResult >= 64 {
+		t.Errorf("cached /results allocates %.1f B per result (budget < 64): the warm path must splice "+
+			"each entry's stored element, not re-encode", perResult)
 	}
 }

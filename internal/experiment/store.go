@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,14 +22,120 @@ type ResultSet struct {
 	Results []Result `json:"results"`
 }
 
-// WriteJSON streams a result set to w.
+// WriteJSON writes a result set to w in one write: encodeElement encodes
+// each result as an element of the set, and WriteSet splices the elements
+// into the set's frame. The bytes are exactly what json.Encoder with
+// SetIndent("", " ") writes for the set. Nothing is written when a result
+// fails to encode.
 func WriteJSON(w io.Writer, rs *ResultSet) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(rs); err != nil {
-		return fmt.Errorf("experiment: encode results: %w", err)
+	var elems [][]byte
+	if rs.Results != nil {
+		elems = make([][]byte, len(rs.Results))
+	}
+	for i := range rs.Results {
+		elem, err := encodeElement(&rs.Results[i])
+		if err != nil {
+			return err
+		}
+		elems[i] = elem
+	}
+	var buf bytes.Buffer
+	WriteSet(&buf, rs.Note, elems) // a bytes.Buffer takes every write
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		return fmt.Errorf("experiment: write results: %w", err)
 	}
 	return nil
+}
+
+// WriteSet is the splice writer behind every serialized result set: it
+// writes the {"note", "results"} frame around elements, each one result's
+// set element (encodeElement: an Entry's Element, or what WriteJSON
+// encodes). A nil elems writes "results": null, as a nil Results does.
+func WriteSet(w io.Writer, note string, elems [][]byte) error {
+	bw := errWriter{w: w}
+	bw.writeString("{\n")
+	if note != "" {
+		enc, _ := json.Marshal(note) // a string always encodes
+		bw.writeString(` "note": `)
+		bw.write(enc)
+		bw.writeString(",\n")
+	}
+	switch {
+	case elems == nil:
+		bw.writeString(" \"results\": null\n}\n")
+	case len(elems) == 0:
+		bw.writeString(" \"results\": []\n}\n")
+	default:
+		bw.writeString(" \"results\": [\n  ")
+		for i, elem := range elems {
+			if i > 0 {
+				bw.writeString(",\n  ")
+			}
+			bw.write(elem)
+		}
+		bw.writeString("\n ]\n}\n")
+	}
+	if bw.err != nil {
+		return fmt.Errorf("experiment: write results: %w", bw.err)
+	}
+	return nil
+}
+
+// errWriter keeps the first write error and skips every later write.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) write(b []byte) {
+	if e.err == nil {
+		_, e.err = e.w.Write(b)
+	}
+}
+
+func (e *errWriter) writeString(s string) {
+	if e.err == nil {
+		_, e.err = io.WriteString(e.w, s)
+	}
+}
+
+// encodeElement encodes one result as an element of a result set's
+// "results" array: indented with the two-space prefix and one-space step
+// the array's depth has in json.Encoder's SetIndent("", " ") output of the
+// whole set, so splicing elements into WriteSet's frame gives those bytes.
+func encodeElement(res *Result) ([]byte, error) {
+	raw, err := json.Marshal(res)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: encode result %s: %w", res.Config.ID(), err)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, len(raw)+len(raw)/2))
+	if err := json.Indent(buf, raw, "  ", " "); err != nil {
+		return nil, fmt.Errorf("experiment: indent result %s: %w", res.Config.ID(), err)
+	}
+	return buf.Bytes(), nil
+}
+
+// Entry is one result of a Checkpoint's index together with its result-set
+// element, encoded on the first Element call and kept. An entry never
+// changes: an Append that supersedes its key indexes a new entry, so the
+// bytes served for this one stay the encoding of its Result.
+type Entry struct {
+	Result Result
+
+	once sync.Once
+	elem []byte
+	err  error
+}
+
+// NewEntry wraps a result that is not (or not yet) indexed, such as an
+// errored one, so it serves through the same Element path.
+func NewEntry(res Result) *Entry { return &Entry{Result: res} }
+
+// Element returns the entry's result-set element (see WriteSet), encoding
+// it on the first call only.
+func (e *Entry) Element() ([]byte, error) {
+	e.once.Do(func() { e.elem, e.err = encodeElement(&e.Result) })
+	return e.elem, e.err
 }
 
 // ReadJSON parses a result set from r.
@@ -89,7 +196,7 @@ type Checkpoint struct {
 	mu      sync.Mutex
 	f       *os.File
 	err     error // sticky: set when the journal handle is unusable (failed Compact reopen)
-	done    map[string]Result
+	done    map[string]*Entry
 	pending map[string]struct{} // indexed keys not yet journaled
 	errs    uint64              // failed journal writes since open
 	lastErr string
@@ -140,7 +247,7 @@ const (
 // memory-only store: no file, and results do not survive the process.
 func OpenCheckpoint(path string) (*Checkpoint, error) {
 	if path == "" {
-		return &Checkpoint{done: make(map[string]Result)}, nil
+		return &Checkpoint{done: make(map[string]*Entry)}, nil
 	}
 	if err := failpoint.Inject("checkpoint.open"); err != nil {
 		return nil, fmt.Errorf("experiment: open checkpoint %s: %w", path, err)
@@ -154,14 +261,14 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: open checkpoint %s: %w", path, err)
 	}
-	c := &Checkpoint{path: path, f: f, done: make(map[string]Result), pending: make(map[string]struct{}),
+	c := &Checkpoint{path: path, f: f, done: make(map[string]*Entry), pending: make(map[string]struct{}),
 		syncEvery: defaultSyncEvery, syncInterval: defaultSyncInterval, lastSync: time.Now()}
 	damagedBytes := 0
 	err = readJournal(f, &c.stats, func(key string, res Result) {
 		if _, dup := c.done[key]; dup {
 			c.stats.Duplicates++
 		}
-		c.done[key] = res
+		c.done[key] = NewEntry(res)
 	}, func(line []byte) {
 		if damagedBytes+len(line) > maxDamagedBytes {
 			return
@@ -219,10 +326,20 @@ func (c *Checkpoint) Len() int {
 // Lookup returns the journaled result for a configuration's science
 // identity (Config.Key), if present.
 func (c *Checkpoint) Lookup(key string) (Result, bool) {
+	e, ok := c.LookupEntry(key)
+	if !ok {
+		return Result{}, false
+	}
+	return e.Result, true
+}
+
+// LookupEntry returns the index entry for a configuration's science
+// identity (Config.Key), if present.
+func (c *Checkpoint) LookupEntry(key string) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, ok := c.done[key]
-	return res, ok
+	e, ok := c.done[key]
+	return e, ok
 }
 
 // Append indexes one completed result and journals it as a CRC-framed v2
@@ -233,34 +350,43 @@ func (c *Checkpoint) Lookup(key string) (Result, bool) {
 // call, and a partial record is terminated before the next one, so a
 // recovering disk never fuses two records.
 func (c *Checkpoint) Append(res Result) error {
+	_, err := c.AppendEntry(res)
+	return err
+}
+
+// AppendEntry is Append returning the index entry it made for res: nil for
+// an errored result, which is not indexed, and the entry even when the
+// journal write failed, since the result stays indexed.
+func (c *Checkpoint) AppendEntry(res Result) (*Entry, error) {
 	if res.Errored() {
-		return nil
+		return nil, nil
 	}
+	e := NewEntry(res)
 	if c.path == "" {
 		c.mu.Lock()
-		c.done[res.Config.Key()] = res
+		c.done[res.Config.Key()] = e
 		c.mu.Unlock()
-		return nil
+		return e, nil
 	}
 	data, key, err := encodeFrame(res)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.done[key]; ok {
 		c.stale++
 	}
-	c.done[key] = res
+	c.done[key] = e
 	err = c.retryLocked()
 	if err == nil {
 		err = c.writeLocked(data)
 	}
 	if err != nil {
 		c.pending[key] = struct{}{}
-		return c.failLocked(err)
+		return e, c.failLocked(err)
 	}
-	return nil
+	return e, nil
 }
 
 // retryLocked journals the queued results; each leaves the queue once its
@@ -268,7 +394,7 @@ func (c *Checkpoint) Append(res Result) error {
 // the failed attempt may have landed.
 func (c *Checkpoint) retryLocked() error {
 	for key := range c.pending {
-		data, _, err := encodeFrame(c.done[key])
+		data, _, err := encodeFrame(c.done[key].Result)
 		if err == nil {
 			err = c.writeLocked(data)
 		}
@@ -397,8 +523,8 @@ func (c *Checkpoint) Results() []Result {
 func (c *Checkpoint) resultsLocked() []Result {
 	type entry struct{ id, key string } // the index key is the science Key
 	order := make([]entry, 0, len(c.done))
-	for key, res := range c.done {
-		order = append(order, entry{res.Config.ID(), key})
+	for key, e := range c.done {
+		order = append(order, entry{e.Result.Config.ID(), key})
 	}
 	sort.Slice(order, func(i, j int) bool {
 		a, b := order[i], order[j]
@@ -406,7 +532,7 @@ func (c *Checkpoint) resultsLocked() []Result {
 	})
 	out := make([]Result, len(order))
 	for i, e := range order {
-		out[i] = c.done[e.key]
+		out[i] = c.done[e.key].Result
 	}
 	return out
 }

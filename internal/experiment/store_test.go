@@ -2,11 +2,16 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -377,5 +382,173 @@ func TestCheckpointResultsSorted(t *testing.T) {
 		if got[i-1].Config.ID() >= got[i].Config.ID() {
 			t.Fatalf("Results not sorted: %s >= %s", got[i-1].Config.ID(), got[i].Config.ID())
 		}
+	}
+}
+
+// encoderSet is the whole-set encoder WriteJSON was before it spliced
+// per-result elements: the reference the splice writer must equal byte for
+// byte.
+func encoderSet(t *testing.T, rs *ResultSet) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(rs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// olderSchemaResult journals a graph-topology result whose PortResult
+// record lacks "marked" (a field with no omitempty, as a record written
+// before the field existed would), and returns the journal's index entry.
+func olderSchemaResult(t *testing.T) *Entry {
+	t.Helper()
+	res := durabilityResult(7, 0.75)
+	res.Groups = []GroupResult{{Name: "left", CCA: "cubic", Flows: 2, Bps: 4.5e7}}
+	res.Ports = []PortResult{{Name: "bn<1>", RateBps: 1e8, TxBytes: 12345, Utilization: 0.9, Dropped: 3}}
+	res.FCT = &FCTResult{Opened: 4, Completed: 3, Open: 1, Classes: []FCTClass{}}
+	payload, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(payload, []byte(`"marked":0,`), nil, 1)
+	if bytes.Equal(old, payload) {
+		t.Fatalf("payload has no port \"marked\" key to drop: %s", payload)
+	}
+	line := fmt.Sprintf("%s\nr %d %08x %s %s\n",
+		journalHeaderV2, len(old), crc32.ChecksumIEEE(old), res.Config.Key(), old)
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	e, ok := ck.LookupEntry(res.Config.Key())
+	if !ok {
+		t.Fatalf("older-schema record not loaded: %+v", ck.Stats())
+	}
+	return e
+}
+
+// TestWriteJSONMatchesEncoder pins the one serializer: WriteJSON, and
+// WriteSet over entries' elements (what sweepd serves), equal the former
+// json.Encoder output byte for byte.
+func TestWriteJSONMatchesEncoder(t *testing.T) {
+	rich, err := LoadFile("testdata/migration/cca_seed.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errored := Result{Config: rich.Results[1].Config, Error: "runner: panic: boom <&>"}
+	old := olderSchemaResult(t)
+	for _, tc := range []struct {
+		name string
+		rs   ResultSet
+	}{
+		{"no note", ResultSet{Results: rich.Results}},
+		{"html note", ResultSet{Note: `scaled <1/10> & "quoted"`, Results: rich.Results[:2]}},
+		{"empty results", ResultSet{Note: "n", Results: []Result{}}},
+		{"nil results", ResultSet{Note: "n"}},
+		{"errored slot", ResultSet{Note: "n", Results: []Result{rich.Results[0], errored, rich.Results[2]}}},
+		{"older-schema record", ResultSet{Note: "n", Results: []Result{old.Result}}},
+	} {
+		want := encoderSet(t, &tc.rs)
+		var got bytes.Buffer
+		if err := WriteJSON(&got, &tc.rs); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: WriteJSON differs from json.Encoder:\n--- got ---\n%s\n--- want ---\n%s", tc.name, got.Bytes(), want)
+		}
+		var elems [][]byte
+		if tc.rs.Results != nil {
+			elems = make([][]byte, len(tc.rs.Results))
+		}
+		for i, res := range tc.rs.Results {
+			if elems[i], err = NewEntry(res).Element(); err != nil {
+				t.Fatalf("%s: element %d: %v", tc.name, i, err)
+			}
+		}
+		got.Reset()
+		if err := WriteSet(&got, tc.rs.Note, elems); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: spliced entries differ from json.Encoder:\n--- got ---\n%s\n--- want ---\n%s", tc.name, got.Bytes(), want)
+		}
+	}
+	if elem, err := old.Element(); err != nil || !bytes.Contains(elem, []byte(`"marked": 0`)) {
+		t.Fatalf("older-schema element lacks the field its record lacked (err %v):\n%s", err, elem)
+	}
+}
+
+// TestWriteJSONUnencodable: a result JSON cannot encode fails the whole set
+// before a byte is written, naming its configuration.
+func TestWriteJSONUnencodable(t *testing.T) {
+	bad := durabilityResult(3, math.NaN())
+	var buf bytes.Buffer
+	err := WriteJSON(&buf, &ResultSet{Results: []Result{durabilityResult(1, 1), bad}})
+	if err == nil || !strings.Contains(err.Error(), bad.Config.ID()) || buf.Len() != 0 {
+		t.Fatalf("WriteJSON = %v with %d bytes written, want an error naming %s and no bytes", err, buf.Len(), bad.Config.ID())
+	}
+}
+
+// TestCheckpointEntryEncodedOnce: an index entry encodes its element once,
+// and a superseding Append indexes a new entry without touching the old
+// one's bytes.
+func TestCheckpointEntryEncodedOnce(t *testing.T) {
+	ck, err := OpenCheckpoint(filepath.Join(t.TempDir(), "sweep.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	res := durabilityResult(1, 0.9)
+	res.Wall = 111
+	e, err := ck.AppendEntry(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := ck.LookupEntry(res.Config.Key()); !ok || got != e {
+		t.Fatal("AppendEntry did not return the indexed entry")
+	}
+	// Concurrent fetches of one job race to encode its entries.
+	var wg sync.WaitGroup
+	elems := make([][]byte, 4)
+	for i := range elems {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			elems[i], _ = e.Element()
+		}(i)
+	}
+	wg.Wait()
+	first, err := e.Element()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, elem := range elems {
+		if &elem[0] != &first[0] {
+			t.Fatal("Element calls encoded the entry more than once")
+		}
+	}
+	res.Wall = 222
+	e2, err := ck.AppendEntry(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e2 == e {
+		t.Fatal("superseding Append reused the old entry")
+	}
+	if again, _ := e.Element(); !bytes.Equal(again, first) || !bytes.Contains(again, []byte(`"wall_ns": 111`)) {
+		t.Fatalf("old entry's bytes changed:\n%s", again)
+	}
+	if elem, _ := e2.Element(); !bytes.Contains(elem, []byte(`"wall_ns": 222`)) {
+		t.Fatalf("new entry encodes the wrong result:\n%s", elem)
+	}
+	if e, err := ck.AppendEntry(Result{Config: res.Config, Error: "boom"}); e != nil || err != nil {
+		t.Fatalf("errored AppendEntry = %v, %v; want nil, nil", e, err)
 	}
 }

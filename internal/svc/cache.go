@@ -71,41 +71,46 @@ func OpenCache(path string) (*Cache, error) {
 	return &Cache{Checkpoint: ck}, nil
 }
 
-// Get returns the cached result for a config key and counts the lookup.
-func (c *Cache) Get(key string) (experiment.Result, bool) {
-	res, ok := c.Lookup(key)
+// Get returns the cache entry for a config key and counts the lookup.
+func (c *Cache) Get(key string) (*experiment.Entry, bool) {
+	e, ok := c.LookupEntry(key)
 	if ok {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
-	return res, ok
+	return e, ok
 }
 
 // peek is the coordinator's second-chance lookup: the same read as Get,
 // but a miss is not counted (the submitter already counted the miss that
 // routed the config to the coordinator). A hit still counts — the result is
 // genuinely served from cache.
-func (c *Cache) peek(key string) (experiment.Result, bool) {
-	res, ok := c.Lookup(key)
+func (c *Cache) peek(key string) (*experiment.Entry, bool) {
+	e, ok := c.LookupEntry(key)
 	if ok {
 		c.hits.Add(1)
 	}
-	return res, ok
+	return e, ok
 }
 
-// Put stores a completed result; errored results are dropped. A journal
-// failure never fails the Put: the result is served from memory while the
-// checkpoint retries the write, so the returned error is always nil. Strict
-// callers like sweepd -merge detect an unhealed journal via Compact.
-func (c *Cache) Put(res experiment.Result) error {
-	if err := c.Append(res); err != nil {
+// Put stores a completed result and returns the entry that serves it: the
+// cached one, or for an errored result, which is never cached, an entry of
+// its own. A journal failure never fails the Put: the result is served from
+// memory while the checkpoint retries the write. Strict callers like
+// sweepd -merge detect an unhealed journal via Compact.
+func (c *Cache) Put(res experiment.Result) *experiment.Entry {
+	e, err := c.AppendEntry(res)
+	if err != nil {
 		logger().Error("journal append failed, result held in memory until the journal heals",
 			"err", err,
 			"config_id", res.Config.ID(),
 			"config_key", res.Config.Key())
 	}
-	return nil
+	if e == nil {
+		e = experiment.NewEntry(res)
+	}
+	return e
 }
 
 // Degraded reports whether the journal is behind, with the number of

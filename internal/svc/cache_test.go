@@ -45,8 +45,9 @@ func TestCacheJournalDegradationAndRecovery(t *testing.T) {
 
 	results := []experiment.Result{degradedResult(1), degradedResult(2), degradedResult(3)}
 	for i, res := range results {
-		if err := c.Put(res); err != nil {
-			t.Fatalf("Put %d failed during degradation: %v", i, err)
+		e := c.Put(res)
+		if got, ok := c.LookupEntry(res.Config.Key()); !ok || got != e {
+			t.Fatalf("Put %d during degradation did not return its indexed entry", i)
 		}
 	}
 	degraded, overflow, errs, lastErr := c.Degraded()
@@ -65,9 +66,7 @@ func TestCacheJournalDegradationAndRecovery(t *testing.T) {
 
 	// Disk recovers (failpoint exhausted): the next Put drains the overflow
 	// and journals itself.
-	if err := c.Put(degradedResult(4)); err != nil {
-		t.Fatal(err)
-	}
+	c.Put(degradedResult(4))
 	degraded, overflow, _, _ = c.Degraded()
 	if degraded || overflow != 0 {
 		t.Fatalf("after recovery: degraded=%v overflow=%d, want false/0", degraded, overflow)
@@ -100,9 +99,7 @@ func TestCacheCompactFailsWhileDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer failpoint.DisableAll()
-	if err := c.Put(degradedResult(1)); err != nil {
-		t.Fatal(err)
-	}
+	c.Put(degradedResult(1))
 	if err := c.Compact(); err == nil || !strings.Contains(err.Error(), "degraded") {
 		t.Fatalf("Compact while degraded = %v, want a degraded-journal error", err)
 	}
@@ -145,15 +142,11 @@ func TestHealthzReportsJournalDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer failpoint.DisableAll()
-	if err := s.cache.Put(degradedResult(1)); err != nil {
-		t.Fatal(err)
-	}
+	s.cache.Put(degradedResult(1))
 	check(http.StatusServiceUnavailable, "1 results in memory overflow")
 
 	failpoint.DisableAll()
-	if err := s.cache.Put(degradedResult(2)); err != nil { // drains the overflow
-		t.Fatal(err)
-	}
+	s.cache.Put(degradedResult(2)) // drains the overflow
 	check(http.StatusOK, "ok")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

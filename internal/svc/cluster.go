@@ -292,12 +292,13 @@ func (c *Coordinator) requeueLeaseLocked(l *lease, cause string) (quarantined []
 const quarantinedErrPrefix = "sweepd: quarantined"
 
 // quarantineRecord is one poison config: the failure history and the
-// structured errored Result served to every waiter, current and future.
+// entry of the structured errored Result served to every waiter, current
+// and future.
 type quarantineRecord struct {
 	cfg      experiment.Config
 	failures int
 	failLog  []string
-	res      experiment.Result
+	res      *experiment.Entry
 }
 
 // quarantineTaskLocked retires a task that exhausted its retry budget: it
@@ -312,11 +313,11 @@ func (c *Coordinator) quarantineTaskLocked(t *clusterTask) {
 		cfg:      t.cfg,
 		failures: t.failures,
 		failLog:  t.failLog,
-		res: experiment.Result{
+		res: experiment.NewEntry(experiment.Result{
 			Config: t.cfg.Recorded(),
 			Error: fmt.Sprintf("%s: %d lease failures exhausted the retry budget: %s",
 				quarantinedErrPrefix, t.failures, strings.Join(t.failLog, "; ")),
-		},
+		}),
 	}
 	c.quarantine[t.key] = rec
 	c.c.configsQuarantined++
@@ -331,11 +332,11 @@ func (c *Coordinator) quarantineTaskLocked(t *clusterTask) {
 // Must be called without holding mu (deliver runs job callbacks).
 func (c *Coordinator) deliverQuarantined(tasks []*clusterTask) {
 	for _, t := range tasks {
-		res := c.quarantine[t.key].res
+		e := c.quarantine[t.key].res
 		ws := t.waiters
 		t.waiters = nil
 		for _, w := range ws {
-			w.job.deliver(w.idx, res, false)
+			w.job.deliver(w.idx, e, false)
 		}
 	}
 }
@@ -366,22 +367,22 @@ func (c *Coordinator) Enqueue(key string, cfg experiment.Config, j *Job, idx int
 			// a fresh task with a full retry budget.
 			delete(c.quarantine, key)
 		} else {
-			res := rec.res
+			e := rec.res
 			c.c.quarantineServed++
 			c.mu.Unlock()
-			j.deliver(idx, res, false)
+			j.deliver(idx, e, false)
 			return
 		}
 	}
-	if res, ok := c.cache.peek(key); ok {
+	if e, ok := c.cache.peek(key); ok {
 		c.mu.Unlock()
-		j.deliver(idx, res, true)
+		j.deliver(idx, e, true)
 		return
 	}
 	if c.closed {
 		c.mu.Unlock()
-		j.deliver(idx, experiment.Result{Config: cfg.Recorded(),
-			Error: "sweepd: coordinator shutting down; configuration was not scheduled"}, false)
+		j.deliver(idx, experiment.NewEntry(experiment.Result{Config: cfg.Recorded(),
+			Error: "sweepd: coordinator shutting down; configuration was not scheduled"}), false)
 		return
 	}
 	t := &clusterTask{key: key, cfg: cfg, state: taskPending, waiters: []waiter{{j, idx}}}
@@ -590,10 +591,10 @@ func (c *Coordinator) upload(workerID string, res experiment.Result) (duplicate 
 	ws := t.waiters
 	t.waiters = nil
 	c.observeLocked(res)
-	c.cache.Put(res) // never fails: a result the journal cannot take yet stays served from memory
+	e := c.cache.Put(res) // never fails: a result the journal cannot take yet stays served from memory
 	c.mu.Unlock()
 	for _, w := range ws {
-		w.job.deliver(w.idx, res, false)
+		w.job.deliver(w.idx, e, false)
 	}
 	return false
 }
@@ -669,10 +670,10 @@ func (c *Coordinator) Close() {
 	c.leases = make(map[string]*lease)
 	c.mu.Unlock()
 	for _, t := range tasks {
-		res := experiment.Result{Config: t.cfg.Recorded(),
-			Error: "sweepd: coordinator shutting down; configuration was not run"}
+		e := experiment.NewEntry(experiment.Result{Config: t.cfg.Recorded(),
+			Error: "sweepd: coordinator shutting down; configuration was not run"})
 		for _, w := range t.waiters {
-			w.job.deliver(w.idx, res, false)
+			w.job.deliver(w.idx, e, false)
 		}
 	}
 }

@@ -44,10 +44,9 @@ type Job struct {
 
 	mu       sync.Mutex
 	cfgs     []experiment.Config
-	ids      []string // cfgs[i].Normalize().ID(): human-readable labels (events, errors)
-	keys     []string // cfgs[i].Key(): science identity (cache and task addressing)
-	results  []experiment.Result
-	filled   []bool
+	ids      []string            // cfgs[i].Normalize().ID(): human-readable labels (events, errors)
+	keys     []string            // cfgs[i].Key(): science identity (cache and task addressing)
+	slots    []*experiment.Entry // the entry each slot was delivered (nil until then): its Result and served bytes
 	done     int
 	cached   int // slots satisfied from the cache, not a fresh simulation
 	errored  int
@@ -55,6 +54,9 @@ type Job struct {
 	events   []Event
 	subs     map[chan Event]bool
 	finished chan struct{} // closed on done or cancelled
+
+	noteOnce sync.Once
+	note     string // Spec.Note(), which re-expands the grid: made once, on first use
 }
 
 func newJob(id string, spec experiment.GridSpec, cfgs []experiment.Config) *Job {
@@ -64,8 +66,7 @@ func newJob(id string, spec experiment.GridSpec, cfgs []experiment.Config) *Job 
 		cfgs:     cfgs,
 		ids:      make([]string, len(cfgs)),
 		keys:     make([]string, len(cfgs)),
-		results:  make([]experiment.Result, len(cfgs)),
-		filled:   make([]bool, len(cfgs)),
+		slots:    make([]*experiment.Entry, len(cfgs)),
 		state:    StateQueued,
 		subs:     make(map[chan Event]bool),
 		finished: make(chan struct{}),
@@ -77,17 +78,19 @@ func newJob(id string, spec experiment.GridSpec, cfgs []experiment.Config) *Job 
 	return j
 }
 
-// deliver fills slot idx with a completed result (from the cache when
-// cached is true, from a worker's simulation otherwise), emits the progress
-// event, and finishes the job when every slot is full.
-func (j *Job) deliver(idx int, res experiment.Result, cached bool) {
+// deliver fills slot idx with a completed result's entry (from the cache
+// when cached is true, from a worker's simulation otherwise), emits the
+// progress event, and finishes the job when every slot is full. The slot
+// keeps the entry, so its served bytes are encoded at most once however
+// many jobs and fetches share it.
+func (j *Job) deliver(idx int, e *experiment.Entry, cached bool) {
 	j.mu.Lock()
-	if j.filled[idx] || j.state == StateCancelled {
+	if j.slots[idx] != nil || j.state == StateCancelled {
 		j.mu.Unlock()
 		return
 	}
-	j.results[idx] = res
-	j.filled[idx] = true
+	res := &e.Result
+	j.slots[idx] = e
 	j.done++
 	if cached {
 		j.cached++
@@ -104,7 +107,7 @@ func (j *Job) deliver(idx int, res experiment.Result, cached bool) {
 	}
 	ev := Event{
 		Seq:         j.done - 1,
-		ConfigID:    res.Config.ID(),
+		ConfigID:    j.ids[idx],
 		Done:        j.done,
 		Total:       len(j.cfgs),
 		Cached:      cached,
@@ -164,8 +167,8 @@ func (j *Job) Cancel() []string {
 	}
 	j.state = StateCancelled
 	var pending []string
-	for i, ok := range j.filled {
-		if !ok {
+	for i, e := range j.slots {
+		if e == nil {
 			pending = append(pending, j.keys[i])
 		}
 	}
@@ -214,10 +217,10 @@ func (j *Job) Status() Status {
 	}
 	if j.errored > 0 {
 		st.Errors = make(map[string]string, j.errored)
-		for i, ok := range j.filled {
-			if ok && j.results[i].Errored() {
-				st.Errors[j.ids[i]] = j.results[i].Error
-				if strings.HasPrefix(j.results[i].Error, quarantinedErrPrefix) {
+		for i, e := range j.slots {
+			if e != nil && e.Result.Errored() {
+				st.Errors[j.ids[i]] = e.Result.Error
+				if strings.HasPrefix(e.Result.Error, quarantinedErrPrefix) {
 					st.Quarantined = append(st.Quarantined, j.ids[i])
 				}
 			}
@@ -233,15 +236,22 @@ func (j *Job) State() string {
 	return j.state
 }
 
-// Results returns the completed result set in canonical grid order, or
+// Entries returns the completed job's entries in canonical grid order, or
 // false while the job is in flight or cancelled.
-func (j *Job) Results() ([]experiment.Result, bool) {
+func (j *Job) Entries() ([]*experiment.Entry, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateDone {
 		return nil, false
 	}
-	return j.results, true
+	return j.slots, true
+}
+
+// Note returns the spec's provenance note for the job's result set and
+// report.
+func (j *Job) Note() string {
+	j.noteOnce.Do(func() { j.note = j.Spec.Note() })
+	return j.note
 }
 
 // Finished returns a channel closed when the job completes or is

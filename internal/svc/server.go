@@ -272,22 +272,22 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) *Job {
 	return j
 }
 
-// completedJob returns the request's job and its results once the sweep
+// completedJob returns the request's job and its entries once the sweep
 // has completed, answering 404 for an unknown job and 409 for one still in
 // flight (and returning a nil job) otherwise.
-func (s *Server) completedJob(w http.ResponseWriter, r *http.Request) (*Job, []experiment.Result) {
+func (s *Server) completedJob(w http.ResponseWriter, r *http.Request) (*Job, []*experiment.Entry) {
 	j := s.job(w, r)
 	if j == nil {
 		return nil, nil
 	}
-	results, ok := j.Results()
+	entries, ok := j.Entries()
 	if !ok {
 		st := j.Status()
 		httpError(w, http.StatusConflict, "sweep not complete: state=%s done=%d/%d",
 			st.State, st.Done, st.Total)
 		return nil, nil
 	}
-	return j, results
+	return j, entries
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -352,23 +352,36 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // canonical grid order with the spec's deterministic provenance note —
 // byte-identical to what cmd/sweep -out writes for the same spec (modulo
 // the wall_ns timing fields, which measure the machine, not the science).
+// Each slot's entry encodes its result once, on the first fetch of any job
+// holding it; every fetch splices those bytes. A result that cannot be
+// encoded is a 500 naming its config, answered before any byte is sent.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	j, results := s.completedJob(w, r)
+	j, entries := s.completedJob(w, r)
 	if j == nil {
 		return
 	}
+	elems := make([][]byte, len(entries))
+	for i, e := range entries {
+		elem, err := e.Element()
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		elems[i] = elem
+	}
 	w.Header().Set("Content-Type", "application/json")
-	experiment.WriteJSON(w, &experiment.ResultSet{Note: j.Spec.Note(), Results: results})
+	_ = experiment.WriteSet(w, j.Note(), elems) // a failed write means the client went away
 }
 
 // streamPerConfig streams a completed job as NDJSON, one record per
-// configuration: write renders a result's record, or reports false without
-// writing when the result lacks the artifact. ?config=<key> narrows the
-// stream to one configuration. A stream with nothing to say is a 404 whose
-// message is missing.
+// configuration: write renders a result's record under its science key and
+// the job's ID for it, or reports false without writing when the result
+// lacks the artifact. ?config=<key> narrows the stream to one
+// configuration. A stream with nothing to say is a 404 whose message is
+// missing.
 func (s *Server) streamPerConfig(w http.ResponseWriter, r *http.Request, missing string,
-	write func(w io.Writer, key string, res *experiment.Result) (bool, error)) {
-	j, results := s.completedJob(w, r)
+	write func(w io.Writer, key, id string, res *experiment.Result) (bool, error)) {
+	j, entries := s.completedJob(w, r)
 	if j == nil {
 		return
 	}
@@ -377,11 +390,11 @@ func (s *Server) streamPerConfig(w http.ResponseWriter, r *http.Request, missing
 	// The first record's write sends the 200; the 404 overrides the type.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	n := 0
-	for i := range results {
+	for i, e := range entries {
 		if want != "" && want != j.keys[i] {
 			continue
 		}
-		wrote, err := write(w, j.keys[i], &results[i])
+		wrote, err := write(w, j.keys[i], j.ids[i], &e.Result)
 		if err != nil {
 			return // client went away mid-stream
 		}
@@ -406,13 +419,22 @@ func (s *Server) streamPerConfig(w http.ResponseWriter, r *http.Request, missing
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.streamPerConfig(w, r,
 		"no telemetry recorded for this sweep (start sweepd with -trace, or the results were served from the journal)",
-		func(w io.Writer, key string, res *experiment.Result) (bool, error) {
+		func(w io.Writer, key, id string, res *experiment.Result) (bool, error) {
 			if res.Trace == nil {
 				return false, nil
 			}
-			fmt.Fprintf(w, "{\"config\":%q,\"id\":%q}\n", key, res.Config.ID())
+			if err := json.NewEncoder(w).Encode(traceHeader{Config: key, ID: id}); err != nil {
+				return true, err
+			}
 			return true, telemetry.EncodeNDJSON(w, res.Trace)
 		})
+}
+
+// traceHeader is the line naming a configuration ahead of its trace in
+// the /trace stream.
+type traceHeader struct {
+	Config string `json:"config"` // science key
+	ID     string `json:"id"`     // human-readable config ID
 }
 
 // handleFairness streams the completed job's fairness reports, one line per
@@ -426,11 +448,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFairness(w http.ResponseWriter, r *http.Request) {
 	s.streamPerConfig(w, r,
 		"no fairness reports recorded for this sweep (start sweepd with -fairness or set fairness in the spec, or the results were served from a fairness-off cache)",
-		func(w io.Writer, key string, res *experiment.Result) (bool, error) {
+		func(w io.Writer, key, id string, res *experiment.Result) (bool, error) {
 			if res.Fairness == nil {
 				return false, nil
 			}
-			line := experiment.FairnessLine{Config: key, ID: res.Config.ID(), Fairness: res.Fairness}
+			line := experiment.FairnessLine{Config: key, ID: id, Fairness: res.Fairness}
 			return true, json.NewEncoder(w).Encode(line)
 		})
 }
@@ -439,12 +461,16 @@ func (s *Server) handleFairness(w http.ResponseWriter, r *http.Request) {
 // (paper.Report): claim checklist, Table 3 comparison, and optionally the
 // figure panels (?figures=0 to omit).
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	j, results := s.completedJob(w, r)
+	j, entries := s.completedJob(w, r)
 	if j == nil {
 		return
 	}
+	results := make([]experiment.Result, len(entries))
+	for i, e := range entries {
+		results[i] = e.Result
+	}
 	md := paper.Report(results, paper.ReportOptions{
-		Note:           j.Spec.Note(),
+		Note:           j.Note(),
 		IncludeFigures: r.URL.Query().Get("figures") != "0",
 	})
 	w.Header().Set("Content-Type", "text/markdown; charset=utf-8")

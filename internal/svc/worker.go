@@ -321,8 +321,9 @@ func (w *Worker) workLease(ctx context.Context, lr leaseResponse) {
 // reach the coordinator even while the worker is shutting down.
 func (w *Worker) runOne(cfg experiment.Config, leaseID string) {
 	key := cfg.Key()
-	res, ok := w.cache.peek(key)
-	if ok {
+	var res experiment.Result
+	if e, ok := w.cache.peek(key); ok {
+		res = e.Result
 		w.cacheHits.Add(1)
 	} else if ferr := failpoint.InjectCtx("worker.run", cfg.ID()); ferr != nil {
 		// Injected simulation failure (the poison-config chaos hook; the
