@@ -14,7 +14,7 @@ ALLOC_BENCHES = BenchmarkEngineHandlerChained|BenchmarkTimerReset|BenchmarkLineD
 BENCHES = BenchmarkEngine|BenchmarkTimer|BenchmarkLine
 AUDIT_PKGS = ./internal/audit/ ./internal/sim/ ./internal/netem/ ./internal/topo/ ./internal/experiment/
 AUDIT_TESTS = TestAudit|TestViolation|TestMetamorphic|TestDropAccountingAllAQMs|TestCheckpointLastWriteWins
-RESILIENCE_EXPERIMENT = TestFlapRecoveryAllCCAs|TestGELossInversionBBRvLossBased|TestFaultedRunDeterminism|TestFaultProfileInResultIdentity|TestRunAllSurvivesPanic|TestRunAllWatchdogAbort|TestCheckpointResume|TestCheckpointHealsFailedAppend|TestCheckpointCompactSkipsCleanJournal
+RESILIENCE_EXPERIMENT = TestFlapRecoveryAllCCAs|TestGELossInversionBBRvLossBased|TestFaultedRunDeterminism|TestFaultProfileInResultIdentity|TestRunAllSurvivesPanic|TestRunAllWatchdogAbort|TestCheckpointResume|TestCheckpointHealsFailedAppend|TestCheckpointCompactSkipsCleanJournal|TestJournal|TestFsckJournal
 RESILIENCE_SVC = TestWarmJobLeavesJournalAlone
 RESILIENCE_TCP = TestRTOExponentialBackoffDoubling|TestRTORearmAfterSuccessfulRetransmit
 # fuzz-target:package

@@ -39,7 +39,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS; local mode only)")
 		table3     = flag.String("table3", "", "render Table 3 from an existing results JSON and exit")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
-		checkpoint = flag.String("checkpoint", "", "JSONL journal path: append each finished result and, on restart, skip configurations already journaled (compacted on clean completion)")
+		checkpoint = flag.String("checkpoint", "", "checkpoint journal path: append each finished result and, on restart, skip configurations already journaled (compacted on clean completion)")
 		keepGoing  = flag.Bool("keep-going", true, "complete the sweep even if individual configurations fail; exit non-zero only when false")
 		strict     = flag.Bool("strict", false, "exit non-zero if any configuration errored or was skipped by checkpoint resume (for CI smoke runs)")
 

@@ -2,7 +2,7 @@
 // clients POST experiment.GridSpec sweeps and stream results over HTTP,
 // while a coordinator schedules each configuration at most once onto
 // -shards in-process workers and a content-addressed cache (persisted via
-// the JSONL checkpoint journal) answers repeats without re-simulating. A
+// the checkpoint journal) answers repeats without re-simulating. A
 // served sweep is byte-identical to a direct cmd/sweep run of the same spec.
 //
 //	sweepd -journal sweeps.ckpt.jsonl                # listen on :8422
@@ -98,7 +98,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8422", "listen address (use :0 for an ephemeral port)")
 		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using -addr :0)")
-		journal  = flag.String("journal", "", "JSONL checkpoint journal persisting the result cache (empty = in-memory only)")
+		journal  = flag.String("journal", "", "checkpoint journal persisting the result cache (empty = in-memory only)")
 		shards   = flag.Int("shards", 0, "parallel simulations: in-process workers, or per worker with -join (0 = GOMAXPROCS; ignored with -coordinator)")
 		auditRun = flag.Bool("audit", false, "arm the runtime invariant auditor on every simulated configuration")
 		traceRun = flag.Bool("trace", false, "record flight-recorder telemetry for every simulated configuration (serves /v1/sweeps/{id}/trace)")
@@ -239,7 +239,7 @@ func runWorker(coordURL, name, journal string, parallel int, heartbeat time.Dura
 	}
 }
 
-// mergeJournals folds per-worker JSONL journals into one cache journal:
+// mergeJournals folds per-worker journals into one cache journal:
 // every source result is appended to dest (content-addressed, so repeats
 // across workers collapse), then the journal is compacted down to one line
 // per configuration. Damage in a source — torn tails, corrupt regions,

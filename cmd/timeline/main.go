@@ -76,13 +76,6 @@ type section struct {
 	Dump   *telemetry.Dump
 }
 
-// streamHeader matches the delimiter lines sweepd's /trace endpoint writes
-// between per-configuration dumps.
-type streamHeader struct {
-	Config string `json:"config"`
-	ID     string `json:"id"`
-}
-
 // splitStreams parses input that is either a single telemetry NDJSON dump or
 // a sweepd /trace stream: dumps separated by {"config":...,"id":...} header
 // lines. telemetry.ParseNDJSON is strict, so headers must be stripped before
@@ -108,7 +101,7 @@ func splitStreams(data []byte) ([]section, error) {
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	for sc.Scan() {
 		line := sc.Bytes()
-		var h streamHeader
+		var h telemetry.StreamHeader
 		if err := json.Unmarshal(line, &h); err == nil && h.Config != "" {
 			if err := flush(); err != nil {
 				return nil, err

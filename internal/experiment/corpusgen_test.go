@@ -13,8 +13,9 @@ import (
 
 // TestWriteJournalFuzzCorpus regenerates the checked-in seed corpus for
 // FuzzJournalV2Reload when JOURNAL_CORPUS=1 — the corruption shapes the
-// fuzzer must always start from: legacy v1 journals, truncated headers,
-// and flipped-bit (CRC-failing) v2 records.
+// fuzzer must always start from: bare JSON lines (format v1, which the
+// reader refuses as damage), truncated headers, and flipped-bit
+// (CRC-failing) records.
 func TestWriteJournalFuzzCorpus(t *testing.T) {
 	if os.Getenv("JOURNAL_CORPUS") == "" {
 		t.Skip("set JOURNAL_CORPUS=1 to regenerate the seed corpus")

@@ -1,6 +1,7 @@
 package experiment_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/aqm"
 	"repro/internal/cca"
 	"repro/internal/experiment"
-	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -149,19 +149,30 @@ func ExampleRun_elephants() {
 	fmt.Printf("fairness %.3f, utilization %.3f, retransmissions %d\n",
 		res.Jain, res.Utilization, res.TotalRetransmits)
 
-	f, err := os.Open(filepath.Join(dir, res.Config.ID()+"_flow1.json"))
+	data, err := os.ReadFile(filepath.Join(dir, res.Config.ID()+"_flow1.json"))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	defer f.Close()
-	flowLog, err := trace.Parse(f)
-	if err != nil {
+	var flowLog struct { // the fields of an iperf3 --json log read here
+		Title string `json:"title"`
+		Start struct {
+			Congestion string `json:"congestion"`
+		} `json:"start"`
+		Intervals []struct {
+			BitsPerSecond float64 `json:"bits_per_second"`
+		} `json:"intervals"`
+	}
+	if err := json.Unmarshal(data, &flowLog); err != nil {
 		fmt.Println(err)
 		return
+	}
+	sum := 0.0
+	for _, iv := range flowLog.Intervals {
+		sum += iv.BitsPerSecond
 	}
 	fmt.Printf("%s: %s, %d intervals, mean %.1f Mbps\n", flowLog.Title,
-		flowLog.Start.Congestion, len(flowLog.Intervals), flowLog.MeanBps()/1e6)
+		flowLog.Start.Congestion, len(flowLog.Intervals), sum/float64(len(flowLog.Intervals))/1e6)
 	// Output:
 	// Facility A: BBRv2, 8 iperf3 process(es)/node, 1 stream(s) each
 	// Facility B: CUBIC, 8 iperf3 process(es)/node, 1 stream(s) each

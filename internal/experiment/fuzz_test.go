@@ -22,32 +22,29 @@ func mustUnmarshalResult(data []byte) Result {
 	return res
 }
 
-// journalLine renders one checkpoint JSONL line for a synthetic result.
+// journalLine renders one framed checkpoint record (newline included) for
+// a synthetic result.
 func journalLine(t *testing.T, seed uint64, jain float64, errMsg string) []byte {
 	t.Helper()
-	res := Result{
+	frame, _, err := encodeFrame(Result{
 		Config: quick100M(Pairing{cca.Cubic, cca.Cubic}, aqm.KindFIFO, 2, seed, time.Second).Normalize(),
 		Jain:   jain,
 		Error:  errMsg,
-	}
-	data, err := json.Marshal(res)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	return frame
 }
 
 // TestCheckpointLastWriteWins: when a journal carries several lines for the
 // same config ID (a config re-run after a crash landed mid-sweep), Lookup
 // must return the newest — the reload is a fold, not a first-match scan.
 func TestCheckpointLastWriteWins(t *testing.T) {
-	var journal bytes.Buffer
+	journal := bytes.NewBufferString(journalHeaderV2 + "\n")
 	journal.Write(journalLine(t, 1, 0.111, ""))
-	journal.WriteByte('\n')
 	journal.Write(journalLine(t, 2, 0.5, ""))
-	journal.WriteByte('\n')
 	journal.Write(journalLine(t, 1, 0.999, "")) // same ID as line 1, newer
-	journal.WriteByte('\n')
 
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	if err := os.WriteFile(path, journal.Bytes(), 0o644); err != nil {
@@ -72,11 +69,12 @@ func TestCheckpointLastWriteWins(t *testing.T) {
 }
 
 // oracleLine is the reference decoder for one journal line, deliberately
-// simpler than the real reader: it accepts exactly clean whole-line v2
-// frames and clean v1 JSON lines. The real reader may additionally recover
-// frames embedded in damaged lines (resync), so the oracle's accept set is
-// a lower bound — the fuzz targets assert containment always and equality
-// only when the reader reports a pristine file.
+// simpler than the real reader: it accepts exactly clean whole-line
+// frames, and nothing else — bare JSON least of all. The real reader may
+// additionally recover frames embedded in damaged lines (resync), so the
+// oracle's accept set is a lower bound — the fuzz targets assert
+// containment always and equality only when the reader reports a pristine
+// file.
 //
 // Returns (result, accepted, ambiguous): ambiguous marks a line the oracle
 // refuses to rule on (a non-frame line containing the frame magic, where
@@ -84,26 +82,12 @@ func TestCheckpointLastWriteWins(t *testing.T) {
 // decoder can).
 func oracleLine(line []byte) (Result, bool, bool) {
 	var zero Result
-	if len(line) == 0 || line[0] == '#' {
-		return zero, false, false
-	}
 	if bytes.HasPrefix(line, []byte("r ")) {
-		res, n, ok := oracleFrame(line)
-		if ok && n == len(line) {
+		if res, n, ok := oracleFrame(line); ok && n == len(line) {
 			return res, true, false
 		}
-		return zero, false, true // damaged frame territory: reader's call
 	}
-	var res Result
-	if json.Unmarshal(line, &res) != nil || res.Errored() {
-		return zero, false, bytes.Contains(line, []byte("r "))
-	}
-	if bytes.Contains(line, []byte("r ")) {
-		// Valid v1 JSON that also contains the frame magic: the reader
-		// scans it for embedded frames first, so don't pin its behavior.
-		return zero, false, true
-	}
-	return res, true, false
+	return zero, false, bytes.Contains(line, []byte("r "))
 }
 
 // oracleFrame strictly decodes "r <len> <crc8> <key16> <payload>" at the
@@ -135,6 +119,30 @@ func oracleFrame(b []byte) (Result, int, bool) {
 	return res, 2 + sp + 1 + 26 + plen, true
 }
 
+// requireFramed fails t unless every result ck serves decodes from a
+// CRC-valid frame somewhere in data: no line without a valid CRC — bare
+// JSON included — is ever served.
+func requireFramed(t *testing.T, ck *Checkpoint, data []byte) {
+	t.Helper()
+	framed := map[string]bool{}
+	for i := 0; ; i++ {
+		next := bytes.Index(data[i:], []byte("r "))
+		if next < 0 {
+			break
+		}
+		i += next
+		if res, _, ok := oracleFrame(data[i:]); ok {
+			j, _ := json.Marshal(res)
+			framed[string(j)] = true
+		}
+	}
+	for _, res := range ck.Results() {
+		if j, _ := json.Marshal(res); !framed[string(j)] {
+			t.Fatalf("served a result no CRC-valid frame carries: %s", j)
+		}
+	}
+}
+
 // journalOracle folds oracleLine over a whole journal image.
 func journalOracle(data []byte) (want map[string][]byte, ambiguous int) {
 	want = map[string][]byte{}
@@ -154,14 +162,14 @@ func journalOracle(data []byte) (want map[string][]byte, ambiguous int) {
 
 // FuzzCheckpointReload feeds arbitrary bytes to the checkpoint reader as a
 // journal file — torn lines, duplicate IDs, interleaved garbage, partial
-// JSON, v1 and v2 records — and checks OpenCheckpoint against the
-// line-by-line oracle: every record the oracle accepts is recovered
-// (exactly, when the reader saw no damage), everything else is skipped
-// without failing the open, and the reopened journal still accepts appends.
+// JSON, bare JSON results and framed records — and checks OpenCheckpoint
+// against the line-by-line oracle: every record the oracle accepts is
+// recovered (exactly, when the reader saw no damage), nothing without a
+// valid CRC is served, everything else is skipped without failing the
+// open, and the reopened journal still accepts appends.
 func FuzzCheckpointReload(f *testing.F) {
-	// Build realistic seeds out of genuine journal lines. TB-wise f is
-	// usable with journalLine via the fuzz target's *testing.T only, so
-	// seeds are assembled from raw marshaled results here.
+	// Build realistic seeds out of marshaled results: bare, they are the
+	// damage the reader must refuse; framed, the records it must recover.
 	mk := func(seed uint64, jain float64, errMsg string) []byte {
 		res := Result{
 			Config: quick100M(Pairing{cca.Cubic, cca.Cubic}, aqm.KindFIFO, 2, seed, time.Second).Normalize(),
@@ -188,8 +196,8 @@ func FuzzCheckpointReload(f *testing.F) {
 	prefix := append(append(append([]byte{}, valid...), '\n'), errored...)
 	prefix = append(prefix, '\n')
 	f.Add(append(prefix, dup[:len(dup)/3]...))
-	// v2 shapes: a clean framed journal, a mixed-version journal, and a
-	// frame with a flipped payload bit (CRC must catch it).
+	// Framed shapes: a clean journal, a frame followed by a bare line, and
+	// a frame with a flipped payload bit (CRC must catch it).
 	frame := func(data []byte) []byte {
 		fr, _, err := encodeFrame(mustUnmarshalResult(data))
 		if err != nil {
@@ -215,6 +223,7 @@ func FuzzCheckpointReload(f *testing.F) {
 		}
 		defer ck.Close()
 
+		requireFramed(t, ck, data)
 		want, ambiguous := journalOracle(data)
 		st := ck.Stats()
 		pristine := st.Damaged() == 0 && ambiguous == 0
@@ -255,9 +264,10 @@ func FuzzCheckpointReload(f *testing.F) {
 	})
 }
 
-// FuzzJournalV2Reload attacks the CRC-framed v2 decoder specifically —
-// truncated headers, flipped bits, fused and interleaved frames, v1/v2
-// mixtures (the checked-in corpus under testdata/fuzz seeds these shapes)
+// FuzzJournalV2Reload attacks the CRC-framed decoder specifically —
+// truncated headers, flipped bits, fused and interleaved frames, bare JSON
+// lines among frames (the checked-in corpus under testdata/fuzz seeds
+// these shapes)
 // — and checks the recovery fixed point: whatever the resilient reader
 // salvages, compacting and reloading yields byte-identical results from a
 // journal that is now clean v2. Recovery loses nothing to re-encoding and
@@ -279,22 +289,22 @@ func FuzzJournalV2Reload(f *testing.F) {
 		}
 		return fr
 	}
-	v1a, v1b := mk(1, 0.9, ""), mk(2, 0.5, "")
+	a, b := mk(1, 0.9, ""), mk(2, 0.5, "")
 	header := []byte(journalHeaderV2 + "\n")
-	f.Add(append([]byte{}, header...))                                   // header only
-	f.Add([]byte(journalHeaderV2[:7]))                                   // truncated header
-	f.Add(append(append([]byte{}, header...), frame(v1a)...))            // one clean frame
-	f.Add(append(append([]byte{}, frame(v1a)...), frame(v1b)...))        // two frames, no header
-	f.Add(append(append([]byte{}, frame(v1a)...), v1b...))               // v2 then torn v1
-	f.Add(append(append(append([]byte{}, v1a...), '\n'), frame(v1b)...)) // v1 then v2
-	half := frame(v1a)
+	f.Add(append([]byte{}, header...))                               // header only
+	f.Add([]byte(journalHeaderV2[:7]))                               // truncated header
+	f.Add(append(append([]byte{}, header...), frame(a)...))          // one clean frame
+	f.Add(append(append([]byte{}, frame(a)...), frame(b)...))        // two frames, no header
+	f.Add(append(append([]byte{}, frame(a)...), b...))               // frame then torn bare JSON
+	f.Add(append(append(append([]byte{}, a...), '\n'), frame(b)...)) // bare JSON then frame
+	half := frame(a)
 	f.Add(half[:len(half)/2]) // truncated frame
-	fused := append(append([]byte{}, frame(v1a)...), frame(v1b)...)
-	fused[len(frame(v1a))-1] = 'X' // newline destroyed: records fuse
+	fused := append(append([]byte{}, frame(a)...), frame(b)...)
+	fused[len(frame(a))-1] = 'X' // newline destroyed: records fuse
 	f.Add(fused)
-	flip := append([]byte{}, frame(v1b)...)
+	flip := append([]byte{}, frame(b)...)
 	flip[len(flip)-4] ^= 0x20 // flipped bit in the payload
-	f.Add(append(append([]byte{}, frame(v1a)...), flip...))
+	f.Add(append(append([]byte{}, frame(a)...), flip...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "ck.jsonl")
@@ -305,6 +315,7 @@ func FuzzJournalV2Reload(f *testing.F) {
 		if err != nil {
 			t.Fatalf("OpenCheckpoint rejected a journal it must tolerate: %v", err)
 		}
+		requireFramed(t, ck, data)
 		recovered, err := json.Marshal(ck.Results())
 		if err != nil {
 			t.Fatal(err)
@@ -329,7 +340,7 @@ func FuzzJournalV2Reload(f *testing.F) {
 			t.Fatalf("reopen of compacted journal: %v", err)
 		}
 		defer re.Close()
-		if st := re.Stats(); st.Damaged() != 0 || st.V1 != 0 || st.Duplicates != 0 {
+		if st := re.Stats(); st.Damaged() != 0 || st.Duplicates != 0 {
 			t.Fatalf("compacted journal is not clean v2: %+v", st)
 		}
 		reloaded, err := json.Marshal(re.Results())

@@ -11,15 +11,7 @@ import (
 	"strconv"
 )
 
-// Checkpoint journal format v2.
-//
-// v1 journals were bare JSONL: one Result per line, integrity checked only
-// by "does it still parse". That survives a torn tail but nothing else — a
-// flipped bit inside a number is accepted silently as wrong science, and a
-// long unbroken corrupt region aborted the whole load (the scanner's token
-// limit), losing every record on both sides of the damage.
-//
-// v2 frames every record:
+// Checkpoint journal format v2: every record is framed,
 //
 //	#tcpfair-journal v2
 //	r <len> <crc32-ieee hex8> <science-key hex16> <json payload>
@@ -31,15 +23,15 @@ import (
 // and quarantined per record (or per unbroken region), and every record
 // whose CRC still proves it intact is recovered, including records after a
 // bad region and records fused onto a damaged line by a destroyed newline.
-// v1 lines remain readable forever; Compact rewrites everything as v2.
+// Only framed records are trusted: any other line but the header, bare
+// JSON included, is damage.
 const (
 	journalHeaderV2 = "#tcpfair-journal v2"
 	frameMagic      = "r "
 
 	// maxJournalLine bounds a single physical line. Longer unbroken regions
 	// are discarded in streaming chunks (never buffered whole) and counted
-	// as Oversized. Matches the old scanner token cap, so every journal
-	// that loaded before still loads.
+	// as Oversized.
 	maxJournalLine = 1 << 24
 
 	// maxDamagedBytes caps how much damaged raw data a load retains in
@@ -51,9 +43,7 @@ var frameMagicBytes = []byte(frameMagic)
 
 // JournalStats describes what a journal load saw.
 type JournalStats struct {
-	Records     int // live records accepted (V1 + V2, before dedup)
-	V2          int // accepted CRC-framed records
-	V1          int // accepted legacy bare-JSONL records
+	Records     int // CRC-framed records accepted (before dedup)
 	Duplicates  int // accepted records superseded by another with the same key
 	Errored     int // journaled errored results, skipped (they re-run)
 	Corrupt     int // damaged regions: framing, CRC, or JSON failures
@@ -89,7 +79,7 @@ func encodeFrame(res Result) ([]byte, string, error) {
 	return buf, key, nil
 }
 
-// readJournal streams every record of a v1 or v2 journal from r, calling
+// readJournal streams every record of a journal from r, calling
 // visit for each live result (in file order, so last write wins at the
 // caller) and damaged (optional) with the raw bytes of each damaged line.
 // Damage is never fatal; only a real read error aborts the load.
@@ -107,8 +97,6 @@ func readJournal(r io.Reader, st *JournalStats, visit func(key string, res Resul
 				if len(buf) > maxJournalLine {
 					// The region can't be one legal record; stop buffering
 					// and discard to the next newline in streaming chunks.
-					// (The v1 scanner aborted the entire load here, losing
-					// every record on both sides of the region.)
 					skipping = true
 					buf = buf[:0]
 				}
@@ -140,11 +128,11 @@ func readJournal(r io.Reader, st *JournalStats, visit func(key string, res Resul
 	}
 }
 
-// parseJournalLine classifies and decodes one physical line: version
-// header, one clean v2 frame, a legacy v1 record, or a damaged region
-// possibly containing recoverable frames.
+// parseJournalLine classifies and decodes one physical line: the version
+// header, one clean frame, or a damaged region possibly containing
+// recoverable frames.
 func parseJournalLine(line []byte, st *JournalStats, visit func(string, Result), damaged func([]byte)) {
-	if len(line) == 0 {
+	if len(line) == 0 || string(line) == journalHeaderV2 {
 		return
 	}
 	// Scan for v2 frames anywhere in the line. A healthy line is exactly
@@ -168,21 +156,15 @@ func parseJournalLine(line []byte, st *JournalStats, visit func(string, Result),
 		covered += n
 		pos = start + n
 	}
-	switch {
-	case frames == 1 && covered == len(line):
-		// One clean whole-line frame (already counted by parseFrame).
-	case frames > 0:
-		// Valid frames embedded in a damaged line: the frames were
-		// recovered above; the uncovered bytes are one corrupt region.
-		st.Corrupt++
-		if damaged != nil {
-			damaged(line)
-		}
-	default:
-		if line[0] == '#' {
-			return // version header / comment
-		}
-		parseV1Line(line, st, visit, damaged)
+	if frames == 1 && covered == len(line) {
+		return // one clean whole-line frame (already counted by parseFrame)
+	}
+	// Anything else is one corrupt region: a damaged line, perhaps with
+	// valid frames embedded (recovered above), or a line that is no frame
+	// at all — bare JSON and stray '#' lines included.
+	st.Corrupt++
+	if damaged != nil {
+		damaged(line)
 	}
 }
 
@@ -240,28 +222,9 @@ func parseFrame(b []byte, st *JournalStats, visit func(string, Result), damaged 
 		st.Errored++
 		return consumed
 	}
-	st.V2++
 	st.Records++
 	visit(string(key), res)
 	return consumed
-}
-
-func parseV1Line(line []byte, st *JournalStats, visit func(string, Result), damaged func([]byte)) {
-	var res Result
-	if err := json.Unmarshal(line, &res); err != nil {
-		st.Corrupt++
-		if damaged != nil {
-			damaged(line)
-		}
-		return
-	}
-	if res.Errored() {
-		st.Errored++
-		return
-	}
-	st.V1++
-	st.Records++
-	visit(res.Config.Key(), res)
 }
 
 // FsckReport summarizes a journal integrity scan.
@@ -274,18 +237,18 @@ type FsckReport struct {
 	QuarantineFile string // side file holding damaged raw data, if any was saved
 }
 
-// Dirty reports whether the journal needs a repair pass: any damage,
-// redundant or errored records, or legacy v1 records awaiting upgrade.
+// Dirty reports whether the journal needs a repair pass: any damage, or
+// redundant or errored records.
 func (r FsckReport) Dirty() bool {
 	s := r.Stats
-	return s.Damaged() > 0 || s.Duplicates > 0 || s.Errored > 0 || s.V1 > 0
+	return s.Damaged() > 0 || s.Duplicates > 0 || s.Errored > 0
 }
 
 // String renders the report in sweepd's one-line-per-fact log style.
 func (r FsckReport) String() string {
 	s := r.Stats
-	return fmt.Sprintf("%d records (%d v2, %d v1), %d live, %d duplicate, %d errored, %d corrupt, %d key-mismatched, %d oversized region(s)",
-		s.Records, s.V2, s.V1, r.Live, s.Duplicates, s.Errored, s.Corrupt, s.KeyMismatch, s.Oversized)
+	return fmt.Sprintf("%d records, %d live, %d duplicate, %d errored, %d corrupt, %d key-mismatched, %d oversized region(s)",
+		s.Records, r.Live, s.Duplicates, s.Errored, s.Corrupt, s.KeyMismatch, s.Oversized)
 }
 
 // FsckJournal verifies the journal at path — per-record CRCs, duplicate-key

@@ -14,7 +14,18 @@ import (
 	"repro/internal/failpoint"
 )
 
-func writeV1Line(t *testing.T, w *bytes.Buffer, res Result) {
+// writeFrame appends res to w as one framed journal record.
+func writeFrame(t *testing.T, w *bytes.Buffer, res Result) {
+	t.Helper()
+	frame, _, err := encodeFrame(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Write(frame)
+}
+
+// writeBareJSON appends res to w as a bare JSON line: no frame, no CRC.
+func writeBareJSON(t *testing.T, w *bytes.Buffer, res Result) {
 	t.Helper()
 	data, err := json.Marshal(res)
 	if err != nil {
@@ -80,15 +91,15 @@ func TestJournalV2FlippedBitRecoversBothSides(t *testing.T) {
 	}
 }
 
-// TestJournalV1BadRegionLostSuffixV2Recovers proves the regression the v2
-// reader fixes. A v1 journal with an unbroken corrupt region longer than
-// the scanner token cap made the historical loader (replicated inline
-// below, byte-for-byte the old OpenCheckpoint loop) abort the entire open
-// — every record was lost, including the intact suffix after the damage
-// and the intact prefix before it. The resilient reader skips the region
-// in streaming chunks and recovers both sides.
+// TestJournalV1BadRegionLostSuffixV2Recovers proves the regression the
+// resilient reader fixes. An unbroken corrupt region longer than the
+// scanner token cap made the historical line-scanner loader (replicated
+// inline below) abort the entire open — every record was lost, including
+// the intact suffix after the damage and the intact prefix before it. The
+// resilient reader skips the region in streaming chunks and recovers both
+// sides.
 func TestJournalV1BadRegionLostSuffixV2Recovers(t *testing.T) {
-	var buf bytes.Buffer
+	buf := bytes.NewBufferString(journalHeaderV2 + "\n")
 	const n = 6
 	keys := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -98,15 +109,15 @@ func TestJournalV1BadRegionLostSuffixV2Recovers(t *testing.T) {
 			buf.WriteString(strings.Repeat("x", maxJournalLine+2))
 			buf.WriteByte('\n')
 		}
-		writeV1Line(t, &buf, res)
+		writeFrame(t, buf, res)
 	}
-	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// The historical v1 loader.
-	readV1Strict := func() (int, error) {
+	// The historical loader: a line scanner capped at the same token size.
+	scanStrict := func() error {
 		f, err := os.Open(path)
 		if err != nil {
 			t.Fatal(err)
@@ -114,27 +125,18 @@ func TestJournalV1BadRegionLostSuffixV2Recovers(t *testing.T) {
 		defer f.Close()
 		sc := bufio.NewScanner(f)
 		sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-		loaded := 0
 		for sc.Scan() {
-			var res Result
-			if json.Unmarshal(sc.Bytes(), &res) != nil || res.Errored() {
-				continue
-			}
-			loaded++
 		}
-		if err := sc.Err(); err != nil {
-			return 0, err
-		}
-		return loaded, nil
+		return sc.Err()
 	}
-	if got, err := readV1Strict(); err == nil {
-		t.Fatalf("historical reader loaded %d records from the damaged journal; "+
-			"expected it to abort (the failure mode v2 exists to fix)", got)
+	if err := scanStrict(); err == nil {
+		t.Fatal("historical reader scanned the damaged journal; " +
+			"expected it to abort (the failure mode the resilient reader exists to fix)")
 	}
 
 	re, err := OpenCheckpoint(path)
 	if err != nil {
-		t.Fatalf("v2 reader failed on the damaged journal: %v", err)
+		t.Fatalf("resilient reader failed on the damaged journal: %v", err)
 	}
 	defer re.Close()
 	for i, key := range keys {
@@ -142,15 +144,16 @@ func TestJournalV1BadRegionLostSuffixV2Recovers(t *testing.T) {
 			t.Fatalf("record %d lost (key %s); want every record on both sides of the bad region", i, key)
 		}
 	}
-	if st := re.Stats(); st.Oversized != 1 || st.V1 != n {
-		t.Fatalf("stats = %+v, want Oversized=1 V1=%d", st, n)
+	if st := re.Stats(); st.Oversized != 1 || st.Records != n {
+		t.Fatalf("stats = %+v, want Oversized=1 Records=%d", st, n)
 	}
 }
 
 // TestJournalV1SilentCorruptionDetectedByV2: a flipped bit inside a JSON
-// number leaves a v1 line perfectly parseable — the v1 journal accepts
-// wrong science without a trace. The same payload under v2 framing fails
-// its CRC and is quarantined instead.
+// number leaves a bare-JSON (format v1) line perfectly parseable, so a
+// reader that trusted such lines would serve wrong science without a
+// trace. The reader trusts only CRC-framed records: the flipped bare line
+// is refused as damage, and the same flip inside a frame fails its CRC.
 func TestJournalV1SilentCorruptionDetectedByV2(t *testing.T) {
 	res := durabilityResult(1, 0.9)
 	key := res.Config.Key()
@@ -163,50 +166,38 @@ func TestJournalV1SilentCorruptionDetectedByV2(t *testing.T) {
 		t.Fatalf("payload %s does not contain the jain field", payload)
 	}
 	flip := idx + len(`"jain":0.`)
-	dir := t.TempDir()
-
-	// v1: the corrupted line is accepted, silently wrong.
-	bad := append([]byte(nil), payload...)
-	bad[flip] ^= 0x01 // '9' -> '8': still valid JSON, different science
-	v1 := filepath.Join(dir, "v1.ckpt")
-	if err := os.WriteFile(v1, append(bad, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ck1, err := OpenCheckpoint(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := ck1.Lookup(key)
-	st1 := ck1.Stats()
-	ck1.Close()
-	if !ok || got.Jain == res.Jain {
-		t.Fatalf("v1 setup broken: ok=%v jain=%v", ok, got.Jain)
-	}
-	if st1.Damaged() != 0 {
-		t.Fatalf("v1 stats flagged the silent corruption (%+v) — update this test's premise", st1)
-	}
-
-	// v2: the same flip is caught by the record CRC and quarantined.
 	frame, _, err := encodeFrame(res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frameFlip := bytes.Index(frame, payload) + flip
+
+	bare := append([]byte(nil), payload...)
+	bare[flip] ^= 0x01 // '9' -> '8': still valid JSON, different science
+	var probe Result
+	if err := json.Unmarshal(bare, &probe); err != nil || probe.Jain == res.Jain {
+		t.Fatalf("setup broken: the flipped line must decode to other science (err=%v jain=%v)", err, probe.Jain)
+	}
 	frame[frameFlip] ^= 0x01
-	v2 := filepath.Join(dir, "v2.ckpt")
-	if err := os.WriteFile(v2, append([]byte(journalHeaderV2+"\n"), frame...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ck2, err := OpenCheckpoint(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	if _, ok := ck2.Lookup(key); ok {
-		t.Fatal("v2 accepted a CRC-invalid record")
-	}
-	if st := ck2.Stats(); st.Corrupt != 1 || st.Records != 0 {
-		t.Fatalf("v2 stats = %+v, want the flip counted as 1 corrupt record", st)
+
+	for name, line := range map[string][]byte{"bare JSON": append(bare, '\n'), "frame": frame} {
+		path := filepath.Join(t.TempDir(), "sweep.ckpt")
+		if err := os.WriteFile(path, append([]byte(journalHeaderV2+"\n"), line...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := OpenCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ok := ck.Lookup(key)
+		st := ck.Stats()
+		ck.Close()
+		if ok {
+			t.Fatalf("%s: the flipped record was served", name)
+		}
+		if st.Corrupt != 1 || st.Records != 0 {
+			t.Fatalf("%s: stats = %+v, want the flip counted as 1 corrupt line", name, st)
+		}
 	}
 }
 
@@ -250,7 +241,7 @@ func TestJournalFusedRecordsRecoveredByResync(t *testing.T) {
 			t.Fatalf("record %s lost to a fused line", res.Config.ID())
 		}
 	}
-	if st := re.Stats(); st.V2 != 2 || st.Corrupt != 1 {
+	if st := re.Stats(); st.Records != 2 || st.Corrupt != 1 {
 		t.Fatalf("stats = %+v, want both records recovered and 1 corrupt region", st)
 	}
 }
@@ -284,53 +275,57 @@ func TestJournalKeyMismatchQuarantined(t *testing.T) {
 	}
 }
 
-// TestJournalV1CompatAndCompactUpgrades: bare-JSONL v1 journals load
-// transparently, appends land as v2 frames alongside them, and Compact
-// rewrites everything as a clean v2 journal.
-func TestJournalV1CompatAndCompactUpgrades(t *testing.T) {
-	var buf bytes.Buffer
-	for i := 0; i < 3; i++ {
-		writeV1Line(t, &buf, durabilityResult(uint64(i+1), 0.9))
-	}
+// TestJournalNonFrameLinesAreDamage: apart from the exact version header,
+// a line that is not a frame is damage — a stray '#' line and a bare JSON
+// result alike. Each counts as Corrupt, makes fsck report the journal
+// dirty, and is quarantined by a repair that leaves a clean journal of
+// only the framed records.
+func TestJournalNonFrameLinesAreDamage(t *testing.T) {
+	r1, r2, r3 := durabilityResult(1, 0.9), durabilityResult(2, 0.8), durabilityResult(3, 0.7)
+	buf := bytes.NewBufferString(journalHeaderV2 + "\n")
+	writeFrame(t, buf, r1)
+	buf.WriteString("#not a header, damaged region\n")
+	writeBareJSON(t, buf, r2)
+	writeFrame(t, buf, r3)
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
+	}
+
+	rep, err := FsckJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rep.Stats; !rep.Dirty() || st.Corrupt != 2 || st.Records != 2 || rep.Live != 2 {
+		t.Fatalf("fsck: %+v, want dirty with 2 corrupt lines and 2 live records", rep)
 	}
 	ck, err := OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := ck.Stats(); st.V1 != 3 || st.V2 != 0 || ck.Len() != 3 {
-		t.Fatalf("v1 load: stats %+v len %d, want 3 v1 records", st, ck.Len())
-	}
-	if err := ck.Append(durabilityResult(4, 0.7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Compact(); err != nil {
-		t.Fatal(err)
+	if _, ok := ck.Lookup(r2.Config.Key()); ok {
+		t.Fatal("a bare JSON line was served")
 	}
 	ck.Close()
 
-	data, err := os.ReadFile(path)
+	rep, err = FsckJournal(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if lines[0] != journalHeaderV2 {
-		t.Fatalf("compacted journal starts with %q, want the v2 header", lines[0])
-	}
-	for _, l := range lines[1:] {
-		if !strings.HasPrefix(l, frameMagic) {
-			t.Fatalf("compacted journal still has a non-framed line: %q", l)
-		}
-	}
-	re, err := OpenCheckpoint(path)
+	qdata, err := os.ReadFile(rep.QuarantineFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if st := re.Stats(); st.V2 != 4 || st.V1 != 0 || st.Damaged() != 0 || re.Len() != 4 {
-		t.Fatalf("reloaded upgraded journal: stats %+v len %d, want 4 clean v2 records", st, re.Len())
+	bare, _ := json.Marshal(r2)
+	if !bytes.Contains(qdata, []byte("#not a header")) || !bytes.Contains(qdata, bare) {
+		t.Fatalf("quarantine file misses a damaged line: %q", qdata)
+	}
+	rep, err = FsckJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Dirty() || rep.Stats.Records != 2 || rep.Live != 2 {
+		t.Fatalf("post-repair fsck: %+v, want 2 clean records", rep)
 	}
 }
 
@@ -347,11 +342,11 @@ func TestFsckJournalRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	writeV1Line(t, &buf, superseded)
+	buf := bytes.NewBufferString(journalHeaderV2 + "\n")
+	writeFrame(t, buf, superseded)
 	buf.WriteString("this is not a journal record\n")
-	writeV1Line(t, &buf, res) // duplicate key: supersedes the first line
-	fmt.Fprintf(&buf, "r %d %08x %s %s\n",
+	writeFrame(t, buf, res) // duplicate key: supersedes the first record
+	fmt.Fprintf(buf, "r %d %08x %s %s\n",
 		len(payload), crc32.ChecksumIEEE(payload), res.Config.Key(), payload)
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -366,8 +361,8 @@ func TestFsckJournalRepairs(t *testing.T) {
 		t.Fatalf("dry run: %+v, want dirty and untouched", rep)
 	}
 	st := rep.Stats
-	if st.V1 != 2 || st.Corrupt != 1 || st.KeyMismatch != 1 || st.Duplicates != 1 || rep.Live != 1 {
-		t.Fatalf("fsck stats = %+v live %d, want 2 v1 / 1 corrupt / 1 key-mismatch / 1 duplicate / 1 live", st, rep.Live)
+	if st.Records != 2 || st.Corrupt != 1 || st.KeyMismatch != 1 || st.Duplicates != 1 || rep.Live != 1 {
+		t.Fatalf("fsck stats = %+v live %d, want 2 records / 1 corrupt / 1 key-mismatch / 1 duplicate / 1 live", st, rep.Live)
 	}
 
 	rep, err = FsckJournal(path, true)

@@ -1,15 +1,16 @@
 package experiment
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // Observer watches one run without changing it. Run calls Attach once the
@@ -75,7 +76,9 @@ func (r *intervalReport) Finish(*Result) error { return nil }
 // FlowLogs returns an observer that writes one iperf3-style JSON log per
 // long-running flow into dir (created if missing) as
 // <config ID>_flow<N>.json, with one interval per Config.SampleInterval
-// counted from the flow's start.
+// counted from the flow's start. The logs take the shape of
+// `iperf3 --json`, the paper's shared dataset, so pipelines built for it
+// read simulator output unchanged.
 func FlowLogs(dir string) Observer { return &flowLogs{dir: dir} }
 
 type flowLogs struct {
@@ -83,15 +86,75 @@ type flowLogs struct {
 	eng   *sim.Engine
 	cfg   Config
 	flows []*topo.Flow
-	recs  []*trace.Recorder
+	logs  []flowLog
 	timer sim.Timer
+}
+
+// flowLog is one flow's log and the cumulative counters at its last
+// interval's end.
+type flowLog struct {
+	log       iperfLog
+	lastBytes int64
+	lastRtx   uint64
+	lastAt    float64 // seconds
+}
+
+// iperfLog mirrors one `iperf3 --json` report.
+type iperfLog struct {
+	Title string `json:"title"` // <config ID>/flow<N>
+	Start struct {
+		Congestion string  `json:"congestion"` // CCA name
+		Sender     int     `json:"sender"`     // sender class
+		FlowID     uint32  `json:"flow_id"`
+		TestStart  float64 `json:"test_start"` // sim seconds
+	} `json:"start"`
+	Intervals []iperfInterval `json:"intervals"`
+	End       struct {
+		SumSent struct {
+			iperfSum
+			Retransmits uint64 `json:"retransmits"`
+		} `json:"sum_sent"`
+		SumReceived iperfSum `json:"sum_received"`
+	} `json:"end"`
+}
+
+// iperfInterval mirrors iperf3's intervals[].sum object.
+type iperfInterval struct {
+	Start         float64 `json:"start"` // sim seconds
+	End           float64 `json:"end"`
+	Seconds       float64 `json:"seconds"`
+	Bytes         int64   `json:"bytes"` // goodput bytes this interval
+	BitsPerSecond float64 `json:"bits_per_second"`
+	Retransmits   uint64  `json:"retransmits"`
+	SndCwnd       int64   `json:"snd_cwnd"` // bytes
+	RTT           int64   `json:"rtt"`      // microseconds, like iperf3
+}
+
+type iperfSum struct {
+	Seconds       float64 `json:"seconds"`
+	Bytes         int64   `json:"bytes"`
+	BitsPerSecond float64 `json:"bits_per_second"`
+}
+
+func newIperfSum(seconds float64, bytes int64) iperfSum {
+	s := iperfSum{Seconds: seconds, Bytes: bytes}
+	if seconds > 0 {
+		s.BitsPerSecond = float64(bytes) * 8 / seconds
+	}
+	return s
 }
 
 func (l *flowLogs) Attach(eng *sim.Engine, net *topo.Network, cfg Config) {
 	l.eng, l.cfg, l.flows = eng, cfg, net.Flows()
-	for _, f := range l.flows {
-		title := fmt.Sprintf("%s/flow%d", cfg.ID(), f.ID)
-		l.recs = append(l.recs, trace.NewRecorder(title, f.CCName, f.Sender, uint32(f.ID), f.Start))
+	l.logs = make([]flowLog, len(l.flows))
+	for i, f := range l.flows {
+		fl := &l.logs[i]
+		fl.log.Title = fmt.Sprintf("%s/flow%d", cfg.ID(), f.ID)
+		fl.log.Start.Congestion = f.CCName
+		fl.log.Start.Sender = f.Sender
+		fl.log.Start.FlowID = uint32(f.ID)
+		fl.log.Start.TestStart = f.Start.Seconds()
+		fl.lastAt = fl.log.Start.TestStart
 	}
 	l.timer.InitObserver(eng, l)
 	l.timer.Reset(cfg.SampleInterval)
@@ -100,9 +163,37 @@ func (l *flowLogs) Attach(eng *sim.Engine, net *topo.Network, cfg Config) {
 func (l *flowLogs) OnEvent(any) {
 	now := l.eng.Now().Seconds()
 	for i, f := range l.flows {
-		l.recs[i].Observe(now, f.Rcv.Goodput(), f.Conn.Stats().Retransmits, f.Conn.Cwnd(), f.Conn.SRTT())
+		l.logs[i].observe(now, f.Rcv.Goodput(), f.Conn.Stats().Retransmits, f.Conn.Cwnd(), f.Conn.SRTT())
 	}
 	l.timer.Reset(l.cfg.SampleInterval)
+}
+
+// observe closes the interval ending at now (seconds) from the flow's
+// cumulative goodput and retransmits; an empty interval is skipped.
+func (fl *flowLog) observe(now float64, bytes int64, retransmits uint64, cwnd int64, rtt time.Duration) {
+	dur := now - fl.lastAt
+	if dur <= 0 {
+		return
+	}
+	db := bytes - fl.lastBytes
+	fl.log.Intervals = append(fl.log.Intervals, iperfInterval{
+		Start:         fl.lastAt,
+		End:           now,
+		Seconds:       dur,
+		Bytes:         db,
+		BitsPerSecond: float64(db) * 8 / dur,
+		Retransmits:   retransmits - fl.lastRtx,
+		SndCwnd:       cwnd,
+		RTT:           rtt.Microseconds(),
+	})
+	fl.lastBytes, fl.lastRtx, fl.lastAt = bytes, retransmits, now
+}
+
+// finish fills the end summary over the run's seconds.
+func (fl *flowLog) finish(seconds float64, sent, rcvd int64, retransmits uint64) {
+	fl.log.End.SumSent.iperfSum = newIperfSum(seconds, sent)
+	fl.log.End.SumSent.Retransmits = retransmits
+	fl.log.End.SumReceived = newIperfSum(seconds, rcvd)
 }
 
 func (l *flowLogs) Finish(*Result) error {
@@ -111,23 +202,26 @@ func (l *flowLogs) Finish(*Result) error {
 	}
 	for i, f := range l.flows {
 		st := f.Conn.Stats()
-		done := l.recs[i].Finish(l.cfg.Duration.Seconds(), st.BytesSent, f.Rcv.Goodput(), st.Retransmits)
+		l.logs[i].finish(l.cfg.Duration.Seconds(), st.BytesSent, f.Rcv.Goodput(), st.Retransmits)
 		name := fmt.Sprintf("%s_flow%d.json", l.cfg.ID(), f.ID)
-		if err := writeLog(filepath.Join(l.dir, name), done); err != nil {
+		if err := writeLog(filepath.Join(l.dir, name), &l.logs[i].log); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writeLog(path string, l *trace.Log) error {
+// writeLog writes one log as indented JSON, like `iperf3 --json`.
+func writeLog(path string, log *iperfLog) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("flow logs: %w", err)
 	}
 	defer f.Close()
-	if err := trace.Write(f, l); err != nil {
-		return err
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(log); err != nil {
+		return fmt.Errorf("flow logs: %w", err)
 	}
 	return f.Close()
 }

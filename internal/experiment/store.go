@@ -176,14 +176,13 @@ func LoadFile(path string) (*ResultSet, error) {
 }
 
 // Checkpoint is an append-only journal of completed results — one
-// CRC-framed record per line (journal format v2; bare-JSONL v1 journals
-// load transparently) — that lets a multi-hour sweep survive a crash: the
-// runner appends each result as it finishes, and a restarted sweep opens
-// the same file and skips every configuration whose science identity
-// (Config.Key — the grid cell plus duration, paper scale, and every other
-// field that changes a run's bytes) is already journaled. Only clean
-// results are appended — errored configurations (panic, watchdog) re-run
-// on resume. Append is safe for concurrent use by the worker pool.
+// CRC-framed record per line (journal format v2) — that lets a multi-hour
+// sweep survive a crash: the runner appends each result as it finishes,
+// and a restarted sweep opens the same file and skips every configuration
+// whose science identity (Config.Key — the grid cell plus duration, paper
+// scale, and every other field that changes a run's bytes) is already
+// journaled. Only clean results are appended — errored configurations
+// (panic, watchdog) re-run on resume. Append is safe for concurrent use by the worker pool.
 //
 // The index is also the store sweepd serves from, so a failing disk never
 // loses science: a result whose write or fsync fails stays indexed and
@@ -212,7 +211,7 @@ type Checkpoint struct {
 	torn bool
 
 	// stale counts file lines a Compact rewrite would drop or re-encode:
-	// duplicate, errored, damaged and v1 lines at load, superseding appends,
+	// duplicate, errored and damaged lines at load, superseding appends,
 	// and queued records re-written after a failed write (a torn fragment's
 	// record always is). Compact skips the rewrite while it is 0;
 	// over-counting costs one rewrite, under-counting a redundant line.
@@ -280,7 +279,7 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 		f.Close()
 		return nil, fmt.Errorf("experiment: read checkpoint %s: %w", path, err)
 	}
-	c.stale = c.stats.Duplicates + c.stats.Errored + c.stats.Damaged() + c.stats.V1
+	c.stale = c.stats.Duplicates + c.stats.Errored + c.stats.Damaged()
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("experiment: checkpoint %s: %w", path, err)

@@ -178,13 +178,15 @@ func TestCheckpointCompactSkipsCleanJournal(t *testing.T) {
 			return ck
 		}},
 		{"v1 line", func(t *testing.T, path string) *Checkpoint {
+			// A bare JSON line is damage: its config re-runs and is
+			// journaled again.
 			var buf bytes.Buffer
-			writeV1Line(t, &buf, r1)
+			writeBareJSON(t, &buf, r1)
 			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			ck := open(t, path)
-			appendAll(t, ck, r2)
+			appendAll(t, ck, r1, r2)
 			return ck
 		}},
 		{"healed torn fragment", func(t *testing.T, path string) *Checkpoint {

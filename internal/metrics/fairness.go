@@ -346,13 +346,17 @@ func (fs *FairnessSampler) Report(det DetectorConfig) *FairnessReport {
 // stretch. NaN values never satisfy the threshold. The second return is
 // false when the series never converged.
 func ConvergenceTime(jain []float64, window time.Duration, det DetectorConfig) (time.Duration, bool) {
-	need := det.SustainWindows
-	if need < 1 {
-		need = 1
-	}
+	return sustainedAt(jain, det.JainThreshold, window, det.SustainWindows)
+}
+
+// sustainedAt returns the end of the first window of the first run of
+// sustain (at least 1) consecutive values at or above floor. NaN values
+// compare false, so they break a run.
+func sustainedAt(series []float64, floor float64, window time.Duration, sustain int) (time.Duration, bool) {
+	need := max(sustain, 1)
 	run := 0
-	for i, j := range jain {
-		if j >= det.JainThreshold { // NaN compares false: unfair by default
+	for i, v := range series {
+		if v >= floor {
 			run++
 			if run >= need {
 				return time.Duration(i-need+2) * window, true
@@ -383,23 +387,7 @@ func TimeToFairShare(share []float64, fair float64, window time.Duration, det De
 	if fair <= 0 {
 		return 0, false
 	}
-	floor := (1 - det.FairShareEps) * fair
-	need := det.SustainWindows
-	if need < 1 {
-		need = 1
-	}
-	run := 0
-	for i, s := range share {
-		if s >= floor {
-			run++
-			if run >= need {
-				return time.Duration(i-need+2) * window, true
-			}
-		} else {
-			run = 0
-		}
-	}
-	return 0, false
+	return sustainedAt(share, (1-det.FairShareEps)*fair, window, det.SustainWindows)
 }
 
 // StarvationEpisodes scans every active flow's share series for contiguous

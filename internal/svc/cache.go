@@ -7,7 +7,7 @@
 // pairing, AQM, queue, bandwidth, seed, fault profile, duration, paper
 // scale, and every other field that changes a run's bytes (only the
 // observation-only audit bit and the watchdog budgets are excluded). The
-// cache persists through the existing JSONL checkpoint journal, so a
+// cache persists through the existing checkpoint journal, so a
 // restarted daemon resumes with a warm cache and a served sweep is
 // byte-identical to a direct cmd/sweep run of the same spec. cmd/sweepd
 // wraps this package in an HTTP listener; cmd/sweep -remote is its thin

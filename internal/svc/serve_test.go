@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/telemetry"
 )
 
 // TestEventsCarrySlotIDs: every streamed event is labelled with the ID the
@@ -177,7 +178,7 @@ func TestTraceHeaderIsJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h traceHeader
+	var h telemetry.StreamHeader
 	if err := json.Unmarshal([]byte(line), &h); err != nil {
 		t.Fatalf("trace header %q is not JSON: %v", line, err)
 	}

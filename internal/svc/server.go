@@ -18,7 +18,7 @@ import (
 
 // Options configure a Server.
 type Options struct {
-	// Journal is the JSONL checkpoint path persisting the result cache
+	// Journal is the checkpoint journal path persisting the result cache
 	// ("" = memory only).
 	Journal string
 	// Shards is how many in-process workers simulate on a single node (0 =
@@ -423,18 +423,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			if res.Trace == nil {
 				return false, nil
 			}
-			if err := json.NewEncoder(w).Encode(traceHeader{Config: key, ID: id}); err != nil {
+			if err := json.NewEncoder(w).Encode(telemetry.StreamHeader{Config: key, ID: id}); err != nil {
 				return true, err
 			}
 			return true, telemetry.EncodeNDJSON(w, res.Trace)
 		})
-}
-
-// traceHeader is the line naming a configuration ahead of its trace in
-// the /trace stream.
-type traceHeader struct {
-	Config string `json:"config"` // science key
-	ID     string `json:"id"`     // human-readable config ID
 }
 
 // handleFairness streams the completed job's fairness reports, one line per

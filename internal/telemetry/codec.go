@@ -22,6 +22,13 @@ import (
 // states table. ParseNDJSON is strict — a torn tail or unknown name is an
 // error, not a partial result; dumps are written whole, never appended.
 
+// StreamHeader is the line naming a configuration ahead of its dump in a
+// stream of several dumps, as sweepd's /trace endpoint writes them.
+type StreamHeader struct {
+	Config string `json:"config"` // science key
+	ID     string `json:"id"`     // human-readable config ID
+}
+
 // EncodeNDJSON writes the dump in the NDJSON wire format.
 func EncodeNDJSON(w io.Writer, d *Dump) error {
 	bw := bufio.NewWriter(w)
