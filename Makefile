@@ -15,7 +15,7 @@ BENCHES = BenchmarkEngine|BenchmarkTimer|BenchmarkLine
 AUDIT_PKGS = ./internal/audit/ ./internal/sim/ ./internal/netem/ ./internal/topo/ ./internal/experiment/
 AUDIT_TESTS = TestAudit|TestViolation|TestMetamorphic|TestDropAccountingAllAQMs|TestCheckpointLastWriteWins
 RESILIENCE_EXPERIMENT = TestFlapRecoveryAllCCAs|TestGELossInversionBBRvLossBased|TestFaultedRunDeterminism|TestFaultProfileInResultIdentity|TestRunAllSurvivesPanic|TestRunAllWatchdogAbort|TestCheckpointResume|TestCheckpointHealsFailedAppend|TestCheckpointCompactSkipsCleanJournal|TestJournal|TestFsckJournal
-RESILIENCE_SVC = TestWarmJobLeavesJournalAlone
+RESILIENCE_SVC = TestWarmJobLeavesJournalAlone|TestCluster|TestLocalWorkerOutlivesLeaseTTL|TestAcquireTakesOnlyWhatItGrants|TestPoolCloseFailsQueuedWork
 RESILIENCE_TCP = TestRTOExponentialBackoffDoubling|TestRTORearmAfterSuccessfulRetransmit
 # fuzz-target:package
 FUZZ_TARGETS = FuzzFaultsParse:./internal/faults/ FuzzCheckpointReload:./internal/experiment/ \
@@ -78,7 +78,7 @@ allocs: ## zero-alloc event-core gates and the exact-count rails (non-race build
 audit: ## invariant-auditor suites: conservation, packet-pool balance, seeded bugs, metamorphic relations
 	$(GO) test -race -v -run '$(AUDIT_TESTS)' $(AUDIT_PKGS)
 
-resilience: ## fault-injection suites: flap recovery, bursty loss, replay, runner hardening, journal heal and compaction
+resilience: ## fault-injection suites: flap recovery, bursty loss, replay, runner hardening, journal heal and compaction, lease expiry, worker death, stealing, release and quarantine
 	$(GO) test -race -v -run '$(RESILIENCE_EXPERIMENT)' ./internal/experiment/
 	$(GO) test -race -v -run '$(RESILIENCE_SVC)' ./internal/svc/
 	$(GO) test -race -run '$(RESILIENCE_TCP)' ./internal/tcp/

@@ -75,10 +75,11 @@ func main() {
 		return
 	}
 
-	cfgs, err := spec.Expand()
+	plan, err := spec.Plan()
 	if err != nil {
 		fatal(err)
 	}
+	cfgs := plan.Configs
 	if *traceDir != "" {
 		// Tracing is observation-only and excluded from Config.Key(), so
 		// traced results keep the same science identity (checkpoints and
@@ -180,7 +181,7 @@ func main() {
 		}
 	}
 
-	if err := experiment.SaveFile(*out, &experiment.ResultSet{Note: spec.Note(), Results: results}); err != nil {
+	if err := experiment.SaveFile(*out, &experiment.ResultSet{Note: plan.Note, Results: results}); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "sweep: wrote %s in %v\n", *out, time.Since(start).Round(time.Second))

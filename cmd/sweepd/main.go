@@ -45,7 +45,10 @@
 //	                             per-config wall time, event rate, and
 //	                             fairness convergence time, plus the
 //	                             sweepd_cluster_* lease counters; the same
-//	                             names with or without -coordinator)
+//	                             names with or without -coordinator, and
+//	                             on a single node, whose in-process
+//	                             workers hold no leases, the worker and
+//	                             lease metrics read 0)
 //	GET  /debug/pprof/           Go profiler (only with -pprof)
 //
 // Cluster API (coordinator only; used by sweepd -join, not by clients):

@@ -150,21 +150,21 @@ func TestGridSpecFlowsExpansion(t *testing.T) {
 	// The canonical form must capture the workload (checkpoint identity),
 	// and equivalent spellings of the same workload must canonicalize
 	// identically.
-	can, err := spec.Canonical()
+	can, err := spec.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains([]byte(can.Flows), []byte("mice")) {
-		t.Fatalf("canonical spec does not capture the workload: %q", can.Flows)
+	if !bytes.Contains([]byte(can.Spec.Flows), []byte("mice")) {
+		t.Fatalf("canonical spec does not capture the workload: %q", can.Spec.Flows)
 	}
 	spec2 := spec
 	spec2.Flows = "mice:arrival=200ms"
-	can2, err := spec2.Canonical()
+	can2, err := spec2.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if can.Flows != can2.Flows {
-		t.Fatalf("equivalent workload spellings canonicalize differently:\n%q\n%q", can.Flows, can2.Flows)
+	if can.Spec.Flows != can2.Spec.Flows {
+		t.Fatalf("equivalent workload spellings canonicalize differently:\n%q\n%q", can.Spec.Flows, can2.Spec.Flows)
 	}
 }
 

@@ -49,6 +49,7 @@ type JournalStats struct {
 	Corrupt     int // damaged regions: framing, CRC, or JSON failures
 	KeyMismatch int // CRC-valid records whose stored key ≠ recomputed science key
 	Oversized   int // unbroken regions longer than maxJournalLine, skipped wholesale
+	Unkept      int // corrupt or key-mismatched lines past the maxDamagedBytes kept for quarantine
 }
 
 // Damaged reports how many regions or records the load had to drop for
@@ -247,8 +248,8 @@ func (r FsckReport) Dirty() bool {
 // String renders the report in sweepd's one-line-per-fact log style.
 func (r FsckReport) String() string {
 	s := r.Stats
-	return fmt.Sprintf("%d records, %d live, %d duplicate, %d errored, %d corrupt, %d key-mismatched, %d oversized region(s)",
-		s.Records, r.Live, s.Duplicates, s.Errored, s.Corrupt, s.KeyMismatch, s.Oversized)
+	return fmt.Sprintf("%d records, %d live, %d duplicate, %d errored, %d corrupt, %d key-mismatched, %d oversized region(s), %d damaged line(s) past the quarantine cap",
+		s.Records, r.Live, s.Duplicates, s.Errored, s.Corrupt, s.KeyMismatch, s.Oversized, s.Unkept)
 }
 
 // FsckJournal verifies the journal at path — per-record CRCs, duplicate-key
@@ -287,7 +288,8 @@ func fsckReport(ck *Checkpoint) FsckReport {
 
 // Repair quarantines the damaged raw lines retained at load (appending
 // them to path+".quarantined", returned when written) and compacts the
-// journal into a clean v2 snapshot of the live results.
+// journal into a clean v2 snapshot of the live results. Damaged lines past
+// the retention cap are dropped; Stats().Unkept counts them.
 func (c *Checkpoint) Repair() (string, error) {
 	c.mu.Lock()
 	samples := c.damaged

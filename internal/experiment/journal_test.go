@@ -397,6 +397,42 @@ func TestFsckJournalRepairs(t *testing.T) {
 	}
 }
 
+// TestFsckJournalCountsUnkeptDamage: a load keeps at most maxDamagedBytes
+// of damaged lines for quarantine, and counts the rest, so that with more
+// damage than that the quarantined lines plus the counted ones still add
+// up to every corrupt line, and the report says how many were not kept.
+func TestFsckJournalCountsUnkeptDamage(t *testing.T) {
+	const lines, width = 1500, 1000 // 1.5 MB of damage, past the 1 MiB cap
+	buf := bytes.NewBufferString(journalHeaderV2 + "\n")
+	writeFrame(t, buf, durabilityResult(1, 0.5))
+	for i := 0; i < lines; i++ {
+		line := fmt.Sprintf("damaged line %d ", i)
+		buf.WriteString(line + strings.Repeat("x", width-len(line)) + "\n")
+	}
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := FsckJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rep.Stats
+	if st.Corrupt != lines || st.Unkept == 0 || rep.Live != 1 {
+		t.Fatalf("fsck stats = %+v live %d, want %d corrupt, some unkept, 1 live", st, rep.Live, lines)
+	}
+	qdata, err := os.ReadFile(rep.QuarantineFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept := bytes.Count(qdata, []byte("\n")); kept+st.Unkept != st.Corrupt {
+		t.Fatalf("%d quarantined + %d unkept lines != %d corrupt", kept, st.Unkept, st.Corrupt)
+	}
+	if want := fmt.Sprintf("%d damaged line(s) past the quarantine cap", st.Unkept); !strings.Contains(rep.String(), want) {
+		t.Fatalf("report %q does not say %q", rep.String(), want)
+	}
+}
+
 // TestCheckpointFailpoints: injected short writes and fsync failures must
 // be retryable — the journal heals the partial record, later appends land,
 // and nothing valid is lost across a reopen.

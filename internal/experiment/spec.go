@@ -218,14 +218,57 @@ func splitList(s string) []string {
 	return out
 }
 
-// Validate checks every field without expanding the grid.
-func (s GridSpec) Validate() error {
-	_, err := s.parse()
-	return err
+// Plan is a spec resolved from one parse and one expansion: what a sweep
+// runs, the address it is known by, and the note its results carry.
+type Plan struct {
+	// Spec is the canonical form, with every list normalized (whitespace
+	// trimmed, bandwidths and durations re-rendered in canonical form) so
+	// that equivalent spellings — "100Mbps, 1Gbps" vs "0.1Gbps,1000Mbps" —
+	// share one Spec and therefore one Key.
+	Spec GridSpec
+	// Key is the content address: a hex digest of Spec's JSON encoding.
+	// Two specs that expand to the same grid under the same overrides share
+	// a Key; sweepd coalesces concurrent submissions by it.
+	Key string
+	// Configs are the configurations in canonical grid order — the same
+	// order cmd/sweep runs and serializes them (what Expand returns).
+	Configs []Config
+	// Note is the deterministic provenance string recorded in a ResultSet.
+	// cmd/sweep and sweepd both use it verbatim, which is what makes a
+	// served result set byte-identical to a CLI sweep of the same spec.
+	Note string
+}
+
+// Plan validates the spec and resolves it into its canonical form, content
+// address, configurations and provenance note.
+func (s GridSpec) Plan() (Plan, error) {
+	p, err := s.parse()
+	if err != nil {
+		return Plan{}, err
+	}
+	c, err := s.canonical(p)
+	if err != nil {
+		return Plan{}, err
+	}
+	data, _ := json.Marshal(c) // a GridSpec holds only strings, numbers and bools
+	sum := sha256.Sum256(data)
+	pl := Plan{Spec: c, Key: hex.EncodeToString(sum[:])[:16], Configs: s.expand(p)}
+	pl.Note = fmt.Sprintf("grid sweep: %d configs, seeds=%d, paperScale=%v", len(pl.Configs), c.Seeds, c.PaperScale)
+	if id := p.profile.ID(); id != "" {
+		pl.Note += ", faults=" + id
+	}
+	if p.topology != nil && !topo.IsDumbbell(p.topology) {
+		pl.Note += ", topo=" + p.topology.ID()
+	}
+	if id := p.flowSpec.ID(); id != "" {
+		pl.Note += ", flows=" + id
+	}
+	pl.Note += ", spec=" + pl.Key
+	return pl, nil
 }
 
 // Expand validates the spec and returns its configurations in canonical
-// grid order — the same order cmd/sweep runs and serializes them.
+// grid order: Plan's Configs without the rest of the plan.
 func (s GridSpec) Expand() ([]Config, error) {
 	p, err := s.parse()
 	if err != nil {
@@ -274,18 +317,7 @@ func (s GridSpec) expand(p parsed) []Config {
 	return cfgs
 }
 
-// Canonical returns the spec with every list normalized (whitespace
-// trimmed, bandwidths and durations re-rendered in canonical form) so that
-// equivalent spellings — "100Mbps, 1Gbps" vs "0.1Gbps,1000Mbps" — produce
-// the same canonical spec and therefore the same content-address Key.
-func (s GridSpec) Canonical() (GridSpec, error) {
-	p, err := s.parse()
-	if err != nil {
-		return s, err
-	}
-	return s.canonical(p)
-}
-
+// canonical renders the spec's parsed fields back in canonical form.
 func (s GridSpec) canonical(p parsed) (GridSpec, error) {
 	if s.Bandwidths != "" {
 		var bws []string
@@ -350,57 +382,4 @@ func (s GridSpec) canonical(p parsed) (GridSpec, error) {
 		s.Flows = string(data)
 	}
 	return s, nil
-}
-
-// Key returns the spec's content address: a hex digest of the canonical
-// JSON encoding. Two specs that expand to the same grid under the same
-// overrides share a Key; sweepd coalesces concurrent submissions by it.
-func (s GridSpec) Key() (string, error) {
-	p, err := s.parse()
-	if err != nil {
-		return "", err
-	}
-	return s.key(p)
-}
-
-func (s GridSpec) key(p parsed) (string, error) {
-	c, err := s.canonical(p)
-	if err != nil {
-		return "", err
-	}
-	data, err := json.Marshal(c)
-	if err != nil {
-		return "", fmt.Errorf("experiment: spec key: %w", err)
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])[:16], nil
-}
-
-// Note renders the deterministic provenance string recorded in a
-// ResultSet. cmd/sweep and sweepd both use it verbatim, which is what
-// makes a served result set byte-identical to a CLI sweep of the same
-// spec.
-func (s GridSpec) Note() string {
-	p, err := s.parse()
-	n := 0
-	if err == nil {
-		n = len(s.expand(p))
-	}
-	note := fmt.Sprintf("grid sweep: %d configs, seeds=%d, paperScale=%v", n, max(s.Seeds, 1), s.PaperScale)
-	if err != nil {
-		return note
-	}
-	if id := p.profile.ID(); id != "" {
-		note += ", faults=" + id
-	}
-	if p.topology != nil && !topo.IsDumbbell(p.topology) {
-		note += ", topo=" + p.topology.ID()
-	}
-	if id := p.flowSpec.ID(); id != "" {
-		note += ", flows=" + id
-	}
-	if key, err := s.key(p); err == nil {
-		note += ", spec=" + key
-	}
-	return note
 }

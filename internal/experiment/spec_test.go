@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,18 +56,18 @@ func TestGridSpecValidate(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := c.spec.Validate()
+			_, err := c.spec.Plan()
 			if c.wantErr == "" {
 				if err != nil {
-					t.Fatalf("Validate() = %v, want ok", err)
+					t.Fatalf("Plan() = %v, want ok", err)
 				}
 				return
 			}
 			if err == nil {
-				t.Fatalf("Validate() accepted %+v, want error containing %q", c.spec, c.wantErr)
+				t.Fatalf("Plan() accepted %+v, want error containing %q", c.spec, c.wantErr)
 			}
 			if !strings.Contains(strings.ToLower(err.Error()), strings.ToLower(c.wantErr)) {
-				t.Fatalf("Validate() = %v, want error containing %q", err, c.wantErr)
+				t.Fatalf("Plan() = %v, want error containing %q", err, c.wantErr)
 			}
 		})
 	}
@@ -106,11 +107,11 @@ func TestGridSpecExpand(t *testing.T) {
 func TestGridSpecKeyCanonicalization(t *testing.T) {
 	key := func(s GridSpec) string {
 		t.Helper()
-		k, err := s.Key()
+		p, err := s.Plan()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return k
+		return p.Key
 	}
 	a := GridSpec{Bandwidths: "100Mbps, 1Gbps", Queues: "2.0,16", Pairings: "bbr1:cubic"}
 	b := GridSpec{Bandwidths: "0.1Gbps,1000Mbps", Queues: "2,16", Pairings: " bbr1 : cubic "}
@@ -158,33 +159,42 @@ func TestGridSpecFlagsMatchJSON(t *testing.T) {
 	if fromFlags != fromJSON {
 		t.Fatalf("flag and JSON parses disagree:\nflags: %+v\njson:  %+v", fromFlags, fromJSON)
 	}
-	kf, err := fromFlags.Key()
+	pf, err := fromFlags.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	kj, err := fromJSON.Key()
+	pj, err := fromJSON.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kf != kj {
-		t.Fatalf("keys disagree: %s vs %s", kf, kj)
+	if pf.Key != pj.Key {
+		t.Fatalf("keys disagree: %s vs %s", pf.Key, pj.Key)
 	}
 }
 
 // TestGridSpecNoteDeterministic: the provenance note must be identical
-// however the spec was spelled, since it is embedded in served result sets.
+// however the spec was spelled, since it is embedded in served result sets,
+// and planning a plan's canonical spec must reproduce the plan.
 func TestGridSpecNoteDeterministic(t *testing.T) {
-	a := GridSpec{Bandwidths: "100Mbps", Queues: "2", Pairings: "reno:reno", Faults: "flap"}
-	b := GridSpec{Bandwidths: "0.1Gbps", Queues: "2.0", Pairings: " reno:reno ", Faults: "flap"}
-	ca, err := a.Canonical()
-	if err != nil {
-		t.Fatal(err)
+	plan := func(s GridSpec) Plan {
+		t.Helper()
+		p, err := s.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	if a.Note() != b.Note() || a.Note() != ca.Note() {
-		t.Fatalf("notes differ:\n%s\n%s\n%s", a.Note(), b.Note(), ca.Note())
+	a := plan(GridSpec{Bandwidths: "100Mbps", Queues: "2", Pairings: "reno:reno", Faults: "flap"})
+	b := plan(GridSpec{Bandwidths: "0.1Gbps", Queues: "2.0", Pairings: " reno:reno ", Faults: "flap"})
+	ca := plan(a.Spec)
+	if a.Note != b.Note || a.Note != ca.Note {
+		t.Fatalf("notes differ:\n%s\n%s\n%s", a.Note, b.Note, ca.Note)
 	}
-	if !strings.Contains(a.Note(), "faults=") || !strings.Contains(a.Note(), "spec=") {
-		t.Fatalf("note missing provenance fields: %s", a.Note())
+	if ca.Spec != a.Spec || ca.Key != a.Key {
+		t.Fatalf("re-planning the canonical spec moved it: %+v %s vs %+v %s", ca.Spec, ca.Key, a.Spec, a.Key)
+	}
+	if !strings.Contains(a.Note, "faults=") || !strings.Contains(a.Note, "spec=") {
+		t.Fatalf("note missing provenance fields: %s", a.Note)
 	}
 }
 
@@ -242,16 +252,23 @@ func TestGridSpecKeyNotePinned(t *testing.T) {
 	for _, c := range cases {
 		s := GridSpec{Bandwidths: "100Mbps", Queues: "2", AQMs: "fifo", Pairings: "bbr1:cubic",
 			Duration: "3s", Seeds: c.seeds, Faults: c.faults, Topo: c.topo, Flows: c.flows}
-		key, err := s.Key()
+		p, err := s.Plan()
 		if err != nil {
 			t.Errorf("%+v: %v", s, err)
 			continue
 		}
-		if key != c.key {
-			t.Errorf("Key(faults=%q topo=%q flows=%q) = %s, want %s", c.faults, c.topo, c.flows, key, c.key)
+		if p.Key != c.key {
+			t.Errorf("Key(faults=%q topo=%q flows=%q) = %s, want %s", c.faults, c.topo, c.flows, p.Key, c.key)
 		}
-		if note := s.Note(); note != c.note {
-			t.Errorf("Note(faults=%q topo=%q flows=%q):\n got %s\nwant %s", c.faults, c.topo, c.flows, note, c.note)
+		if p.Note != c.note {
+			t.Errorf("Note(faults=%q topo=%q flows=%q):\n got %s\nwant %s", c.faults, c.topo, c.flows, p.Note, c.note)
+		}
+		cfgs, err := s.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p.Configs, cfgs) {
+			t.Errorf("Plan(faults=%q topo=%q flows=%q).Configs differ from Expand()", c.faults, c.topo, c.flows)
 		}
 	}
 }

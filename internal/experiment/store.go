@@ -201,7 +201,8 @@ type Checkpoint struct {
 	lastErr string
 
 	// Load-time integrity accounting: what the resilient reader saw, and
-	// up to maxDamagedBytes of the raw damaged lines for fsck quarantine.
+	// up to maxDamagedBytes of the raw damaged lines for fsck quarantine
+	// (stats.Unkept counts the rest).
 	stats   JournalStats
 	damaged [][]byte
 
@@ -270,6 +271,7 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 		c.done[key] = NewEntry(res)
 	}, func(line []byte) {
 		if damagedBytes+len(line) > maxDamagedBytes {
+			c.stats.Unkept++
 			return
 		}
 		damagedBytes += len(line)
@@ -564,6 +566,16 @@ func (c *Checkpoint) Compact() error {
 		return fmt.Errorf("experiment: checkpoint compact: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	// CreateTemp makes the file 0600; the rename must not narrow the
+	// journal's mode.
+	st, err := os.Stat(c.path)
+	if err == nil {
+		err = tmp.Chmod(st.Mode().Perm())
+	}
+	if err != nil {
+		tmp.Close()
+		return fmt.Errorf("experiment: checkpoint compact mode: %w", err)
+	}
 	w := bufio.NewWriter(tmp)
 	if _, err := w.WriteString(journalHeaderV2 + "\n"); err != nil {
 		tmp.Close()

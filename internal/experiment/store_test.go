@@ -121,6 +121,67 @@ func TestCheckpointCompact(t *testing.T) {
 	}
 }
 
+// TestCheckpointCompactKeepsMode: Compact and Repair rewrite the journal
+// through a temp file renamed over it, and the journal keeps its mode
+// through both. (Regression: the temp file's 0600 replaced a 0644 journal.)
+func TestCheckpointCompactKeepsMode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	checkMode := func(what string) {
+		t.Helper()
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Mode().Perm() != 0o644 {
+			t.Fatalf("journal mode after %s = %v, want 0644", what, st.Mode().Perm())
+		}
+	}
+	ck, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(path, 0o644); err != nil { // whatever the umask made it
+		t.Fatal(err)
+	}
+	// The second result supersedes the first: a stale line to compact away.
+	for _, res := range []Result{durabilityResult(1, 0.9), durabilityResult(1, 0.8)} {
+		if err := ck.Append(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.Stat(path); err != nil || os.SameFile(before, after) {
+		t.Fatalf("Compact did not rewrite the journal (err %v)", err)
+	}
+	checkMode("Compact")
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("this is not a journal record\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	rep, err := FsckJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Repaired {
+		t.Fatalf("fsck did not repair the damaged journal: %+v", rep)
+	}
+	checkMode("Repair")
+}
+
 // TestCheckpointCompactSkipsCleanJournal: Compact rewrites the journal only
 // when it holds a line the rewrite would drop or re-encode. A journal of
 // distinct appends is left alone, file and bytes; every kind of stale line

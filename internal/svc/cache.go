@@ -65,6 +65,7 @@ func OpenCache(path string) (*Cache, error) {
 			"dropped_corrupt", st.Corrupt,
 			"dropped_key_mismatched", st.KeyMismatch,
 			"dropped_oversized", st.Oversized,
+			"not_quarantined", st.Unkept,
 			"live_results", ck.Len(),
 			"quarantine", qfile)
 	}
@@ -78,18 +79,6 @@ func (c *Cache) Get(key string) (*experiment.Entry, bool) {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
-	}
-	return e, ok
-}
-
-// peek is the coordinator's second-chance lookup: the same read as Get,
-// but a miss is not counted (the submitter already counted the miss that
-// routed the config to the coordinator). A hit still counts — the result is
-// genuinely served from cache.
-func (c *Cache) peek(key string) (*experiment.Entry, bool) {
-	e, ok := c.LookupEntry(key)
-	if ok {
-		c.hits.Add(1)
 	}
 	return e, ok
 }

@@ -71,57 +71,68 @@ type statusError struct {
 
 func (e *statusError) Error() string { return e.msg }
 
-// decodeOrError parses a JSON body into v, turning non-2xx responses into
-// *statusError values carrying the server's message.
-func decodeOrError(resp *http.Response, v any) error {
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("svc: read response: %w", err)
+// newStatusError renders a non-2xx response and its body, preferring the
+// server's JSON error message to the raw body.
+func newStatusError(resp *http.Response, body []byte) *statusError {
+	var e struct {
+		Error string `json:"error"`
 	}
-	if resp.StatusCode >= 300 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := string(bytes.TrimSpace(body))
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return &statusError{code: resp.StatusCode, msg: fmt.Sprintf("svc: %s: %s", resp.Status, msg)}
+	msg := string(bytes.TrimSpace(body))
+	if json.Unmarshal(body, &e) == nil && e.Error != "" {
+		msg = e.Error
 	}
-	if v == nil {
-		return nil
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("svc: decode response: %w", err)
-	}
-	return nil
+	return &statusError{code: resp.StatusCode, msg: fmt.Sprintf("svc: %s: %s", resp.Status, msg)}
 }
 
-// postJSON issues one POST with a JSON body under ctx and decodes the
-// response into out. Non-2xx responses come back as errors; retryable
-// statuses (5xx, 429) are marked so a retry loop repeats them and client
-// errors are surfaced immediately.
-func postJSON(ctx context.Context, hc *http.Client, url string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return permanent(fmt.Errorf("svc: encode request: %w", err))
+// exchange issues one request under ctx, with in as its JSON body unless
+// nil, and returns the body of a 2xx response. Any other status comes back
+// as a *statusError, marked permanent unless retryableStatus says a retry
+// loop should repeat it; transport errors come back as they are, for the
+// retry loop to repeat.
+func exchange(ctx context.Context, hc *http.Client, method, url string, in any) ([]byte, error) {
+	var body io.Reader
+	if in != nil {
+		data, err := json.Marshal(in)
+		if err != nil {
+			return nil, permanent(fmt.Errorf("svc: encode request: %w", err))
+		}
+		body = bytes.NewReader(data)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
-		return permanent(fmt.Errorf("svc: build request: %w", err))
+		return nil, permanent(fmt.Errorf("svc: build request: %w", err))
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		return err // transport errors are retryable
+		return nil, err
 	}
-	retryable := retryableStatus(resp.StatusCode)
-	if err := decodeOrError(resp, out); err != nil {
-		if retryable {
-			return err
-		}
-		return permanent(err)
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("svc: read response: %w", err)
+	}
+	if resp.StatusCode < 300 {
+		return data, nil
+	}
+	se := newStatusError(resp, data)
+	if retryableStatus(resp.StatusCode) {
+		return nil, se
+	}
+	return nil, permanent(se)
+}
+
+// postJSON is one POST exchange whose response is decoded into out (nil =
+// discarded).
+func postJSON(ctx context.Context, hc *http.Client, url string, in, out any) error {
+	body, err := exchange(ctx, hc, http.MethodPost, url, in)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(body, out); err != nil {
+		return permanent(fmt.Errorf("svc: decode response: %w", err))
 	}
 	return nil
 }
@@ -133,46 +144,28 @@ func postJSON(ctx context.Context, hc *http.Client, url string, in, out any) err
 // content-addressed, so a retried POST coalesces onto the job the lost
 // response described — and is therefore retried like a GET.
 func (c *Client) Submit(spec experiment.GridSpec) (Status, error) {
-	spec, err := spec.Canonical()
+	plan, err := spec.Plan()
 	if err != nil {
 		return Status{}, fmt.Errorf("invalid spec: %w", err)
 	}
 	var st Status
 	err = c.retry().do(context.Background(), "submit", func(ctx context.Context) error {
-		return postJSON(ctx, c.http(), c.url("/v1/sweeps"), spec, &st)
+		return postJSON(ctx, c.http(), c.url("/v1/sweeps"), plan.Spec, &st)
 	})
 	return st, err
 }
 
 // Status fetches a job's status.
 func (c *Client) Status(id string) (Status, error) {
-	var st Status
-	if err := c.getJSON("/v1/sweeps/"+id, &st); err != nil {
+	body, err := c.raw("/v1/sweeps/" + id)
+	if err != nil {
 		return Status{}, err
 	}
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		return Status{}, fmt.Errorf("svc: decode response: %w", err)
+	}
 	return st, nil
-}
-
-// getJSON is a deadline-bounded, retried GET decoding a JSON body.
-func (c *Client) getJSON(path string, v any) error {
-	return c.retry().do(context.Background(), "get "+path, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(path), nil)
-		if err != nil {
-			return permanent(err)
-		}
-		resp, err := c.http().Do(req)
-		if err != nil {
-			return err
-		}
-		retryable := retryableStatus(resp.StatusCode)
-		if err := decodeOrError(resp, v); err != nil {
-			if retryable {
-				return err
-			}
-			return permanent(err)
-		}
-		return nil
-	})
 }
 
 // Stream follows the job's NDJSON event stream — full replay, then live —
@@ -190,10 +183,11 @@ func (c *Client) Stream(ctx context.Context, id string, onEvent func(Event)) err
 	if err != nil {
 		return fmt.Errorf("svc: stream: %w", err)
 	}
-	if resp.StatusCode >= 300 {
-		return decodeOrError(resp, nil)
-	}
 	defer resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		body, _ := io.ReadAll(resp.Body)
+		return newStatusError(resp, body)
+	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	for sc.Scan() {
@@ -236,31 +230,9 @@ func (c *Client) Metrics() ([]byte, error) {
 // raw is a deadline-bounded, retried GET returning the body verbatim.
 func (c *Client) raw(path string) ([]byte, error) {
 	var body []byte
-	err := c.retry().do(context.Background(), "get "+path, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(path), nil)
-		if err != nil {
-			return permanent(err)
-		}
-		resp, err := c.http().Do(req)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode >= 300 {
-			err := decodeOrError(resp, nil)
-			if retryableStatus(resp.StatusCode) {
-				return err
-			}
-			return permanent(err)
-		}
-		defer resp.Body.Close()
-		body, err = io.ReadAll(resp.Body)
-		if err != nil {
-			return fmt.Errorf("svc: read %s: %w", path, err)
-		}
-		return nil
+	err := c.retry().do(context.Background(), "get "+path, func(ctx context.Context) (err error) {
+		body, err = exchange(ctx, c.http(), http.MethodGet, c.url(path), nil)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return body, nil
+	return body, err
 }

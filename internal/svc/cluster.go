@@ -81,14 +81,16 @@ type clusterCounters struct {
 	fairEpisodes       uint64 // starvation episodes across accepted results
 }
 
-// Coordinator is sweepd's one scheduler: it owns the task table, the
-// worker registry, and the lease state machine, and feeds results into the
-// content-addressed cache and job machinery. Its workers are either remote
-// (sweepd -join, over HTTP) or, on a single node, in-process goroutines
-// that call acquire and upload directly — so a cluster sweep is
-// byte-identical to a solo one. Crash tolerance is lease-based: every grant
-// to a remote worker carries a deadline, heartbeats and uploads renew it,
-// and a reaper re-queues whatever dead or silent workers were holding.
+// Coordinator is sweepd's one scheduler: it resolves every submitted
+// configuration against the content-addressed cache, owns the task table,
+// the worker registry and the lease state machine, and feeds results into
+// the cache and job machinery. Its workers are either remote (sweepd
+// -join, over HTTP) or, on a single node, in-process goroutines that claim
+// tasks and upload directly — so a cluster sweep is byte-identical to a
+// solo one. Crash tolerance is lease-based: every grant to a remote worker
+// carries a deadline, heartbeats and uploads renew it, and a reaper
+// re-queues whatever dead or silent workers were holding. In-process
+// workers cannot fail apart from the coordinator, so they hold no leases.
 // Uploads are idempotent by Config.Key(), so retries and stolen
 // double-executions cost a counter bump, never a wrong or duplicated
 // result.
@@ -155,47 +157,43 @@ func NewCoordinator(opts ClusterOptions, cache *Cache) *Coordinator {
 // shutdown tests.
 var testHookBeforeSim func(key string)
 
-// startLocal starts n in-process workers (0 = GOMAXPROCS). Reap never
-// expires them or their leases: they cannot die apart from the
-// coordinator, and a simulation longer than the lease TTL is not a
-// failure.
+// startLocal starts n in-process workers (0 = GOMAXPROCS). They register
+// no worker and take no lease: nothing can reap them, and a simulation
+// longer than the lease TTL is not a failure.
 func (c *Coordinator) startLocal(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.locals.Add(n)
 	for i := 0; i < n; i++ {
-		w := c.addWorkerLocked("", true)
-		c.locals.Add(1)
-		go c.runLocal(w.id)
+		go c.runLocal()
 	}
 }
 
-// runLocal is one in-process worker. It takes one configuration per grant,
-// so a cancelled job's queued configs are never started and a single
-// worker finishes in grid order; it sleeps on wake while nothing is
-// pending; and its results take the same accept path as remote uploads.
-// Once the coordinator closes it finishes its current simulation and exits.
-func (c *Coordinator) runLocal(id string) {
+// runLocal is one in-process worker. It claims one task at a time, so a
+// cancelled job's queued configs are never started and a single worker
+// finishes in grid order; it sleeps on wake while nothing is pending; and
+// its results take the same accept path as remote uploads. Once the
+// coordinator closes it finishes its current simulation and exits.
+func (c *Coordinator) runLocal() {
 	defer c.locals.Done()
 	for {
 		c.mu.Lock()
-		var lr leaseResponse
-		for !c.closed && len(lr.Configs) == 0 {
-			if lr, _ = c.acquireLocked(id, 1); len(lr.Configs) == 0 {
+		var claimed []*clusterTask
+		for !c.closed && len(claimed) == 0 {
+			if claimed = c.take(1); len(claimed) == 0 {
 				c.wake.Wait()
 			}
 		}
 		c.mu.Unlock()
-		if len(lr.Configs) == 0 {
+		if len(claimed) == 0 {
 			return
 		}
-		cfg := lr.Configs[0]
+		cfg := claimed[0].cfg
 		if testHookBeforeSim != nil {
 			testHookBeforeSim(cfg.Key())
 		}
-		c.upload(id, experiment.RunOne(cfg))
+		c.upload("", experiment.RunOne(cfg))
 	}
 }
 
@@ -220,14 +218,13 @@ func (c *Coordinator) reapLoop() {
 // whose heartbeats stopped, moving their unfinished configurations back to
 // pending — unless a configuration has now burned through its retry
 // budget, in which case it is quarantined and its waiters get the errored
-// Result. In-process workers and their leases are exempt. It is called from
-// the background loop and directly by tests.
+// Result. It is called from the background loop and directly by tests.
 func (c *Coordinator) Reap() {
 	c.mu.Lock()
 	now := c.now()
 	var quarantined []*clusterTask
 	for id, w := range c.workers {
-		if !w.local && now.Sub(w.lastSeen) > c.opts.LeaseTTL {
+		if now.Sub(w.lastSeen) > c.opts.LeaseTTL {
 			for _, l := range w.leases {
 				quarantined = append(quarantined, c.requeueLeaseLocked(l, "worker died")...)
 			}
@@ -236,7 +233,7 @@ func (c *Coordinator) Reap() {
 		}
 	}
 	for _, l := range c.leases {
-		if !l.local && now.After(l.deadline) {
+		if now.After(l.deadline) {
 			quarantined = append(quarantined, c.requeueLeaseLocked(l, "lease expired")...)
 			c.c.leasesExpired++
 		}
@@ -348,48 +345,51 @@ type waiter struct {
 	idx int
 }
 
-// Enqueue schedules a configuration for the job's slot idx, coalescing onto
-// an existing task for the same science key. It re-checks the cache under
-// the coordinator lock before opening a new task, so a result accepted
-// between the server's cache miss and this call is served, not
-// re-simulated.
+// Enqueue resolves a configuration for the job's slot idx, under the
+// coordinator lock and in this order: the cache (one counted lookup), an
+// in-flight task for the same science key (joined), the quarantine record
+// (served), and otherwise a new task. Uploads fill the cache under the same
+// lock, so a result is either served here or still owed by a task.
 func (c *Coordinator) Enqueue(key string, cfg experiment.Config, j *Job, idx int) {
 	c.mu.Lock()
+	e, cached := c.cache.Get(key)
+	if !cached {
+		e = c.scheduleLocked(key, cfg, waiter{j, idx})
+	}
+	c.mu.Unlock()
+	if e != nil {
+		j.deliver(idx, e, cached)
+	}
+}
+
+// scheduleLocked attaches a cache miss to its task, opening one if none is
+// in flight, and returns nil; or it returns the entry that answers the
+// waiter at once: the quarantine record's, or an errored one once the
+// coordinator has closed.
+func (c *Coordinator) scheduleLocked(key string, cfg experiment.Config, w waiter) *experiment.Entry {
 	if t, ok := c.tasks[key]; ok {
-		t.waiters = append(t.waiters, waiter{j, idx})
+		t.waiters = append(t.waiters, w)
 		c.c.configsCoalesced++
-		c.mu.Unlock()
-		return
+		return nil
 	}
 	if rec, ok := c.quarantine[key]; ok {
-		if c.opts.RequeueQuarantined {
-			// Operator override: forget the record and fall through to open
-			// a fresh task with a full retry budget.
-			delete(c.quarantine, key)
-		} else {
-			e := rec.res
+		if !c.opts.RequeueQuarantined {
 			c.c.quarantineServed++
-			c.mu.Unlock()
-			j.deliver(idx, e, false)
-			return
+			return rec.res
 		}
-	}
-	if e, ok := c.cache.peek(key); ok {
-		c.mu.Unlock()
-		j.deliver(idx, e, true)
-		return
+		// Operator override: forget the record and open a fresh task with a
+		// full retry budget.
+		delete(c.quarantine, key)
 	}
 	if c.closed {
-		c.mu.Unlock()
-		j.deliver(idx, experiment.NewEntry(experiment.Result{Config: cfg.Recorded(),
-			Error: "sweepd: coordinator shutting down; configuration was not scheduled"}), false)
-		return
+		return experiment.NewEntry(experiment.Result{Config: cfg.Recorded(),
+			Error: "sweepd: coordinator shutting down; configuration was not scheduled"})
 	}
-	t := &clusterTask{key: key, cfg: cfg, state: taskPending, waiters: []waiter{{j, idx}}}
+	t := &clusterTask{key: key, cfg: cfg, state: taskPending, waiters: []waiter{w}}
 	c.tasks[key] = t
 	c.pending = append(c.pending, t)
 	c.wake.Signal()
-	c.mu.Unlock()
+	return nil
 }
 
 // ReleaseJob withdraws a cancelled job's interest in the given config keys.
@@ -423,25 +423,19 @@ func (c *Coordinator) ReleaseJob(j *Job, keys []string) {
 func (c *Coordinator) register(name string) registerResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return registerResponse{
-		WorkerID:    c.addWorkerLocked(name, false).id,
-		HeartbeatNS: int64(c.opts.Heartbeat),
-		LeaseTTLNS:  int64(c.opts.LeaseTTL),
-		LeaseBatch:  c.opts.LeaseBatch,
-	}
-}
-
-// addWorkerLocked admits a worker under a fresh ID.
-func (c *Coordinator) addWorkerLocked(name string, local bool) *clusterWorker {
 	c.nextID++
 	id := fmt.Sprintf("w%d", c.nextID)
 	if name == "" {
 		name = id
 	}
-	w := &clusterWorker{id: id, name: name, local: local, lastSeen: c.now(), leases: make(map[string]*lease)}
-	c.workers[id] = w
+	c.workers[id] = &clusterWorker{id: id, name: name, lastSeen: c.now(), leases: make(map[string]*lease)}
 	c.c.workersJoined++
-	return w
+	return registerResponse{
+		WorkerID:    id,
+		HeartbeatNS: int64(c.opts.Heartbeat),
+		LeaseTTLNS:  int64(c.opts.LeaseTTL),
+		LeaseBatch:  c.opts.LeaseBatch,
+	}
 }
 
 // heartbeat renews a worker's liveness and every lease it holds. Unknown
@@ -470,10 +464,6 @@ func (c *Coordinator) heartbeat(workerID string) bool {
 func (c *Coordinator) acquire(workerID string, max int) (leaseResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.acquireLocked(workerID, max)
-}
-
-func (c *Coordinator) acquireLocked(workerID string, max int) (leaseResponse, bool) {
 	w, ok := c.workers[workerID]
 	if !ok {
 		return leaseResponse{}, false
@@ -516,7 +506,6 @@ func (c *Coordinator) acquireLocked(workerID string, max int) (leaseResponse, bo
 	l := &lease{
 		id:        fmt.Sprintf("%s-l%d", workerID, c.nextID),
 		worker:    workerID,
-		local:     w.local,
 		deadline:  now.Add(c.opts.LeaseTTL),
 		remaining: make(map[string]*clusterTask, len(grant)),
 	}
@@ -547,7 +536,7 @@ func (c *Coordinator) take(max int) []*clusterTask {
 		t := c.pending[i]
 		c.pending[i] = nil
 		if t.state == taskPending {
-			t.state = taskLeased // claimed; attached to the lease by the caller
+			t.state = taskLeased // claimed; acquire attaches it to a lease
 			grant = append(grant, t)
 		}
 	}
@@ -557,8 +546,8 @@ func (c *Coordinator) take(max int) []*clusterTask {
 
 // upload accepts one result. The first upload for a science key completes
 // the task — cache insertion happens under the coordinator lock, before the
-// task leaves the table, so Enqueue's second-chance lookup can never miss
-// both — and any later upload of the same key (an RPC retry after a lost
+// task leaves the table, so Enqueue finds the key in one or the other —
+// and any later upload of the same key (an RPC retry after a lost
 // ACK, or a stolen config its original worker finished anyway) is
 // acknowledged as a duplicate no-op. Results are accepted regardless of the
 // uploader's registration state: a worker reaped during a partition still

@@ -101,16 +101,16 @@ func (c *Coordinator) counters() clusterCounters {
 // spec.
 func TestClusterMatchesLocalSweep(t *testing.T) {
 	spec := tinySpec()
-	cfgs, err := spec.Expand()
+	plan, err := spec.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := experiment.RunAllOpts(cfgs, experiment.RunAllOptions{Workers: 2, KeepGoing: true})
+	local, err := experiment.RunAllOpts(plan.Configs, experiment.RunAllOptions{Workers: 2, KeepGoing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := experiment.WriteJSON(&want, &experiment.ResultSet{Note: spec.Note(), Results: local}); err != nil {
+	if err := experiment.WriteJSON(&want, &experiment.ResultSet{Note: plan.Note, Results: local}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -457,9 +457,8 @@ func TestMetricsSameNamesBothModes(t *testing.T) {
 // TestAcquireTakesOnlyWhatItGrants: successive grants come off the head of
 // the pending queue in FIFO order and stop once full, the ungranted tail
 // keeps its order, and entries cancelled or completed while queued are
-// dropped when a scan passes them. Workers registered over the wire get the
-// same head-of-queue grants as in-process ones: no worker is preferred for
-// any key.
+// dropped when a scan passes them. Every registered worker gets the same
+// head-of-queue grants: no worker is preferred for any key.
 func TestAcquireTakesOnlyWhatItGrants(t *testing.T) {
 	cache, err := OpenCache("")
 	if err != nil {
@@ -473,13 +472,11 @@ func TestAcquireTakesOnlyWhatItGrants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJob("fifo", experiment.GridSpec{}, cfgs)
+	j := newJob(experiment.Plan{Key: "fifo", Configs: cfgs})
 	for i := range cfgs {
 		c.Enqueue(j.keys[i], cfgs[i], j, i)
 	}
-	c.mu.Lock()
-	id := c.addWorkerLocked("", true).id
-	c.mu.Unlock()
+	id := c.register("").WorkerID
 
 	grant := func(id string, max int) []string {
 		lr, ok := c.acquire(id, max)
@@ -528,7 +525,7 @@ func TestAcquireTakesOnlyWhatItGrants(t *testing.T) {
 	if cfgs, err = spec.Expand(); err != nil {
 		t.Fatal(err)
 	}
-	j2 := newJob("fifo-remote", experiment.GridSpec{}, cfgs)
+	j2 := newJob(experiment.Plan{Key: "fifo-remote", Configs: cfgs})
 	for i := range cfgs {
 		c.Enqueue(j2.keys[i], cfgs[i], j2, i)
 	}
@@ -688,7 +685,7 @@ func TestClusterQuarantineServedAndRequeue(t *testing.T) {
 
 	// A fresh job asking for a quarantined key is served from the record.
 	cfg := lr.Configs[0]
-	j2 := newJob("served", experiment.GridSpec{}, []experiment.Config{cfg})
+	j2 := newJob(experiment.Plan{Key: "served", Configs: []experiment.Config{cfg}})
 	coord.Enqueue(cfg.Key(), cfg, j2, 0)
 	select {
 	case <-j2.Finished():
@@ -706,7 +703,7 @@ func TestClusterQuarantineServedAndRequeue(t *testing.T) {
 	coord.mu.Lock()
 	coord.opts.RequeueQuarantined = true
 	coord.mu.Unlock()
-	j3 := newJob("requeued", experiment.GridSpec{}, []experiment.Config{cfg})
+	j3 := newJob(experiment.Plan{Key: "requeued", Configs: []experiment.Config{cfg}})
 	coord.Enqueue(cfg.Key(), cfg, j3, 0)
 	coord.mu.Lock()
 	_, reopened := coord.tasks[cfg.Key()]

@@ -36,16 +36,15 @@ type Event struct {
 // Job is one submitted sweep: a canonical GridSpec, its expanded
 // configurations in canonical grid order, and the results as they fill in
 // from cache hits and worker results. The job ID is the spec's content
-// address (GridSpec.Key), which is what makes identical submissions
-// coalesce.
+// address (Plan.Key), which is what makes identical submissions coalesce.
 type Job struct {
 	ID   string
 	Spec experiment.GridSpec // canonical form
+	note string              // the plan's provenance note, for the result set and report
+	ids  []string            // Configs[i].Normalize().ID(): human-readable labels (events, errors)
+	keys []string            // Configs[i].Key(): science identity (cache and task addressing)
 
 	mu       sync.Mutex
-	cfgs     []experiment.Config
-	ids      []string            // cfgs[i].Normalize().ID(): human-readable labels (events, errors)
-	keys     []string            // cfgs[i].Key(): science identity (cache and task addressing)
 	slots    []*experiment.Entry // the entry each slot was delivered (nil until then): its Result and served bytes
 	done     int
 	cached   int // slots satisfied from the cache, not a fresh simulation
@@ -54,26 +53,24 @@ type Job struct {
 	events   []Event
 	subs     map[chan Event]bool
 	finished chan struct{} // closed on done or cancelled
-
-	noteOnce sync.Once
-	note     string // Spec.Note(), which re-expands the grid: made once, on first use
 }
 
-func newJob(id string, spec experiment.GridSpec, cfgs []experiment.Config) *Job {
+func newJob(p experiment.Plan) *Job {
+	n := len(p.Configs)
 	j := &Job{
-		ID:       id,
-		Spec:     spec,
-		cfgs:     cfgs,
-		ids:      make([]string, len(cfgs)),
-		keys:     make([]string, len(cfgs)),
-		slots:    make([]*experiment.Entry, len(cfgs)),
+		ID:       p.Key,
+		Spec:     p.Spec,
+		note:     p.Note,
+		ids:      make([]string, n),
+		keys:     make([]string, n),
+		slots:    make([]*experiment.Entry, n),
 		state:    StateQueued,
 		subs:     make(map[chan Event]bool),
 		finished: make(chan struct{}),
 	}
-	for i := range cfgs {
-		j.ids[i] = cfgs[i].Normalize().ID()
-		j.keys[i] = cfgs[i].Key()
+	for i := range p.Configs {
+		j.ids[i] = p.Configs[i].Normalize().ID()
+		j.keys[i] = p.Configs[i].Key()
 	}
 	return j
 }
@@ -101,7 +98,7 @@ func (j *Job) deliver(idx int, e *experiment.Entry, cached bool) {
 	if j.state == StateQueued {
 		j.state = StateRunning
 	}
-	complete := j.done == len(j.cfgs)
+	complete := j.done == len(j.slots)
 	if complete {
 		j.state = StateDone
 	}
@@ -109,7 +106,7 @@ func (j *Job) deliver(idx int, e *experiment.Entry, cached bool) {
 		Seq:         j.done - 1,
 		ConfigID:    j.ids[idx],
 		Done:        j.done,
-		Total:       len(j.cfgs),
+		Total:       len(j.slots),
 		Cached:      cached,
 		Error:       res.Error,
 		Jain:        res.Jain,
@@ -139,7 +136,7 @@ func (j *Job) deliver(idx int, e *experiment.Entry, cached bool) {
 func (j *Job) Subscribe() (chan Event, []Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ch := make(chan Event, len(j.cfgs)+1)
+	ch := make(chan Event, len(j.slots)+1)
 	replay := make([]Event, len(j.events))
 	copy(replay, j.events)
 	j.subs[ch] = true
@@ -186,8 +183,7 @@ type Status struct {
 	Total int                 `json:"total"`
 	Done  int                 `json:"done"`
 	// Cached counts configurations served from the content-addressed cache
-	// instead of a simulation (usually at submit time, occasionally via the
-	// coordinator's second-chance lookup when a result lands mid-submit).
+	// instead of a simulation.
 	Cached int `json:"cached"`
 	// Simulated counts configurations this job actually ran (or joined in
 	// flight): Done - Cached.
@@ -209,7 +205,7 @@ func (j *Job) Status() Status {
 		ID:        j.ID,
 		State:     j.state,
 		Spec:      j.Spec,
-		Total:     len(j.cfgs),
+		Total:     len(j.slots),
 		Done:      j.done,
 		Cached:    j.cached,
 		Simulated: j.done - j.cached,
@@ -245,13 +241,6 @@ func (j *Job) Entries() ([]*experiment.Entry, bool) {
 		return nil, false
 	}
 	return j.slots, true
-}
-
-// Note returns the spec's provenance note for the job's result set and
-// report.
-func (j *Job) Note() string {
-	j.noteOnce.Do(func() { j.note = j.Spec.Note() })
-	return j.note
 }
 
 // Finished returns a channel closed when the job completes or is

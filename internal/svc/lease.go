@@ -7,12 +7,13 @@ import (
 )
 
 // Cluster task lifecycle. A task is one configuration the coordinator owes
-// an answer for. It is pending until granted to a worker inside a lease,
-// leased while some worker's lease holds it, and done once any worker's
-// upload lands (at which point it leaves the table — the result lives in
-// the content-addressed cache). Expiry, worker death, and explicit release
-// move a task from leased back to pending; work stealing moves it from one
-// live lease to another without touching the state.
+// an answer for. It is pending until a worker claims it, leased while a
+// worker holds it (a remote worker inside a lease, an in-process worker
+// directly), and done once any worker's upload lands (at which point it
+// leaves the table — the result lives in the content-addressed cache).
+// Expiry, worker death, and explicit release move a task from leased back
+// to pending; work stealing moves it from one live lease to another
+// without touching the state.
 type taskState uint8
 
 const (
@@ -28,7 +29,7 @@ type clusterTask struct {
 	key     string // Config.Key(): the science identity
 	cfg     experiment.Config
 	state   taskState
-	lease   *lease // the lease currently holding the task (leased only)
+	lease   *lease // the lease currently holding the task (leased to a remote worker only)
 	waiters []waiter
 
 	// Retry accounting for poison-config quarantine: failures counts the
@@ -45,7 +46,6 @@ type clusterTask struct {
 type lease struct {
 	id        string
 	worker    string
-	local     bool // held by an in-process worker: never expires
 	deadline  time.Time
 	keys      []string // grant order (superset of remaining; stolen/done keys stay listed)
 	remaining map[string]*clusterTask
@@ -64,13 +64,11 @@ func (l *lease) tail(n int) []*clusterTask {
 	return out
 }
 
-// clusterWorker is one registered worker: liveness timestamp and the leases
-// it currently holds. A local worker is an in-process goroutine and is
-// never reaped.
+// clusterWorker is one registered remote worker: liveness timestamp and
+// the leases it currently holds.
 type clusterWorker struct {
 	id       string
 	name     string
-	local    bool
 	lastSeen time.Time
 	leases   map[string]*lease
 }

@@ -68,18 +68,14 @@ func TestEventsCarrySlotIDs(t *testing.T) {
 	}
 }
 
-// registerJob adds a job to the server without scheduling it, so a test
-// can deliver hand-made results into its slots.
-func registerJob(s *Server, id string, spec experiment.GridSpec) (*Job, error) {
-	cfgs, err := spec.Expand()
-	if err != nil {
-		return nil, err
-	}
-	j := newJob(id, spec, cfgs)
+// registerJob adds a planned job to the server without scheduling it, so
+// a test can deliver hand-made results into its slots.
+func registerJob(s *Server, p experiment.Plan) *Job {
+	j := newJob(p)
 	s.mu.Lock()
-	s.jobs[id] = j
+	s.jobs[j.ID] = j
 	s.mu.Unlock()
-	return j, nil
+	return j
 }
 
 // TestResultsUnencodableIs500: a result JSON cannot encode (a NaN metric)
@@ -87,12 +83,14 @@ func registerJob(s *Server, id string, spec experiment.GridSpec) (*Job, error) {
 // empty body.
 func TestResultsUnencodableIs500(t *testing.T) {
 	s, client, _ := newClusterServer(t, ClusterOptions{}, Options{})
-	j, err := registerJob(s, "nan", tinySpec())
+	plan, err := tinySpec().Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.deliver(0, experiment.NewEntry(fakeRun(j.cfgs[0])), false)
-	bad := fakeRun(j.cfgs[1])
+	plan.Key = "nan"
+	j := registerJob(s, plan)
+	j.deliver(0, experiment.NewEntry(fakeRun(plan.Configs[0])), false)
+	bad := fakeRun(plan.Configs[1])
 	bad.Jain = math.NaN()
 	j.deliver(1, experiment.NewEntry(bad), false)
 

@@ -165,13 +165,13 @@ func bodyError(w http.ResponseWriter, what string, err error) {
 }
 
 // handleSubmit accepts a GridSpec, content-addresses it, and either
-// coalesces onto the existing job for that key or expands and schedules a
-// new one. Every configuration is first looked up in the cache; misses go
-// to the coordinator (joining any queued or running task for the same
-// config). A faults, topo or flows value naming an @file is refused before
-// anything parses it: the path would be opened on the server, so @file
-// specs are the client's to resolve (Client.Submit sends the canonical
-// spec, which carries the file's contents).
+// coalesces onto the existing job for that key or plans and schedules a
+// new one, handing each configuration to the coordinator, which serves it
+// from the cache or joins or opens its task. A faults, topo or flows value
+// naming an @file is refused before anything parses it: the path would be
+// opened on the server, so @file specs are the client's to resolve
+// (Client.Submit sends the canonical spec, which carries the file's
+// contents).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec experiment.GridSpec
 	dec := json.NewDecoder(r.Body)
@@ -187,39 +187,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	canonical, err := spec.Canonical()
+	plan, err := spec.Plan()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "invalid spec: %v", err)
 		return
 	}
-	key, err := spec.Key()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "invalid spec: %v", err)
-		return
-	}
-	cfgs, err := spec.Expand()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "invalid spec: %v", err)
-		return
-	}
-	if len(cfgs) == 0 {
+	if len(plan.Configs) == 0 {
 		httpError(w, http.StatusBadRequest, "spec expands to zero configurations")
 		return
 	}
-	if s.opts.Audit {
-		for i := range cfgs {
-			cfgs[i].Audit = true
-		}
-	}
-	if s.opts.Trace {
-		for i := range cfgs {
-			cfgs[i].Trace = true
-		}
-	}
-	if s.opts.Fairness {
-		for i := range cfgs {
-			cfgs[i].Fairness = true
-		}
+	for i := range plan.Configs {
+		c := &plan.Configs[i]
+		c.Audit = c.Audit || s.opts.Audit
+		c.Trace = c.Trace || s.opts.Trace
+		c.Fairness = c.Fairness || s.opts.Fairness
 	}
 
 	s.mu.Lock()
@@ -230,25 +211,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// A cancelled job is a tombstone, not an answer: re-POSTing the same
 	// spec must start fresh work, so only live or completed jobs coalesce.
-	if j, ok := s.jobs[key]; ok && j.State() != StateCancelled {
+	if j, ok := s.jobs[plan.Key]; ok && j.State() != StateCancelled {
 		s.mu.Unlock()
 		s.jobsCoalesced.Add(1)
 		writeStatus(w, http.StatusOK, j.Status())
 		return
 	}
-	j := newJob(key, canonical, cfgs)
-	s.jobs[key] = j
+	j := newJob(plan)
+	s.jobs[plan.Key] = j
 	s.mu.Unlock()
 
-	// Fill from cache first, then schedule the misses. Scheduling happens
-	// after job registration so a concurrent identical POST coalesces onto
-	// this job instead of re-expanding.
-	for i := range cfgs {
-		if res, ok := s.cache.Get(j.keys[i]); ok {
-			j.deliver(i, res, true)
-		} else {
-			s.coord.Enqueue(j.keys[i], cfgs[i], j, i)
-		}
+	// Scheduling happens after job registration so a concurrent identical
+	// POST coalesces onto this job instead of re-planning.
+	for i, cfg := range plan.Configs {
+		s.coord.Enqueue(j.keys[i], cfg, j, i)
 	}
 	writeStatus(w, http.StatusAccepted, j.Status())
 }
@@ -370,7 +346,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		elems[i] = elem
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = experiment.WriteSet(w, j.Note(), elems) // a failed write means the client went away
+	_ = experiment.WriteSet(w, j.note, elems) // a failed write means the client went away
 }
 
 // streamPerConfig streams a completed job as NDJSON, one record per
@@ -463,7 +439,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		results[i] = e.Result
 	}
 	md := paper.Report(results, paper.ReportOptions{
-		Note:           j.Note(),
+		Note:           j.note,
 		IncludeFigures: r.URL.Query().Get("figures") != "0",
 	})
 	w.Header().Set("Content-Type", "text/markdown; charset=utf-8")

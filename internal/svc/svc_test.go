@@ -138,16 +138,16 @@ func TestAPIGolden(t *testing.T) {
 // provenance note, byte-identical modulo wall_ns.
 func TestServedMatchesLocalSweep(t *testing.T) {
 	spec := tinySpec()
-	cfgs, err := spec.Expand()
+	plan, err := spec.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := experiment.RunAllOpts(cfgs, experiment.RunAllOptions{Workers: 2, KeepGoing: true})
+	local, err := experiment.RunAllOpts(plan.Configs, experiment.RunAllOptions{Workers: 2, KeepGoing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := experiment.WriteJSON(&want, &experiment.ResultSet{Note: spec.Note(), Results: local}); err != nil {
+	if err := experiment.WriteJSON(&want, &experiment.ResultSet{Note: plan.Note, Results: local}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -194,16 +194,16 @@ func TestCachedResultsCarryNoRunControls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs, err := spec.Expand()
+	plan, err := spec.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := experiment.RunAllOpts(cfgs, experiment.RunAllOptions{Workers: 2, KeepGoing: true})
+	local, err := experiment.RunAllOpts(plan.Configs, experiment.RunAllOptions{Workers: 2, KeepGoing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := experiment.WriteJSON(&want, &experiment.ResultSet{Note: spec.Note(), Results: local}); err != nil {
+	if err := experiment.WriteJSON(&want, &experiment.ResultSet{Note: plan.Note, Results: local}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(stripWall(served), stripWall(want.Bytes())) {
@@ -247,16 +247,16 @@ func TestSubmitRefusesServerFiles(t *testing.T) {
 
 	spec := tinySpec()
 	spec.Faults = "@" + path
-	cfgs, err := spec.Expand()
+	plan, err := spec.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := experiment.RunAllOpts(cfgs, experiment.RunAllOptions{Workers: 2, KeepGoing: true})
+	local, err := experiment.RunAllOpts(plan.Configs, experiment.RunAllOptions{Workers: 2, KeepGoing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := experiment.WriteJSON(&want, &experiment.ResultSet{Note: spec.Note(), Results: local}); err != nil {
+	if err := experiment.WriteJSON(&want, &experiment.ResultSet{Note: plan.Note, Results: local}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := client.Submit(spec)
@@ -465,15 +465,67 @@ func simsTotal(t *testing.T, c *Client) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := regexp.MustCompile(`(?m)^sweepd_sims_total (\d+)$`).FindSubmatch(body)
+	return metric(t, body, "sweepd_sims_total")
+}
+
+// metric reads one label-less integer metric from a /metrics body.
+func metric(t *testing.T, body []byte, name string) int {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + name + ` (\d+)$`).FindSubmatch(body)
 	if m == nil {
-		t.Fatalf("/metrics has no sweepd_sims_total:\n%s", body)
+		t.Fatalf("/metrics has no %s:\n%s", name, body)
 	}
 	n, err := strconv.Atoi(string(m[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// TestCacheCountsEachConfigOnce: one job mixing a cached config, one in
+// flight for another job, and new ones counts exactly one cache hit or
+// miss per config; a config that joins an in-flight task is a miss.
+func TestCacheCountsEachConfigOnce(t *testing.T) {
+	started, proceed := gateSims(t)
+	s, client := newTestServer(t, Options{Shards: 1})
+	spec := tinySpec()
+	spec.Seeds = 2 // 4 configs
+	cfgs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cache.Put(fakeRun(cfgs[0]))
+
+	first := spec
+	first.Configs = 2 // the cached config and one to simulate
+	stA, err := client.Submit(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // config 1 is on the worker
+	stB, err := client.Submit(spec)
+	metrics, merr := client.Metrics()
+	close(proceed) // before any Fatal: shutdown waits for the gated simulation
+	if err != nil || merr != nil {
+		t.Fatal(err, merr)
+	}
+	// The first job: config 0 hits, config 1 misses. The second: config 0
+	// hits, config 1 joins the task in flight, configs 2 and 3 are new.
+	hits, misses := metric(t, metrics, "sweepd_cache_hits_total"), metric(t, metrics, "sweepd_cache_misses_total")
+	if coalesced := metric(t, metrics, "sweepd_configs_coalesced_total"); hits != 2 || misses != 4 || coalesced != 1 {
+		t.Fatalf("hits %d, misses %d, coalesced %d; want 2, 4, 1", hits, misses, coalesced)
+	}
+	for _, c := range []struct {
+		id             string
+		cached, simmed int
+	}{{stA.ID, 1, 1}, {stB.ID, 1, 3}} {
+		if st := waitDone(t, client, c.id); st.Cached != c.cached || st.Simulated != c.simmed || st.Errored != 0 {
+			t.Fatalf("job %s: %+v, want %d cached / %d simulated", c.id, st, c.cached, c.simmed)
+		}
+	}
+	if got := simsTotal(t, client); got != 3 {
+		t.Fatalf("sims = %d, want 3 (configs 1, 2 and 3 once each)", got)
+	}
 }
 
 // TestPoolCloseFailsQueuedWork: at shutdown the configuration already
@@ -530,7 +582,7 @@ func TestPoolCloseFailsQueuedWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2 := newJob("job2", experiment.GridSpec{}, cfgs)
+	j2 := newJob(experiment.Plan{Key: "job2", Configs: cfgs})
 	s.coord.Enqueue(j2.keys[1], cfgs[1], j2, 1)
 	if st := j2.Status(); st.Done != 1 || st.Errored != 1 {
 		t.Fatalf("Enqueue after close: %+v, want an immediate errored delivery", st)
@@ -539,7 +591,8 @@ func TestPoolCloseFailsQueuedWork(t *testing.T) {
 
 // TestLocalWorkerOutlivesLeaseTTL: an in-process worker whose simulation
 // runs past the lease TTL is neither reaped nor requeued — it cannot die
-// apart from the coordinator — and the config simulates exactly once.
+// apart from the coordinator, so it holds no lease — and the config
+// simulates exactly once.
 func TestLocalWorkerOutlivesLeaseTTL(t *testing.T) {
 	started, proceed := gateSims(t)
 	s, client := newTestServer(t, Options{Shards: 1})
@@ -554,10 +607,22 @@ func TestLocalWorkerOutlivesLeaseTTL(t *testing.T) {
 	coord.Reap()
 	coord.setNow(time.Now)
 	c := coord.counters()
+	metrics, merr := client.Metrics()
 	close(proceed) // before any Fatal: shutdown waits for the gated simulation
+	if merr != nil {
+		t.Fatal(merr)
+	}
 	if c.workersDead != 0 || c.leasesExpired != 0 || c.configsRequeued != 0 {
 		t.Fatalf("reap past the TTL: %d dead / %d expired / %d requeued, want 0/0/0",
 			c.workersDead, c.leasesExpired, c.configsRequeued)
+	}
+	// The worker mid-simulation is neither a registered worker nor a lease
+	// holder: leases are for workers that can fail apart from the
+	// coordinator.
+	for _, want := range []string{"\nsweepd_cluster_workers 0\n", "\nsweepd_cluster_leases_active 0\n"} {
+		if !bytes.Contains(metrics, []byte(want)) {
+			t.Errorf("/metrics during the simulation lacks %q:\n%s", strings.TrimSpace(want), metrics)
+		}
 	}
 
 	if st = waitDone(t, client, st.ID); st.Simulated != 2 || st.Errored != 0 {

@@ -188,7 +188,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	defer func() {
 		close(hbStop)
 		<-hbDone
-		w.goodbye()
+		w.release("", true)
 		if err := w.cache.Close(); err != nil {
 			w.logf("journal close: %v", err)
 		}
@@ -311,7 +311,7 @@ func (w *Worker) workLease(ctx context.Context, lr leaseResponse) {
 	if i < len(lr.Configs) {
 		// Drained mid-lease: hand the unstarted tail back so the
 		// coordinator reschedules it now, not after the TTL.
-		w.releaseLease(lr.LeaseID)
+		w.release(lr.LeaseID, false)
 	}
 }
 
@@ -322,7 +322,7 @@ func (w *Worker) workLease(ctx context.Context, lr leaseResponse) {
 func (w *Worker) runOne(cfg experiment.Config, leaseID string) {
 	key := cfg.Key()
 	var res experiment.Result
-	if e, ok := w.cache.peek(key); ok {
+	if e, ok := w.cache.Get(key); ok {
 		res = e.Result
 		w.cacheHits.Add(1)
 	} else if ferr := failpoint.InjectCtx("worker.run", cfg.ID()); ferr != nil {
@@ -351,30 +351,22 @@ func (w *Worker) runOne(cfg experiment.Config, leaseID string) {
 	}
 }
 
-// releaseLease returns a lease's unworked remainder to the coordinator.
-// The coordinator computes the remainder itself (everything not yet
-// uploaded), so the call carries only the lease ID.
-func (w *Worker) releaseLease(leaseID string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	var resp releaseResponse
-	if err := w.post(ctx, "release", "/v1/workers/"+w.workerID()+"/release",
-		releaseRequest{LeaseID: leaseID}, &resp); err != nil {
-		w.logf("release %s: %v (coordinator will expire it)", leaseID, err)
-		return
+// release hands lease work back to the coordinator: one lease's unworked
+// remainder (the coordinator computes it: everything not yet uploaded), or
+// with bye everything still held, deregistering the worker so a gracefully
+// stopped worker never triggers the expiry path. The two are the rpc
+// failpoint's "release" and "goodbye" ops.
+func (w *Worker) release(leaseID string, bye bool) {
+	op := "release"
+	if bye {
+		op = "goodbye"
 	}
-	w.released.Add(uint64(resp.Requeued))
-}
-
-// goodbye releases everything still held and deregisters, so a gracefully
-// stopped worker never triggers the expiry path.
-func (w *Worker) goodbye() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	var resp releaseResponse
-	if err := w.post(ctx, "goodbye", "/v1/workers/"+w.workerID()+"/release",
-		releaseRequest{Bye: true}, &resp); err != nil {
-		w.logf("goodbye: %v (coordinator will reap us)", err)
+	if err := w.post(ctx, op, "/v1/workers/"+w.workerID()+"/release",
+		releaseRequest{LeaseID: leaseID, Bye: bye}, &resp); err != nil {
+		w.logf("%s: %v (the coordinator will take the work back on expiry)", op, err)
 		return
 	}
 	w.released.Add(uint64(resp.Requeued))
