@@ -179,3 +179,173 @@ func at(s []string, i int) string {
 	}
 	return "<none>"
 }
+
+// foldSchedule is a seeded arrival schedule for an upstream port U feeding
+// a port D at the same rate, one byte per nanosecond, so that same-size
+// packets sent back to back reach D exactly as it finishes the one before.
+// Arrivals are also placed so that their first packet reaches D exactly
+// when D's serializer frees up, 1 ns before it, and 1 ns after it.
+type foldSchedule struct {
+	arrivals    []fusedArrival
+	checkpoints []sim.Time // RunUntil ends, in D's serialization or before a packet reaches D
+	atFree      int        // arrivals whose first packet reaches D exactly as it frees up
+	beforeFree  int        // ... 1 ns before it
+}
+
+const (
+	foldRate  = 8 * units.GigabitPerSec // 1 ns per byte
+	foldDelay = 50 * time.Microsecond   // U's propagation delay
+)
+
+func newFoldSchedule(seed uint64) foldSchedule {
+	rng := sim.NewRNG(seed)
+	var s foldSchedule
+	d := sim.Duration(foldDelay)
+	// freeU and freeD: when U's and D's serializers finish their backlogs.
+	var now, freeU, freeD sim.Time
+	for i := 0; i < 600; i++ {
+		a := fusedArrival{early: rng.Intn(2) == 0}
+		for n := 1 + max(0, rng.Intn(7)-3); n > 0; n-- {
+			a.sizes = append(a.sizes, mixedSizes[rng.Intn(len(mixedSizes))])
+		}
+		// land: the arrival time at which the first packet reaches D at t1.
+		land := func(t1 sim.Time) bool {
+			at := t1 - d - sim.Time(a.sizes[0])
+			if at < max(now, freeU) {
+				return false
+			}
+			now = at
+			return true
+		}
+		switch rng.Intn(7) {
+		case 0:
+			if land(freeD) {
+				s.atFree++
+			}
+		case 1:
+			if land(freeD - 1) {
+				s.beforeFree++
+			}
+		case 2:
+			land(freeD + 1)
+		case 3: // idle gap
+			now = max(now, freeU, freeD-d) + sim.Time(1+rng.Intn(200_000))
+		case 4: // same instant as the previous arrival
+		default:
+			now += sim.Time(rng.Intn(4_000))
+		}
+		a.at = now
+		for j, size := range a.sizes {
+			freeU = max(now, freeU) + sim.Time(size)
+			t1 := freeU + d
+			startD := max(t1, freeD)
+			freeD = startD + sim.Time(size)
+			if (i+j)%23 == 0 {
+				s.checkpoints = append(s.checkpoints, startD+sim.Time(size)/2)
+			}
+			if (i+j)%31 == 0 {
+				s.checkpoints = append(s.checkpoints, t1-sim.Time(rng.Intn(int(d))))
+			}
+		}
+		s.arrivals = append(s.arrivals, a)
+	}
+	slices.Sort(s.checkpoints)
+	return s
+}
+
+// observeFold drives s into U and records both ports' readings at every
+// arrival and run end, and every delivery past D. fold chains U to D with
+// Fold rather than SetDst.
+func observeFold(s foldSchedule, fold bool, qD aqm.Queue) portObservation {
+	eng := sim.NewEngine(1)
+	var obs portObservation
+	rec := ReceiverFunc(func(now sim.Time, p *packet.Packet) {
+		obs.deliveries = append(obs.deliveries, fmt.Sprintf("#%d@%d", p.Seq, now))
+		packet.Release(p)
+	})
+	d := NewPort(eng, "D", foldRate, time.Millisecond, qD, rec)
+	u := NewPort(eng, "U", foldRate, foldDelay, aqm.NewFIFO(1<<30), nil)
+	if fold {
+		u.Fold(d)
+	} else {
+		u.SetDst(d)
+	}
+	sample := func(where string) {
+		for _, po := range []*Port{u, d} {
+			b, n := po.PeakQueue()
+			obs.samples = append(obs.samples, fmt.Sprintf("%s@%d %s: tx %d pkts %d B, queue %d, peak %d B %d pkts, sojourn %+v",
+				where, eng.Now(), po.Name, po.TxPackets(), po.TxBytes(), po.Queue().Len(), b, n, po.Sojourn()))
+		}
+	}
+	seq := int64(0)
+	var arrive func(i int)
+	next := func(i int) {
+		if i+1 < len(s.arrivals) {
+			eng.Schedule((s.arrivals[i+1].at - eng.Now()).Std(), func() { arrive(i + 1) })
+		}
+	}
+	arrive = func(i int) {
+		a := s.arrivals[i]
+		if a.early {
+			next(i)
+		}
+		sample(fmt.Sprint("arrival ", i))
+		for _, size := range a.sizes {
+			p := data(size)
+			p.Seq = seq
+			seq++
+			u.Send(p)
+		}
+		if !a.early {
+			next(i)
+		}
+	}
+	eng.Schedule(s.arrivals[0].at.Std(), func() { arrive(0) })
+	for _, end := range s.checkpoints {
+		eng.RunUntil(end)
+		sample("run end")
+	}
+	eng.Run()
+	sample("drained")
+	obs.executed = eng.Executed()
+	return obs
+}
+
+// TestFoldedMatchesEventPath drives one seeded schedule through a port U
+// that folds its packets onto the fused port D, through the same pair
+// without folding, and through it with D on the event path. Every delivery
+// (packet and time, in order) and every reading of both ports' counters,
+// queue, high-watermark and sojourn — at each arrival and at each run end,
+// including ends while D serializes a folded packet and before one reaches
+// D — must match. Fails if TxPackets counts a folded packet before its
+// serialization on D ends, or if U folds onto D while D still serializes
+// or holds a packet that reached it first.
+func TestFoldedMatchesEventPath(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			s := newFoldSchedule(seed)
+			if s.atFree < 20 || s.beforeFree < 20 {
+				t.Fatalf("schedule lands %d arrivals on D as it frees up and %d 1 ns before; want ≥20 each",
+					s.atFree, s.beforeFree)
+			}
+			folded := observeFold(s, true, aqm.NewFIFO(1<<30))
+			for _, ref := range []struct {
+				name string
+				obs  portObservation
+			}{
+				{"unfolded", observeFold(s, false, aqm.NewFIFO(1<<30))},
+				{"event path", observeFold(s, true, eventPath{aqm.NewFIFO(1 << 30)})},
+			} {
+				if folded.executed >= ref.obs.executed {
+					t.Fatalf("folded pair executed %d events, %s %d: nothing was folded", folded.executed, ref.name, ref.obs.executed)
+				}
+				if i := firstDiff(folded.deliveries, ref.obs.deliveries); i >= 0 {
+					t.Fatalf("delivery %d differs: folded %s, %s %s", i, at(folded.deliveries, i), ref.name, at(ref.obs.deliveries, i))
+				}
+				if i := firstDiff(folded.samples, ref.obs.samples); i >= 0 {
+					t.Fatalf("sample %d differs:\n folded %s\n %-6s %s", i, at(folded.samples, i), ref.name, at(ref.obs.samples, i))
+				}
+			}
+		})
+	}
+}

@@ -73,6 +73,11 @@ type Port struct {
 	free      sim.Key
 	freeBytes units.ByteSize
 
+	// Hop folding (see fold); a folded packet lifts peakQBytes at raiseAt.
+	next       *Port
+	raiseAt    sim.Time
+	raiseBytes units.ByteSize
+
 	// Fault injection (the paper's "network anomalies" future work):
 	// lossRate drops transmitted packets uniformly at random; ge overlays a
 	// Gilbert–Elliott bursty-loss chain; down models a carrier loss (link
@@ -251,25 +256,45 @@ func (po *Port) Queue() aqm.Queue { return po.queue }
 // PeakQueue returns the highest queue occupancy (bytes, packets) the port
 // has seen. Maintained unconditionally, so it is available whether or not
 // tracing or sampling is enabled.
-func (po *Port) PeakQueue() (units.ByteSize, int) { return po.peakQBytes, po.peakQPkts }
+func (po *Port) PeakQueue() (units.ByteSize, int) {
+	if po.raiseBytes > 0 && po.raiseAt <= po.eng.Now() {
+		po.peakQBytes, po.peakQPkts, po.raiseBytes = max(po.peakQBytes, po.raiseBytes), max(po.peakQPkts, 1), 0
+	}
+	return po.peakQBytes, po.peakQPkts
+}
 
 // Rate returns the configured link rate.
 func (po *Port) Rate() units.Bandwidth { return po.rate }
 
 // TxPackets returns how many packets have finished serialization.
 func (po *Port) TxPackets() uint64 {
-	if po.eng.Reached(po.free) {
-		return po.txPackets
-	}
-	return po.txPackets - 1
+	n, _ := po.unfinished()
+	return po.txPackets - n
 }
 
 // TxBytes returns how many bytes have finished serialization.
 func (po *Port) TxBytes() units.ByteSize {
-	if po.eng.Reached(po.free) {
-		return po.txBytes
+	_, b := po.unfinished()
+	return po.txBytes - b
+}
+
+// unfinished returns the packets, and bytes, counted before their
+// serialization ended: on a fused port the wire entries whose at − delay
+// is after the clock, or else the fused packet until free is reached.
+func (po *Port) unfinished() (n uint64, b units.ByteSize) {
+	now := po.eng.Now()
+	for i := po.wire.Len() - 1; po.fused && i >= 0; i-- {
+		at, p := po.wire.Entry(i)
+		if at-sim.Duration(po.delay) <= now {
+			break
+		}
+		n++
+		b += p.(*packet.Packet).Size
 	}
-	return po.txBytes - po.freeBytes
+	if n == 0 && !po.eng.Reached(po.free) {
+		return 1, po.freeBytes
+	}
+	return n, b
 }
 
 // Unfuse puts the port on the event path for good: every packet's
@@ -282,6 +307,12 @@ func (po *Port) Unfuse() { po.fused = false }
 
 // SetDst rewires the port's destination (used by topology builders).
 func (po *Port) SetDst(dst Receiver) { po.dst = dst }
+
+// Fold makes next the port's destination and lets it take packets onto
+// its wire at once (see fold). The caller guarantees that next has a
+// destination and no other upstream, that nothing injects into it, and
+// that no result reads its Queue().Stats(), which folded packets bypass.
+func (po *Port) Fold(next *Port) { po.dst, po.next = next, next }
 
 // ensureRNG lazily derives the port's private random stream from the
 // engine's seeded RNG. Deriving (rather than sharing) keeps per-packet
@@ -298,13 +329,7 @@ func (po *Port) ensureRNG() {
 // the given probability — corruption/anomaly injection on the wire, after
 // the queue (so AQM statistics stay clean).
 func (po *Port) SetLoss(rate float64) {
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	po.lossRate = rate
+	po.lossRate = min(max(rate, 0), 1)
 	po.ensureRNG()
 	po.Unfuse()
 }
@@ -342,15 +367,7 @@ func (g *geChain) step(rng *sim.RNG) bool {
 // in the good state and evolves once per transmitted packet on the port's
 // deterministic RNG, independently of the uniform SetLoss rate.
 func (po *Port) SetGELoss(pGB, pBG, lossGood, lossBad float64) {
-	clamp := func(v float64) float64 {
-		if v < 0 {
-			return 0
-		}
-		if v > 1 {
-			return 1
-		}
-		return v
-	}
+	clamp := func(v float64) float64 { return min(max(v, 0), 1) }
 	po.ge = geChain{
 		pGB:   clamp(pGB),
 		pBG:   clamp(pBG),
@@ -581,37 +598,12 @@ func (po *Port) complete(p *packet.Packet, done sim.Time) {
 			po.aud.PacketConsumed()
 		}
 		packet.Release(p)
-	case po.down:
-		// Carrier dropped while the packet was serializing.
+	case po.down: // carrier dropped while the packet was serializing
 		po.downDrops++
-		if po.aud != nil {
-			po.audInFlight--
-		}
-		if po.trc != nil {
-			po.trc.Drop(int64(done), uint32(p.Flow), telemetry.DropLinkDown,
-				int64(p.Size), int64(po.queue.Bytes()))
-		}
-		packet.Release(p)
-	case po.ge.enabled && po.ge.step(po.rng):
+		po.lose(p, done, telemetry.DropLinkDown)
+	case po.ge.enabled && po.ge.step(po.rng), po.lossRate > 0 && po.rng.Float64() < po.lossRate:
 		po.lossDrops++
-		if po.aud != nil {
-			po.audInFlight--
-		}
-		if po.trc != nil {
-			po.trc.Drop(int64(done), uint32(p.Flow), telemetry.DropLoss,
-				int64(p.Size), int64(po.queue.Bytes()))
-		}
-		packet.Release(p)
-	case po.lossRate > 0 && po.rng.Float64() < po.lossRate:
-		po.lossDrops++
-		if po.aud != nil {
-			po.audInFlight--
-		}
-		if po.trc != nil {
-			po.trc.Drop(int64(done), uint32(p.Flow), telemetry.DropLoss,
-				int64(p.Size), int64(po.queue.Bytes()))
-		}
-		packet.Release(p)
+		po.lose(p, done, telemetry.DropLoss)
 	default:
 		at := done + sim.Duration(po.delay)
 		if at < po.lastDeliverAt {
@@ -619,6 +611,10 @@ func (po *Port) complete(p *packet.Packet, done sim.Time) {
 		}
 		po.lastDeliverAt = at
 		if now := po.eng.Now(); at > now {
+			// With this port's wire empty, nothing reaches next before p.
+			if po.next != nil && po.wire.Len() == 0 && po.next.fold(po, at, p) {
+				return
+			}
 			po.wire.PushAt(at, p)
 		} else {
 			if po.aud != nil {
@@ -628,6 +624,52 @@ func (po *Port) complete(p *packet.Packet, done sim.Time) {
 			po.dst.Receive(now, p)
 		}
 	}
+}
+
+// fold takes p, which arrives from the port's only upstream, up, at t1
+// with nothing ahead of it. If the port is fused and idle with free before t1,
+// p would meet an empty FIFO and leave at once on the fused path; fold
+// takes that path now, and the port's readings and trace hold p back
+// until the clock reaches it. Otherwise it reports false.
+func (po *Port) fold(up *Port, t1 sim.Time, p *packet.Packet) bool {
+	tx := units.TransmissionTime(p.Size, po.rate)
+	if !po.fused || po.busy || po.free.At >= t1 || tx <= 0 {
+		return false
+	}
+	if p.Size > max(po.peakQBytes, po.raiseBytes) { // p lifts the high-watermark at t1
+		if po.PeakQueue(); po.raiseBytes > 0 || p.Size > po.queue.Capacity() {
+			return false // one raise waits at a time
+		}
+		po.raiseAt, po.raiseBytes = t1, p.Size
+	}
+	p.EnqueueAt = t1
+	if po.aud != nil { // up and the port share the engine's auditor
+		up.audInFlight--
+		up.audDelivered++
+		po.audOffered++
+		po.audInFlight++
+	}
+	if po.trc != nil {
+		po.trc.Pass(int64(t1), uint32(p.Flow), int64(p.Size))
+	}
+	po.free = po.eng.Reserve(t1 + sim.Duration(tx))
+	po.freeBytes = p.Size
+	po.txPackets++
+	po.txBytes += p.Size
+	po.lastDeliverAt = po.free.At + sim.Duration(po.delay)
+	po.wire.PushAt(po.lastDeliverAt, p)
+	return true
+}
+
+// lose destroys p, whose serialization ended at done, on the wire.
+func (po *Port) lose(p *packet.Packet, done sim.Time, reason telemetry.Aux) {
+	if po.aud != nil {
+		po.audInFlight--
+	}
+	if po.trc != nil {
+		po.trc.Drop(int64(done), uint32(p.Flow), reason, int64(p.Size), int64(po.queue.Bytes()))
+	}
+	packet.Release(p)
 }
 
 // portDeliver fires when a packet's propagation delay elapses.

@@ -401,9 +401,13 @@ func (e *Engine) Auditor() *audit.Auditor { return e.aud }
 // Like SetAuditor it must be called before topology construction so
 // components can discover it. When the engine also carries an auditor, the
 // auditor's flight recorder is wired to the tracer: a Violation then embeds
-// the trailing events of every ring at the moment of the breach.
+// the trailing events of every ring at the moment of the breach. The
+// engine is the tracer's clock.
 func (e *Engine) SetTracer(t *telemetry.Tracer) {
 	e.trc = t
+	if t != nil {
+		t.SetClock(func() int64 { return int64(e.now) })
+	}
 	e.wireFlightRecorder()
 }
 
@@ -753,6 +757,15 @@ func (l *Line) Head() any {
 		return nil
 	}
 	return l.ring[l.head].arg
+}
+
+// Len returns how many entries wait on the line.
+func (l *Line) Len() int { return l.n }
+
+// Entry returns the deadline and arg of entry i from the head, i < Len.
+func (l *Line) Entry(i int) (Time, any) {
+	e := &l.ring[(l.head+i)&(len(l.ring)-1)]
+	return e.at, e.arg
 }
 
 // grow doubles the full ring, unrolling it to start at index 0.

@@ -13,6 +13,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -486,7 +487,8 @@ func metric(t *testing.T, body []byte, name string) int {
 // flight for another job, and new ones counts exactly one cache hit or
 // miss per config; a config that joins an in-flight task is a miss.
 func TestCacheCountsEachConfigOnce(t *testing.T) {
-	started, proceed := gateSims(t)
+	started, release := gateSims(t)
+	defer release()
 	s, client := newTestServer(t, Options{Shards: 1})
 	spec := tinySpec()
 	spec.Seeds = 2 // 4 configs
@@ -505,7 +507,7 @@ func TestCacheCountsEachConfigOnce(t *testing.T) {
 	<-started // config 1 is on the worker
 	stB, err := client.Submit(spec)
 	metrics, merr := client.Metrics()
-	close(proceed) // before any Fatal: shutdown waits for the gated simulation
+	release()
 	if err != nil || merr != nil {
 		t.Fatal(err, merr)
 	}
@@ -533,7 +535,8 @@ func TestCacheCountsEachConfigOnce(t *testing.T) {
 // but never started come back errored, so their jobs complete and a polling
 // client sees the failure instead of hanging on work that will never run.
 func TestPoolCloseFailsQueuedWork(t *testing.T) {
-	started, proceed := gateSims(t)
+	started, release := gateSims(t)
+	defer release()
 	journal := filepath.Join(t.TempDir(), "close.ckpt.jsonl")
 	s, err := New(Options{Shards: 1, Journal: journal})
 	if err != nil {
@@ -557,7 +560,7 @@ func TestPoolCloseFailsQueuedWork(t *testing.T) {
 		defer s.coord.mu.Unlock()
 		return s.coord.closed
 	})
-	close(proceed) // release the running simulation so Close can drain
+	release() // so Close can drain
 	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +597,8 @@ func TestPoolCloseFailsQueuedWork(t *testing.T) {
 // apart from the coordinator, so it holds no lease — and the config
 // simulates exactly once.
 func TestLocalWorkerOutlivesLeaseTTL(t *testing.T) {
-	started, proceed := gateSims(t)
+	started, release := gateSims(t)
+	defer release()
 	s, client := newTestServer(t, Options{Shards: 1})
 	st, err := client.Submit(tinySpec())
 	if err != nil {
@@ -608,7 +612,7 @@ func TestLocalWorkerOutlivesLeaseTTL(t *testing.T) {
 	coord.setNow(time.Now)
 	c := coord.counters()
 	metrics, merr := client.Metrics()
-	close(proceed) // before any Fatal: shutdown waits for the gated simulation
+	release()
 	if merr != nil {
 		t.Fatal(merr)
 	}
@@ -689,26 +693,30 @@ func TestEventsStreamOrdering(t *testing.T) {
 }
 
 // gateSims installs an in-process worker test hook that reports each
-// simulation start on the returned channel and blocks it until the test
-// sends on proceed.
-func gateSims(t *testing.T) (started chan string, proceed chan struct{}) {
+// simulation start on the returned channel and blocks it until release is
+// called. release is idempotent; callers defer it as well, so a test that
+// fails while a simulation is gated releases it before the deferred or
+// cleanup Server.Close waits for that simulation.
+func gateSims(t *testing.T) (started chan string, release func()) {
 	t.Helper()
 	started = make(chan string, 16)
-	proceed = make(chan struct{})
+	proceed := make(chan struct{})
+	var once sync.Once
 	prev := testHookBeforeSim
 	testHookBeforeSim = func(key string) {
 		started <- key
 		<-proceed
 	}
 	t.Cleanup(func() { testHookBeforeSim = prev })
-	return started, proceed
+	return started, func() { once.Do(func() { close(proceed) }) }
 }
 
 // TestDisconnectCancelsRemainingWork: when the only event subscriber
 // disconnects mid-job, the job's queued configurations are released unrun;
 // the configuration already running drains into the cache.
 func TestDisconnectCancelsRemainingWork(t *testing.T) {
-	started, proceed := gateSims(t)
+	started, release := gateSims(t)
+	defer release()
 	s, client := newTestServer(t, Options{Shards: 1})
 	spec := tinySpec()
 	spec.Seeds = 2 // 4 configs
@@ -741,7 +749,7 @@ func TestDisconnectCancelsRemainingWork(t *testing.T) {
 	<-streamErr
 	waitFor(t, "cancellation", func() bool { return j.State() == StateCancelled })
 
-	close(proceed) // let the running simulation (and any stragglers) finish
+	release() // let the running simulation (and any stragglers) finish
 	waitFor(t, "task table drain", func() bool {
 		s.coord.mu.Lock()
 		defer s.coord.mu.Unlock()

@@ -204,6 +204,8 @@ type Tracer struct {
 	// stores, not a string.
 	states     []string
 	stateCodes map[string]int64
+
+	clock func() int64 // the simulation time (see SetClock)
 }
 
 // New returns a Tracer with the given options (zero values take defaults).
@@ -213,6 +215,9 @@ func New(opt Options) *Tracer {
 		stateCodes: make(map[string]int64),
 	}
 }
+
+// SetClock installs the simulation clock passes wait for (see Pass).
+func (t *Tracer) SetClock(fn func() int64) { t.clock = fn }
 
 // Options returns the tracer's effective (defaulted) options.
 func (t *Tracer) Options() Options { return t.opt }
@@ -385,6 +390,10 @@ type PortTracer struct {
 
 	hiBytes int64
 	hiPkts  int64
+
+	// passes[head:] wait for the clock (see Pass): At, Flow, A = bytes.
+	passes []Event
+	head   int
 }
 
 func (p *PortTracer) sample() bool {
@@ -399,6 +408,7 @@ func (p *PortTracer) Enqueue(at int64, flow uint32, qBytes, qPkts int64) {
 	if p == nil {
 		return
 	}
+	p.settle(at)
 	if qBytes > p.hiBytes {
 		p.hiBytes = qBytes
 		if qPkts > p.hiPkts {
@@ -417,10 +427,45 @@ func (p *PortTracer) Enqueue(at int64, flow uint32, qBytes, qPkts int64) {
 // Dequeue records a packet leaving the queue for transmission, with the
 // post-dequeue occupancy and the packet's sojourn time; sampled.
 func (p *PortTracer) Dequeue(at int64, flow uint32, qBytes, sojournNS int64) {
-	if p == nil || !p.sample() {
+	if p == nil {
 		return
 	}
-	p.ring.put(Event{At: at, Flow: flow, Kind: KindDequeue, A: qBytes, B: sojournNS})
+	if p.settle(at); p.sample() {
+		p.ring.put(Event{At: at, Flow: flow, Kind: KindDequeue, A: qBytes, B: sojournNS})
+	}
+}
+
+// Pass records, ahead of the clock, the Enqueue and Dequeue of a packet
+// that crosses the port's empty queue at at. Both enter the ring once the
+// clock reaches at, as if they had been recorded then.
+func (p *PortTracer) Pass(at int64, flow uint32, pktBytes int64) {
+	if p == nil {
+		return
+	}
+	p.settleNow()
+	p.passes = append(p.passes, Event{At: at, Flow: flow, A: pktBytes})
+}
+
+// settleNow records every pass the clock has reached.
+func (p *PortTracer) settleNow() {
+	if p.head < len(p.passes) {
+		p.settle(p.t.clock())
+	}
+}
+
+// settle records every pass due by at, oldest first (at distinct times,
+// so its calls settle nothing further).
+func (p *PortTracer) settle(at int64) {
+	for p.head < len(p.passes) && p.passes[p.head].At <= at {
+		e := p.passes[p.head]
+		p.head++
+		p.Enqueue(e.At, e.Flow, e.A, 1)
+		p.Dequeue(e.At, e.Flow, 0, 0)
+	}
+	if p.head > len(p.passes)/2 {
+		n := copy(p.passes, p.passes[p.head:])
+		p.passes, p.head = p.passes[:n], 0
+	}
 }
 
 // Drop records a packet drop with its per-discipline reason. Always
@@ -429,6 +474,7 @@ func (p *PortTracer) Drop(at int64, flow uint32, reason Aux, pktBytes, qBytes in
 	if p == nil {
 		return
 	}
+	p.settle(at)
 	p.ring.put(Event{At: at, Flow: flow, Kind: KindDrop, Aux: reason, A: pktBytes, B: qBytes})
 }
 
@@ -437,6 +483,7 @@ func (p *PortTracer) Mark(at int64, flow uint32, reason Aux, pktBytes, qBytes in
 	if p == nil {
 		return
 	}
+	p.settle(at)
 	p.ring.put(Event{At: at, Flow: flow, Kind: KindMark, Aux: reason, A: pktBytes, B: qBytes})
 }
 
@@ -446,6 +493,7 @@ func (p *PortTracer) Fault(at int64, kind Aux, a, b int64) {
 	if p == nil {
 		return
 	}
+	p.settle(at)
 	p.ring.put(Event{At: at, Kind: KindFault, Aux: kind, A: a, B: b})
 }
 
@@ -454,6 +502,7 @@ func (p *PortTracer) Peak() (bytes, pkts int64) {
 	if p == nil {
 		return 0, 0
 	}
+	p.settleNow()
 	return p.hiBytes, p.hiPkts
 }
 
@@ -501,6 +550,7 @@ func (t *Tracer) dump(tail int) *Dump {
 	copy(ports, t.ports)
 	sort.Slice(ports, func(i, j int) bool { return ports[i].name < ports[j].name })
 	for _, p := range ports {
+		p.settleNow()
 		d.Rings = append(d.Rings, snapshotRing(
 			"port:"+p.name, "port", "", &p.ring, t.opt.SampleN, tail))
 	}

@@ -222,3 +222,40 @@ func TestDumpPortOrderIsStable(t *testing.T) {
 		t.Fatalf("ring order = %v, want %v", names, want)
 	}
 }
+
+// TestPassWaitsForTheClock: a pass recorded ahead of the clock enters the
+// ring only once the clock reaches it, ahead of any later record, exactly
+// as the Enqueue and Dequeue it stands for would have been recorded then,
+// sampling included. Fails if Pass writes the ring at once.
+func TestPassWaitsForTheClock(t *testing.T) {
+	for _, sampleN := range []int{1, 2} {
+		var now int64
+		passed := New(Options{RingCap: 16, SampleN: sampleN})
+		passed.SetClock(func() int64 { return now })
+		p := passed.Port("d")
+		ref := New(Options{RingCap: 16, SampleN: sampleN}).Port("d")
+
+		p.Enqueue(10, 1, 500, 1)
+		ref.Enqueue(10, 1, 500, 1)
+		p.Pass(100, 2, 400)
+		p.Pass(200, 3, 600) // lifts the high-watermark at 200
+		if got := passed.Dump().Rings[0].Total; got != uint64(1+1/sampleN) {
+			t.Fatalf("sample 1-in-%d: %d records before the clock reaches a pass", sampleN, got)
+		}
+		ref.Enqueue(100, 2, 400, 1)
+		ref.Dequeue(100, 2, 0, 0)
+		p.Dequeue(150, 1, 0, 140) // settles the pass at 100, not the one at 200
+		ref.Dequeue(150, 1, 0, 140)
+		now = 250
+		ref.Enqueue(200, 3, 600, 1)
+		ref.Dequeue(200, 3, 0, 0)
+		if b, _ := p.Peak(); b != 600 {
+			t.Fatalf("sample 1-in-%d: high-watermark %d after the clock passed 200, want 600", sampleN, b)
+		}
+		got := passed.Dump().Rings[0]
+		want := snapshotRing("port:d", "port", "", &ref.ring, sampleN, 0)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("sample 1-in-%d: ring\n got %+v\nwant %+v", sampleN, got, want)
+		}
+	}
+}

@@ -14,6 +14,9 @@ import (
 	"repro/internal/units"
 )
 
+// testHookNoFold, set only by tests, makes Build fold no hop.
+var testHookNoFold bool
+
 // Params are the grid-swept quantities a Spec's role defaults resolve
 // against: the bottleneck rate and AQM under test, the end-to-end RTT the
 // per-link delay fractions scale, and the shared edge/core rates. Zero
@@ -186,7 +189,12 @@ func Build(eng *sim.Engine, spec Spec, par Params) (*Network, error) {
 				only = k
 			}
 			if only != "" {
-				n.ports[i].SetDst(n.ports[n.portIdx[only]])
+				d := n.portIdx[only]
+				if n.foldable(i, d, nexts) {
+					n.ports[i].Fold(n.ports[d])
+				} else {
+					n.ports[i].SetDst(n.ports[d])
+				}
 				continue
 			}
 		}
@@ -234,6 +242,28 @@ func Build(eng *sim.Engine, spec Spec, par Params) (*Network, error) {
 	}
 	faults.Apply(eng, n.monitor, par.Faults)
 	return n, nil
+}
+
+// foldable reports whether link u, which feeds link d alone, may fold
+// into it (netem.Port.Fold): no other link feeds d, no class injects into
+// it, and it is neither the monitor nor a reported link (ReportPorts).
+// Whether d is a plain FIFO with no fault armed is checked per packet.
+func (n *Network) foldable(u, d int, nexts []map[string]bool) bool {
+	l := n.Spec.Links[d]
+	if testHookNoFold || l.Role == RoleBottleneck || l.Queue != nil || l.Name == n.Spec.monitorLink() {
+		return false
+	}
+	for k, nx := range nexts {
+		if k != u && nx[l.Name] {
+			return false
+		}
+	}
+	for _, sd := range n.Spec.Senders {
+		if sd.Path[0] == l.Name || sd.Return[0] == l.Name {
+			return false
+		}
+	}
+	return true
 }
 
 // linkRate resolves a link's rate: explicit, factor × bottleneck, or the

@@ -99,9 +99,9 @@ func TestBenchTopoTrajectory(t *testing.T) {
 	fast.RTT = 5 * time.Millisecond
 	fast.StartSpread = 10 * time.Millisecond
 	runRails(t, []railCase{
-		{name: "dumbbell", cfg: allocGuardConfig(), events: 19496, segments: 2547, allocs: 0.115},
+		{name: "dumbbell", cfg: allocGuardConfig(), events: 14423, segments: 2547, allocs: 0.115},
 		{name: "parking-lot-3", cfg: parking, events: 53751, segments: 7261, allocs: 0.101},
-		{name: "dumbbell-25g", cfg: fast, events: 499218, segments: 61503, allocs: 0.057},
+		{name: "dumbbell-25g", cfg: fast, events: 376648, segments: 61503, allocs: 0.057},
 	})
 }
 
@@ -117,8 +117,8 @@ func TestBenchFCTTrajectory(t *testing.T) {
 	solo := competition
 	solo.SoloFCT = true
 	runRails(t, []railCase{
-		{name: "mice-competition", cfg: competition, events: 20518, segments: 2472, opened: 23, allocs: 0.177},
-		{name: "mice-solo", cfg: solo, events: 8007, segments: 1012, opened: 23, allocs: 0.248},
+		{name: "mice-competition", cfg: competition, events: 15317, segments: 2472, opened: 23, allocs: 0.177},
+		{name: "mice-solo", cfg: solo, events: 5893, segments: 1012, opened: 23, allocs: 0.248},
 	})
 }
 
@@ -130,8 +130,8 @@ func TestBenchObsTrajectory(t *testing.T) {
 	armed.Fairness = true
 	armed.FairnessWindow = 10 * time.Millisecond
 	runRails(t, []railCase{
-		{name: "dumbbell-plain", cfg: allocGuardConfig(), events: 19496, segments: 2547, allocs: 0.115},
-		{name: "dumbbell-obs", cfg: armed, events: 19496, segments: 2547, windows: 200, allocs: 0.122},
+		{name: "dumbbell-plain", cfg: allocGuardConfig(), events: 14423, segments: 2547, allocs: 0.115},
+		{name: "dumbbell-obs", cfg: armed, events: 14423, segments: 2547, windows: 200, allocs: 0.122},
 	})
 }
 
@@ -151,6 +151,6 @@ func TestBenchRecoveryTrajectory(t *testing.T) {
 		Duration:       1500 * time.Millisecond,
 	}
 	runRails(t, []railCase{
-		{name: "recovery-25g", cfg: cfg, events: 3812997, segments: 456660, allocs: 0.051},
+		{name: "recovery-25g", cfg: cfg, events: 2901421, segments: 456660, allocs: 0.051},
 	})
 }
