@@ -13,7 +13,7 @@ ALLOC_TESTS = TestAllocGuard|TestBench
 ALLOC_BENCHES = BenchmarkEngineHandlerChained|BenchmarkTimerReset|BenchmarkLineDelivery
 BENCHES = BenchmarkEngine|BenchmarkTimer|BenchmarkLine
 AUDIT_PKGS = ./internal/audit/ ./internal/sim/ ./internal/netem/ ./internal/topo/ ./internal/experiment/
-AUDIT_TESTS = TestAudit|TestViolation|TestMetamorphic|TestDropAccountingAllAQMs|TestCheckpointLastWriteWins|TestFoldMatchesUnfolded
+AUDIT_TESTS = TestAudit|TestViolation|TestMetamorphic|TestDropAccountingAllAQMs|TestCheckpointLastWriteWins
 RESILIENCE_EXPERIMENT = TestFlapRecoveryAllCCAs|TestGELossInversionBBRvLossBased|TestFaultedRunDeterminism|TestFaultProfileInResultIdentity|TestRunAllSurvivesPanic|TestRunAllWatchdogAbort|TestCheckpointResume|TestCheckpointHealsFailedAppend|TestCheckpointCompactSkipsCleanJournal|TestJournal|TestFsckJournal
 RESILIENCE_SVC = TestWarmJobLeavesJournalAlone|TestCluster|TestLocalWorkerOutlivesLeaseTTL|TestAcquireTakesOnlyWhatItGrants|TestPoolCloseFailsQueuedWork
 RESILIENCE_TCP = TestRTOExponentialBackoffDoubling|TestRTORearmAfterSuccessfulRetransmit

@@ -36,7 +36,8 @@
 //	                             completed configuration
 //	GET  /v1/sweeps/{id}/results merged experiment.ResultSet JSON
 //	GET  /v1/sweeps/{id}/report  paper-vs-measured markdown (cmd/report path)
-//	GET  /v1/sweeps/{id}/trace   per-config telemetry NDJSON (needs -trace;
+//	GET  /v1/sweeps/{id}/trace   per-config telemetry NDJSON (needs -trace,
+//	                             single-node only: -coordinator refuses it;
 //	                             ?config=<key> narrows to one configuration)
 //	GET  /v1/sweeps/{id}/fairness per-config fairness-observatory reports as
 //	                             NDJSON (needs -fairness or fairness in the
@@ -104,7 +105,7 @@ func main() {
 		journal  = flag.String("journal", "", "checkpoint journal persisting the result cache (empty = in-memory only)")
 		shards   = flag.Int("shards", 0, "parallel simulations: in-process workers, or per worker with -join (0 = GOMAXPROCS; ignored with -coordinator)")
 		auditRun = flag.Bool("audit", false, "arm the runtime invariant auditor on every simulated configuration")
-		traceRun = flag.Bool("trace", false, "record flight-recorder telemetry for every simulated configuration (serves /v1/sweeps/{id}/trace)")
+		traceRun = flag.Bool("trace", false, "record flight-recorder telemetry for every simulated configuration (serves /v1/sweeps/{id}/trace; single-node only)")
 		fairRun  = flag.Bool("fairness", false, "arm the fairness observatory on every simulated configuration (serves /v1/sweeps/{id}/fairness)")
 		pprofOn  = flag.Bool("pprof", false, "mount the Go profiler at /debug/pprof/ (exposes internals; keep off on untrusted networks)")
 		logFmt   = flag.String("log-format", "text", "log encoding: text (key=value) or json (one object per line)")

@@ -136,15 +136,6 @@ type FairnessReport struct {
 	Detector DetectorConfig `json:"detector"`
 }
 
-// FairShare returns the equal split across the tracked flows (0 with no
-// flows).
-func (r *FairnessReport) FairShare() float64 {
-	if r == nil || len(r.Flows) == 0 {
-		return 0
-	}
-	return 1 / float64(len(r.Flows))
-}
-
 // fairProbe is one tracked flow's counters and its preallocated window ring.
 type fairProbe struct {
 	id      uint32

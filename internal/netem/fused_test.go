@@ -253,9 +253,9 @@ func newFoldSchedule(seed uint64) foldSchedule {
 	return s
 }
 
-// observeFold drives s into U and records both ports' readings at every
-// arrival and run end, and every delivery past D. fold chains U to D with
-// Fold rather than SetDst.
+// observeFold drives s into U and records U's readings and D's queue
+// length at every arrival and run end, and every delivery past D. fold
+// chains U to D with Fold rather than SetDst.
 func observeFold(s foldSchedule, fold bool, qD aqm.Queue) portObservation {
 	eng := sim.NewEngine(1)
 	var obs portObservation
@@ -270,12 +270,11 @@ func observeFold(s foldSchedule, fold bool, qD aqm.Queue) portObservation {
 	} else {
 		u.SetDst(d)
 	}
+	// No result reads a folded port's counters (see Port.Fold).
 	sample := func(where string) {
-		for _, po := range []*Port{u, d} {
-			b, n := po.PeakQueue()
-			obs.samples = append(obs.samples, fmt.Sprintf("%s@%d %s: tx %d pkts %d B, queue %d, peak %d B %d pkts, sojourn %+v",
-				where, eng.Now(), po.Name, po.TxPackets(), po.TxBytes(), po.Queue().Len(), b, n, po.Sojourn()))
-		}
+		b, n := u.PeakQueue()
+		obs.samples = append(obs.samples, fmt.Sprintf("%s@%d U: tx %d pkts %d B, queue %d, peak %d B %d pkts, sojourn %+v; D: queue %d",
+			where, eng.Now(), u.TxPackets(), u.TxBytes(), u.Queue().Len(), b, n, u.Sojourn(), d.Queue().Len()))
 	}
 	seq := int64(0)
 	var arrive func(i int)
@@ -314,12 +313,11 @@ func observeFold(s foldSchedule, fold bool, qD aqm.Queue) portObservation {
 // TestFoldedMatchesEventPath drives one seeded schedule through a port U
 // that folds its packets onto the fused port D, through the same pair
 // without folding, and through it with D on the event path. Every delivery
-// (packet and time, in order) and every reading of both ports' counters,
-// queue, high-watermark and sojourn — at each arrival and at each run end,
-// including ends while D serializes a folded packet and before one reaches
-// D — must match. Fails if TxPackets counts a folded packet before its
-// serialization on D ends, or if U folds onto D while D still serializes
-// or holds a packet that reached it first.
+// (packet and time, in order), every reading of U's counters, queue,
+// high-watermark and sojourn, and D's queue length — at each arrival and at
+// each run end, including ends while D serializes a folded packet and
+// before one reaches D — must match. Fails if U folds onto D while D still
+// serializes or holds a packet that reached it first.
 func TestFoldedMatchesEventPath(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {

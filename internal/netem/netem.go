@@ -73,10 +73,7 @@ type Port struct {
 	free      sim.Key
 	freeBytes units.ByteSize
 
-	// Hop folding (see fold); a folded packet lifts peakQBytes at raiseAt.
-	next       *Port
-	raiseAt    sim.Time
-	raiseBytes units.ByteSize
+	next *Port // the folded next hop (see Fold)
 
 	// Fault injection (the paper's "network anomalies" future work):
 	// lossRate drops transmitted packets uniformly at random; ge overlays a
@@ -88,10 +85,6 @@ type Port struct {
 	rng      *sim.RNG
 	ge       geChain
 	down     bool
-
-	// lastDeliverAt clamps delivery times monotonic per port: a link does
-	// not reorder frames, even when an RTT step shrinks the delay.
-	lastDeliverAt sim.Time
 
 	txPackets uint64
 	txBytes   units.ByteSize
@@ -256,45 +249,25 @@ func (po *Port) Queue() aqm.Queue { return po.queue }
 // PeakQueue returns the highest queue occupancy (bytes, packets) the port
 // has seen. Maintained unconditionally, so it is available whether or not
 // tracing or sampling is enabled.
-func (po *Port) PeakQueue() (units.ByteSize, int) {
-	if po.raiseBytes > 0 && po.raiseAt <= po.eng.Now() {
-		po.peakQBytes, po.peakQPkts, po.raiseBytes = max(po.peakQBytes, po.raiseBytes), max(po.peakQPkts, 1), 0
-	}
-	return po.peakQBytes, po.peakQPkts
-}
+func (po *Port) PeakQueue() (units.ByteSize, int) { return po.peakQBytes, po.peakQPkts }
 
 // Rate returns the configured link rate.
 func (po *Port) Rate() units.Bandwidth { return po.rate }
 
 // TxPackets returns how many packets have finished serialization.
 func (po *Port) TxPackets() uint64 {
-	n, _ := po.unfinished()
-	return po.txPackets - n
+	if po.eng.Reached(po.free) {
+		return po.txPackets
+	}
+	return po.txPackets - 1
 }
 
 // TxBytes returns how many bytes have finished serialization.
 func (po *Port) TxBytes() units.ByteSize {
-	_, b := po.unfinished()
-	return po.txBytes - b
-}
-
-// unfinished returns the packets, and bytes, counted before their
-// serialization ended: on a fused port the wire entries whose at − delay
-// is after the clock, or else the fused packet until free is reached.
-func (po *Port) unfinished() (n uint64, b units.ByteSize) {
-	now := po.eng.Now()
-	for i := po.wire.Len() - 1; po.fused && i >= 0; i-- {
-		at, p := po.wire.Entry(i)
-		if at-sim.Duration(po.delay) <= now {
-			break
-		}
-		n++
-		b += p.(*packet.Packet).Size
+	if po.eng.Reached(po.free) {
+		return po.txBytes
 	}
-	if n == 0 && !po.eng.Reached(po.free) {
-		return 1, po.freeBytes
-	}
-	return n, b
+	return po.txBytes - po.freeBytes
 }
 
 // Unfuse puts the port on the event path for good: every packet's
@@ -311,7 +284,8 @@ func (po *Port) SetDst(dst Receiver) { po.dst = dst }
 // Fold makes next the port's destination and lets it take packets onto
 // its wire at once (see fold). The caller guarantees that next has a
 // destination and no other upstream, that nothing injects into it, and
-// that no result reads its Queue().Stats(), which folded packets bypass.
+// that no result reads next's counters or its Queue().Stats(): a folded
+// packet bypasses next's queue and is counted from its fold.
 func (po *Port) Fold(next *Port) { po.dst, po.next = next, next }
 
 // ensureRNG lazily derives the port's private random stream from the
@@ -400,8 +374,8 @@ func (po *Port) Delay() time.Duration { return po.delay }
 
 // SetDelay changes the propagation delay mid-run (a fault-injection RTT
 // step). Negative delays clamp to zero. A shrinking delay cannot reorder
-// packets already in flight: new deliveries are clamped behind the latest
-// scheduled delivery.
+// packets already in flight: the wire holds new deliveries behind the
+// latest scheduled one.
 func (po *Port) SetDelay(d time.Duration) {
 	po.Unfuse()
 	if d < 0 {
@@ -606,17 +580,16 @@ func (po *Port) complete(p *packet.Packet, done sim.Time) {
 		po.lose(p, done, telemetry.DropLoss)
 	default:
 		at := done + sim.Duration(po.delay)
-		if at < po.lastDeliverAt {
-			at = po.lastDeliverAt // FIFO link: never overtake an earlier packet
-		}
-		po.lastDeliverAt = at
-		if now := po.eng.Now(); at > now {
-			// With this port's wire empty, nothing reaches next before p.
-			if po.next != nil && po.wire.Len() == 0 && po.next.fold(po, at, p) {
-				return
-			}
+		now := po.eng.Now()
+		switch {
+		case po.wire.Len() > 0: // FIFO link: p queues behind the wire
 			po.wire.PushAt(at, p)
-		} else {
+		case at > now:
+			// With this port's wire empty, nothing reaches next before p.
+			if po.next == nil || !po.next.fold(po, at, p) {
+				po.wire.PushAt(at, p)
+			}
+		default:
 			if po.aud != nil {
 				po.audInFlight--
 				po.audDelivered++
@@ -627,22 +600,17 @@ func (po *Port) complete(p *packet.Packet, done sim.Time) {
 }
 
 // fold takes p, which arrives from the port's only upstream, up, at t1
-// with nothing ahead of it. If the port is fused and idle with free before t1,
-// p would meet an empty FIFO and leave at once on the fused path; fold
-// takes that path now, and the port's readings and trace hold p back
-// until the clock reaches it. Otherwise it reports false.
+// with nothing ahead of it. If the port is fused and idle with free before
+// t1, and its FIFO would take p, p would meet an empty FIFO and leave at
+// once on the fused path; fold takes that path now, and the port's trace
+// holds p back until the clock reaches it. Otherwise it reports false.
+// Only the books something reads move: the audit ledger, the trace, the
+// serializer's free key and the counters, which count p from now.
 func (po *Port) fold(up *Port, t1 sim.Time, p *packet.Packet) bool {
 	tx := units.TransmissionTime(p.Size, po.rate)
-	if !po.fused || po.busy || po.free.At >= t1 || tx <= 0 {
+	if !po.fused || po.busy || po.free.At >= t1 || tx <= 0 || p.Size > po.queue.Capacity() {
 		return false
 	}
-	if p.Size > max(po.peakQBytes, po.raiseBytes) { // p lifts the high-watermark at t1
-		if po.PeakQueue(); po.raiseBytes > 0 || p.Size > po.queue.Capacity() {
-			return false // one raise waits at a time
-		}
-		po.raiseAt, po.raiseBytes = t1, p.Size
-	}
-	p.EnqueueAt = t1
 	if po.aud != nil { // up and the port share the engine's auditor
 		up.audInFlight--
 		up.audDelivered++
@@ -656,8 +624,7 @@ func (po *Port) fold(up *Port, t1 sim.Time, p *packet.Packet) bool {
 	po.freeBytes = p.Size
 	po.txPackets++
 	po.txBytes += p.Size
-	po.lastDeliverAt = po.free.At + sim.Duration(po.delay)
-	po.wire.PushAt(po.lastDeliverAt, p)
+	po.wire.PushAt(po.free.At+sim.Duration(po.delay), p)
 	return true
 }
 

@@ -244,9 +244,15 @@ func TestAuditedHeapIntegrityAfterChurn(t *testing.T) {
 			j := rng.Intn(len(lines))
 			last[j] = max(e.Now(), last[j]) + Time(rng.Intn(300_000))
 			lines[j].PushAt(last[j], j)
-		case 5: // out of order: a reordering link with jitter
+		case 5: // out of order: the line holds the push back behind its tail
 			j := rng.Intn(len(lines))
-			lines[j].PushAt(e.Now()+Time(rng.Intn(1_000_000)), j)
+			at := e.Now() + Time(rng.Intn(1_000_000))
+			lines[j].PushAt(at, j)
+			last[j] = max(last[j], at)
+			l := &lines[j]
+			if tail := l.ring[(l.head+l.n-1)&(len(l.ring)-1)].at; tail != last[j] {
+				t.Fatalf("line %d: push at %v queued at %v, want %v", j, at, tail, last[j])
+			}
 		}
 		if i%97 == 0 {
 			e.RunFor(200 * time.Microsecond)
@@ -262,6 +268,12 @@ func TestAuditedHeapIntegrityAfterChurn(t *testing.T) {
 			queued += l.n
 			if hd, s := l.ring[l.head], e.queue[l.ev.idx]; hd.at != s.at || hd.seq != s.seq {
 				t.Fatalf("line %d slot keyed (%v,%d), head entry (%v,%d)", i, s.at, s.seq, hd.at, hd.seq)
+			}
+		}
+		for k := 1; k < l.n; k++ {
+			mask := len(l.ring) - 1
+			if a, b := l.ring[(l.head+k-1)&mask], l.ring[(l.head+k)&mask]; b.at < a.at || b.seq < a.seq {
+				t.Fatalf("line %d: entry %d (%v,%d) sorts before entry %d (%v,%d)", i, k, b.at, b.seq, k-1, a.at, a.seq)
 			}
 		}
 	}

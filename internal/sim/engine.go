@@ -31,10 +31,11 @@
 //     observers attached.
 //
 //   - Line: a caller-owned FIFO delay line for deliveries that leave in the
-//     order they were pushed (propagation on a link). Entries sit in a ring
-//     inside the Line; only the head occupies a heap slot, so a link with
-//     thousands of packets in flight costs the heap one entry. A Line must
-//     not be copied after Init.
+//     order they were pushed (propagation on a link): a push earlier than
+//     the line's last entry is held back to that entry's deadline. Entries
+//     sit in a ring inside the Line; only the head occupies a heap slot, so
+//     a link with thousands of packets in flight costs the heap one entry.
+//     A Line must not be copied after Init.
 //
 // Cancelling (Timer.Stop) removes the entry from the heap eagerly, so long
 // runs that repeatedly rearm timers do not accumulate dead entries.
@@ -55,12 +56,13 @@
 // Every scheduling call reserves the next sequence number, and events run
 // in (deadline, sequence) order; sequence numbers are unique, so that order
 // is total. A Line entry records the (deadline, sequence) it reserved at
-// PushAt, keeps its entries sorted by that key, and keys its heap slot by
-// the head entry's stored key. When the head fires, the slot is re-keyed to
-// the next entry's stored key. At every pop the heap therefore holds the
-// minimum of each line plus every other event, and the minimum of those
-// minima is the minimum over all queued entries — the same event a heap
-// holding one slot per delivery would pop. Which surface scheduled an event
+// PushAt; its deadline is clamped to the previous entry's, so entries are
+// sorted by that key as pushed. The line keys its heap slot by the head
+// entry's stored key, and when the head fires, re-keys it to the next
+// entry's. At every pop the heap therefore holds the minimum of each line
+// plus every other event, and the minimum of those minima is the minimum
+// over all queued entries — the same event a heap holding one slot per
+// delivery would pop. Which surface scheduled an event
 // never changes when it runs.
 //
 // # Reserved keys
@@ -653,10 +655,10 @@ func (t *Timer) At() Time { return t.ev.at }
 
 // Line is a caller-owned FIFO delay line dispatching every entry to one
 // Handler — the propagation half of a link. Entries wait in a ring inside
-// the Line, sorted by the (deadline, sequence) key each reserved at PushAt;
-// only the head holds a heap slot. The zero value is unusable; call Init
-// once, then PushAt freely — it allocates only while the ring grows to the
-// line's high-water mark. A Line must not be copied after Init.
+// the Line in push order, which PushAt's clamp makes (deadline, sequence)
+// order; only the head holds a heap slot. The zero value is unusable; call
+// Init once, then PushAt freely — it allocates only while the ring grows to
+// the line's high-water mark. A Line must not be copied after Init.
 type Line struct {
 	ev   event       // heap slot keyed by the head entry; queued iff n > 0
 	ring []lineEntry // power-of-two length
@@ -681,42 +683,26 @@ func (l *Line) Init(eng *Engine, h Handler) {
 	l.ev = event{eng: eng, idx: -1, h: h, line: l}
 }
 
-// PushAt queues h.OnEvent(arg) at absolute time at; times in the past are
-// clamped to now. It reserves the next sequence number exactly as
-// ScheduleHandler does, so the entry runs at the same point in the global
-// order as a separately scheduled event would. Deadlines normally arrive
-// non-decreasing (append at the tail); an earlier one is inserted in place,
-// after every entry due at or before it.
+// PushAt queues h.OnEvent(arg) at absolute time at, clamped to no earlier
+// than now and the tail entry's deadline: the line delivers in push order.
+// It reserves the next sequence number exactly as ScheduleHandler does, so
+// the entry runs at the same point in the global order as a separately
+// scheduled event would.
 func (l *Line) PushAt(at Time, arg any) {
 	eng := l.ev.eng
-	if at < eng.now {
-		at = eng.now
-	}
-	eng.seq++
+	at = max(at, eng.now)
 	if l.n == len(l.ring) {
 		l.grow()
 	}
 	mask := len(l.ring) - 1
-	i := l.n
-	for ; i > 0; i-- {
-		prev := &l.ring[(l.head+i-1)&mask]
-		if prev.at <= at {
-			break
-		}
-		l.ring[(l.head+i)&mask] = *prev
+	if l.n > 0 {
+		at = max(at, l.ring[(l.head+l.n-1)&mask].at)
+		eng.behind++
 	}
-	l.ring[(l.head+i)&mask] = lineEntry{at: at, seq: eng.seq, arg: arg}
-	l.n++
-	switch {
-	case l.n == 1:
+	eng.seq++
+	l.ring[(l.head+l.n)&mask] = lineEntry{at: at, seq: eng.seq, arg: arg}
+	if l.n++; l.n == 1 {
 		eng.push(at, eng.seq, &l.ev)
-	case i == 0: // overtook the head: move the heap slot earlier
-		eng.behind++
-		s := l.ev.idx
-		eng.queue[s].at, eng.queue[s].seq = at, eng.seq
-		eng.queue.up(s)
-	default:
-		eng.behind++
 	}
 }
 
@@ -761,12 +747,6 @@ func (l *Line) Head() any {
 
 // Len returns how many entries wait on the line.
 func (l *Line) Len() int { return l.n }
-
-// Entry returns the deadline and arg of entry i from the head, i < Len.
-func (l *Line) Entry(i int) (Time, any) {
-	e := &l.ring[(l.head+i)&(len(l.ring)-1)]
-	return e.at, e.arg
-}
 
 // grow doubles the full ring, unrolling it to start at index 0.
 func (l *Line) grow() {

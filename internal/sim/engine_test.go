@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -847,5 +848,25 @@ func TestLineHead(t *testing.T) {
 	}
 	if l.Head() != nil {
 		t.Fatal("Head of a drained line is not nil")
+	}
+}
+
+// TestLinePushKeepsOrder checks that a line delivers in push order: a push
+// earlier than the tail is held back to the tail's deadline and keeps the
+// sequence it reserved, so an event scheduled between the two pushes runs
+// between them.
+func TestLinePushKeepsOrder(t *testing.T) {
+	e := NewEngine(1)
+	var got []string
+	record := HandlerFunc(func(arg any) { got = append(got, fmt.Sprintf("%s@%d", arg, e.Now())) })
+	var l Line
+	l.Init(e, record)
+	l.PushAt(100, "a")
+	e.ScheduleHandler(100*time.Nanosecond, record, "x")
+	l.PushAt(50, "b") // earlier than the tail
+	l.PushAt(200, "c")
+	e.Run()
+	if want := "[a@100 x@100 b@100 c@200]"; fmt.Sprint(got) != want {
+		t.Fatalf("dispatched %v, want %s", got, want)
 	}
 }

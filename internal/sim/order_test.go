@@ -146,6 +146,7 @@ type refSide struct {
 	seq   uint64
 	q     []refEvent
 	dl    dispatchLog
+	line  [nLines]Time // each line's last deadline: a push is held back to it
 }
 
 type refEvent struct {
@@ -154,9 +155,11 @@ type refEvent struct {
 	id  int
 }
 
-func (r *refSide) add(at Time, id int) {
+func (r *refSide) add(at Time, id int) Time {
 	r.seq++
-	r.q = append(r.q, refEvent{at: max(at, r.clock), seq: r.seq, id: id})
+	at = max(at, r.clock)
+	r.q = append(r.q, refEvent{at: at, seq: r.seq, id: id})
+	return at
 }
 
 func (r *refSide) drop(id int) {
@@ -165,7 +168,7 @@ func (r *refSide) drop(id int) {
 
 func (r *refSide) scheduleAt(at Time, id int)    { r.add(at, id) }
 func (r *refSide) handlerAt(at Time, id int)     { r.add(at, id) }
-func (r *refSide) pushAt(_ int, at Time, id int) { r.add(at, id) }
+func (r *refSide) pushAt(k int, at Time, id int) { r.line[k] = r.add(max(at, r.line[k]), id) }
 func (r *refSide) resetTimer(k int, at Time) {
 	r.dl.lastTimer = k
 	r.drop(8*k + kindTimer)
@@ -230,7 +233,7 @@ func TestDifferentialDispatchOrder(t *testing.T) {
 					last[k] = max(last[k], now) + ahead(8)
 					at, id := last[k], newID(kindLine0+k)
 					op = func(s orderSide) { s.pushAt(k, at, id) }
-				case 7: // out of order: a reordering link with jitter
+				case 7: // out of order: held back behind the line's tail
 					k := rng.Intn(nLines)
 					at, id := now+ahead(80), newID(kindLine0+k)
 					op = func(s orderSide) { s.pushAt(k, at, id) }

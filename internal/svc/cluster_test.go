@@ -454,6 +454,20 @@ func TestMetricsSameNamesBothModes(t *testing.T) {
 	}
 }
 
+// TestTraceRefusedInCoordinatorMode checks that New refuses Trace together
+// with Cluster, whose workers upload results without traces, and that
+// each of the two alone still starts.
+func TestTraceRefusedInCoordinatorMode(t *testing.T) {
+	if s, err := New(Options{Trace: true, Cluster: &ClusterOptions{}}); err == nil {
+		s.Close()
+		t.Fatal("New accepted Trace with Cluster")
+	} else if !strings.Contains(err.Error(), "single-node only") {
+		t.Fatalf("refusal does not name the reason: %v", err)
+	}
+	newTestServer(t, Options{Shards: 1, Trace: true})
+	newClusterServer(t, ClusterOptions{}, Options{})
+}
+
 // TestAcquireTakesOnlyWhatItGrants: successive grants come off the head of
 // the pending queue in FIFO order and stop once full, the ungranted tail
 // keeps its order, and entries cancelled or completed while queued are

@@ -32,7 +32,9 @@ type Options struct {
 	// Trace arms the flight-recorder telemetry tracer on every configuration
 	// the daemon simulates, making GET /v1/sweeps/{id}/trace serve event
 	// timelines. Like Audit, tracing is observation-only and excluded from
-	// config identity, so traced results still serve untraced specs.
+	// config identity, so traced results still serve untraced specs. It is
+	// single-node only: New refuses it with Cluster, since a worker's
+	// uploaded result carries no trace.
 	Trace bool
 	// Fairness arms the fairness observatory (windowed Jain/share series,
 	// convergence and starvation detectors) on every configuration the
@@ -75,6 +77,9 @@ type Server struct {
 // coordinator, with Options.Shards in-process workers unless it runs in
 // coordinator mode.
 func New(opts Options) (*Server, error) {
+	if opts.Trace && opts.Cluster != nil {
+		return nil, errors.New("svc: Trace is single-node only: a joined worker's upload carries no trace")
+	}
 	cache, err := OpenCache(opts.Journal)
 	if err != nil {
 		return nil, err
@@ -394,7 +399,7 @@ func (s *Server) streamPerConfig(w http.ResponseWriter, r *http.Request, missing
 // memory only), so those configurations are silently absent.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.streamPerConfig(w, r,
-		"no telemetry recorded for this sweep (start sweepd with -trace, or the results were served from the journal)",
+		"no telemetry recorded for this sweep (start a single-node sweepd with -trace, or the results were served from the journal)",
 		func(w io.Writer, key, id string, res *experiment.Result) (bool, error) {
 			if res.Trace == nil {
 				return false, nil

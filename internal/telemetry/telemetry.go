@@ -219,9 +219,6 @@ func New(opt Options) *Tracer {
 // SetClock installs the simulation clock passes wait for (see Pass).
 func (t *Tracer) SetClock(fn func() int64) { t.clock = fn }
 
-// Options returns the tracer's effective (defaulted) options.
-func (t *Tracer) Options() Options { return t.opt }
-
 // Flow allocates the ring for one flow and returns its tracer. label is the
 // flow's congestion-control name, carried into the dump for rendering.
 func (t *Tracer) Flow(id uint32, label string) *FlowTracer {
