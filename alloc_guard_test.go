@@ -29,6 +29,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/svc"
+	"repro/internal/tcp"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
@@ -591,6 +592,42 @@ func TestAllocGuardEngineReusePaths(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, p.run()); allocs != 0 {
 			t.Errorf("%s: %.1f allocs per run of %d events; the warm path must allocate nothing", p.name, allocs, events)
 		}
+	}
+}
+
+// TestAllocGuardLossRecovery holds one Reno sender and its receiver to
+// zero heap allocations across repeated loss episodes once warm. The data
+// path drops two segments three apart in every 97, so each episode marks
+// segments lost (the retransmission queue) and leaves two out-of-order
+// spans at the receiver; both must reuse their buffers after they drain.
+// Packets come from a packet.Pool, as in a run.
+func TestAllocGuardLossRecovery(t *testing.T) {
+	eng := sim.NewEngine(1)
+	pool := packet.NewPool(nil)
+	var conn *tcp.Conn
+	var rcv *tcp.Receiver
+	ret := netem.NewPort(eng, "ret", 10*units.GigabitPerSec, 2*time.Millisecond, nil, netem.ReceiverFunc(func(now sim.Time, p *packet.Packet) { conn.Receive(now, p) }))
+	fwd := netem.NewPort(eng, "fwd", units.GigabitPerSec, 2*time.Millisecond, aqm.NewFIFO(1<<30), netem.ReceiverFunc(func(now sim.Time, p *packet.Packet) { rcv.Receive(now, p) }))
+	sent := 0
+	conn = tcp.NewConn(eng, 1, tcp.Config{}, cca.NewReno(), func(p *packet.Packet) {
+		if sent++; sent%97 == 0 || sent%97 == 3 {
+			packet.Release(p)
+			return
+		}
+		fwd.Send(p)
+	})
+	rcv = tcp.NewReceiver(eng, 1, 0, ret.Send)
+	conn.UsePool(pool)
+	rcv.UsePool(pool)
+	conn.Start()
+	eng.RunFor(time.Second) // grow the rings, pools and heap
+	before := conn.Stats()
+	episode := func() { eng.RunFor(20 * time.Millisecond) }
+	if allocs := testing.AllocsPerRun(50, episode); allocs != 0 {
+		t.Errorf("%.2f allocs per 20 ms of loss recovery; the warm path must allocate nothing", allocs)
+	}
+	if st := conn.Stats(); st.CongEvents-before.CongEvents < 20 || st.Retransmits-before.Retransmits < 40 {
+		t.Fatalf("rig too clean: %d loss episodes and %d retransmits in 1 s", st.CongEvents-before.CongEvents, st.Retransmits-before.Retransmits)
 	}
 }
 

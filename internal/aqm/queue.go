@@ -24,7 +24,10 @@ type Queue interface {
 	// Enqueue offers p to the queue at time now. It returns false if the
 	// packet was dropped; the queue releases dropped packets itself.
 	Enqueue(now sim.Time, p *packet.Packet) bool
-	// Dequeue removes the next packet to transmit, or nil if empty.
+	// Dequeue removes the next packet to transmit, or nil if empty. On an
+	// empty queue it must not read now: a fused port (netem) makes the
+	// Dequeue an idle serializer owes the discipline at the next arrival
+	// rather than when the serializer freed up.
 	Dequeue(now sim.Time) *packet.Packet
 	// Len returns the number of queued packets.
 	Len() int

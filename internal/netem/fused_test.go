@@ -9,14 +9,9 @@ import (
 	"repro/internal/aqm"
 	"repro/internal/packet"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 )
-
-// eventPath wraps a FIFO so that NewPort does not see a plain *aqm.FIFO:
-// the port then ends every packet's serialization with a tx-done event. It
-// changes nothing else, which makes it the reference the fused path is
-// compared against.
-type eventPath struct{ *aqm.FIFO }
 
 // fusedSchedule is a seeded arrival schedule for one port: bursts, idle
 // gaps and mixed sizes, with arrivals placed exactly when the serializer
@@ -84,9 +79,33 @@ type portObservation struct {
 	samples    []string
 	deliveries []string
 	executed   uint64
+	ring       []string // D's trace ring (observeFold)
+	waited     int      // D's traced dequeues with a sojourn
 }
 
-func observePort(s fusedSchedule, rate units.Bandwidth, q aqm.Queue) portObservation {
+// fusedQueues builds each discipline with knobs that let it act on the
+// schedule's short backlogs: RED's thresholds sit a few packets deep, and
+// CoDel's target and interval span a few serializations, so RED drops and
+// CoDel enters and leaves its dropping state.
+var fusedQueues = []struct {
+	kind aqm.Kind
+	new  func() aqm.Queue
+}{
+	{aqm.KindFIFO, func() aqm.Queue { return aqm.NewFIFO(1 << 30) }},
+	{aqm.KindRED, func() aqm.Queue { return aqm.NewRED(64_000, false, aqm.REDParams{Seed: 1}) }},
+	{aqm.KindCoDel, func() aqm.Queue {
+		return aqm.NewCoDel(1<<30, false, aqm.CoDelParams{Target: 20 * time.Microsecond, Interval: 100 * time.Microsecond})
+	}},
+	{aqm.KindFQCoDel, func() aqm.Queue {
+		return aqm.NewFQCoDel(1<<30, false, aqm.FQCoDelParams{Flows: 16, Quantum: 1500,
+			CoDel: aqm.CoDelParams{Target: 20 * time.Microsecond, Interval: 100 * time.Microsecond}})
+	}},
+}
+
+// observePort drives s through one port over q, on the event path if
+// unfuse. Packets cycle through four flows, so FQ-CoDel schedules among
+// several.
+func observePort(s fusedSchedule, rate units.Bandwidth, q aqm.Queue, unfuse bool) portObservation {
 	eng := sim.NewEngine(1)
 	var obs portObservation
 	rec := ReceiverFunc(func(now sim.Time, p *packet.Packet) {
@@ -94,10 +113,13 @@ func observePort(s fusedSchedule, rate units.Bandwidth, q aqm.Queue) portObserva
 		packet.Release(p)
 	})
 	po := NewPort(eng, "p", rate, time.Millisecond, q, rec)
+	if unfuse {
+		po.Unfuse()
+	}
 	sample := func(where string) {
 		b, n := po.PeakQueue()
-		obs.samples = append(obs.samples, fmt.Sprintf("%s@%d: tx %d pkts %d B, queue %d, peak %d B %d pkts, sojourn %+v",
-			where, eng.Now(), po.TxPackets(), po.TxBytes(), po.Queue().Len(), b, n, po.Sojourn()))
+		obs.samples = append(obs.samples, fmt.Sprintf("%s@%d: tx %d pkts %d B, queue %d, peak %d B %d pkts, sojourn %+v, %+v",
+			where, eng.Now(), po.TxPackets(), po.TxBytes(), po.Queue().Len(), b, n, po.Sojourn(), po.Queue().Stats()))
 	}
 	seq := int64(0)
 	var arrive func(i int)
@@ -114,7 +136,7 @@ func observePort(s fusedSchedule, rate units.Bandwidth, q aqm.Queue) portObserva
 		sample(fmt.Sprint("arrival ", i))
 		for _, size := range a.sizes {
 			p := data(size)
-			p.Seq = seq
+			p.Seq, p.Flow = seq, packet.FlowID(seq%4)
 			seq++
 			po.Send(p)
 		}
@@ -134,12 +156,14 @@ func observePort(s fusedSchedule, rate units.Bandwidth, q aqm.Queue) portObserva
 }
 
 // TestFusedMatchesEventPath drives one seeded schedule through a fused port
-// and through the same port forced onto the event path. Every delivery
-// (packet and time, in order) and every reading of the port's counters,
-// queue high-watermark and sojourn — at each arrival and at each run end,
-// including ends in mid-serialization — must match. Fails if the serializer
-// timer is not armed for an arrival behind a fused packet, or if TxPackets
-// and TxBytes count a fused packet at its dequeue.
+// and through the same port after Unfuse, for each discipline. Every
+// delivery (packet and time, in order) and every reading of the port's
+// counters, queue, high-watermark, sojourn and discipline counters — at
+// each arrival and at each run end, including ends in mid-serialization —
+// must match. Fails if the serializer timer is not armed for an arrival
+// behind a fused packet, if TxPackets and TxBytes count a fused packet at
+// its dequeue, or (FQ-CoDel) if a fused port skips the empty Dequeue its
+// skipped tx-done owes the discipline.
 func TestFusedMatchesEventPath(t *testing.T) {
 	const rate = units.GigabitPerSec
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -149,16 +173,20 @@ func TestFusedMatchesEventPath(t *testing.T) {
 				t.Fatalf("schedule lands %d arrivals at a serialization's end and %d 1 ns before; want ≥20 each",
 					s.atFree, s.beforeFree)
 			}
-			fused := observePort(s, rate, aqm.NewFIFO(1<<30))
-			ref := observePort(s, rate, eventPath{aqm.NewFIFO(1 << 30)})
-			if fused.executed >= ref.executed {
-				t.Fatalf("fused port executed %d events, event path %d: nothing was fused", fused.executed, ref.executed)
-			}
-			if i := firstDiff(fused.deliveries, ref.deliveries); i >= 0 {
-				t.Fatalf("delivery %d differs: fused %s, event path %s", i, at(fused.deliveries, i), at(ref.deliveries, i))
-			}
-			if i := firstDiff(fused.samples, ref.samples); i >= 0 {
-				t.Fatalf("sample %d differs:\n fused      %s\n event path %s", i, at(fused.samples, i), at(ref.samples, i))
+			for _, q := range fusedQueues {
+				t.Run(string(q.kind), func(t *testing.T) {
+					fused := observePort(s, rate, q.new(), false)
+					ref := observePort(s, rate, q.new(), true)
+					if fused.executed >= ref.executed {
+						t.Fatalf("fused port executed %d events, event path %d: nothing was fused", fused.executed, ref.executed)
+					}
+					if i := firstDiff(fused.deliveries, ref.deliveries); i >= 0 {
+						t.Fatalf("delivery %d differs: fused %s, event path %s", i, at(fused.deliveries, i), at(ref.deliveries, i))
+					}
+					if i := firstDiff(fused.samples, ref.samples); i >= 0 {
+						t.Fatalf("sample %d differs:\n fused      %s\n event path %s", i, at(fused.samples, i), at(ref.samples, i))
+					}
+				})
 			}
 		})
 	}
@@ -253,28 +281,36 @@ func newFoldSchedule(seed uint64) foldSchedule {
 	return s
 }
 
-// observeFold drives s into U and records U's readings and D's queue
-// length at every arrival and run end, and every delivery past D. fold
-// chains U to D with Fold rather than SetDst.
-func observeFold(s foldSchedule, fold bool, qD aqm.Queue) portObservation {
+// observeFold drives s into U and records U's readings and D's trace
+// high-watermark at every arrival and run end, every delivery past D, and
+// D's trace ring. fold chains U to D with Fold rather than SetDst; unfuseD
+// puts D on the event path.
+func observeFold(s foldSchedule, fold, unfuseD bool) portObservation {
 	eng := sim.NewEngine(1)
+	trc := telemetry.New(telemetry.Options{RingCap: 1 << 13, SampleN: 1})
+	eng.SetTracer(trc)
 	var obs portObservation
 	rec := ReceiverFunc(func(now sim.Time, p *packet.Packet) {
 		obs.deliveries = append(obs.deliveries, fmt.Sprintf("#%d@%d", p.Seq, now))
 		packet.Release(p)
 	})
-	d := NewPort(eng, "D", foldRate, time.Millisecond, qD, rec)
+	d := NewPort(eng, "D", foldRate, time.Millisecond, aqm.NewFIFO(1<<30), rec)
 	u := NewPort(eng, "U", foldRate, foldDelay, aqm.NewFIFO(1<<30), nil)
+	if unfuseD {
+		d.Unfuse()
+	}
 	if fold {
 		u.Fold(d)
 	} else {
 		u.SetDst(d)
 	}
-	// No result reads a folded port's counters (see Port.Fold).
+	// No result reads a folded port's counters or its queue (see
+	// Port.Fold); its trace records what the queue would have held.
 	sample := func(where string) {
 		b, n := u.PeakQueue()
-		obs.samples = append(obs.samples, fmt.Sprintf("%s@%d U: tx %d pkts %d B, queue %d, peak %d B %d pkts, sojourn %+v; D: queue %d",
-			where, eng.Now(), u.TxPackets(), u.TxBytes(), u.Queue().Len(), b, n, u.Sojourn(), d.Queue().Len()))
+		db, dn := d.trc.Peak()
+		obs.samples = append(obs.samples, fmt.Sprintf("%s@%d U: tx %d pkts %d B, queue %d, peak %d B %d pkts, sojourn %+v; D: traced peak %d B %d pkts",
+			where, eng.Now(), u.TxPackets(), u.TxBytes(), u.Queue().Len(), b, n, u.Sojourn(), db, dn))
 	}
 	seq := int64(0)
 	var arrive func(i int)
@@ -291,7 +327,7 @@ func observeFold(s foldSchedule, fold bool, qD aqm.Queue) portObservation {
 		sample(fmt.Sprint("arrival ", i))
 		for _, size := range a.sizes {
 			p := data(size)
-			p.Seq = seq
+			p.Seq, p.Flow = seq, packet.FlowID(seq%4)
 			seq++
 			u.Send(p)
 		}
@@ -307,6 +343,19 @@ func observeFold(s foldSchedule, fold bool, qD aqm.Queue) portObservation {
 	eng.Run()
 	sample("drained")
 	obs.executed = eng.Executed()
+	for _, r := range trc.Dump().Rings {
+		if r.Name == "port:D" {
+			for _, e := range r.Events {
+				obs.ring = append(obs.ring, fmt.Sprintf("%+v", e))
+				if e.Kind == telemetry.KindDequeue && e.B > 0 {
+					obs.waited++
+				}
+			}
+			if r.Dropped > 0 {
+				panic("D's trace ring overflowed")
+			}
+		}
+	}
 	return obs
 }
 
@@ -314,10 +363,13 @@ func observeFold(s foldSchedule, fold bool, qD aqm.Queue) portObservation {
 // that folds its packets onto the fused port D, through the same pair
 // without folding, and through it with D on the event path. Every delivery
 // (packet and time, in order), every reading of U's counters, queue,
-// high-watermark and sojourn, and D's queue length — at each arrival and at
-// each run end, including ends while D serializes a folded packet and
-// before one reaches D — must match. Fails if U folds onto D while D still
-// serializes or holds a packet that reached it first.
+// high-watermark and sojourn, and D's trace high-watermark — at each
+// arrival and at each run end, including ends while D serializes a folded
+// packet and before one reaches D — must match, and so must D's trace ring,
+// record for record, backlogs included: it holds what D's queue held,
+// which folded packets bypass while they wait. Fails if a folded packet
+// starts before D is free, or if D's trace records one that waits as
+// crossing an empty queue.
 func TestFoldedMatchesEventPath(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -326,13 +378,16 @@ func TestFoldedMatchesEventPath(t *testing.T) {
 				t.Fatalf("schedule lands %d arrivals on D as it frees up and %d 1 ns before; want ≥20 each",
 					s.atFree, s.beforeFree)
 			}
-			folded := observeFold(s, true, aqm.NewFIFO(1<<30))
+			folded := observeFold(s, true, false)
+			if folded.waited < 20 {
+				t.Fatalf("%d folded packets waited for D; want ≥20", folded.waited)
+			}
 			for _, ref := range []struct {
 				name string
 				obs  portObservation
 			}{
-				{"unfolded", observeFold(s, false, aqm.NewFIFO(1<<30))},
-				{"event path", observeFold(s, true, eventPath{aqm.NewFIFO(1 << 30)})},
+				{"unfolded", observeFold(s, false, false)},
+				{"event path", observeFold(s, true, true)},
 			} {
 				if folded.executed >= ref.obs.executed {
 					t.Fatalf("folded pair executed %d events, %s %d: nothing was folded", folded.executed, ref.name, ref.obs.executed)
@@ -343,7 +398,64 @@ func TestFoldedMatchesEventPath(t *testing.T) {
 				if i := firstDiff(folded.samples, ref.obs.samples); i >= 0 {
 					t.Fatalf("sample %d differs:\n folded %s\n %-6s %s", i, at(folded.samples, i), ref.name, at(ref.obs.samples, i))
 				}
+				if i := firstDiff(folded.ring, ref.obs.ring); i >= 0 {
+					t.Fatalf("D's trace record %d differs:\n folded %s\n %-6s %s", i, at(folded.ring, i), ref.name, at(ref.obs.ring, i))
+				}
 			}
 		})
+	}
+}
+
+// TestFoldWaitsBehindFullSegment sends full segments each followed by a
+// short one through U into D at the same rate, back to back: each short
+// segment reaches D while D still serializes the full one, and each full
+// one reaches D exactly as D finishes the short one. Every packet must fold
+// (no delivery on U's wire: the engine runs only the sends and D's
+// deliveries) and reach the end exactly when it does unfolded. Fails if
+// fold refuses a packet because D is still serializing.
+func TestFoldWaitsBehindFullSegment(t *testing.T) {
+	const pairs = 200
+	run := func(fold bool) ([]string, uint64) {
+		eng := sim.NewEngine(1)
+		var got []string
+		rec := ReceiverFunc(func(now sim.Time, p *packet.Packet) {
+			got = append(got, fmt.Sprintf("#%d@%d", p.Seq, now))
+			packet.Release(p)
+		})
+		d := NewPort(eng, "D", foldRate, time.Millisecond, nil, rec)
+		u := NewPort(eng, "U", foldRate, foldDelay, nil, nil)
+		if fold {
+			u.Fold(d)
+		} else {
+			u.SetDst(d)
+		}
+		// Each send lands as U frees up (1 ns per byte), after U's tx-done
+		// key, so U takes every packet on its fused path.
+		seq := int64(0)
+		var tick sim.Timer
+		tick.Init(eng, sim.HandlerFunc(func(any) {
+			size := units.ByteSize(9000)
+			if seq%2 == 1 {
+				size = 100
+			}
+			p := data(size)
+			p.Seq = seq
+			u.Send(p)
+			if seq++; seq < 2*pairs {
+				tick.Reset(time.Duration(size))
+			}
+		}), nil)
+		tick.Reset(0)
+		eng.Run()
+		return got, eng.Executed()
+	}
+	folded, fev := run(true)
+	unfolded, uev := run(false)
+	if i := firstDiff(folded, unfolded); i >= 0 {
+		t.Fatalf("delivery %d differs: folded %s, unfolded %s", i, at(folded, i), at(unfolded, i))
+	}
+	if want := uint64(2 * 2 * pairs); fev != want {
+		t.Fatalf("folded run executed %d events for %d packets, want %d (a send and a delivery from D each); unfolded %d",
+			fev, 2*pairs, want, uev)
 	}
 }

@@ -60,16 +60,20 @@ type Port struct {
 	txing    *packet.Packet
 	wire     sim.Line
 
-	// Fused serialization. On a fused port (a plain FIFO with no fault
-	// armed) a packet that leaves the queue with nothing behind it is
-	// finished when it is dequeued: nothing can change its fate on the
-	// serializer, so it is counted and pushed onto the wire at once, and
-	// free keeps the key its tx-done event would have run under instead of
-	// queueing that event. freeBytes is its size, which TxPackets and
-	// TxBytes hold back until free is reached. An arrival before then arms
-	// txTimer under free, so the next packet starts exactly when it would
-	// have.
+	// Fused serialization. On a fused port (no fault armed) a packet that
+	// leaves the queue with nothing behind it is finished when it is
+	// dequeued: nothing can change its fate on the serializer, so it is
+	// counted and pushed onto the wire at once, and free keeps the key its
+	// tx-done event would have run under instead of queueing that event.
+	// freeBytes is its size, which TxPackets and TxBytes hold back until
+	// free is reached. An arrival before then arms txTimer under free, so
+	// the next packet starts exactly when it would have. If none arrives
+	// by then, the skipped tx-done still owes the discipline the Dequeue it
+	// would have made on the empty queue (owed): the next Send makes it
+	// before its Enqueue, which is exact because an empty Dequeue never
+	// reads its time (aqm.Queue).
 	fused     bool
+	owed      bool
 	free      sim.Key
 	freeBytes units.ByteSize
 
@@ -146,10 +150,7 @@ func NewPort(eng *sim.Engine, name string, rate units.Bandwidth, delay time.Dura
 	if queue == nil {
 		queue = aqm.NewFIFO(1 << 40) // effectively unbuffered-loss-free
 	}
-	po := &Port{Name: name, eng: eng, rate: rate, delay: delay, queue: queue, dst: dst}
-	// A FIFO's Dequeue on an empty queue changes nothing, so skipping the
-	// one an idle port makes at tx-done is invisible.
-	_, po.fused = queue.(*aqm.FIFO)
+	po := &Port{Name: name, eng: eng, rate: rate, delay: delay, queue: queue, dst: dst, fused: true}
 	po.txDoneH.po = po
 	po.deliverH.po = po
 	po.txTimer.Init(eng, &po.txDoneH, nil)
@@ -276,16 +277,32 @@ func (po *Port) TxBytes() units.ByteSize {
 // the port later in the run must call it before the run starts, since a
 // packet already fused has been delivered under the settings of its
 // dequeue.
-func (po *Port) Unfuse() { po.fused = false }
+func (po *Port) Unfuse() {
+	po.fused = false
+	po.payOwed()
+}
+
+// payOwed makes the empty Dequeue a fused packet's skipped tx-done owes the
+// discipline, once that tx-done's key is reached.
+func (po *Port) payOwed() {
+	if po.owed && po.eng.Reached(po.free) {
+		po.owed = false
+		po.queue.Dequeue(po.eng.Now())
+		if po.aud != nil {
+			po.auditQueueOp()
+		}
+	}
+}
 
 // SetDst rewires the port's destination (used by topology builders).
 func (po *Port) SetDst(dst Receiver) { po.dst = dst }
 
 // Fold makes next the port's destination and lets it take packets onto
 // its wire at once (see fold). The caller guarantees that next has a
-// destination and no other upstream, that nothing injects into it, and
-// that no result reads next's counters or its Queue().Stats(): a folded
-// packet bypasses next's queue and is counted from its fold.
+// destination and no other upstream, that nothing injects into it, that
+// its queue is a FIFO that never fills, and that no result reads next's
+// counters or its Queue(): a folded packet bypasses next's queue, waiting
+// or not, and is counted from its fold.
 func (po *Port) Fold(next *Port) { po.dst, po.next = next, next }
 
 // ensureRNG lazily derives the port's private random stream from the
@@ -458,6 +475,9 @@ func (po *Port) Send(p *packet.Packet) {
 		return
 	}
 	now := po.eng.Now()
+	if po.owed {
+		po.payOwed()
+	}
 	if po.aud != nil {
 		po.audQueueOffer++
 	}
@@ -489,7 +509,7 @@ func (po *Port) kick() {
 	switch {
 	case po.busy:
 	case !po.eng.Reached(po.free):
-		po.busy = true
+		po.busy, po.owed = true, false
 		po.txTimer.ResetKey(po.free)
 	default:
 		po.transmitNext()
@@ -529,7 +549,7 @@ func (po *Port) transmitNext() {
 	// tx-done key: it is never handed on inside Send, and the run cannot
 	// end before that key is reached.
 	if po.fused && tx > 0 && po.dst != nil && po.queue.Len() == 0 {
-		po.busy = false
+		po.busy, po.owed = false, true
 		po.free = po.eng.Reserve(now + sim.Duration(tx))
 		po.freeBytes = p.Size
 		po.complete(p, po.free.At)
@@ -600,15 +620,16 @@ func (po *Port) complete(p *packet.Packet, done sim.Time) {
 }
 
 // fold takes p, which arrives from the port's only upstream, up, at t1
-// with nothing ahead of it. If the port is fused and idle with free before
-// t1, and its FIFO would take p, p would meet an empty FIFO and leave at
-// once on the fused path; fold takes that path now, and the port's trace
-// holds p back until the clock reaches it. Otherwise it reports false.
-// Only the books something reads move: the audit ledger, the trace, the
+// with nothing ahead of it on up's wire. If the port is fused and its
+// transmitter idle, p would enter a FIFO that holds only folded packets and
+// start once the serializer is free at t1 or later, on the fused path; fold
+// takes that path now, and the port's trace holds p's arrival and start
+// back until the clock reaches them. Otherwise it reports false. Only the
+// books something reads move: the audit ledger, the trace, the
 // serializer's free key and the counters, which count p from now.
 func (po *Port) fold(up *Port, t1 sim.Time, p *packet.Packet) bool {
 	tx := units.TransmissionTime(p.Size, po.rate)
-	if !po.fused || po.busy || po.free.At >= t1 || tx <= 0 || p.Size > po.queue.Capacity() {
+	if !po.fused || po.busy || tx <= 0 || p.Size > po.queue.Capacity() {
 		return false
 	}
 	if po.aud != nil { // up and the port share the engine's auditor
@@ -617,10 +638,11 @@ func (po *Port) fold(up *Port, t1 sim.Time, p *packet.Packet) bool {
 		po.audOffered++
 		po.audInFlight++
 	}
+	start := max(t1, po.free.At)
 	if po.trc != nil {
-		po.trc.Pass(int64(t1), uint32(p.Flow), int64(p.Size))
+		po.trc.Pass(int64(t1), int64(start), uint32(p.Flow), int64(p.Size))
 	}
-	po.free = po.eng.Reserve(t1 + sim.Duration(tx))
+	po.free = po.eng.Reserve(start + sim.Duration(tx))
 	po.freeBytes = p.Size
 	po.txPackets++
 	po.txBytes += p.Size

@@ -18,8 +18,8 @@ func data(size units.ByteSize) *packet.Packet {
 	return p
 }
 
-// linkVariants are the two ways a lossless port can serialize: fused (a
-// plain FIFO, no fault armed) and the event path (a fault armed, here a
+// linkVariants are the two ways a lossless port can serialize: fused (no
+// fault armed) and the event path (a fault armed, here a
 // zero loss rate). events is how many engine events one packet crossing an
 // idle port costs on each.
 var linkVariants = []struct {

@@ -82,7 +82,7 @@ type Conn struct {
 	sndUna   int64
 	sndNxt   int64
 	segs     segDeque
-	rtxQ     []int64
+	rtxQ     seqQueue
 	lossScan int64
 
 	// Windows. cwnd and ssthresh are in bytes.
@@ -155,7 +155,8 @@ func (c *Conn) Reinit(id packet.FlowID, cfg Config, cc CongestionControl, inject
 	}
 	c.rtoTimer.Stop()
 	c.paceTimer.Stop()
-	segs, rtxQ := c.segs.buf, c.rtxQ[:0]
+	segs, rtxQ := c.segs.buf, c.rtxQ
+	rtxQ.reset()
 	*c = Conn{eng: c.eng}
 	c.init(id, cfg, cc, inject)
 	c.segs.buf, c.rtxQ = segs, rtxQ
@@ -370,13 +371,13 @@ func (c *Conn) trySend() {
 	for {
 		// Pick what to send: retransmissions take priority.
 		var rtx *seg
-		for len(c.rtxQ) > 0 {
+		for c.rtxQ.len() > 0 {
 			// Still relevant: outstanding and lost (a SACKed segment never is).
-			if s := c.segs.find(c.rtxQ[0]); s != nil && s.lost {
+			if s := c.segs.find(c.rtxQ.front()); s != nil && s.lost {
 				rtx = s
 				break
 			}
-			c.rtxQ = c.rtxQ[1:]
+			c.rtxQ.pop()
 		}
 		var segLen int64
 		if rtx != nil {
@@ -404,7 +405,7 @@ func (c *Conn) trySend() {
 		}
 
 		if rtx != nil {
-			c.rtxQ = c.rtxQ[1:]
+			c.rtxQ.pop()
 			rtx.lost = false
 			c.lossScan = min(c.lossScan, rtx.seq)
 			c.transmit(rtx)
@@ -628,7 +629,7 @@ func (c *Conn) Receive(now sim.Time, p *packet.Packet) {
 	// receiver only ACKs on data arrival), so the timer restarts on every
 	// ACK while data is outstanding — mirroring Linux's rearm on SACK
 	// progress. A true blackhole produces no ACKs and still times out.
-	if c.segs.len() == 0 && len(c.rtxQ) == 0 {
+	if c.segs.len() == 0 && c.rtxQ.len() == 0 {
 		c.rtoTimer.Stop()
 	} else {
 		c.rearmRTO()
@@ -668,7 +669,7 @@ func (c *Conn) markLost(trigSentAt sim.Time) int64 {
 		s.lost = true
 		c.inflight -= s.len
 		lost += s.len
-		c.rtxQ = append(c.rtxQ, s.seq)
+		c.rtxQ.push(s.seq)
 	}
 	c.lossScan = c.sndNxt
 	return lost
@@ -693,7 +694,7 @@ func (c *Conn) onRTO() {
 	if c.stopped {
 		return
 	}
-	if c.segs.len() == 0 && len(c.rtxQ) == 0 {
+	if c.segs.len() == 0 && c.rtxQ.len() == 0 {
 		return // nothing outstanding
 	}
 	c.stats.RTOs++
@@ -705,7 +706,7 @@ func (c *Conn) onRTO() {
 
 	// Everything outstanding and undelivered is presumed lost; rebuild the
 	// retransmission queue in sequence order.
-	c.rtxQ = c.rtxQ[:0]
+	c.rtxQ.reset()
 	for i := 0; i < c.segs.len(); i++ {
 		s := c.segs.at(i)
 		if s.sacked {
@@ -715,7 +716,7 @@ func (c *Conn) onRTO() {
 			s.lost = true
 			c.inflight -= s.len
 		}
-		c.rtxQ = append(c.rtxQ, s.seq)
+		c.rtxQ.push(s.seq)
 	}
 	c.inflight = 0
 	c.inRecovery = false
@@ -723,6 +724,37 @@ func (c *Conn) onRTO() {
 	c.rearmRTO()
 	c.trySend()
 }
+
+// seqQueue is a FIFO of sequence numbers that keeps its buffer across
+// loss episodes: pop advances a head index, a drained queue rewinds to the
+// front, and a push onto a full buffer first moves the entries left over
+// the popped ones.
+type seqQueue struct {
+	buf  []int64
+	head int
+}
+
+func (q *seqQueue) len() int { return len(q.buf) - q.head }
+
+// front returns the oldest entry; the queue must not be empty.
+func (q *seqQueue) front() int64 { return q.buf[q.head] }
+
+// pop drops the oldest entry; the queue must not be empty.
+func (q *seqQueue) pop() {
+	if q.head++; q.head == len(q.buf) {
+		q.reset()
+	}
+}
+
+func (q *seqQueue) push(seq int64) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, seq)
+}
+
+func (q *seqQueue) reset() { q.buf, q.head = q.buf[:0], 0 }
 
 // segDeque is a growable ring of outstanding segments, held by value and
 // ordered by sequence. Its length is zero or a power of two, so indices

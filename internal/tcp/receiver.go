@@ -156,14 +156,10 @@ func (r *Receiver) Receive(now sim.Time, p *packet.Packet) {
 		inOrder = true
 		r.rcvNxt += p.DataLen
 		// Merge the buffered continuation, if this filled the first hole.
-		// Dropping the front span is O(1); an emptied list keeps its buffer.
+		// The spans behind it move down, so the list keeps its buffer.
 		if len(r.ooo) > 0 && r.ooo[0].start == r.rcvNxt {
 			r.rcvNxt = r.ooo[0].end
-			if len(r.ooo) == 1 {
-				r.ooo = r.ooo[:0]
-			} else {
-				r.ooo = r.ooo[1:]
-			}
+			r.ooo = slices.Delete(r.ooo, 0, 1)
 		}
 	case p.Seq > r.rcvNxt:
 		r.addSpan(p.Seq, p.Seq+p.DataLen)

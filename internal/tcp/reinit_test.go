@@ -144,9 +144,9 @@ func dirtyPair(t *testing.T) (eng *sim.Engine, conn *Conn, rcv *Receiver, fwd, r
 	if st.RTOs < 3 || st.Retransmits == 0 || st.CongEvents == 0 {
 		t.Fatalf("rig too clean: %+v", st)
 	}
-	if conn.segs.len() == 0 || len(conn.rtxQ) == 0 || len(rcv.ooo) == 0 || rcv.dupSegments+rcv.acksSent == 0 {
+	if conn.segs.len() == 0 || conn.rtxQ.len() == 0 || len(rcv.ooo) == 0 || rcv.dupSegments+rcv.acksSent == 0 {
 		t.Fatalf("rig too clean: %d outstanding, %d queued for retransmission, %d out-of-order spans",
-			conn.segs.len(), len(conn.rtxQ), len(rcv.ooo))
+			conn.segs.len(), conn.rtxQ.len(), len(rcv.ooo))
 	}
 	if !conn.rtoTimer.Pending() {
 		t.Fatal("rig ended with no RTO pending")

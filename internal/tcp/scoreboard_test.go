@@ -89,12 +89,12 @@ func TestMarkLostMatchesFrontScan(t *testing.T) {
 				want := scoreboard(c)
 				trig := sim.Time(1 + rng.Intn(int(eng.Now())))
 				wantBytes, wantQ := frontScan(want, trig)
-				q0 := len(c.rtxQ)
+				q0 := c.rtxQ.len()
 				got := c.markLost(trig)
 				calls++
-				if got != wantBytes || !slices.Equal(c.rtxQ[q0:], wantQ) {
+				if got != wantBytes || !slices.Equal(c.rtxQ.buf[c.rtxQ.head+q0:], wantQ) {
 					t.Fatalf("seed %d step %d: markLost(%d) marked %d bytes, rtxQ += %v; front scan marks %d bytes, %v",
-						seed, step, trig, got, c.rtxQ[q0:], wantBytes, wantQ)
+						seed, step, trig, got, c.rtxQ.buf[c.rtxQ.head+q0:], wantBytes, wantQ)
 				}
 				if have := scoreboard(c); !slices.Equal(have, want) {
 					t.Fatalf("seed %d step %d: scoreboard after markLost differs from the front scan's:\n got  %+v\n want %+v",

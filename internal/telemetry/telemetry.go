@@ -388,9 +388,25 @@ type PortTracer struct {
 	hiBytes int64
 	hiPkts  int64
 
-	// passes[head:] wait for the clock (see Pass): At, Flow, A = bytes.
-	passes []Event
-	head   int
+	// passes[deq:] have not started and passes[enq:] have not arrived by
+	// the clock (see Pass); passes[deq:enq] is the backlog they form,
+	// holding qBytes. lastStart is the start of the latest pass.
+	passes    []pass
+	deq, enq  int
+	qBytes    int64
+	lastStart int64
+}
+
+// pass is one packet crossing a port's queue ahead of the clock.
+type pass struct {
+	at, start int64 // arrival and serialization start
+	flow      uint32
+	bytes     int64
+	recorded  int64 // the clock when Pass recorded it, which schedules its arrival
+	// keyed is when the event it starts in was scheduled: at the start of
+	// the packet ahead if it waited, else -1 (it starts on its own
+	// arrival, scheduled before any later pass's).
+	keyed int64
 }
 
 func (p *PortTracer) sample() bool {
@@ -406,6 +422,10 @@ func (p *PortTracer) Enqueue(at int64, flow uint32, qBytes, qPkts int64) {
 		return
 	}
 	p.settle(at)
+	p.enqueue(at, flow, qBytes, qPkts)
+}
+
+func (p *PortTracer) enqueue(at int64, flow uint32, qBytes, qPkts int64) {
 	if qBytes > p.hiBytes {
 		p.hiBytes = qBytes
 		if qPkts > p.hiPkts {
@@ -427,41 +447,70 @@ func (p *PortTracer) Dequeue(at int64, flow uint32, qBytes, sojournNS int64) {
 	if p == nil {
 		return
 	}
-	if p.settle(at); p.sample() {
+	p.settle(at)
+	p.dequeue(at, flow, qBytes, sojournNS)
+}
+
+func (p *PortTracer) dequeue(at int64, flow uint32, qBytes, sojournNS int64) {
+	if p.sample() {
 		p.ring.put(Event{At: at, Flow: flow, Kind: KindDequeue, A: qBytes, B: sojournNS})
 	}
 }
 
-// Pass records, ahead of the clock, the Enqueue and Dequeue of a packet
-// that crosses the port's empty queue at at. Both enter the ring once the
-// clock reaches at, as if they had been recorded then.
-func (p *PortTracer) Pass(at int64, flow uint32, pktBytes int64) {
+// Pass records, ahead of the clock, a packet that reaches the port's
+// queue at at and leaves it at start, behind only earlier passes: its
+// Enqueue at at and its Dequeue at start each enter the ring once the
+// clock reaches them, as if they had been recorded then, with the backlog
+// the passes form. Of an arrival and a start at one instant, the one whose
+// event was scheduled first is recorded first, as the engine would have
+// run them.
+func (p *PortTracer) Pass(at, start int64, flow uint32, pktBytes int64) {
 	if p == nil {
 		return
 	}
-	p.settleNow()
-	p.passes = append(p.passes, Event{At: at, Flow: flow, A: pktBytes})
+	now := p.t.clock()
+	p.settle(now)
+	keyed := int64(-1)
+	if start > at {
+		keyed = p.lastStart
+	}
+	p.lastStart = start
+	p.passes = append(p.passes, pass{at: at, start: start, flow: flow, bytes: pktBytes, recorded: now, keyed: keyed})
 }
 
-// settleNow records every pass the clock has reached.
+// settleNow records every pass event the clock has reached.
 func (p *PortTracer) settleNow() {
-	if p.head < len(p.passes) {
+	if p.deq < len(p.passes) {
 		p.settle(p.t.clock())
 	}
 }
 
-// settle records every pass due by at, oldest first (at distinct times,
-// so its calls settle nothing further).
+// settle records every pass event due by at, in the order the queue would
+// have seen them.
 func (p *PortTracer) settle(at int64) {
-	for p.head < len(p.passes) && p.passes[p.head].At <= at {
-		e := p.passes[p.head]
-		p.head++
-		p.Enqueue(e.At, e.Flow, e.A, 1)
-		p.Dequeue(e.At, e.Flow, 0, 0)
+	for p.deq < len(p.passes) {
+		d := &p.passes[p.deq]
+		if p.enq < len(p.passes) {
+			if e := &p.passes[p.enq]; p.enq == p.deq || e.at < d.start || e.at == d.start && d.keyed > e.recorded {
+				if e.at > at {
+					break
+				}
+				p.enq++
+				p.qBytes += e.bytes
+				p.enqueue(e.at, e.flow, p.qBytes, int64(p.enq-p.deq))
+				continue
+			}
+		}
+		if d.start > at {
+			break
+		}
+		p.deq++
+		p.qBytes -= d.bytes
+		p.dequeue(d.start, d.flow, p.qBytes, d.start-d.at)
 	}
-	if p.head > len(p.passes)/2 {
-		n := copy(p.passes, p.passes[p.head:])
-		p.passes, p.head = p.passes[:n], 0
+	if p.deq > len(p.passes)/2 {
+		n := copy(p.passes, p.passes[p.deq:])
+		p.passes, p.deq, p.enq = p.passes[:n], 0, p.enq-p.deq
 	}
 }
 

@@ -237,8 +237,8 @@ func TestPassWaitsForTheClock(t *testing.T) {
 
 		p.Enqueue(10, 1, 500, 1)
 		ref.Enqueue(10, 1, 500, 1)
-		p.Pass(100, 2, 400)
-		p.Pass(200, 3, 600) // lifts the high-watermark at 200
+		p.Pass(100, 100, 2, 400)
+		p.Pass(200, 200, 3, 600) // lifts the high-watermark at 200
 		if got := passed.Dump().Rings[0].Total; got != uint64(1+1/sampleN) {
 			t.Fatalf("sample 1-in-%d: %d records before the clock reaches a pass", sampleN, got)
 		}
@@ -256,6 +256,83 @@ func TestPassWaitsForTheClock(t *testing.T) {
 		want := snapshotRing("port:d", "port", "", &ref.ring, sampleN, 0)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("sample 1-in-%d: ring\n got %+v\nwant %+v", sampleN, got, want)
+		}
+	}
+}
+
+// TestPassReplaysTheBacklog: passes that wait behind earlier ones enter the
+// ring as the queue they bypass would have recorded them: each arrival with
+// the backlog it joins, each start with the backlog it leaves and its
+// sojourn, in time order. Of an arrival and a start at one instant, the one
+// scheduled first comes first: the start if the packet ahead of the
+// starting one started before the arrival was recorded, else the arrival.
+// Fails if Pass records a waiting packet as crossing an empty queue, or
+// orders a tie by anything but scheduling.
+func TestPassReplaysTheBacklog(t *testing.T) {
+	type step struct {
+		now             int64 // the clock at Pass
+		at, start, size int64
+	}
+	type rec struct {
+		enq       bool
+		at        int64
+		q, n, soj int64
+	}
+	// A full packet, two short ones behind it, and a third arriving exactly
+	// as the second starts. The second started (at 1000) after the third
+	// was recorded at 900, so the arrival's event was scheduled first.
+	arrivalFirst := []step{{0, 100, 100, 900}, {50, 200, 1000, 300}, {60, 300, 1300, 500}, {900, 1300, 1800, 200}}
+	// The same, but the third is recorded at 1100, after the second began.
+	startFirst := []step{{0, 100, 100, 900}, {50, 200, 1000, 300}, {60, 300, 1300, 500}, {1100, 1300, 1800, 200}}
+	for _, c := range []struct {
+		name  string
+		steps []step
+		want  []rec
+	}{
+		{"arrival first", arrivalFirst, []rec{
+			{true, 100, 900, 1, 0}, {false, 100, 0, 0, 0},
+			{true, 200, 300, 1, 0}, {true, 300, 800, 2, 0},
+			{false, 1000, 500, 1, 800},
+			{true, 1300, 700, 2, 0}, {false, 1300, 200, 1, 1000},
+			{false, 1800, 0, 0, 500},
+		}},
+		{"start first", startFirst, []rec{
+			{true, 100, 900, 1, 0}, {false, 100, 0, 0, 0},
+			{true, 200, 300, 1, 0}, {true, 300, 800, 2, 0},
+			{false, 1000, 500, 1, 800},
+			{false, 1300, 0, 0, 1000}, {true, 1300, 200, 1, 0},
+			{false, 1800, 0, 0, 500},
+		}},
+	} {
+		var now int64
+		passed := New(Options{RingCap: 64, SampleN: 1})
+		passed.SetClock(func() int64 { return now })
+		p := passed.Port("d")
+		ref := New(Options{RingCap: 64, SampleN: 1}).Port("d")
+		for i, s := range c.steps {
+			now = s.now
+			p.Pass(s.at, s.start, uint32(i), s.size)
+		}
+		flows := map[int64]uint32{}
+		for i, s := range c.steps {
+			flows[s.at] = uint32(i)
+		}
+		starts := map[int64]uint32{}
+		for i, s := range c.steps {
+			starts[s.start] = uint32(i)
+		}
+		for _, r := range c.want {
+			if r.enq {
+				ref.Enqueue(r.at, flows[r.at], r.q, r.n)
+			} else {
+				ref.Dequeue(r.at, starts[r.at], r.q, r.soj)
+			}
+		}
+		now = 2000
+		got := passed.Dump().Rings[0]
+		want := snapshotRing("port:d", "port", "", &ref.ring, 1, 0)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: ring\n got %+v\nwant %+v", c.name, got, want)
 		}
 	}
 }

@@ -246,10 +246,11 @@ func Build(eng *sim.Engine, spec Spec, par Params) (*Network, error) {
 
 // foldable reports whether link u, which feeds link d alone, may fold
 // into it (netem.Port.Fold): no other link feeds d, no class injects into
-// it, and it is neither the monitor nor a reported link (ReportPorts), so
-// no result reads d's counters or its Queue().Stats() — a folded packet
-// bypasses d's queue and is counted from its fold. Whether d is a plain
-// FIFO with no fault armed is checked per packet.
+// it, its queue is the role default (a FIFO that never fills), and it is
+// neither the monitor nor a reported link (ReportPorts), so no result
+// reads d's counters or its queue — a folded packet bypasses d's queue,
+// waiting or not, and is counted from its fold. Whether d has a fault
+// armed is checked per packet.
 func (n *Network) foldable(u, d int, nexts []map[string]bool) bool {
 	l := n.Spec.Links[d]
 	if testHookNoFold || l.Role == RoleBottleneck || l.Queue != nil || l.Name == n.Spec.monitorLink() {
